@@ -389,7 +389,6 @@ let c100k ?(smoke = false) () =
         requests_per_conn = (if conns >= 10_000 then 1 else 2);
         parse_compute_us = 5;
         reply_compute_us = 5;
-        work_spin = 0;
         disk_every = 0;
         epoll;
         open_loop = true;

@@ -63,10 +63,6 @@ let targets : (string * string * (unit -> unit)) list =
     ( "wallclock-scaling",
       "wall-clock of engine-stressing workloads; appends to BENCH_wallclock.json",
       Wallclock.scaling );
-    ( "wallclock-parallel",
-      "real-domain scaling of offload-heavy workloads; appends to \
-       BENCH_wallclock.json",
-      Wallclock.parallel_scaling );
     ( "wallclock-smoke",
       "reduced-scale wallclock sections with time and allocation gates",
       Wallclock.smoke );

@@ -47,8 +47,7 @@ let test_fiber =
            | Sunos_kernel.Uctx.Step_charge (_, k) ->
                drive (Effect.Deep.continue k false)
            | Sunos_kernel.Uctx.Step_done -> ()
-           | Sunos_kernel.Uctx.Step_sys _ | Sunos_kernel.Uctx.Step_raised _
-           | Sunos_kernel.Uctx.Step_offload _ ->
+           | Sunos_kernel.Uctx.Step_sys _ | Sunos_kernel.Uctx.Step_raised _ ->
                assert false
          in
          drive step))
@@ -249,71 +248,6 @@ let eventq_churn n ~coalesce:_ =
   in
   tick 0;
   Eventq.run q
-
-(* ------------------------------------------------------------------ *)
-(* Parallel scaling: real worker domains vs wall-clock                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Each workload runs with [work_spin] high enough that the offloaded
-   busy-work dominates wall-clock, at cpus = 4 so up to four compute
-   phases are in flight at once.  The simulated figures are identical at
-   every domain count (test_parallel pins that bit-for-bit); only the
-   real wall-clock moves as domains are added. *)
-
-let par_domains = [ 1; 2; 4 ]
-
-let par_net ~domains =
-  let p =
-    {
-      S.default_params with
-      connections = 64;
-      requests_per_conn = 8;
-      think_time_us = 2_000;
-      connect_stagger_us = 200;
-      parse_compute_us = 200;
-      reply_compute_us = 150;
-      disk_every = 0;
-      workers = 8;
-      concurrency = 8;
-      client_concurrency = 64;
-      listen_backlog = 128;
-      work_spin = 300_000;
-    }
-  in
-  ignore (S.run (module Sunos_baselines.Mt) ~cpus:4 ~domains p)
-
-let par_db ~domains =
-  let p =
-    {
-      Db.default_params with
-      processes = 4;
-      threads_per_process = 8;
-      transactions_per_thread = 200;
-      records = 2048;
-      io_every = 50;
-      mmap_io = true;
-      work_spin = 100_000;
-    }
-  in
-  ignore (Db.run ~cpus:4 ~domains p)
-
-let par_kv ~domains =
-  let p =
-    {
-      KV.default_params with
-      server_procs = 4;
-      clients = 32;
-      requests_per_client = 24;
-      workers_per_server = 8;
-      think_time_us = 500;
-      request_deadline_us = 2_000_000;
-      work_spin = 400_000;
-    }
-  in
-  ignore (KV.run ~cpus:4 ~domains p)
-
-let parallel_sections =
-  [ ("net-server", par_net); ("database", par_db); ("kv-store", par_kv) ]
 
 type section = {
   name : string;
@@ -551,57 +485,6 @@ let scaling () =
   emit_json "BENCH_wallclock.json" (List.map section_json rows);
   Bout.printf "\n(recorded run %S in BENCH_wallclock.json)\n" !label
 
-(* W3: wall-clock of offload-heavy workloads as real domains are added.
-   The json row carries per-domain-count wall-clock plus the speedups
-   over domains = 1 — the figure the sharded engine exists for. *)
-let parallel_scaling () =
-  let cores = Domain.recommended_domain_count () in
-  Bout.printf
-    "\n=== W3: parallel scaling — worker domains vs wall-clock (cpus=4, \
-     offloaded busy-work on, %d real core%s available) ===\n\n"
-    cores (if cores = 1 then "" else "s");
-  if cores < 4 then
-    Bout.printf
-      "  (machine has fewer real cores than the widest pool: extra \
-       domains can only\n   match domains=1, not beat it — the figure \
-       to read is absence of slowdown)\n\n";
-  Bout.printf "  %-14s %9s %9s %9s %9s %9s\n" "workload" "d=1 (s)" "d=2 (s)"
-    "d=4 (s)" "x at 2" "x at 4";
-  let rows =
-    List.map
-      (fun (name, run) ->
-        let ms =
-          List.map (fun d -> (d, measure (fun () -> run ~domains:d)))
-            par_domains
-        in
-        let base = List.assoc 1 ms in
-        let sp d =
-          let m = List.assoc d ms in
-          if m.wall_s > 0. then base.wall_s /. m.wall_s else 0.
-        in
-        Bout.printf "  %-14s %9.3f %9.3f %9.3f %8.2fx %8.2fx\n" name
-          (List.assoc 1 ms).wall_s (List.assoc 2 ms).wall_s
-          (List.assoc 4 ms).wall_s (sp 2) (sp 4);
-        let walls =
-          List.map
-            (fun (d, m) -> Printf.sprintf "\"wall_d%d_s\": %.3f" d m.wall_s)
-            ms
-        in
-        let speeds =
-          List.filter_map
-            (fun (d, _) ->
-              if d = 1 then None
-              else Some (Printf.sprintf "\"speedup_d%d\": %.2f" d (sp d)))
-            ms
-        in
-        Printf.sprintf "{\"name\": \"parallel-%s\", \"real_cores\": %d, %s}"
-          name cores
-          (String.concat ", " (walls @ speeds)))
-      parallel_sections
-  in
-  emit_json "BENCH_wallclock.json" rows;
-  Bout.printf "\n(recorded run %S in BENCH_wallclock.json)\n" !label
-
 let smoke () =
   Bout.printf
     "\n=== wallclock smoke: 5x time / 3x allocation regression gate ===\n\n";
@@ -623,11 +506,11 @@ let smoke () =
         if bad_t || bad_w then Some s.name else None)
       sections
   in
-  (* Coalescing must never tax the dispatch-bound path: the min-window
-     grant skip keeps the (now multi-shard) next-event peek off the
-     storm's hot loop, so coalesce-on should track coalesce-off.  The
-     gate is lenient — 2x with a 0.25 s floor — because the storm smoke
-     runs in single-digit milliseconds on an idle machine. *)
+  (* Coalescing must never tax the dispatch-bound path: each grant costs
+     one next-event peek, O(1) on the single heap, so coalesce-on should
+     track coalesce-off.  The gate is lenient — 2x with a 0.25 s floor —
+     because the storm smoke runs in single-digit milliseconds on an idle
+     machine. *)
   let storm_off =
     measure (fun () -> dispatch_storm ~lwps:60 ~iters:20 ~coalesce:false)
   in

@@ -58,15 +58,6 @@ type t = {
   coalesce_window : Time.span;
       (* upper bound on a single run-ahead grant, independent of the
          quantum and the event horizon; sweepable in ablations *)
-  coalesce_min_window : Time.span;
-      (* grants below this aren't worth the ledger bookkeeping: under a
-         dispatch storm the quantum remainder (or the gap to the next
-         pending event) shrinks toward zero and per-dispatch budget
-         computation becomes pure overhead — the 0.88x regression in
-         the dispatch-storm bench section.  Below the floor the
-         dispatcher skips the grant entirely and charges fall through
-         to the plain event path, which is behavior-identical (the
-         coalesce on/off equivalence is golden-tested for any budget) *)
 }
 
 (* Calibration notes.  Component values are 1991-plausible path lengths at
@@ -126,7 +117,6 @@ let default =
     adaptive_spin_limit = 5;
     coalesce = true;
     coalesce_window = Time.ms 100;
-    coalesce_min_window = Time.us 50;
   }
 
 let free =
@@ -177,7 +167,6 @@ let free =
     adaptive_spin_limit = 5;
     coalesce = true;
     coalesce_window = Time.ms 100;
-    coalesce_min_window = 0L;
   }
 
 let scale f c =
@@ -229,5 +218,4 @@ let scale f c =
     adaptive_spin_limit = c.adaptive_spin_limit;
     coalesce = c.coalesce;
     coalesce_window = s c.coalesce_window;
-    coalesce_min_window = s c.coalesce_min_window;
   }

@@ -84,14 +84,6 @@ type t = {
   coalesce_window : Sunos_sim.Time.span;
       (** upper bound on a single run-ahead grant, independent of the
           remaining quantum and the event horizon; [scale] scales it *)
-  coalesce_min_window : Sunos_sim.Time.span;
-      (** floor under which a run-ahead grant is skipped: when the
-          remaining quantum (or the coalesce window) is already below
-          this, the budget arithmetic costs more than the events it
-          would save — the dispatch-storm pathology.  Skipping is
-          behavior-identical (equivalent to coalescing off for that
-          dispatch, which the equivalence suite pins).  [scale] scales
-          it *)
 }
 
 val default : t

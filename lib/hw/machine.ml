@@ -10,25 +10,17 @@ type t = {
   trace : Sim.Tracebuf.t;
   rng : Sim.Rng.t;
   chaos : Sim.Faultgen.t;
-  pool : Sim.Parexec.t;
-      (* worker domains for offloaded compute; [Parexec.domains pool = 1]
-         means no workers and fully inline execution *)
 }
 
 let create ?(cpus = 1) ?(cost = Cost_model.default) ?(seed = 1L)
-    ?trace_capacity ?chaos ?domains () =
+    ?trace_capacity ?chaos () =
   if cpus <= 0 then invalid_arg "Machine.create: cpus";
   let chaos =
     match chaos with
     | Some p -> Sim.Faultgen.create ~seed p
     | None -> Sim.Faultgen.of_env ~seed ()
   in
-  let domains =
-    match domains with Some d -> d | None -> Sim.Parexec.default_domains ()
-  in
-  (* shard 0: kernel-wide + device events; shard [id + 1]: CPU [id]'s
-     busy/charge/dispatch traffic *)
-  let eventq = Sim.Eventq.create ~shards:(cpus + 1) () in
+  let eventq = Sim.Eventq.create () in
   {
     eventq;
     cpus = Array.init cpus (fun id -> Cpu.create ~id);
@@ -39,13 +31,10 @@ let create ?(cpus = 1) ?(cost = Cost_model.default) ?(seed = 1L)
     trace = Sim.Tracebuf.create ?capacity:trace_capacity ();
     rng = Sim.Rng.create ~seed;
     chaos;
-    pool = Sim.Parexec.create ~domains;
   }
 
 let now t = Sim.Eventq.now t.eventq
 let ncpus t = Array.length t.cpus
-let domains t = Sim.Parexec.domains t.pool
-let shutdown t = Sim.Parexec.shutdown t.pool
 
 (* The interest check runs before kasprintf builds anything: with tracing
    disabled (or the tag filtered out) the format args are swallowed by

@@ -11,10 +11,6 @@ type t = {
   trace : Sunos_sim.Tracebuf.t;
   rng : Sunos_sim.Rng.t;
   chaos : Sunos_sim.Faultgen.t;
-  pool : Sunos_sim.Parexec.t;
-      (** worker domains for offloaded compute (see
-          {!Sunos_sim.Parexec}); the simulation itself always advances
-          on the calling domain *)
 }
 
 val create :
@@ -23,28 +19,16 @@ val create :
   ?seed:int64 ->
   ?trace_capacity:int ->
   ?chaos:Sunos_sim.Faultgen.profile ->
-  ?domains:int ->
   unit ->
   t
 (** Defaults: 1 CPU (the paper's measurement platform was a uniprocessor),
     {!Cost_model.default}, seed 1, chaos profile from [SUNOS_CHAOS]
-    (off when unset), [domains] from [SUNOS_DOMAINS] (1 when unset: no
-    worker domains, the fully inline engine).  The chaos stream is
-    seeded independently of the machine's workload stream.  The event
-    queue is created with [cpus + 1] shards: shard 0 for kernel-wide
-    and device events, shard [id + 1] for CPU [id].  Simulated results
-    are bit-identical for every [domains] value. *)
+    (off when unset).  The chaos stream is seeded independently of the
+    machine's workload stream.  Every CPU and device shares the one
+    event queue. *)
 
 val now : t -> Sunos_sim.Time.t
 val ncpus : t -> int
-
-val domains : t -> int
-(** Domain count of the worker pool (1 = no workers). *)
-
-val shutdown : t -> unit
-(** Join the worker pool.  Idempotent; an [at_exit] sweep catches
-    machines never shut down explicitly, but long-lived processes that
-    create many machines should call this. *)
 
 val trace : t -> tag:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 (** Emit a trace record stamped with the current time. *)

@@ -9,13 +9,12 @@ let boot_on machine =
   Syscall_impl.install k;
   k
 
-let boot ?cpus ?cost ?seed ?trace_capacity ?chaos ?domains () =
-  boot_on (Machine.create ?cpus ?cost ?seed ?trace_capacity ?chaos ?domains ())
+let boot ?cpus ?cost ?seed ?trace_capacity ?chaos () =
+  boot_on (Machine.create ?cpus ?cost ?seed ?trace_capacity ?chaos ())
 
 let machine (k : t) = k.Ktypes.machine
 let fs (k : t) = k.Ktypes.fs
-let domains k = Machine.domains (machine k)
-let shutdown k = Machine.shutdown (machine k)
+let shutdown (_ : t) = ()
 
 let spawn k ~name ~main =
   let proc = Kernel_impl.spawn_process k ~name ~main in

@@ -17,15 +17,10 @@ val boot :
   ?seed:int64 ->
   ?trace_capacity:int ->
   ?chaos:Sunos_sim.Faultgen.profile ->
-  ?domains:int ->
   unit ->
   t
 (** Build a machine and boot a kernel on it.  [chaos] selects the fault
-    injection profile (default: [SUNOS_CHAOS] env, else off);
-    [domains] the worker-domain count for offloaded compute (default:
-    [SUNOS_DOMAINS] env, else 1 — no workers).  Simulated results are
-    bit-identical for every [domains] value; see
-    {!Sunos_sim.Parexec}. *)
+    injection profile (default: [SUNOS_CHAOS] env, else off). *)
 
 val boot_on : Sunos_hw.Machine.t -> t
 (** Boot on an existing machine. *)
@@ -33,12 +28,9 @@ val boot_on : Sunos_hw.Machine.t -> t
 val machine : t -> Sunos_hw.Machine.t
 val fs : t -> Fs.t
 
-val domains : t -> int
-(** Domain count of the machine's worker pool (1 = fully inline). *)
-
 val shutdown : t -> unit
-(** Join the machine's worker pool.  Idempotent; call when done with a
-    kernel (the workload drivers do). *)
+(** Does nothing: a kernel holds no resource beyond the heap.  Kept so
+    that callers written against the old worker-pool API still build. *)
 
 val spawn : t -> name:string -> main:(unit -> unit) -> int
 (** Create a process with one LWP executing [main]; returns its pid.

@@ -19,17 +19,11 @@ module Machine = Sunos_hw.Machine
 module Cpu = Sunos_hw.Cpu
 module Cost = Sunos_hw.Cost_model
 module Prioq = Sunos_sim.Prioq
-module Parexec = Sunos_sim.Parexec
 
 let cost k = k.machine.Machine.cost
 let now k = Machine.now k.machine
 let eventq k = k.machine.Machine.eventq
-let pool k = k.machine.Machine.pool
-
-(* [shard] routes the event to a per-CPU heap (shard [cpu id + 1]);
-   kernel-wide events default to the global shard 0.  Routing never
-   affects firing order — see {!Sunos_sim.Eventq}. *)
-let schedule ?shard k span f = ignore (Eventq.after ?shard (eventq k) span f)
+let schedule k span f = ignore (Eventq.after (eventq k) span f)
 let trace k tag fmt = Machine.trace k.machine ~tag fmt
 
 (* ------------------------------------------------------------------ *)
@@ -228,13 +222,6 @@ let quantum_for k lwp =
   | Sc_realtime _ -> Time.s 3600  (* effectively until it blocks *)
   | Sc_timeshare _ | Sc_gang _ -> (cost k).Cost.quantum
 
-(* Environment kill switch for run-ahead coalescing (diagnostics: rule
-   the optimization in or out of a misbehaving run without a rebuild). *)
-let no_coalesce_env =
-  match Stdlib.Sys.getenv_opt "SUNOS_NO_COALESCE" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 (* Open a run-ahead window for the fiber we are about to continue: how
    far may it charge before settling with the kernel?
 
@@ -261,7 +248,6 @@ let grant_budget k cpu lwp =
   let budget =
     if
       c.Cost.coalesce
-      && (not no_coalesce_env)
       && Time.(lwp.quantum_left > 0L)
       && (not lwp.prof_on)
       && lwp.vtimer_left = None
@@ -273,25 +259,11 @@ let grant_budget k cpu lwp =
       && (match lwp.bound_cpu with
          | Some b -> b = Cpu.id cpu
          | None -> true)
-    then begin
+    then
       let cap = Time.min lwp.quantum_left c.Cost.coalesce_window in
-      (* Grants below the floor aren't worth the ledger bookkeeping —
-         under a dispatch storm the quantum remainder shrinks toward
-         zero and the budget arithmetic (notably the event-queue peek
-         below) becomes pure overhead on every dispatch.  Checking
-         [cap] first skips the peek entirely; zeroing a post-clamp
-         sliver catches a near event.  Both are behavior-identical:
-         a zero budget is just coalescing off for this window, and the
-         on/off equivalence is golden-tested for any budget. *)
-      if Time.(cap < c.Cost.coalesce_min_window) then 0L
-      else
-        let b =
-          match Eventq.next_time (eventq k) with
-          | Some t -> Time.min cap (Time.diff t (now k))
-          | None -> cap
-        in
-        if Time.(b < c.Cost.coalesce_min_window) then 0L else b
-    end
+      match Eventq.next_time (eventq k) with
+      | Some t -> Time.min cap (Time.diff t (now k))
+      | None -> cap
     else 0L
   in
   Uctx.grant ~budget
@@ -329,7 +301,7 @@ and place k cpu lwp =
   Counter.incr k.ctr_dispatches;
   trace k "dispatch" "cpu%d <- pid%d/lwp%d" (Cpu.id cpu) lwp.proc.pid lwp.lid;
   (* Going through the dispatcher costs a kernel context switch. *)
-  schedule ~shard:(Cpu.id cpu + 1) k (cost k).Cost.kernel_dispatch (fun () ->
+  schedule k (cost k).Cost.kernel_dispatch (fun () ->
       if is_running_on lwp cpu then resume k cpu lwp)
 
 (* Best-effort gang scheduling: the RUNNABLE members of a gang are placed
@@ -411,17 +383,6 @@ and dispatch_step k cpu lwp (s : Uctx.step) =
       ignore bt;
       proc_exit k lwp.proc ~status:139
   | Uctx.Step_charge (span, kont) -> charge_slice k cpu lwp span kont
-  | Uctx.Step_offload (span, thunk, kont) ->
-      (* Launch the real work on the pool now; the simulated cost goes
-         through the ordinary charge machinery.  The await lives in
-         [continue_charge], i.e. at the instant the charge completes —
-         however the charge is sliced by preemption, stops or
-         migration, the LWP carries the task with it.  If the process
-         dies first the task is simply never awaited: thunks are pure,
-         a worker finishing one late writes only its own closure. *)
-      lwp.offload <- Some (Parexec.submit (pool k) ~lane:(Cpu.id cpu)
-                             ~time:(Time.add (now k) span) thunk);
-      charge_slice k cpu lwp span kont
   | Uctx.Step_sys (req, kont) ->
       lwp.in_kernel <- true;
       lwp.pending <- P_syswait kont;
@@ -431,26 +392,17 @@ and dispatch_step k cpu lwp (s : Uctx.step) =
         (Int64.add c.Cost.trap_entry c.Cost.syscall_fixed)
         (fun () -> k.syscall_exec lwp req)
 
-(* Resume a charge continuation whose span is fully accounted.  If the
-   charge carried offloaded real work, this is the event horizon where
-   the simulation needs its effects: await it (stealing it inline if no
-   worker started it) before user code runs another instruction. *)
+(* Resume a charge continuation whose span is fully accounted. *)
 and continue_charge k cpu lwp kont =
-  (match lwp.offload with
-  | Some task ->
-      lwp.offload <- None;
-      Parexec.await (pool k) task
-  | None -> ());
   lwp.pending <- P_dead;
   grant_budget k cpu lwp;
   step k cpu lwp (Effect.Deep.continue kont (sig_flag lwp))
 
 (* Hold the CPU for [span], accounting it to the LWP, then run [fin].
    If the LWP lost the CPU meanwhile (kill, stop at a boundary), the
-   completion is dropped — whoever took the CPU away owns the next move.
-   Busy intervals are this CPU's own traffic: they live in its shard. *)
+   completion is dropped — whoever took the CPU away owns the next move. *)
 and busy k cpu lwp span fin =
-  schedule ~shard:(Cpu.id cpu + 1) k span (fun () ->
+  schedule k span (fun () ->
       if is_running_on lwp cpu then begin
         account k lwp span;
         (* other LWPs may have run during this interval: restore this
@@ -911,7 +863,6 @@ and make_lwp k proc ~entry ~cls =
       prof_on = false;
       prof_ticks = 0;
       runq_gen = 0;
-      offload = None;
     }
   in
   proc.lwps <- proc.lwps @ [ lwp ];
@@ -1000,7 +951,7 @@ and close_fdobj fdobj =
   | Fd_sock ep -> Socket.close ep
   | Fd_sock_listen l -> Socket.close_listener l
   | Fd_epoll ep -> Epoll.close ep
-  | Fd_file _ | Fd_net _ | Fd_tty -> ()
+  | Fd_file _ -> ()
 
 and proc_exit k proc ~status =
   if proc.pstate = Palive then begin

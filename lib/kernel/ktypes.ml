@@ -68,11 +68,6 @@ type lwp = {
   mutable runq_gen : int;
       (* incremented on every enqueue; stale run-queue entries (older
          generation) are skipped at pick time, which makes dequeue lazy *)
-  mutable offload : Sunos_sim.Parexec.task option;
-      (* in-flight offloaded compute launched by this LWP's last
-         Step_offload; awaited before its charge continuation resumes
-         (preemption and migration may delay the resume — the await
-         travels with the LWP, not the CPU) *)
 }
 
 and proc = {
@@ -123,8 +118,6 @@ and fdobj =
   | Fd_file of { file : Fs.file; mutable pos : int }
   | Fd_pipe_r of Pipe.t
   | Fd_pipe_w of Pipe.t
-  | Fd_net of Netchan.t
-  | Fd_tty
   | Fd_sock_listen of Socket.listener
   | Fd_sock of Socket.endpoint
   | Fd_epoll of Epoll.t

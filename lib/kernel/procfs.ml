@@ -217,46 +217,3 @@ let pp_epoll ppf ei =
     ei.ei_wakeups ei.ei_delivered
 
 let pp_epolls ppf k = List.iter (pp_epoll ppf) (epolls k)
-
-(* --- parallel engine: event-queue shards and the worker pool ---------- *)
-
-type shard_info = {
-  sh_id : int;
-  sh_frontier : Sunos_sim.Time.t option;
-  sh_pending : int;
-  sh_fired : int;
-  sh_cross_in : int;
-}
-
-let shards k =
-  let q = k.machine.Sunos_hw.Machine.eventq in
-  List.init (Sunos_sim.Eventq.shard_count q) (fun i ->
-      {
-        sh_id = i;
-        sh_frontier = Sunos_sim.Eventq.shard_next_time q i;
-        sh_pending = Sunos_sim.Eventq.shard_pending q i;
-        sh_fired = Sunos_sim.Eventq.shard_fired q i;
-        sh_cross_in = Sunos_sim.Eventq.shard_cross_in q i;
-      })
-
-let pool_lanes k =
-  Sunos_sim.Parexec.lane_stats k.machine.Sunos_hw.Machine.pool
-
-let pp_shards ppf k =
-  List.iter
-    (fun sh ->
-      Format.fprintf ppf "shard %d (%s) frontier=%s pending=%d fired=%d xin=%d@."
-        sh.sh_id
-        (if sh.sh_id = 0 then "global" else Printf.sprintf "cpu%d" (sh.sh_id - 1))
-        (match sh.sh_frontier with
-        | Some t -> Format.asprintf "%a" Sunos_sim.Time.pp t
-        | None -> "-")
-        sh.sh_pending sh.sh_fired sh.sh_cross_in)
-    (shards k);
-  Array.iteri
-    (fun i (ls : Sunos_sim.Parexec.lane_stats) ->
-      Format.fprintf ppf
-        "lane %d submitted=%d completed=%d stalls=%d overflows=%d frontier=%a@."
-        i ls.ls_submitted ls.ls_completed ls.ls_stalls ls.ls_overflows
-        Sunos_sim.Time.pp ls.ls_frontier)
-    (pool_lanes k)

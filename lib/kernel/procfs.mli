@@ -86,30 +86,3 @@ val epolls : Ktypes.kernel -> epoll_info list
 
 val pp_epoll : Format.formatter -> epoll_info -> unit
 val pp_epolls : Format.formatter -> Ktypes.kernel -> unit
-
-(** {1 Parallel engine}
-
-    The sharded event queue and the worker-domain pool, from outside:
-    per-shard frontier time (the earliest instant anything can happen
-    in that shard — the conservative-lookahead bound), traffic counts,
-    and the cross-shard message count (events scheduled into a shard by
-    another shard's callback). *)
-
-type shard_info = {
-  sh_id : int;  (** 0 = global/kernel/devices, [i + 1] = CPU [i] *)
-  sh_frontier : Sunos_sim.Time.t option;  (** earliest pending event *)
-  sh_pending : int;
-  sh_fired : int;
-  sh_cross_in : int;  (** events scheduled in from other shards *)
-}
-
-val shards : Ktypes.kernel -> shard_info list
-(** One entry per event-queue shard, in shard order. *)
-
-val pool_lanes : Ktypes.kernel -> Sunos_sim.Parexec.lane_stats array
-(** Offload-pool lane counters (empty when [domains = 1]): submissions,
-    completions, coordinator stalls, ring overflows and each lane's
-    retired-work frontier. *)
-
-val pp_shards : Format.formatter -> Ktypes.kernel -> unit
-(** Shard table followed by pool-lane table. *)

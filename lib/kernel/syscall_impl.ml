@@ -13,7 +13,6 @@ module Shm = Sunos_hw.Shared_memory
 module Cost = Sunos_hw.Cost_model
 module Machine = Sunos_hw.Machine
 module Disk = Sunos_hw.Devices.Disk
-module Tty = Sunos_hw.Devices.Tty
 
 let copy_cost (c : Cost.t) bytes_ =
   Int64.mul c.Cost.copy_per_kb (Int64.of_int ((bytes_ + 1023) / 1024))
@@ -32,20 +31,18 @@ let install_fd proc fdobj =
 
 (* --- readiness, shared by read/write/poll --------------------------- *)
 
-let in_ready k fdobj =
+let in_ready fdobj =
   match fdobj with
   | Fd_file _ -> true
   | Fd_pipe_r p -> Pipe.readable p
   | Fd_pipe_w _ -> false
-  | Fd_net ch -> Netchan.readable ch
-  | Fd_tty -> Tty.has_input k.machine.Machine.tty
   | Fd_sock ep -> Socket.readable ep
   | Fd_sock_listen l -> Socket.acceptable l
   | Fd_epoll ep -> Epoll.ready_depth ep > 0 || Epoll.closed ep
 
 let out_ready fdobj =
   match fdobj with
-  | Fd_file _ | Fd_tty | Fd_net _ -> true
+  | Fd_file _ -> true
   | Fd_pipe_w p -> Pipe.writable p
   | Fd_pipe_r _ -> false
   | Fd_sock ep -> Socket.writable ep
@@ -53,12 +50,10 @@ let out_ready fdobj =
 
 (* Register a one-shot "something changed" callback on a pollable object.
    File fds are always ready so they never need registration. *)
-let register_ready k fdobj ~want_in ~want_out f =
+let register_ready fdobj ~want_in ~want_out f =
   match fdobj with
   | Fd_pipe_r p -> if want_in then Pipe.on_readable p f
   | Fd_pipe_w p -> if want_out then Pipe.on_writable p f
-  | Fd_net ch -> if want_in then Netchan.on_readable ch f
-  | Fd_tty -> if want_in then Tty.on_data_ready k.machine.Machine.tty f
   | Fd_sock ep ->
       if want_in then Socket.on_readable ep f;
       if want_out then Socket.on_writable ep f
@@ -158,25 +153,6 @@ let rec pipe_write_blocking k lwp p data ~alive =
             end
         | None -> alive := false)
 
-(* --- net channel ------------------------------------------------------ *)
-
-let rec net_read_blocking k lwp ch ~alive =
-  Netchan.on_readable ch (fun () ->
-      if !alive then
-        match lwp.sleep with
-        | Some _ -> (
-            match Netchan.take ch with
-            | Some m ->
-                alive := false;
-                K.wake k lwp (R_bytes m.Netchan.payload)
-            | None ->
-                if Netchan.closed ch then begin
-                  alive := false;
-                  K.wake k lwp (R_bytes "")
-                end
-                else net_read_blocking k lwp ch ~alive)
-        | None -> alive := false)
-
 (* --- sockets ---------------------------------------------------------- *)
 
 let rec sock_read_blocking k lwp ep ~len ~alive =
@@ -238,13 +214,13 @@ let rec sock_accept_blocking k lwp l ~alive =
 
 (* --- poll ------------------------------------------------------------- *)
 
-let poll_ready k proc fds =
+let poll_ready proc fds =
   List.filter_map
     (fun { pfd; want_in; want_out } ->
       match lookup_fd proc pfd with
       | None -> Some pfd (* bad fds report as "ready" so callers notice *)
       | Some o ->
-          if (want_in && in_ready k o) || (want_out && out_ready o) then
+          if (want_in && in_ready o) || (want_out && out_ready o) then
             Some pfd
           else None)
     fds
@@ -254,7 +230,7 @@ let rec poll_register k lwp fds ~alive =
     if !alive then
       match lwp.sleep with
       | Some _ ->
-          let ready = poll_ready k lwp.proc fds in
+          let ready = poll_ready lwp.proc fds in
           if ready <> [] then begin
             alive := false;
             K.wake k lwp (R_poll ready)
@@ -265,7 +241,7 @@ let rec poll_register k lwp fds ~alive =
   List.iter
     (fun { pfd; want_in; want_out } ->
       match lookup_fd lwp.proc pfd with
-      | Some o -> register_ready k o ~want_in ~want_out on_change
+      | Some o -> register_ready o ~want_in ~want_out on_change
       | None -> ())
     fds
 
@@ -273,8 +249,8 @@ let rec poll_register k lwp fds ~alive =
 
 (* Attach persistent watches matching the entry's interest mask and
    store their detach closure.  Returns false on objects that have no
-   edge sources (plain files, net channels, ttys, other epolls) — epoll
-   interest on those is refused rather than silently level-polled. *)
+   edge sources (plain files, other epolls) — epoll interest on those
+   is refused rather than silently level-polled. *)
 let epoll_attach ep (e : Epoll.entry) fdobj =
   let fire () = Epoll.note_edge ep e in
   match fdobj with
@@ -309,7 +285,7 @@ let epoll_attach ep (e : Epoll.entry) fdobj =
         e.Epoll.e_unwatch <- (fun () -> Pipe.unwatch w)
       end;
       true
-  | Fd_file _ | Fd_net _ | Fd_tty | Fd_epoll _ -> false
+  | Fd_file _ | Fd_epoll _ -> false
 
 (* Drain up to [max] live entries off the ready queue.  This is the
    whole point of the design: cost is O(returned), never O(interest).
@@ -512,9 +488,6 @@ let execute k lwp req =
                 K.complete k lwp ~op_cost:c.Cost.fs_op (R_int fd)
             | Error e -> K.complete k lwp (R_err e))
           else K.complete k lwp (R_err Errno.ENOENT))
-  | Sys_open_net ch ->
-      let fd = install_fd proc (Fd_net ch) in
-      K.complete k lwp (R_int fd)
   | Sys_close fd -> (
       match lookup_fd proc fd with
       | None -> K.complete k lwp (R_err Errno.EBADF)
@@ -540,21 +513,6 @@ let execute k lwp req =
             pipe_read_blocking k lwp p ~len ~alive
           end
       | Some (Fd_pipe_w _) -> K.complete k lwp (R_err Errno.EBADF)
-      | Some (Fd_net ch) -> (
-          match Netchan.take ch with
-          | Some m ->
-              K.complete k lwp ~op_cost:c.Cost.pipe_op
-                (R_bytes m.Netchan.payload)
-          | None ->
-              if Netchan.closed ch then
-                K.complete k lwp ~op_cost:c.Cost.pipe_op (R_bytes "")
-              else begin
-                let alive = ref true in
-                K.block k lwp ~wchan:"net_read" ~interruptible:true
-                  ~indefinite:true
-                  ~cancel:(fun () -> alive := false);
-                net_read_blocking k lwp ch ~alive
-              end)
       | Some (Fd_sock ep) -> (
           match Socket.read ep ~len with
           | `Data s ->
@@ -570,29 +528,7 @@ let execute k lwp req =
                 ~cancel:(fun () -> alive := false);
               sock_read_blocking k lwp ep ~len ~alive)
       | Some (Fd_sock_listen _) -> K.complete k lwp (R_err Errno.ENOTCONN)
-      | Some (Fd_epoll _) -> K.complete k lwp (R_err Errno.EBADF)
-      | Some Fd_tty -> (
-          match Tty.read_input k.machine.Machine.tty with
-          | Some line ->
-              K.complete k lwp ~op_cost:c.Cost.pipe_op (R_bytes line)
-          | None ->
-              let alive = ref true in
-              K.block k lwp ~wchan:"tty_read" ~interruptible:true
-                ~indefinite:true
-                ~cancel:(fun () -> alive := false);
-              let rec wait_input () =
-                Tty.on_data_ready k.machine.Machine.tty (fun () ->
-                    if !alive then
-                      match lwp.sleep with
-                      | Some _ -> (
-                          match Tty.read_input k.machine.Machine.tty with
-                          | Some line ->
-                              alive := false;
-                              K.wake k lwp (R_bytes line)
-                          | None -> wait_input ())
-                      | None -> alive := false)
-              in
-              wait_input ()))
+      | Some (Fd_epoll _) -> K.complete k lwp (R_err Errno.EBADF))
   | Sys_read_nb (fd, len) -> (
       (* Non-blocking socket read with distinguishable outcomes: data,
          EOF (empty R_bytes), EAGAIN (not ready) and ECONNRESET are four
@@ -644,13 +580,6 @@ let execute k lwp req =
               pipe_write_blocking k lwp p data ~alive
             end
       | Some (Fd_pipe_r _) -> K.complete k lwp (R_err Errno.EBADF)
-      | Some (Fd_net ch) ->
-          (match Netchan.pop_reply ch with
-          | Some reply -> reply data
-          | None -> ());
-          K.complete k lwp
-            ~op_cost:(Int64.add c.Cost.pipe_op (copy_cost c (String.length data)))
-            (R_int (String.length data))
       | Some (Fd_sock ep) ->
           if K.chaos_roll k ~site:"conn-rst" (chp k).conn_rst then begin
             (* mid-stream RST: the connection dies under the writer *)
@@ -679,19 +608,15 @@ let execute k lwp req =
                 sock_write_blocking k lwp ep data ~alive
           end
       | Some (Fd_sock_listen _) -> K.complete k lwp (R_err Errno.ENOTCONN)
-      | Some (Fd_epoll _) -> K.complete k lwp (R_err Errno.EBADF)
-      | Some Fd_tty ->
-          K.complete k lwp
-            ~op_cost:(copy_cost c (String.length data))
-            (R_int (String.length data)))
+      | Some (Fd_epoll _) -> K.complete k lwp (R_err Errno.EBADF))
   | Sys_lseek (fd, pos) -> (
       match lookup_fd proc fd with
       | Some (Fd_file f) ->
           f.pos <- pos;
           K.complete k lwp R_ok
       | Some
-          (Fd_pipe_r _ | Fd_pipe_w _ | Fd_net _ | Fd_tty | Fd_sock _
-          | Fd_sock_listen _ | Fd_epoll _)
+          (Fd_pipe_r _ | Fd_pipe_w _ | Fd_sock _ | Fd_sock_listen _
+          | Fd_epoll _)
       | None ->
           K.complete k lwp (R_err Errno.EINVAL))
   | Sys_unlink path -> (
@@ -706,8 +631,8 @@ let execute k lwp req =
           Shm.incr_map_count seg;
           K.complete k lwp ~op_cost:c.Cost.fs_op (R_seg seg)
       | Some
-          (Fd_pipe_r _ | Fd_pipe_w _ | Fd_net _ | Fd_tty | Fd_sock _
-          | Fd_sock_listen _ | Fd_epoll _)
+          (Fd_pipe_r _ | Fd_pipe_w _ | Fd_sock _ | Fd_sock_listen _
+          | Fd_epoll _)
       | None ->
           K.complete k lwp (R_err Errno.EBADF))
   | Sys_mmap_anon { size; shared } ->
@@ -853,7 +778,7 @@ let execute k lwp req =
         Int64.add c.Cost.poll_fixed
           (Int64.mul c.Cost.poll_per_fd (Int64.of_int (List.length fds)))
       in
-      let ready = poll_ready k proc fds in
+      let ready = poll_ready proc fds in
       match (ready, timeout) with
       | _ :: _, _ -> K.complete k lwp ~op_cost (R_poll ready)
       | [], Some t when Time.(t <= 0L) -> K.complete k lwp ~op_cost (R_poll [])
@@ -889,7 +814,7 @@ let execute k lwp req =
                            already-ready object queues immediately —
                            the edge happened before we were listening *)
                         if
-                          (want_in && in_ready k o)
+                          (want_in && in_ready o)
                           || (want_out && out_ready o)
                         then Epoll.note_edge ep e;
                         K.complete k lwp ~op_cost:c.Cost.sock_op R_ok
@@ -918,7 +843,7 @@ let execute k lwp req =
                          ONESHOT consumer that drained to EAGAIN after
                          new data arrived would sleep forever *)
                       if
-                        (want_in && in_ready k o)
+                        (want_in && in_ready o)
                         || (want_out && out_ready o)
                       then Epoll.note_edge ep e;
                       K.complete k lwp ~op_cost:c.Cost.sock_op R_ok))

@@ -35,7 +35,6 @@ type sysreq =
   | Sys_exec of { name : string; main : unit -> unit }
   | Sys_waitpid of int option
   | Sys_open of string * open_flag list
-  | Sys_open_net of Netchan.t
   | Sys_close of fd
   | Sys_read of fd * int
   | Sys_read_nb of fd * int  (* non-blocking socket read *)
@@ -109,7 +108,6 @@ let sysreq_name = function
   | Sys_exec _ -> "exec"
   | Sys_waitpid _ -> "waitpid"
   | Sys_open _ -> "open"
-  | Sys_open_net _ -> "open_net"
   | Sys_close _ -> "close"
   | Sys_read _ -> "read"
   | Sys_read_nb _ -> "read_nb"

@@ -57,7 +57,6 @@ type sysreq =
   | Sys_exec of { name : string; main : unit -> unit }
   | Sys_waitpid of int option  (** None: any child *)
   | Sys_open of string * open_flag list
-  | Sys_open_net of Netchan.t
   | Sys_close of fd
   | Sys_read of fd * int
   | Sys_read_nb of fd * int  (* non-blocking socket read *)

@@ -4,15 +4,12 @@ open Sysdefs
 type _ Effect.t +=
   | Charge : Time.span -> bool Effect.t
   | Sys : sysreq -> sysret Effect.t
-  | Offload : Time.span * (unit -> unit) -> bool Effect.t
 
 type step =
   | Step_done
   | Step_raised of exn * Printexc.raw_backtrace
   | Step_charge of Time.span * (bool, step) Effect.Deep.continuation
   | Step_sys of sysreq * (sysret, step) Effect.Deep.continuation
-  | Step_offload of
-      Time.span * (unit -> unit) * (bool, step) Effect.Deep.continuation
 
 exception Process_killed
 
@@ -33,10 +30,6 @@ let run_fiber f =
                 (fun (k : (a, step) continuation) -> Step_charge (span, k))
           | Sys req ->
               Some (fun (k : (a, step) continuation) -> Step_sys (req, k))
-          | Offload (span, thunk) ->
-              Some
-                (fun (k : (a, step) continuation) ->
-                  Step_offload (span, thunk, k))
           | _ -> None);
     }
 
@@ -136,15 +129,6 @@ let charge span =
 let charge_us n = charge (Time.us n)
 let compute = charge
 
-(* A compute phase with real work behind it: the kernel launches [f] on
-   the machine's worker pool (or inline when there is none) and charges
-   [cost] through the ordinary charge machinery; by the time the charge
-   completes in simulated time, [f] has completed in real time.  [f]
-   must be pure — its only outputs are its own closure cells; the
-   simulated result must depend only on those and on [cost], never on
-   scheduling.  Offloads never coalesce: the launch is the point. *)
-let offload ~cost f = if Effect.perform (Offload (cost, f)) then checkpoint ()
-
 let getpid () =
   match syscall Sys_getpid with R_int p -> p | r -> fail "getpid" r
 
@@ -203,11 +187,6 @@ let open_file ?(flags = [ O_RDWR; O_CREAT ]) path =
   match syscall (Sys_open (path, flags)) with
   | R_int fd -> fd
   | r -> fail "open" r
-
-let open_net chan =
-  match syscall (Sys_open_net chan) with
-  | R_int fd -> fd
-  | r -> fail "open_net" r
 
 let close fd =
   match syscall (Sys_close fd) with R_ok -> () | r -> fail "close" r

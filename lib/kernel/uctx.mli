@@ -16,10 +16,6 @@ type _ Effect.t +=
   | Charge : Sunos_sim.Time.span -> bool Effect.t
         (** Result [true] means deliverable signals are pending. *)
   | Sys : Sysdefs.sysreq -> Sysdefs.sysret Effect.t
-  | Offload : Sunos_sim.Time.span * (unit -> unit) -> bool Effect.t
-        (** A charge with real work attached: the kernel launches the
-            thunk on the machine's worker pool and awaits it before the
-            charge's continuation resumes.  Result as for {!Charge}. *)
 
 type step =
   | Step_done
@@ -28,10 +24,6 @@ type step =
       Sunos_sim.Time.span * (bool, step) Effect.Deep.continuation
   | Step_sys of
       Sysdefs.sysreq * (Sysdefs.sysret, step) Effect.Deep.continuation
-  | Step_offload of
-      Sunos_sim.Time.span
-      * (unit -> unit)
-      * (bool, step) Effect.Deep.continuation
 
 val run_fiber : (unit -> unit) -> step
 (** Start running [f] as a fiber; returns at its first effect (or
@@ -65,16 +57,6 @@ val charge_us : int -> unit
 val compute : Sunos_sim.Time.span -> unit
 (** Alias of {!charge} for application compute phases. *)
 
-val offload : cost:Sunos_sim.Time.span -> (unit -> unit) -> unit
-(** A compute phase with real work behind it: [f] runs on the machine's
-    worker-domain pool (inline when [domains = 1]) while the simulation
-    keeps advancing, and is guaranteed complete by the time this call
-    returns.  [f] must be pure — it may write only its own closure
-    cells, never simulation state — so the simulated outcome depends
-    only on [cost] and the caller's own data: bit-identical for every
-    domain count.  Signal handlers run before returning, as for
-    {!charge}. *)
-
 val syscall : Sysdefs.sysreq -> Sysdefs.sysret
 (** Raw system call; no signal pickup, no error decoding. *)
 
@@ -100,7 +82,6 @@ val sleep : Sunos_sim.Time.span -> unit
 (** {1 Files, pipes, polling} *)
 
 val open_file : ?flags:Sysdefs.open_flag list -> string -> Sysdefs.fd
-val open_net : Netchan.t -> Sysdefs.fd
 val close : Sysdefs.fd -> unit
 val read : Sysdefs.fd -> len:int -> string
 val write : Sysdefs.fd -> string -> int
@@ -175,7 +156,7 @@ val epoll_add :
   unit
 (** Register interest of the second fd on the first (epoll) fd.  Raises
     [EEXIST] if already registered, [EINVAL] on objects without edge
-    sources (plain files, net channels, ttys, epolls). *)
+    sources (plain files, epolls). *)
 
 val epoll_mod :
   Sysdefs.fd ->

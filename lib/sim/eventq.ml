@@ -1,17 +1,6 @@
-(* The event queue, sharded.
-
-   Events live in per-shard pairing heaps — shard 0 is the global
-   (kernel/device) shard; the machine gives each simulated CPU its own
-   shard for the busy/charge events that dominate event traffic.  The
-   pop order is the *global* (time, seq) total order, computed as a
-   min-merge over the shard heads, so sharding is invisible to
-   execution: any routing of events to shards fires the exact same
-   sequence as the single-heap queue did.  What sharding buys is
-   structure — per-shard frontiers (the conservative-lookahead bound a
-   parallel advance is entitled to), per-shard fired/pending stats, and
-   a cross-shard traffic count (events scheduled into a shard from
-   another shard's callback: IPIs, wakeups, shared-runq dispatch), all
-   surfaced through /proc and the parallel-scaling figure. *)
+(* The event queue: one pairing heap of handles ordered by (time, seq).
+   [seq] is unique, so the order is total and any heap shape pops the
+   same sequence. *)
 
 type handle = {
   time : Time.t;
@@ -20,26 +9,15 @@ type handle = {
   mutable cancelled : bool;
   mutable fired : bool;
   owner : t;
-  shard : int;
-}
-
-and shard = {
-  mutable heap : handle Pheap.t;
-  mutable s_live : int;
-  mutable s_cancelled : int;  (* cancelled handles still in this heap *)
-  mutable s_fired : int;
-  mutable s_xin : int;
-      (* events scheduled into this shard while another shard's event
-         was firing — the cross-shard synchronization traffic *)
 }
 
 and t = {
-  shards : shard array;
+  mutable heap : handle Pheap.t;
   mutable now : Time.t;
   mutable next_seq : int;
   mutable live : int;
+  mutable dead : int;  (* cancelled handles still in the heap *)
   mutable fired_count : int;
-  mutable firing_shard : int;  (* shard of the event being fired; -1 outside *)
   mutable drain_hooks : (unit -> unit) list;
       (* fired by [run] when the queue empties; diagnostic observers
          (e.g. the thread sanitizer's hang check).  Kept in REVERSE
@@ -53,21 +31,16 @@ and t = {
 
 let cmp a b =
   let c = Time.compare a.time b.time in
-  if c <> 0 then c else compare a.seq b.seq
+  if c <> 0 then c else Int.compare a.seq b.seq
 
-let fresh_shard () =
-  { heap = Pheap.create ~cmp; s_live = 0; s_cancelled = 0; s_fired = 0;
-    s_xin = 0 }
-
-let create ?(shards = 1) () =
-  if shards < 1 then invalid_arg "Eventq.create: shards";
+let create () =
   {
-    shards = Array.init shards (fun _ -> fresh_shard ());
+    heap = Pheap.create ~cmp;
     now = Time.zero;
     next_seq = 0;
     live = 0;
+    dead = 0;
     fired_count = 0;
-    firing_shard = -1;
     drain_hooks = [];
     run_horizon = None;
   }
@@ -76,135 +49,106 @@ let on_drain q f = q.drain_hooks <- f :: q.drain_hooks
 
 let now q = q.now
 
-let at ?(shard = 0) q time action =
+let at q time action =
   if Time.(time < q.now) then
     invalid_arg "Eventq.at: scheduling in the past";
-  if shard < 0 || shard >= Array.length q.shards then
-    invalid_arg "Eventq.at: shard";
   let h =
     { time; seq = q.next_seq; action; cancelled = false; fired = false;
-      owner = q; shard }
+      owner = q }
   in
   q.next_seq <- q.next_seq + 1;
-  let sh = q.shards.(shard) in
-  if q.firing_shard >= 0 && q.firing_shard <> shard then
-    sh.s_xin <- sh.s_xin + 1;
-  Pheap.insert sh.heap h;
-  sh.s_live <- sh.s_live + 1;
+  Pheap.insert q.heap h;
   q.live <- q.live + 1;
   h
 
-let after ?shard q d action = at ?shard q (Time.add q.now d) action
+let after q d action = at q (Time.add q.now d) action
 
-(* Rebuild a shard's heap from its live population.  Cancellation is lazy
-   (the heap keeps cancelled handles until they surface), so a
-   cancel-heavy workload — timer re-arms, poll timeouts — would otherwise
-   carry an arbitrarily large dead population through every merge.
-   Compaction runs when a shard's dead outnumber its live (> ~50% of its
-   population), which keeps the heap within 2x of the live set and costs
-   O(live) amortized against the cancels that triggered it.  Pop order is
-   unaffected: the (time, seq) key is a total order, so any heap shape
-   pops the same sequence. *)
-let compact sh =
+(* Rebuild the heap from its live population.  Cancellation is lazy (the
+   heap keeps cancelled handles until they surface), so a cancel-heavy
+   workload — timer re-arms, poll timeouts — would otherwise carry an
+   arbitrarily large dead population through every merge.  Compaction
+   runs when the dead outnumber the live (> ~50% of the population),
+   which keeps the heap within 2x of the live set and costs O(live)
+   amortized against the cancels that triggered it. *)
+let compact q =
   let keep =
-    List.filter (fun h -> not h.cancelled) (Pheap.to_list_unordered sh.heap)
+    List.filter (fun h -> not h.cancelled) (Pheap.to_list_unordered q.heap)
   in
-  sh.heap <- Pheap.of_list ~cmp keep;
-  sh.s_cancelled <- 0
+  q.heap <- Pheap.of_list ~cmp keep;
+  q.dead <- 0
 
 let cancel h =
   if (not h.cancelled) && not h.fired then begin
     h.cancelled <- true;
     let q = h.owner in
-    let sh = q.shards.(h.shard) in
     q.live <- q.live - 1;
-    sh.s_live <- sh.s_live - 1;
-    sh.s_cancelled <- sh.s_cancelled + 1;
-    if sh.s_cancelled > 64 && sh.s_cancelled > sh.s_live then compact sh
+    q.dead <- q.dead + 1;
+    if q.dead > 64 && q.dead > q.live then compact q
   end
 
 let is_pending h = (not h.cancelled) && not h.fired
 
-(* Live head of one shard; cancelled events that surface are dropped
-   (lazy deletion — compaction bounds how many can be in flight). *)
-let rec shard_peek sh =
-  match Pheap.peek_min sh.heap with
-  | None -> None
-  | Some h ->
-      if h.cancelled then begin
-        ignore (Pheap.pop_min sh.heap);
-        sh.s_cancelled <- sh.s_cancelled - 1;
-        shard_peek sh
-      end
-      else Some h
+(* Drop the cancelled handles at the top of the heap (lazy deletion;
+   compaction bounds how many can be in flight).  Afterwards the heap is
+   empty exactly when [q.live = 0], and otherwise its top is the live
+   head.  [dead > 0] implies a non-empty heap. *)
+let rec skim q =
+  if q.dead > 0 && (Pheap.top q.heap).cancelled then begin
+    Pheap.drop_min q.heap;
+    q.dead <- q.dead - 1;
+    skim q
+  end
 
-(* The global head: min-merge over the shard heads by (time, seq).  The
-   shard count is the CPU count plus one, so the scan is a handful of
-   O(1) peeks per pop. *)
-let peek_live q =
-  let best = ref None in
-  Array.iter
-    (fun sh ->
-      match shard_peek sh with
-      | None -> ()
-      | Some h -> (
-          match !best with
-          | Some b when cmp b h <= 0 -> ()
-          | _ -> best := Some h))
-    q.shards;
-  !best
+(* Fire [h], the live head at the top of the heap. *)
+let fire q h =
+  Pheap.drop_min q.heap;
+  q.now <- h.time;
+  h.fired <- true;
+  q.live <- q.live - 1;
+  q.fired_count <- q.fired_count + 1;
+  h.action ()
 
 let run_one q =
-  match peek_live q with
-  | None -> false
-  | Some h ->
-      let sh = q.shards.(h.shard) in
-      ignore (Pheap.pop_min sh.heap) (* [h]: shard_peek cleaned the top *);
-      q.now <- h.time;
-      h.fired <- true;
-      sh.s_live <- sh.s_live - 1;
-      sh.s_fired <- sh.s_fired + 1;
-      q.live <- q.live - 1;
-      q.fired_count <- q.fired_count + 1;
-      q.firing_shard <- h.shard;
-      h.action ();
-      q.firing_shard <- -1;
-      true
+  skim q;
+  if q.live = 0 then false
+  else begin
+    fire q (Pheap.top q.heap);
+    true
+  end
 
 (* Earliest instant at which anything can happen: the first live event,
    clamped to the horizon of the [run] currently draining us.  [None]
    means nothing is pending and no horizon binds — the caller may run
    ahead arbitrarily far. *)
 let next_time q =
-  let ev = match peek_live q with Some h -> Some h.time | None -> None in
-  match (ev, q.run_horizon) with
-  | None, h -> h
-  | t, None -> t
-  | Some t, Some h -> Some (Time.min t h)
+  skim q;
+  if q.live = 0 then q.run_horizon
+  else
+    let t = (Pheap.top q.heap).time in
+    match q.run_horizon with
+    | None -> Some t
+    | Some h -> Some (Time.min t h)
 
 let run ?until ?max_events q =
   let saved_horizon = q.run_horizon in
   (match until with Some h -> q.run_horizon <- Some h | None -> ());
   Fun.protect ~finally:(fun () -> q.run_horizon <- saved_horizon)
   @@ fun () ->
-  let fired = ref 0 in
-  let continue () =
-    match max_events with None -> true | Some m -> !fired < m
+  let budget = Option.value max_events ~default:max_int in
+  let rec loop fired =
+    if fired < budget then begin
+      skim q;
+      if q.live > 0 then begin
+        let h = Pheap.top q.heap in
+        match until with
+        | Some horizon when Time.(h.time > horizon) -> q.now <- horizon
+        | _ ->
+            fire q h;
+            loop (fired + 1)
+      end
+    end
   in
-  let rec loop () =
-    if continue () then
-      match peek_live q with
-      | None -> ()
-      | Some h -> (
-          match until with
-          | Some horizon when Time.(h.time > horizon) -> q.now <- horizon
-          | _ ->
-              if run_one q then begin
-                incr fired;
-                loop ()
-              end)
-  in
-  loop ();
+  loop 0;
   (* If we stopped on the horizon with an empty queue, still advance. *)
   (match until with
   | Some horizon when q.live = 0 && Time.(q.now < horizon) -> q.now <- horizon
@@ -212,26 +156,10 @@ let run ?until ?max_events q =
   (* Queue drained (not horizon- or budget-limited): let observers look
      at the stalled machine.  A hook may schedule new events; we do not
      re-enter the loop for them — this is a post-mortem, not a phase. *)
-  if q.drain_hooks <> [] && peek_live q = None then
+  if q.drain_hooks <> [] && q.live = 0 then
     List.iter (fun f -> f ()) (List.rev q.drain_hooks)
 
 (* [live] is exact: cancels decrement it immediately. *)
 let pending_count q = q.live
-
-let heap_population q =
-  Array.fold_left (fun acc sh -> acc + Pheap.size sh.heap) 0 q.shards
-
+let heap_population q = Pheap.size q.heap
 let events_fired q = q.fired_count
-
-(* --- per-shard introspection (procfs, parallel-scaling figure) -------- *)
-
-let shard_count q = Array.length q.shards
-
-(* A shard's frontier: the earliest instant anything can happen *in that
-   shard* — its conservative-lookahead bound.  [None]: shard empty, no
-   bound of its own. *)
-let shard_next_time q i = Option.map (fun h -> h.time) (shard_peek q.shards.(i))
-
-let shard_pending q i = q.shards.(i).s_live
-let shard_fired q i = q.shards.(i).s_fired
-let shard_cross_in q i = q.shards.(i).s_xin

@@ -10,24 +10,18 @@ type t
 type handle
 (** A scheduled event.  Cancelling is O(1) (lazy deletion). *)
 
-val create : ?shards:int -> unit -> t
-(** [shards] (default 1) partitions the queue into per-shard heaps —
-    the machine uses one shard per simulated CPU plus a global shard 0
-    for kernel-wide and device events.  Sharding never changes firing
-    order: events pop in the global (time, seq) total order via a
-    min-merge over the shard heads, bit-identical to a single heap.  It
-    exists for structure — per-shard frontiers, stats and cross-shard
-    traffic counts for the parallel engine and /proc. *)
+val create : unit -> t
+(** An empty queue at time zero: one pairing heap that every CPU and
+    device of a machine schedules into. *)
 
 val now : t -> Time.t
 (** Current simulated time. *)
 
-val at : ?shard:int -> t -> Time.t -> (unit -> unit) -> handle
-(** [at q time f] schedules [f] to run at absolute [time], in [shard]
-    (default 0, the global shard).  Scheduling in the past or into an
-    out-of-range shard raises [Invalid_argument]. *)
+val at : t -> Time.t -> (unit -> unit) -> handle
+(** [at q time f] schedules [f] to run at absolute [time].  Scheduling in
+    the past raises [Invalid_argument]. *)
 
-val after : ?shard:int -> t -> Time.span -> (unit -> unit) -> handle
+val after : t -> Time.span -> (unit -> unit) -> handle
 (** [after q d f] = [at q (now q + d) f]. *)
 
 val cancel : handle -> unit
@@ -70,25 +64,3 @@ val heap_population : t -> int
 
 val events_fired : t -> int
 (** Total events fired since creation (for stats and loop-bound tests). *)
-
-(** {2 Per-shard introspection}
-
-    Indexed [0 .. shard_count - 1]; shard 0 is the global shard. *)
-
-val shard_count : t -> int
-
-val shard_next_time : t -> int -> Time.t option
-(** The shard's frontier: earliest instant anything can happen in that
-    shard — the conservative-lookahead bound the parallel engine (and
-    /proc) report per shard.  [None] when the shard is empty. *)
-
-val shard_pending : t -> int -> int
-(** Live events queued in the shard. *)
-
-val shard_fired : t -> int -> int
-(** Events fired from the shard since creation. *)
-
-val shard_cross_in : t -> int -> int
-(** Events scheduled {e into} the shard from another shard's callback —
-    the cross-shard synchronization traffic (IPIs, wakeups, dispatches
-    onto another CPU). *)

@@ -15,6 +15,14 @@ val insert : 'a t -> 'a -> unit
 val peek_min : 'a t -> 'a option
 val pop_min : 'a t -> 'a option
 
+val top : 'a t -> 'a
+(** The minimum, without allocating.  Raises [Invalid_argument] on an
+    empty heap. *)
+
+val drop_min : 'a t -> unit
+(** Remove the minimum, without returning it; no-op on an empty heap.
+    [top] then [drop_min] is {!pop_min} minus the option. *)
+
 val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
 (** Build a heap from the elements; O(n) (n O(1) inserts).  Used by the
     event queue to rebuild itself when compacting away cancelled

@@ -20,9 +20,7 @@
    replay vectors.
 
    One driver at a time, in one domain: exploration re-runs the machine
-   from boot sequentially.  (The worker-domain offload pool never
-   consults Schedctl — offloaded compute is schedule-free by
-   construction.) *)
+   from boot sequentially. *)
 
 type decision = {
   d_site : string;  (* which choice point: "dispatch", "runq", "waitq", "kwake" *)

@@ -5,7 +5,6 @@ module Shm = Sunos_hw.Shared_memory
 module Kernel = Sunos_kernel.Kernel
 module Uctx = Sunos_kernel.Uctx
 module Fs = Sunos_kernel.Fs
-module Parexec = Sunos_sim.Parexec
 module T = Sunos_threads.Thread
 module Libthread = Sunos_threads.Libthread
 module Mutex = Sunos_threads.Mutex
@@ -20,11 +19,6 @@ type params = {
   io_every : int;
   start_cold : bool;
   mmap_io : bool;
-  work_spin : int;
-      (* iterations of real busy-work ([Parexec.spin]) behind each
-         compute phase, offloaded to the machine's worker-domain pool.
-         0 (default): compute is purely simulated, as always.  The
-         simulated schedule is identical either way *)
   seed : int64;
 }
 
@@ -38,7 +32,6 @@ let default_params =
     io_every = 10;
     start_cold = true;
     mmap_io = false;
-    work_spin = 0;
     seed = 23L;
   }
 
@@ -57,8 +50,8 @@ let db_path = "/db/records"
    file — Figure 1 of the paper, literally. *)
 let lock_offset r = r * record_size
 
-let run ?(cpus = 2) ?cost ?chaos ?domains ?(trace = false) ?debrief p =
-  let k = Kernel.boot ~cpus ?cost ?chaos ?domains () in
+let run ?(cpus = 2) ?cost ?chaos ?(trace = false) ?debrief p =
+  let k = Kernel.boot ~cpus ?cost ?chaos () in
   if not trace then Kernel.set_tracing k false;
   (* create and populate the database file *)
   (match Fs.create_file (Kernel.fs k) ~path:db_path () with
@@ -74,20 +67,6 @@ let run ?(cpus = 2) ?cost ?chaos ?domains ?(trace = false) ?debrief p =
         done
   | Error _ -> invalid_arg "Database.run: setup failed");
   let committed = ref 0 in
-  let spin_sink = ref 0 in
-  (* the transaction's compute phase: simulated always; with real work
-     behind it (offloaded to the worker pool) when [work_spin] > 0.
-     Each thunk writes only its own cell; the fold into [spin_sink]
-     happens fiber-side, after the await, in simulated order *)
-  let compute_phase ~salt us =
-    if p.work_spin > 0 then begin
-      let cell = ref 0 in
-      Uctx.offload ~cost:(Time.us us) (fun () ->
-          cell := Parexec.spin ~seed:salt p.work_spin);
-      spin_sink := !spin_sink lxor !cell
-    end
-    else Uctx.charge_us us
-  in
   let latency = Hist.create "txn latency" in
   let makespan = ref Time.zero in
   let server id () =
@@ -127,7 +106,7 @@ let run ?(cpus = 2) ?cost ?chaos ?domains ?(trace = false) ?debrief p =
           (* record copy in/out of the mapping, at the cost model's
              per-KiB copy rate (512-byte record = ~half [copy_per_kb]) *)
           Uctx.charge_us 28;
-          compute_phase ~salt:r p.compute_us;
+          Uctx.charge_us p.compute_us;
           Uctx.charge_us 14;
           Mutex.exit locks.(r);
           if sampled then
@@ -147,7 +126,7 @@ let run ?(cpus = 2) ?cost ?chaos ?domains ?(trace = false) ?debrief p =
             Uctx.lseek fd (lock_offset r);
             ignore (Uctx.read fd ~len:record_size)
           end;
-          compute_phase ~salt:r p.compute_us;
+          Uctx.charge_us p.compute_us;
           Uctx.lseek fd (lock_offset r);
           ignore (Uctx.write fd (String.make 32 'w'));
           Mutex.exit locks.(r);
@@ -173,8 +152,6 @@ let run ?(cpus = 2) ?cost ?chaos ?domains ?(trace = false) ?debrief p =
   (* [debrief] runs against the still-live kernel: determinism tests read
      counters and the trace ring before the results are boxed up *)
   (match debrief with Some f -> f k | None -> ());
-  Kernel.shutdown k;
-  ignore (spin_sink : int ref);
   let majflt =
     List.fold_left
       (fun acc pi -> acc + pi.Sunos_kernel.Procfs.pi_majflt)

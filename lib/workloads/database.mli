@@ -27,12 +27,6 @@ type params = {
           pure user-level work (lock, copy charges, compute, unlock);
           every [io_every]-th transaction evicts and faults its page
           back in and carries the (syscall-timed) latency sample. *)
-  work_spin : int;
-      (** iterations of {e real} busy-work ({!Sunos_sim.Parexec.spin})
-          behind each compute phase, offloaded to the machine's
-          worker-domain pool while the simulation keeps advancing.
-          0 (default): compute is purely simulated.  The simulated
-          schedule is bit-identical either way, for any domain count. *)
   seed : int64;
 }
 
@@ -50,14 +44,11 @@ val run :
   ?cpus:int ->
   ?cost:Sunos_hw.Cost_model.t ->
   ?chaos:Sunos_sim.Faultgen.profile ->
-  ?domains:int ->
   ?trace:bool ->
   ?debrief:(Sunos_kernel.Kernel.t -> unit) ->
   params ->
   results
-(** [chaos], [trace] and [debrief] as in {!Net_server.run};
-    [domains] as in {!Sunos_kernel.Kernel.boot} (the pool is joined
-    before returning).  The
+(** [chaos], [trace] and [debrief] as in {!Net_server.run}.  The
     workload is chaos-hardened from below: every blocking {!Uctx}
     wrapper it relies on (read, write, kwait, park) retries injected
     EINTR, and the threads library replaces LWPs the injector kills and

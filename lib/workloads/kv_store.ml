@@ -33,7 +33,6 @@ module Hist = Sunos_sim.Stats.Hist
 module Rng = Sunos_sim.Rng
 module Univ = Sunos_sim.Univ
 module Shm = Sunos_hw.Shared_memory
-module Parexec = Sunos_sim.Parexec
 module Kernel = Sunos_kernel.Kernel
 module Uctx = Sunos_kernel.Uctx
 module Errno = Sunos_kernel.Errno
@@ -71,10 +70,6 @@ type params = {
          shard WRITE lock held, so every get queues behind the flush —
          the p99 tail the default (downgrade-to-reader) placement
          removes.  Kept for the bench contrast *)
-  work_spin : int;
-      (* iterations of real busy-work ([Parexec.spin]) behind each
-         serve compute phase, offloaded to the worker-domain pool.
-         0 (default): compute is purely simulated *)
   seed : int64;
 }
 
@@ -100,7 +95,6 @@ let default_params =
     client_lwps = 0;
     robust = true;
     flush_under_write = false;
-    work_spin = 0;
     seed = 47L;
   }
 
@@ -264,21 +258,6 @@ let server p ctl ~idx ~assigned ~counters () =
         | Rwlock.Reader -> Rwlock.downgrade locks.(s)
         | Rwlock.Writer -> ())
   in
-  (* serve-side compute: simulated always; with real busy-work behind it
-     (offloaded to the worker-domain pool) when [work_spin] > 0.  The
-     thunk writes only its own cell; the fold into [spin_sink] happens
-     fiber-side, after the await, in simulated order. *)
-  let spin_sink = ref 0 in
-  let compute_us ~salt us =
-    if p.work_spin > 0 then begin
-      let cell = ref 0 in
-      Uctx.offload ~cost:(Time.us us) (fun () ->
-          cell := Parexec.spin ~seed:salt p.work_spin);
-      spin_sink := !spin_sink lxor !cell
-    end
-    else Uctx.charge_us us
-  in
-  ignore (spin_sink : int ref);
   let cache_insert sd key v =
     if not (Hashtbl.mem sd.cache key) then begin
       sd.lru <- key :: sd.lru;
@@ -298,7 +277,7 @@ let server p ctl ~idx ~assigned ~counters () =
     let sd = shards.(s) in
     if Hashtbl.mem sd.cache key then begin
       incr cache_hits;
-      compute_us ~salt:key 5;
+      Uctx.charge_us 5;
       Rwlock.exit locks.(s)
     end
     else begin
@@ -307,7 +286,7 @@ let server p ctl ~idx ~assigned ~counters () =
       Rwlock.exit locks.(s);
       lock_shard s Rwlock.Writer;
       Uctx.touch fileseg ~offset:(file_off s);
-      compute_us ~salt:key (5 + (p.value_bytes / 32));
+      Uctx.charge_us (5 + (p.value_bytes / 32));
       cache_insert sd key (Printf.sprintf "v%d" key);
       Rwlock.exit locks.(s)
     end
@@ -319,7 +298,7 @@ let server p ctl ~idx ~assigned ~counters () =
     sd.epoch_start <- sd.epoch_start + 1;
     cache_insert sd key v;
     sd.dirty <- (key, v) :: sd.dirty;
-    compute_us ~salt:key (5 + (p.value_bytes / 32));
+    Uctx.charge_us (5 + (p.value_bytes / 32));
     (* The put's mutation is complete: close the epoch BEFORE any flush,
        so a server killed mid-flush no longer presents a torn epoch —
        the dirty list alone carries the recovery (re-flush is
@@ -586,10 +565,10 @@ let loadgen p ~latency ~tallies ~gaveup_per () =
 
 (* --- the run ----------------------------------------------------------- *)
 
-let run ?(cpus = 2) ?cost ?chaos ?domains ?(trace = false) ?debrief p =
+let run ?(cpus = 2) ?cost ?chaos ?(trace = false) ?debrief p =
   if p.server_procs < 1 || p.shards < 1 || p.clients < 1 then
     invalid_arg "Kv_store.run: params";
-  let k = Kernel.boot ~cpus ?cost ?chaos ?domains () in
+  let k = Kernel.boot ~cpus ?cost ?chaos () in
   if not trace then Kernel.set_tracing k false;
   (match Fs.create_file (Kernel.fs k) ~path:kv_path () with
   | Ok f ->
@@ -670,7 +649,6 @@ let run ?(cpus = 2) ?cost ?chaos ?domains ?(trace = false) ?debrief p =
             (finishing (loadgen p ~latency ~tallies ~gaveup_per))));
   Kernel.run k;
   (match debrief with Some f -> f k | None -> ());
-  Kernel.shutdown k;
   let gets_issued = !gets_ok + !gets_shed + !gets_aborted in
   let puts_issued = !puts_applied + !puts_shed + !puts_aborted in
   ignore gets_issued;

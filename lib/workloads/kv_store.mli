@@ -62,11 +62,6 @@ type params = {
           stay excluded, and OWNERDEAD re-flush idempotence is
           untouched (the dirty list is cleared only after the write
           returns).  Kept for the bench tail-latency contrast. *)
-  work_spin : int;
-      (** iterations of {e real} busy-work ({!Sunos_sim.Parexec.spin})
-          behind each serve compute phase, offloaded to the machine's
-          worker-domain pool.  0 (default): compute is purely
-          simulated.  Bit-identical schedule for any domain count. *)
   seed : int64;
 }
 
@@ -106,13 +101,10 @@ val run :
   ?cpus:int ->
   ?cost:Sunos_hw.Cost_model.t ->
   ?chaos:Sunos_sim.Faultgen.profile ->
-  ?domains:int ->
   ?trace:bool ->
   ?debrief:(Sunos_kernel.Kernel.t -> unit) ->
   params ->
   results
-(** [chaos], [trace] and [debrief] as in {!Net_server.run}; [domains]
-    as in {!Sunos_kernel.Kernel.boot} (the pool is joined before the
-    results are returned). *)
+(** [chaos], [trace] and [debrief] as in {!Net_server.run}. *)
 
 val pp_results : Format.formatter -> results -> unit

@@ -2,7 +2,6 @@ module Time = Sunos_sim.Time
 module Histo = Sunos_sim.Histogram
 module Rng = Sunos_sim.Rng
 module Shm = Sunos_hw.Shared_memory
-module Parexec = Sunos_sim.Parexec
 module Kernel = Sunos_kernel.Kernel
 module Uctx = Sunos_kernel.Uctx
 module Errno = Sunos_kernel.Errno
@@ -20,11 +19,6 @@ type params = {
   think_time_us : int;
   connect_stagger_us : int;
   compute_steps : int;
-  work_spin : int;
-      (* iterations of real busy-work ([Parexec.spin]) behind each
-         compute phase, offloaded to the machine's worker-domain pool.
-         0 (default): compute is purely simulated.  The simulated
-         schedule is identical either way *)
   disk_every : int;
   workers : int;
   concurrency : int;
@@ -56,7 +50,6 @@ let default_params =
     think_time_us = 2_000;
     connect_stagger_us = 0;
     compute_steps = 1;
-    work_spin = 0;
     disk_every = 4;
     workers = 8;
     concurrency = 4;
@@ -141,18 +134,7 @@ let server (module M : Sunos_baselines.Model.S) k p
      requested, so default runs are charge-for-charge identical. *)
   let stats_mu = if p.compute_steps > 1 then Some (M.Mu.create ()) else None in
   let stats_ops = ref 0 in
-  let spin_sink = ref 0 in
   let compute_phase us =
-    if p.work_spin > 0 then begin
-      (* real work behind the simulated span: the thunk writes only its
-         own cell; the fold into [spin_sink] happens fiber-side, after
-         the await, in simulated order *)
-      let cell = ref 0 in
-      Uctx.offload ~cost:(Time.us us) (fun () ->
-          cell := Parexec.spin ~seed:us p.work_spin);
-      spin_sink := !spin_sink lxor !cell
-    end
-    else
     match stats_mu with
     | None -> Uctx.charge_us us
     | Some smu ->
@@ -167,7 +149,6 @@ let server (module M : Sunos_baselines.Model.S) k p
         done
   in
   ignore (stats_ops : int ref);
-  ignore (spin_sink : int ref);
   let qsem = M.Sem.create 0 in
   let asem = M.Sem.create 0 in
   let workq : job Queue.t = Queue.create () in
@@ -402,15 +383,7 @@ let server_epoll (module M : Sunos_baselines.Model.S) k p
   let reply_busy = pad "busy" p.reply_bytes in
   let stats_mu = if p.compute_steps > 1 then Some (M.Mu.create ()) else None in
   let stats_ops = ref 0 in
-  let spin_sink = ref 0 in
   let compute_phase us =
-    if p.work_spin > 0 then begin
-      let cell = ref 0 in
-      Uctx.offload ~cost:(Time.us us) (fun () ->
-          cell := Parexec.spin ~seed:us p.work_spin);
-      spin_sink := !spin_sink lxor !cell
-    end
-    else
     match stats_mu with
     | None -> Uctx.charge_us us
     | Some smu ->
@@ -425,7 +398,6 @@ let server_epoll (module M : Sunos_baselines.Model.S) k p
         done
   in
   ignore (stats_ops : int ref);
-  ignore (spin_sink : int ref);
   (* global accounting: one lock, touched at accept and retire only *)
   let gmu = M.Mu.create () in
   let taken = ref 0 and closed = ref 0 in
@@ -1054,8 +1026,8 @@ let client_open_loop (module M : Sunos_baselines.Model.S) k p ~latency
   done
 
 let run (module M : Sunos_baselines.Model.S) ?(cpus = 1) ?cost ?chaos
-    ?domains ?(trace = false) ?debrief p =
-  let k = Kernel.boot ~cpus ?cost ?chaos ?domains () in
+    ?(trace = false) ?debrief p =
+  let k = Kernel.boot ~cpus ?cost ?chaos () in
   if not trace then Kernel.set_tracing k false;
   (match Fs.create_file (Kernel.fs k) ~path:data_path () with
   | Ok f ->
@@ -1094,7 +1066,6 @@ let run (module M : Sunos_baselines.Model.S) ?(cpus = 1) ?cost ?chaos
   (* [debrief] runs against the still-live kernel: determinism tests read
      counters and the trace ring before the results are boxed up *)
   (match debrief with Some f -> f k | None -> ());
-  Kernel.shutdown k;
   {
     issued = p.connections * p.requests_per_conn;
     served = !served;

@@ -63,13 +63,6 @@ type params = {
           that many charges, each preceded by a shared stats-counter
           bump under an uncontended process mutex (cheap user-level
           sync on the hot path).  Total charged time is unchanged. *)
-  work_spin : int;
-      (** iterations of {e real} busy-work ({!Sunos_sim.Parexec.spin})
-          behind each compute phase, offloaded to the machine's
-          worker-domain pool while the simulation keeps advancing.
-          0 (default): compute is purely simulated, and [compute_steps]
-          applies.  The simulated schedule is bit-identical either way,
-          for any domain count. *)
   disk_every : int;  (** every n-th request needs a cold file read *)
   workers : int;  (** server worker-pool size (split across shards) *)
   concurrency : int;  (** server LWP-pool hint *)
@@ -147,15 +140,12 @@ val run :
   ?cpus:int ->
   ?cost:Sunos_hw.Cost_model.t ->
   ?chaos:Sunos_sim.Faultgen.profile ->
-  ?domains:int ->
   ?trace:bool ->
   ?debrief:(Sunos_kernel.Kernel.t -> unit) ->
   params ->
   results
 (** [chaos] selects the kernel's fault-injection profile (default: the
-    [SUNOS_CHAOS] environment variable, else off).  [domains] the
-    worker-domain count for offloaded compute (default [SUNOS_DOMAINS],
-    else 1); the pool is joined before the results are returned.  [trace] keeps the
+    [SUNOS_CHAOS] environment variable, else off).  [trace] keeps the
     kernel trace ring enabled (default false: workloads run untraced).
     [debrief] runs against the live kernel after the run, before results
     are computed — determinism tests read counters and the trace ring

@@ -8,9 +8,7 @@
    - the epoll plumbing actually carried the run (wakeups and
      deliveries happened, readiness was batched);
    - determinism: the trace-tag digest and scheduler counters match the
-     recorded golden — the same values on every run, every host, every
-     SUNOS_DOMAINS setting (compute is offloaded when work_spin > 0,
-     never rescheduled).
+     recorded golden — the same values on every run, every host.
 
    To re-record (only after an *intentional* scheduling change): run
    with SUNOS_PRINT_GOLDENS=1 and paste the output. *)
@@ -50,7 +48,6 @@ let smoke_params =
        — the sender's drain loop exits early once pending hits zero *)
     parse_compute_us = 5;
     reply_compute_us = 5;
-    work_spin = 20;
     disk_every = 0;
     epoll = true;
     open_loop = true;

@@ -11,6 +11,8 @@
    change): run with SUNOS_PRINT_GOLDENS=1 and paste the output. *)
 
 module Kernel = Sunos_kernel.Kernel
+module Machine = Sunos_hw.Machine
+module Cpu = Sunos_hw.Cpu
 module S = Sunos_workloads.Net_server
 module Db = Sunos_workloads.Database
 module KV = Sunos_workloads.Kv_store
@@ -33,7 +35,7 @@ let probe_of_kernel k =
     preemptions = Kernel.preemption_count k;
   }
 
-let net_probe () =
+let net_run f =
   let p =
     {
       S.default_params with
@@ -53,14 +55,14 @@ let net_probe () =
     (S.run
        (module Sunos_baselines.Mt)
        ~cpus:2 ~trace:true
-       ~debrief:(fun k -> out := Some (probe_of_kernel k))
+       ~debrief:(fun k -> out := Some (f k))
        p);
   Option.get !out
 
 (* The epoll server under the open-loop Poisson generator: readiness
    lists, ONESHOT re-arms and the catch-up sender all on the golden
    path.  Small enough to stay well under the trace-ring cap. *)
-let net_epoll_probe () =
+let net_epoll_run f =
   let p =
     {
       S.default_params with
@@ -84,11 +86,11 @@ let net_epoll_probe () =
     (S.run
        (module Sunos_baselines.Mt)
        ~cpus:2 ~trace:true
-       ~debrief:(fun k -> out := Some (probe_of_kernel k))
+       ~debrief:(fun k -> out := Some (f k))
        p);
   Option.get !out
 
-let db_probe () =
+let db_run f =
   let p =
     {
       Db.default_params with
@@ -101,11 +103,11 @@ let db_probe () =
   let out = ref None in
   ignore
     (Db.run ~cpus:2 ~trace:true
-       ~debrief:(fun k -> out := Some (probe_of_kernel k))
+       ~debrief:(fun k -> out := Some (f k))
        p);
   Option.get !out
 
-let kv_probe ~procs () =
+let kv_run ~procs f =
   let p =
     {
       KV.default_params with
@@ -120,9 +122,37 @@ let kv_probe ~procs () =
   let out = ref None in
   ignore
     (KV.run ~cpus:2 ~trace:true
-       ~debrief:(fun k -> out := Some (probe_of_kernel k))
+       ~debrief:(fun k -> out := Some (f k))
        p);
   Option.get !out
+
+let net_probe () = net_run probe_of_kernel
+let net_epoll_probe () = net_epoll_run probe_of_kernel
+let db_probe () = db_run probe_of_kernel
+let kv_probe ~procs () = kv_run ~procs probe_of_kernel
+
+(* Where the CPU time went: the makespan, each CPU's busy time and the
+   syscall count.  Busy time records where every charge landed, so it
+   moves if the engine fires events in another order or settles
+   run-ahead charges at other instants, even when the trace tags do
+   not. *)
+let timing k =
+  let m = Kernel.machine k in
+  let now = Machine.now m in
+  Printf.sprintf "makespan=%Ld busy=%s syscalls=%d" now
+    (String.concat ","
+       (Array.to_list
+          (Array.map (fun c -> Int64.to_string (Cpu.busy_time c ~now))
+             m.Machine.cpus)))
+    (Kernel.syscall_count k)
+
+let timing_probes () =
+  [
+    ("net", net_run timing);
+    ("net-epoll", net_epoll_run timing);
+    ("db", db_run timing);
+    ("kv", kv_run ~procs:2 timing);
+  ]
 
 let print_goldens () =
   let show name p =
@@ -133,7 +163,10 @@ let print_goldens () =
   show "net" (net_probe ());
   show "net-epoll" (net_epoll_probe ());
   show "db" (db_probe ());
-  show "kv" (kv_probe ~procs:2 ())
+  show "kv" (kv_probe ~procs:2 ());
+  List.iter
+    (fun (name, t) -> Printf.printf "%s timing: %S\n" name t)
+    (timing_probes ())
 
 (* --- recorded goldens (pre-rewrite dispatcher, fixed seeds) ----------- *)
 
@@ -171,6 +204,15 @@ let golden_kv =
     preemptions = 17;
   }
 
+(* Recorded on the sharded event queue, before it became one heap. *)
+let golden_timing =
+  [
+    ("net", "makespan=378069040 busy=97285000,45778000 syscalls=731");
+    ("net-epoll", "makespan=182942827 busy=98466000,63516000 syscalls=1069");
+    ("db", "makespan=737079352 busy=53260000,50886000 syscalls=632");
+    ("kv", "makespan=144194662 busy=65803000,49091000 syscalls=595");
+  ]
+
 let check name golden actual =
   Alcotest.(check string)
     (name ^ " trace tag digest") golden.tag_digest actual.tag_digest;
@@ -198,6 +240,10 @@ let test_kv_run_to_run () =
       check (Printf.sprintf "kv procs=%d run-to-run" procs) a b)
     [ 2; 3 ]
 
+let test_timing () =
+  Alcotest.(check (list (pair string string)))
+    "makespan, CPU busy time, syscalls" golden_timing (timing_probes ())
+
 let () =
   if Sys.getenv_opt "SUNOS_PRINT_GOLDENS" <> None then print_goldens ()
   else
@@ -212,5 +258,6 @@ let () =
             Alcotest.test_case "kv-store same-seed" `Quick test_kv;
             Alcotest.test_case "kv-store run-to-run x procs" `Quick
               test_kv_run_to_run;
+            Alcotest.test_case "CPU timing same-seed" `Quick test_timing;
           ] );
       ]

@@ -22,6 +22,17 @@ let test_cost_scale () =
     (Int64.mul 2L Cost.default.Cost.lwp_create)
     c.Cost.lwp_create
 
+(* [coalesce] is the one switch for run-ahead coalescing: [scale] must
+   carry it through unchanged and scale only the grant window. *)
+let test_cost_scale_coalesce () =
+  let off = Cost.scale 3.0 { Cost.default with Cost.coalesce = false } in
+  Alcotest.(check bool) "switch kept off" false off.Cost.coalesce;
+  Alcotest.(check bool) "switch kept on" true
+    (Cost.scale 3.0 Cost.default).Cost.coalesce;
+  Alcotest.check span "window tripled"
+    (Int64.mul 3L Cost.default.Cost.coalesce_window)
+    off.Cost.coalesce_window
+
 let test_cost_free () =
   Alcotest.check span "free trap" 0L Cost.free.Cost.trap_entry;
   Alcotest.(check bool) "free quantum nonzero" true
@@ -188,6 +199,8 @@ let () =
           Alcotest.test_case "free" `Quick test_cost_free;
           Alcotest.test_case "calibration sanity" `Quick
             test_cost_calibration_sanity;
+          Alcotest.test_case "scale keeps the coalesce switch" `Quick
+            test_cost_scale_coalesce;
         ] );
       ( "cpu",
         [

@@ -8,7 +8,6 @@ module Uctx = Sunos_kernel.Uctx
 module Sysdefs = Sunos_kernel.Sysdefs
 module Signo = Sunos_kernel.Signo
 module Sigset = Sunos_kernel.Sigset
-module Netchan = Sunos_kernel.Netchan
 module Procfs = Sunos_kernel.Procfs
 module Ktypes = Sunos_kernel.Ktypes
 
@@ -802,45 +801,61 @@ let test_touch_minor_and_major_fault () =
       Alcotest.(check int) "one major fault" 1 p.Ktypes.majflt
   | None -> Alcotest.fail "proc gone"
 
-(* ------------------------- netchan / tty ------------------------- *)
+(* ------------------------- external events ------------------------- *)
 
-let test_netchan_request_reply () =
+(* Request/reply with a peer outside the machine: event callbacks stand
+   in for the network, writing the request into the server's pipe at
+   5 ms and reading the reply back from its other pipe at 10 ms.  The
+   server's read must block until the request lands. *)
+let test_pipe_request_reply_from_events () =
   let k = Kernel.boot () in
-  let chan = Netchan.create ~name:"svc" in
+  let req_w = ref (-1) and reply_r = ref (-1) and woke = ref Time.zero in
+  let pid =
+    Kernel.spawn k ~name:"server" ~main:(fun () ->
+        let r, w = Uctx.pipe () in
+        let r', w' = Uctx.pipe () in
+        req_w := w;
+        reply_r := r';
+        let req = Uctx.read r ~len:64 in
+        woke := Uctx.gettime ();
+        ignore (Uctx.write w' ("pong:" ^ req));
+        (* keep the pipes open until the peer has read the reply *)
+        Uctx.sleep (Time.ms 20))
+  in
+  let pipe_end fd =
+    match Kernel.find_proc k pid with
+    | None -> Alcotest.fail "server gone"
+    | Some p -> (
+        match Hashtbl.find_opt p.Ktypes.fdtab fd with
+        | Some (Ktypes.Fd_pipe_r pp | Ktypes.Fd_pipe_w pp) -> pp
+        | _ -> Alcotest.fail "not a pipe")
+  in
+  let eventq = (Kernel.machine k).Sunos_hw.Machine.eventq in
   let reply = ref "" in
   ignore
-    (Kernel.spawn k ~name:"server" ~main:(fun () ->
-         let fd = Uctx.open_net chan in
-         let req = Uctx.read fd ~len:1000 in
-         ignore (Uctx.write fd ("pong:" ^ req))));
-  (* inject a request from "the network" after 5ms *)
+    (Sunos_sim.Eventq.at eventq (Time.ms 5) (fun () ->
+         ignore (Sunos_kernel.Pipe.write (pipe_end !req_w) "ping")));
   ignore
-    (Sunos_sim.Eventq.after (Kernel.machine k).Sunos_hw.Machine.eventq
-       (Time.ms 5) (fun () ->
-         Netchan.inject chan
-           { Netchan.payload = "ping"; reply_to = (fun s -> reply := s) }));
+    (Sunos_sim.Eventq.at eventq (Time.ms 10) (fun () ->
+         reply := Sunos_kernel.Pipe.read (pipe_end !reply_r) ~len:64));
   Kernel.run k;
+  Alcotest.(check bool) "read blocked until the request" true
+    Time.(!woke >= Time.ms 5);
   Alcotest.(check string) "served" "pong:ping" !reply
 
-let test_tty_read_blocks_then_delivers () =
+(* [shutdown] releases nothing: before a run, after it, and twice over,
+   it leaves the kernel able to spawn and run more processes. *)
+let test_shutdown_is_noop () =
   let k = Kernel.boot () in
-  let line = ref "" in
-  ignore
-    (Kernel.spawn k ~name:"sh" ~main:(fun () ->
-         let fd = Uctx.open_file "/dev/tty" in
-         ignore fd;
-         ()));
-  (* Fd_tty isn't reachable via open; use syscall level: spawn with an
-     explicit tty fd through Sys_open_net-like path is absent, so this
-     test drives the tty through poll on a dedicated process. *)
-  ignore
-    (Kernel.spawn k ~name:"tty" ~main:(fun () ->
-         (* install the tty as fd by convention: fd 0 is not auto-wired;
-            use the direct syscall to read the machine tty *)
-         ()));
-  ignore line;
+  Kernel.shutdown k;
+  let a = Kernel.spawn k ~name:"a" ~main:(fun () -> Uctx.charge_us 50) in
   Kernel.run k;
-  ()
+  Kernel.shutdown k;
+  Kernel.shutdown k;
+  let b = Kernel.spawn k ~name:"b" ~main:(fun () -> Uctx.exit 3) in
+  Kernel.run k;
+  Alcotest.(check (option int)) "ran before" (Some 0) (Kernel.exit_status k a);
+  Alcotest.(check (option int)) "ran after" (Some 3) (Kernel.exit_status k b)
 
 (* ------------------------- procfs ------------------------- *)
 
@@ -872,6 +887,7 @@ let () =
           Alcotest.test_case "getpid/getlwpid" `Quick test_getpid_getlwpid;
           Alcotest.test_case "charge advances time" `Quick
             test_charge_advances_time;
+          Alcotest.test_case "shutdown is a no-op" `Quick test_shutdown_is_noop;
         ] );
       ( "scheduling",
         [
@@ -924,10 +940,8 @@ let () =
             test_sigpipe_default_kills;
           Alcotest.test_case "poll timeout" `Quick test_poll_timeout;
           Alcotest.test_case "poll wakes on data" `Quick test_poll_wakes_on_data;
-          Alcotest.test_case "netchan request/reply" `Quick
-            test_netchan_request_reply;
-          Alcotest.test_case "tty placeholder" `Quick
-            test_tty_read_blocks_then_delivers;
+          Alcotest.test_case "pipe request/reply from events" `Quick
+            test_pipe_request_reply_from_events;
         ] );
       ( "signals",
         [

@@ -8,7 +8,6 @@ module Uctx = Sunos_kernel.Uctx
 module Sysdefs = Sunos_kernel.Sysdefs
 module Signo = Sunos_kernel.Signo
 module Errno = Sunos_kernel.Errno
-module Netchan = Sunos_kernel.Netchan
 module Machine = Sunos_hw.Machine
 
 let expect_err name req err =
@@ -202,17 +201,22 @@ let test_pipe_eof_after_writer_close () =
   Kernel.run k;
   Alcotest.(check (list string)) "data then EOF" [ "tail"; "" ] (List.rev !reads)
 
-let test_netchan_close_unblocks_reader () =
+(* The reader blocks on an empty pipe; a second LWP closes the only
+   write end 5 ms later, which must wake the reader with EOF. *)
+let test_pipe_close_unblocks_reader () =
   let k = Kernel.boot () in
-  let chan = Netchan.create ~name:"c" in
   let got = ref "x" in
   ignore
     (Kernel.spawn k ~name:"srv" ~main:(fun () ->
-         let fd = Uctx.open_net chan in
-         got := Uctx.read fd ~len:8));
-  ignore
-    (Sunos_sim.Eventq.after (Kernel.machine k).Machine.eventq (Time.ms 5)
-       (fun () -> Netchan.close chan));
+         let r, w = Uctx.pipe () in
+         ignore
+           (Uctx.lwp_create
+              ~entry:(fun () ->
+                Uctx.sleep (Time.ms 5);
+                Uctx.close w;
+                Uctx.lwp_exit ())
+              ());
+         got := Uctx.read r ~len:8));
   Kernel.run k;
   Alcotest.(check string) "EOF on close" "" !got
 
@@ -376,16 +380,6 @@ let test_rusage_counts_faults () =
 
 let test_tty_read_line () =
   let k = Kernel.boot () in
-  let line = ref "" in
-  (* wire the tty up as an fd through the syscall interface *)
-  ignore
-    (Kernel.spawn k ~name:"sh" ~main:(fun () ->
-         (* Fd_tty has no open path of its own: use the machine tty via
-            injection + poll-free blocking read through a helper chan *)
-         ()));
-  ignore line;
-  Kernel.run k;
-  (* direct device-level check instead *)
   Kernel.tty_input k "hello";
   Sunos_sim.Eventq.run (Kernel.machine k).Machine.eventq;
   Alcotest.(check bool) "tty buffered the line" true
@@ -419,8 +413,8 @@ let () =
           Alcotest.test_case "EOF and holes" `Quick
             test_file_read_past_eof_and_hole;
           Alcotest.test_case "pipe EOF" `Quick test_pipe_eof_after_writer_close;
-          Alcotest.test_case "netchan close" `Quick
-            test_netchan_close_unblocks_reader;
+          Alcotest.test_case "pipe close unblocks reader" `Quick
+            test_pipe_close_unblocks_reader;
           Alcotest.test_case "double close" `Quick test_double_close_ebadf;
           Alcotest.test_case "unlinked segment survives" `Quick
             test_unlinked_file_segment_survives;

@@ -1,22 +1,26 @@
-(* Parallel-engine determinism: the simulated outcome must be a pure
-   function of the seed — never of how many real domains execute it.
+(* Determinism across real domains: the simulated outcome must be a pure
+   function of the seed — never of how many real domains run machines
+   at the same time.
 
-   Each workload runs with [work_spin] > 0 so every compute phase
-   carries real busy-work offloaded to the worker pool; across
-   domains in {1, 2, 4} the trace tag digest, the dispatch/preemption
-   counters AND the per-LWP /proc utime/stime tables must be
-   bit-identical.  A chaos (network-heavy) run is held to the same
-   standard at domains = 2: fault injection draws from its own
-   deterministic stream, so it composes with the pool like everything
-   else.  Finally the pool and shard counters themselves are sanity
-   checked: every submitted task completed, and per-shard fired counts
-   add up to the queue total. *)
+   The engine drives each machine on one domain, and the only real
+   parallelism left is running independent machines side by side, as
+   `bench -j N` does.  That is safe only if every piece of state shared
+   between machines is domain-local or atomic.  Each workload here is
+   run once on the main domain, then on 1, 2 and 4 domains at once, all
+   running the same seed; every copy must match the sequential run bit
+   for bit: trace tag digest, dispatch/preemption counters, events fired,
+   makespan and each CPU's busy time.  A chaos (network-heavy)
+   run is held to the same standard: fault injection draws from its own
+   per-machine stream.  Finally the single event heap is checked at
+   quiescence: a drained run leaves neither live nor cancelled entries.
+
+   The sanitizer keeps process-global tables (lib/core/thrsan.ml), so
+   this suite is not part of @sanitize. *)
 
 module Kernel = Sunos_kernel.Kernel
-module Procfs = Sunos_kernel.Procfs
 module Machine = Sunos_hw.Machine
+module Cpu = Sunos_hw.Cpu
 module Eventq = Sunos_sim.Eventq
-module Parexec = Sunos_sim.Parexec
 module Faultgen = Sunos_sim.Faultgen
 module S = Sunos_workloads.Net_server
 module Db = Sunos_workloads.Database
@@ -29,29 +33,26 @@ type probe = {
   tag_count : int;
   dispatches : int;
   preemptions : int;
-  lwp_times : string;  (* rendered per-LWP /proc utime/stime table *)
+  events_fired : int;
+  makespan : int64;
+  cpu_busy : int64 list;
 }
 
 let probe_of_kernel k =
   let tags =
     List.map (fun r -> r.Sunos_sim.Tracebuf.tag) (Kernel.trace_records k)
   in
-  let lwp_times =
-    Procfs.snapshot k
-    |> List.concat_map (fun pi ->
-           List.map
-             (fun li ->
-               Printf.sprintf "pid%d/lwp%d u=%Ld s=%Ld" pi.Procfs.pi_pid
-                 li.Procfs.li_lwpid li.Procfs.li_utime li.Procfs.li_stime)
-             pi.Procfs.pi_lwps)
-    |> String.concat "\n"
-  in
+  let m = Kernel.machine k in
+  let now = Machine.now m in
   {
     tag_digest = Digest.to_hex (Digest.string (String.concat "," tags));
     tag_count = List.length tags;
     dispatches = Kernel.dispatch_count k;
     preemptions = Kernel.preemption_count k;
-    lwp_times;
+    events_fired = Eventq.events_fired m.Machine.eventq;
+    makespan = now;
+    cpu_busy =
+      Array.to_list (Array.map (fun c -> Cpu.busy_time c ~now) m.Machine.cpus);
   }
 
 let check name (a : probe) (b : probe) =
@@ -59,44 +60,43 @@ let check name (a : probe) (b : probe) =
   Alcotest.(check int) (name ^ " trace tag count") a.tag_count b.tag_count;
   Alcotest.(check int) (name ^ " dispatches") a.dispatches b.dispatches;
   Alcotest.(check int) (name ^ " preemptions") a.preemptions b.preemptions;
-  Alcotest.(check string) (name ^ " per-LWP utime/stime") a.lwp_times b.lwp_times
+  Alcotest.(check int) (name ^ " events fired") a.events_fired b.events_fired;
+  Alcotest.(check int64) (name ^ " makespan") a.makespan b.makespan;
+  Alcotest.(check (list int64)) (name ^ " CPU busy time") a.cpu_busy b.cpu_busy
+
+(* [n] copies of [run] on [n] domains at once, in domain order. *)
+let on_domains n run =
+  List.init n (fun _ -> Domain.spawn run) |> List.map Domain.join
 
 let across_domains name run =
-  match List.map (fun d -> (d, run ~domains:d)) domain_counts with
-  | [] | [ _ ] -> assert false
-  | (_, base) :: rest ->
-      List.iter
-        (fun (d, p) -> check (Printf.sprintf "%s domains=%d" name d) base p)
-        rest
+  let base = run () in
+  List.iter
+    (fun d ->
+      List.iteri
+        (fun i p -> check (Printf.sprintf "%s domains=%d copy %d" name d i) base p)
+        (on_domains d run))
+    domain_counts
 
-(* --- workload probes (all with real offloaded work) ------------------- *)
+(* --- workload probes ---------------------------------------------------- *)
 
-let net_probe ~domains =
-  let p =
-    {
-      S.default_params with
-      connections = 12;
-      requests_per_conn = 2;
-      think_time_us = 20_000;
-      connect_stagger_us = 500;
-      disk_every = 8;
-      workers = 4;
-      concurrency = 4;
-      client_concurrency = 12;
-      listen_backlog = 32;
-      work_spin = 500;
-    }
-  in
-  let out = ref None in
-  ignore
-    (S.run
-       (module Sunos_baselines.Mt)
-       ~cpus:2 ~domains ~trace:true
-       ~debrief:(fun k -> out := Some (probe_of_kernel k))
-       p);
-  Option.get !out
+let net_params =
+  {
+    S.default_params with
+    connections = 12;
+    requests_per_conn = 2;
+    think_time_us = 20_000;
+    connect_stagger_us = 500;
+    disk_every = 8;
+    workers = 4;
+    concurrency = 4;
+    client_concurrency = 12;
+    listen_backlog = 32;
+  }
 
-let db_probe ~domains =
+let net_run ?chaos p ~debrief =
+  ignore (S.run (module Sunos_baselines.Mt) ~cpus:2 ?chaos ~trace:true ~debrief p)
+
+let db_run ~debrief =
   let p =
     {
       Db.default_params with
@@ -104,17 +104,11 @@ let db_probe ~domains =
       threads_per_process = 4;
       records = 16;
       transactions_per_thread = 10;
-      work_spin = 500;
     }
   in
-  let out = ref None in
-  ignore
-    (Db.run ~cpus:2 ~domains ~trace:true
-       ~debrief:(fun k -> out := Some (probe_of_kernel k))
-       p);
-  Option.get !out
+  ignore (Db.run ~cpus:2 ~trace:true ~debrief p)
 
-let kv_probe ~domains =
+let kv_run ~debrief =
   let p =
     {
       KV.default_params with
@@ -124,87 +118,67 @@ let kv_probe ~domains =
       requests_per_client = 4;
       workers_per_server = 3;
       think_time_us = 500;
-      work_spin = 500;
     }
   in
+  ignore (KV.run ~cpus:2 ~trace:true ~debrief p)
+
+let probe run () =
   let out = ref None in
-  ignore
-    (KV.run ~cpus:2 ~domains ~trace:true
-       ~debrief:(fun k -> out := Some (probe_of_kernel k))
-       p);
+  run ~debrief:(fun k -> out := Some (probe_of_kernel k));
   Option.get !out
 
-let test_net () = across_domains "net-server" net_probe
-let test_db () = across_domains "database" db_probe
-let test_kv () = across_domains "kv-store" kv_probe
+let test_net () = across_domains "net-server" (probe (net_run net_params))
+let test_db () = across_domains "database" (probe db_run)
+let test_kv () = across_domains "kv-store" (probe kv_run)
 
-(* Chaos composes with the pool: network-heavy fault injection on the
-   hardened server, domains = 2 vs 1, bit-identical. *)
-let chaos_probe ~domains =
-  let p =
-    {
-      S.default_params with
-      connections = 10;
-      requests_per_conn = 3;
-      think_time_us = 1_000;
-      connect_stagger_us = 500;
-      workers = 4;
-      concurrency = 4;
-      client_concurrency = 10;
-      listen_backlog = 8;
-      hardened = true;
-      connect_retry_limit = 12;
-      retry_base_us = 300;
-      request_deadline_us = 250_000;
-      shed_queue_limit = 6;
-      work_spin = 500;
-    }
-  in
-  let out = ref None in
-  ignore
-    (S.run
-       (module Sunos_baselines.Mt)
-       ~cpus:2 ~domains ~chaos:Faultgen.network_heavy ~trace:true
-       ~debrief:(fun k -> out := Some (probe_of_kernel k))
-       p);
-  Option.get !out
+(* Network-heavy fault injection on the hardened server, two machines
+   on two domains against the sequential run. *)
+let chaos_params =
+  {
+    S.default_params with
+    connections = 10;
+    requests_per_conn = 3;
+    think_time_us = 1_000;
+    connect_stagger_us = 500;
+    workers = 4;
+    concurrency = 4;
+    client_concurrency = 10;
+    listen_backlog = 8;
+    hardened = true;
+    connect_retry_limit = 12;
+    retry_base_us = 300;
+    request_deadline_us = 250_000;
+    shed_queue_limit = 6;
+  }
 
 let test_chaos () =
-  check "net-server chaos network-heavy" (chaos_probe ~domains:1)
-    (chaos_probe ~domains:2)
+  let run = probe (net_run ~chaos:Faultgen.network_heavy chaos_params) in
+  let base = run () in
+  List.iteri
+    (fun i p ->
+      check (Printf.sprintf "net-server chaos network-heavy copy %d" i) base p)
+    (on_domains 2 run)
 
-(* --- engine counters --------------------------------------------------- *)
+(* --- engine ------------------------------------------------------------- *)
 
-(* At quiescence every offloaded task has been retired (awaited, stolen,
-   or drained by its worker) and the shard fired counts partition the
-   queue total.  Cross-shard traffic must exist on a 2-CPU box: wakeups
-   and dispatches land on the other CPU's shard. *)
-let test_counters () =
-  let shards = ref [] and lanes = ref [||] and fired = ref 0 in
-  let p =
-    { S.default_params with connections = 8; work_spin = 500; concurrency = 4 }
+(* Every workload drains the queue, and the run skims cancelled handles
+   off the top before it stops: at quiescence the heap is empty, not
+   merely free of live events. *)
+let test_heap_drained () =
+  let drained name run =
+    let fired = ref 0 and live = ref (-1) and population = ref (-1) in
+    run ~debrief:(fun k ->
+        let q = (Kernel.machine k).Machine.eventq in
+        fired := Eventq.events_fired q;
+        live := Eventq.pending_count q;
+        population := Eventq.heap_population q);
+    Alcotest.(check bool) (name ^ " fired events") true (!fired > 0);
+    Alcotest.(check int) (name ^ " no live events") 0 !live;
+    Alcotest.(check int) (name ^ " no cancelled leftovers") 0 !population
   in
-  ignore
-    (S.run
-       (module Sunos_baselines.Mt)
-       ~cpus:2 ~domains:2
-       ~debrief:(fun k ->
-         shards := Procfs.shards k;
-         lanes := Procfs.pool_lanes k;
-         fired := Eventq.events_fired (Kernel.machine k).Machine.eventq)
-       p);
-  Alcotest.(check int) "shards = cpus + 1" 3 (List.length !shards);
-  let by_shard =
-    List.fold_left (fun acc sh -> acc + sh.Procfs.sh_fired) 0 !shards
-  in
-  Alcotest.(check int) "shard fired counts partition the total" !fired by_shard;
-  Alcotest.(check bool) "cross-shard traffic observed" true
-    (List.exists (fun sh -> sh.Procfs.sh_cross_in > 0) !shards);
-  Alcotest.(check int) "one lane at domains=2" 1 (Array.length !lanes);
-  let l = !lanes.(0) in
-  Alcotest.(check bool) "offloads were submitted" true (l.Parexec.ls_submitted > 0);
-  Alcotest.(check int) "every submitted task completed" l.Parexec.ls_submitted
-    l.Parexec.ls_completed
+  drained "net-server" (net_run net_params);
+  drained "database" db_run;
+  drained "kv-store" kv_run
 
 let () =
   Alcotest.run "parallel"
@@ -218,5 +192,6 @@ let () =
           Alcotest.test_case "chaos network-heavy domains=2" `Quick test_chaos;
         ] );
       ( "engine",
-        [ Alcotest.test_case "shard + pool counters" `Quick test_counters ] );
+        [ Alcotest.test_case "heap drained at quiescence" `Quick
+            test_heap_drained ] );
     ]

@@ -8,6 +8,8 @@ module Uctx = Sunos_kernel.Uctx
 module Sysdefs = Sunos_kernel.Sysdefs
 module Signo = Sunos_kernel.Signo
 module Fs = Sunos_kernel.Fs
+module Ktypes = Sunos_kernel.Ktypes
+module Pipe = Sunos_kernel.Pipe
 module Eventq = Sunos_sim.Eventq
 module Machine = Sunos_hw.Machine
 module T = Sunos_threads.Thread
@@ -208,32 +210,50 @@ let test_kwait_expect_closes_race () =
 (* BUG 9: lwp_main's idle registration raced with wakers: registering
    after the final runq check could park forever despite queued work.
    The unpark-token protocol absorbs the race; this test forces the
-   window by waking from an external event at a charge boundary. *)
+   window by waking from an external event at a charge boundary: event
+   callbacks write one byte at a time into the racer's pipe, from
+   outside any process. *)
 let test_idle_park_race () =
   let served = ref 0 in
   let k = Kernel.boot ~cpus:1 () in
-  let chan = Sunos_kernel.Netchan.create ~name:"c" in
-  ignore
-    (Kernel.spawn k ~name:"racer"
-       ~main:
-         (Libthread.boot (fun () ->
-              let fd = Uctx.open_net chan in
-              for _ = 1 to 25 do
-                let _ = Uctx.read fd ~len:16 in
-                incr served
-              done)));
+  let pid =
+    Kernel.spawn k ~name:"racer"
+      ~main:
+        (Libthread.boot (fun () ->
+             let r, _w = Uctx.pipe () in
+             for _ = 1 to 25 do
+               let _ = Uctx.read r ~len:1 in
+               incr served
+             done))
+  in
+  let write_end () =
+    match Kernel.find_proc k pid with
+    | None -> None
+    | Some p ->
+        Hashtbl.fold
+          (fun _ o acc -> match o with Ktypes.Fd_pipe_w w -> Some w | _ -> acc)
+          p.Ktypes.fdtab None
+  in
   let eventq = (Kernel.machine k).Machine.eventq in
+  let on_empty = ref 0 in
   let rec inject n at =
     if n > 0 then
       ignore
         (Eventq.at eventq at (fun () ->
-             Sunos_kernel.Netchan.inject chan
-               { Sunos_kernel.Netchan.payload = "x"; reply_to = ignore };
-             inject (n - 1) (Time.add (Eventq.now eventq) (Time.us 123))))
+             let next = Time.add (Eventq.now eventq) (Time.us 123) in
+             match write_end () with
+             | None -> inject n next (* the racer has not made its pipe yet *)
+             | Some w ->
+                 if Pipe.buffered w = 0 then incr on_empty;
+                 ignore (Pipe.write w "x");
+                 inject (n - 1) next))
   in
   inject 25 (Time.us 1);
   Kernel.run k;
-  Alcotest.(check int) "all messages served" 25 !served
+  Alcotest.(check int) "all bytes served" 25 !served;
+  Alcotest.(check bool)
+    (Printf.sprintf "writes reached a drained pipe (%d of 25)" !on_empty)
+    true (!on_empty > 0)
 
 (* BUG 10: a signal that became deliverable while an LWP was running was
    missed if the LWP then entered an interruptible sleep — the sleep

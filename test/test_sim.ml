@@ -60,6 +60,52 @@ let prop_pheap_sorted =
       in
       drain [] = List.sort compare xs)
 
+let test_pheap_top_drop () =
+  let h = Pheap.create ~cmp:compare in
+  Alcotest.check_raises "top of empty" (Invalid_argument "Pheap.top: empty")
+    (fun () -> ignore (Pheap.top h));
+  Pheap.drop_min h;
+  Alcotest.(check int) "drop_min on empty is a no-op" 0 (Pheap.size h);
+  List.iter (Pheap.insert h) [ 7; 2; 9; 2; 5 ];
+  Alcotest.(check (option int)) "top agrees with peek_min" (Pheap.peek_min h)
+    (Some (Pheap.top h));
+  let rec drain acc =
+    if Pheap.is_empty h then List.rev acc
+    else begin
+      let x = Pheap.top h in
+      Pheap.drop_min h;
+      drain (x :: acc)
+    end
+  in
+  Alcotest.(check (list int)) "top/drop_min drain sorted" [ 2; 2; 5; 7; 9 ]
+    (drain []);
+  Alcotest.(check int) "emptied" 0 (Pheap.size h)
+
+(* Interleaved inserts and removals: [top]/[drop_min] on one heap and
+   [pop_min] on another must see the same minimum at every step. *)
+let prop_pheap_top_drop_matches_pop =
+  QCheck.Test.make ~name:"pheap top/drop_min matches pop_min" ~count:200
+    QCheck.(list (option small_int))
+    (fun ops ->
+      let a = Pheap.create ~cmp:compare and b = Pheap.create ~cmp:compare in
+      List.for_all
+        (function
+          | Some x ->
+              Pheap.insert a x;
+              Pheap.insert b x;
+              Pheap.size a = Pheap.size b
+          | None ->
+              let via_top =
+                if Pheap.is_empty a then None
+                else begin
+                  let x = Pheap.top a in
+                  Pheap.drop_min a;
+                  Some x
+                end
+              in
+              via_top = Pheap.pop_min b && Pheap.size a = Pheap.size b)
+        ops)
+
 (* ------------------------------ Eventq ------------------------------ *)
 
 let test_eventq_order () =
@@ -166,6 +212,122 @@ let test_eventq_cancel_churn () =
     (Eventq.heap_population q <= 2 * List.length live + 128);
   Eventq.run q;
   Alcotest.(check int) "live handles all fired" 100 !fired
+
+let test_eventq_run_one () =
+  let q = Eventq.create () in
+  Alcotest.(check bool) "empty queue" false (Eventq.run_one q);
+  let log = ref [] in
+  let first = Eventq.at q 10L (fun () -> log := 1 :: !log) in
+  ignore (Eventq.at q 20L (fun () -> log := 2 :: !log));
+  ignore (Eventq.at q 30L (fun () -> log := 3 :: !log));
+  Eventq.cancel first;
+  Alcotest.(check bool) "fires past a cancelled head" true (Eventq.run_one q);
+  Alcotest.(check (list int)) "one event" [ 2 ] (List.rev !log);
+  Alcotest.check span "clock at that event" 20L (Eventq.now q);
+  Alcotest.(check bool) "next" true (Eventq.run_one q);
+  Alcotest.(check bool) "then empty" false (Eventq.run_one q);
+  Alcotest.(check (list int)) "in order" [ 2; 3 ] (List.rev !log);
+  Alcotest.(check int) "fired count" 2 (Eventq.events_fired q)
+
+let test_eventq_max_events () =
+  let q = Eventq.create () in
+  let log = ref [] and drained = ref 0 in
+  Eventq.on_drain q (fun () -> incr drained);
+  List.iter
+    (fun t -> ignore (Eventq.at q t (fun () -> log := t :: !log)))
+    [ 10L; 20L; 30L ];
+  Eventq.run ~max_events:2 q;
+  Alcotest.(check (list int64)) "budget of two" [ 10L; 20L ] (List.rev !log);
+  Alcotest.check span "clock at the second" 20L (Eventq.now q);
+  Alcotest.(check int) "budget stop is not a drain" 0 !drained;
+  Eventq.run q;
+  Alcotest.(check (list int64)) "rest runs" [ 10L; 20L; 30L ] (List.rev !log);
+  Alcotest.(check int) "drain hook once" 1 !drained
+
+let test_eventq_next_time () =
+  let q = Eventq.create () in
+  Alcotest.(check (option span)) "empty, no horizon" None (Eventq.next_time q);
+  let head = Eventq.at q 10L ignore in
+  ignore (Eventq.at q 40L ignore);
+  Alcotest.(check (option span)) "live head" (Some 10L) (Eventq.next_time q);
+  Eventq.cancel head;
+  Alcotest.(check (option span)) "skips the cancelled head" (Some 40L)
+    (Eventq.next_time q);
+  (* inside a horizon-limited run the answer is clamped to the horizon,
+     and restored once the run returns *)
+  let seen = ref None in
+  ignore (Eventq.at q 20L (fun () -> seen := Eventq.next_time q));
+  Eventq.run ~until:30L q;
+  Alcotest.(check (option span)) "clamped to until" (Some 30L) !seen;
+  Alcotest.(check (option span)) "horizon released" (Some 40L)
+    (Eventq.next_time q)
+
+let test_eventq_same_instant_from_callback () =
+  (* an event scheduled for the current instant by a callback runs after
+     the events already queued for that instant *)
+  let q = Eventq.create () in
+  let log = ref [] in
+  ignore
+    (Eventq.at q 10L (fun () ->
+         log := "a" :: !log;
+         ignore (Eventq.after q 0L (fun () -> log := "a'" :: !log))));
+  ignore (Eventq.at q 10L (fun () -> log := "b" :: !log));
+  ignore (Eventq.at q 11L (fun () -> log := "c" :: !log));
+  Eventq.run q;
+  Alcotest.(check (list string)) "FIFO" [ "a"; "b"; "a'"; "c" ] (List.rev !log)
+
+let test_eventq_cancel_next_from_callback () =
+  (* a callback cancels the event that is now at the top of the heap:
+     [run] must look at the head afresh, not fire one it saw earlier *)
+  let q = Eventq.create () in
+  let log = ref [] in
+  let next = ref None in
+  ignore
+    (Eventq.at q 10L (fun () ->
+         log := 1 :: !log;
+         Option.iter Eventq.cancel !next));
+  next := Some (Eventq.at q 10L (fun () -> log := 2 :: !log));
+  ignore (Eventq.at q 20L (fun () -> log := 3 :: !log));
+  Eventq.run q;
+  Alcotest.(check (list int)) "cancelled head skipped" [ 1; 3 ] (List.rev !log);
+  Alcotest.(check int) "two fired" 2 (Eventq.events_fired q)
+
+let test_eventq_drain_skims_cancelled () =
+  (* too few cancels to trigger compaction: the dead entries stay in the
+     heap until they surface, and a full drain must remove them all *)
+  let q = Eventq.create () in
+  let hs = List.init 20 (fun i -> Eventq.at q (Int64.of_int (i + 1)) ignore) in
+  List.iteri (fun i h -> if i mod 2 = 0 then Eventq.cancel h) hs;
+  Alcotest.(check int) "dead still in the heap" 20 (Eventq.heap_population q);
+  Eventq.run q;
+  Alcotest.(check int) "live fired" 10 (Eventq.events_fired q);
+  Alcotest.(check int) "heap empty" 0 (Eventq.heap_population q);
+  Alcotest.(check int) "nothing pending" 0 (Eventq.pending_count q)
+
+(* Against a model: the live events fire in (time, scheduling order),
+   whatever is cancelled in between. *)
+let prop_eventq_model =
+  QCheck.Test.make ~name:"eventq fires live events in (time, seq) order"
+    ~count:200
+    QCheck.(list (pair (int_bound 50) bool))
+    (fun spec ->
+      let q = Eventq.create () in
+      let fired = ref [] in
+      let hs =
+        List.mapi
+          (fun i (t, _) ->
+            Eventq.at q (Int64.of_int t) (fun () -> fired := i :: !fired))
+          spec
+      in
+      List.iter2 (fun h (_, cancel) -> if cancel then Eventq.cancel h) hs spec;
+      Eventq.run q;
+      let expected =
+        List.mapi (fun i (t, cancel) -> (t, i, cancel)) spec
+        |> List.filter (fun (_, _, cancel) -> not cancel)
+        |> List.sort compare
+        |> List.map (fun (_, i, _) -> i)
+      in
+      List.rev !fired = expected)
 
 let prop_eventq_monotonic =
   QCheck.Test.make ~name:"eventq fires in nondecreasing time order" ~count:100
@@ -317,6 +479,8 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_pheap_basic;
           qt prop_pheap_sorted;
+          Alcotest.test_case "top/drop_min" `Quick test_pheap_top_drop;
+          qt prop_pheap_top_drop_matches_pop;
         ] );
       ( "eventq",
         [
@@ -329,6 +493,16 @@ let () =
           Alcotest.test_case "pending exact" `Quick test_eventq_pending_exact;
           Alcotest.test_case "cancel churn" `Quick test_eventq_cancel_churn;
           qt prop_eventq_monotonic;
+          Alcotest.test_case "run_one" `Quick test_eventq_run_one;
+          Alcotest.test_case "max_events" `Quick test_eventq_max_events;
+          Alcotest.test_case "next_time" `Quick test_eventq_next_time;
+          Alcotest.test_case "same instant from a callback" `Quick
+            test_eventq_same_instant_from_callback;
+          Alcotest.test_case "drain skims cancelled" `Quick
+            test_eventq_drain_skims_cancelled;
+          qt prop_eventq_model;
+          Alcotest.test_case "cancel the next head from a callback" `Quick
+            test_eventq_cancel_next_from_callback;
         ] );
       ( "rng",
         [
