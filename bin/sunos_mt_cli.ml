@@ -308,7 +308,8 @@ let trace n =
     (fun i r ->
       if i < n then
         Format.printf "[%a] %-10s %s@." Time.pp r.Sunos_sim.Tracebuf.time
-          r.Sunos_sim.Tracebuf.tag r.Sunos_sim.Tracebuf.msg)
+          (Sunos_sim.Tracebuf.tag r)
+          (Sunos_sim.Tracebuf.message r))
     records
 
 let trace_cmd =

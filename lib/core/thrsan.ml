@@ -424,7 +424,8 @@ let watch (k : Ktypes.kernel) =
       | None -> ()
       | Some r ->
           last_hang_r := Some r;
-          Machine.trace m ~tag:"thrsan" "%s" r.hr_text)
+          Machine.trace m Sunos_sim.Tracebuf.Thrsan ~cpu:(-1) ~pid:(-1)
+            ~lwp:(-1) ~name:r.hr_text ~name2:"" ~arg:(-1) ~arg2:(-1) ~arg3:(-1))
 
 (* ------------------------------------------------------------------ *)
 (* Housekeeping                                                        *)

@@ -36,14 +36,8 @@ let create ?(cpus = 1) ?(cost = Cost_model.default) ?(seed = 1L)
 let now t = Sim.Eventq.now t.eventq
 let ncpus t = Array.length t.cpus
 
-(* The interest check runs before kasprintf builds anything: with tracing
-   disabled (or the tag filtered out) the format args are swallowed by
-   ikfprintf and the hot paths pay no string formatting at all. *)
-let trace t ~tag fmt =
-  if Sim.Tracebuf.interested t.trace ~tag then
-    Format.kasprintf
-      (fun msg -> Sim.Tracebuf.emit t.trace ~time:(now t) ~tag msg)
-      fmt
-  else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+let trace t kind ~cpu ~pid ~lwp ~name ~name2 ~arg ~arg2 ~arg3 =
+  Sim.Tracebuf.emit t.trace ~time:(now t) kind ~cpu ~pid ~lwp ~name ~name2 ~arg
+    ~arg2 ~arg3
 
 let run ?until ?max_events t = Sim.Eventq.run ?until ?max_events t.eventq

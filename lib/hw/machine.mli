@@ -25,13 +25,28 @@ val create :
     {!Cost_model.default}, seed 1, chaos profile from [SUNOS_CHAOS]
     (off when unset).  The chaos stream is seeded independently of the
     machine's workload stream.  Every CPU and device shares the one
-    event queue. *)
+    event queue.  [trace_capacity] bounds the trace ring (default 65536
+    records); the ring starts empty and grows only as records arrive, so
+    a machine costs no trace memory until something is traced. *)
 
 val now : t -> Sunos_sim.Time.t
 val ncpus : t -> int
 
-val trace : t -> tag:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Emit a trace record stamped with the current time. *)
+val trace :
+  t ->
+  Sunos_sim.Tracebuf.kind ->
+  cpu:int ->
+  pid:int ->
+  lwp:int ->
+  name:string ->
+  name2:string ->
+  arg:int ->
+  arg2:int ->
+  arg3:int ->
+  unit
+(** Emit a typed trace record stamped with the current time (see
+    {!Sunos_sim.Tracebuf.emit}).  Nothing is formatted, and nothing is
+    allocated when tracing is off or the kind is filtered out. *)
 
 val run : ?until:Sunos_sim.Time.t -> ?max_events:int -> t -> unit
 (** Drain the event queue (see {!Sunos_sim.Eventq.run}). *)

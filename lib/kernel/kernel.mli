@@ -20,7 +20,9 @@ val boot :
   unit ->
   t
 (** Build a machine and boot a kernel on it.  [chaos] selects the fault
-    injection profile (default: [SUNOS_CHAOS] env, else off). *)
+    injection profile (default: [SUNOS_CHAOS] env, else off).
+    [trace_capacity] bounds the trace ring, which is filled on demand
+    (see {!Sunos_hw.Machine.create}). *)
 
 val boot_on : Sunos_hw.Machine.t -> t
 (** Boot on an existing machine. *)
@@ -53,12 +55,16 @@ val tty_input : t -> string -> unit
 (** Type a line on the machine's terminal. *)
 
 val trace_records : t -> Sunos_sim.Tracebuf.record list
+(** The kernel trace, oldest first, as typed records: read their fields
+    directly, or render them with {!Sunos_sim.Tracebuf.tag} and
+    {!Sunos_sim.Tracebuf.message}. *)
+
 val set_tracing : t -> bool -> unit
 
 val set_trace_tags : t -> string list option -> unit
 (** Restrict tracing to the given tags ([None], the default, records
-    all).  Message formatting is skipped entirely for filtered-out tags,
-    so a narrow filter keeps tracing cheap on hot paths. *)
+    all).  A filtered-out record is never built, so a narrow filter
+    keeps tracing cheap on hot paths. *)
 
 val bug_sigwaiting_no_rearm : bool ref
 (** Seeded-bug knob for the schedule explorer: [true] reverts the

@@ -19,12 +19,25 @@ module Machine = Sunos_hw.Machine
 module Cpu = Sunos_hw.Cpu
 module Cost = Sunos_hw.Cost_model
 module Prioq = Sunos_sim.Prioq
+module Tracebuf = Sunos_sim.Tracebuf
 
 let cost k = k.machine.Machine.cost
 let now k = Machine.now k.machine
 let eventq k = k.machine.Machine.eventq
 let schedule k span f = ignore (Eventq.after (eventq k) span f)
-let trace k tag fmt = Machine.trace k.machine ~tag fmt
+
+(* Typed trace records ({!Tracebuf.kind} says which fields a kind uses;
+   the others are -1 or "").  Every argument is an immediate or a string
+   that already exists, so a record nobody will read allocates nothing. *)
+let trace k kind ~cpu ~pid ~lwp ~name ~arg =
+  Machine.trace k.machine kind ~cpu ~pid ~lwp ~name ~name2:"" ~arg ~arg2:(-1)
+    ~arg3:(-1)
+
+let trace_lwp k kind lwp ~name ~arg =
+  trace k kind ~cpu:(-1) ~pid:lwp.proc.pid ~lwp:lwp.lid ~name ~arg
+
+let trace_proc k kind proc ~name ~arg =
+  trace k kind ~cpu:(-1) ~pid:proc.pid ~lwp:(-1) ~name ~arg
 
 (* ------------------------------------------------------------------ *)
 (* Chaos (deterministic fault injection)                               *)
@@ -39,7 +52,7 @@ let chaos k = k.machine.Machine.chaos
    the record; with chaos off this never draws from the stream. *)
 let chaos_roll k ~site rate =
   if Faultgen.fire (chaos k) ~now:(now k) ~site rate then begin
-    trace k "chaos" "%s" site;
+    trace k Tracebuf.Chaos ~cpu:(-1) ~pid:(-1) ~lwp:(-1) ~name:site ~arg:(-1);
     true
   end
   else false
@@ -299,7 +312,8 @@ and place k cpu lwp =
                ~max_span:(Int64.div lwp.quantum_left 8L))
   | Sc_realtime _ -> ());
   Counter.incr k.ctr_dispatches;
-  trace k "dispatch" "cpu%d <- pid%d/lwp%d" (Cpu.id cpu) lwp.proc.pid lwp.lid;
+  trace k Tracebuf.Dispatch ~cpu:(Cpu.id cpu) ~pid:lwp.proc.pid ~lwp:lwp.lid
+    ~name:"" ~arg:(-1);
   (* Going through the dispatcher costs a kernel context switch. *)
   schedule k (cost k).Cost.kernel_dispatch (fun () ->
       if is_running_on lwp cpu then resume k cpu lwp)
@@ -378,8 +392,7 @@ and dispatch_step k cpu lwp (s : Uctx.step) =
       release_cpu k cpu;
       kick k
   | Uctx.Step_raised (e, bt) ->
-      trace k "panic" "pid%d/lwp%d uncaught exception: %s" lwp.proc.pid
-        lwp.lid (Printexc.to_string e);
+      trace_lwp k Tracebuf.Panic lwp ~name:(Printexc.to_string e) ~arg:(-1);
       ignore bt;
       proc_exit k lwp.proc ~status:139
   | Uctx.Step_charge (span, kont) -> charge_slice k cpu lwp span kont
@@ -452,8 +465,8 @@ and charge_slice k cpu lwp span kont =
         if should_preempt then begin
           Counter.incr k.ctr_preemptions;
           if quantum_expired then ts_penalty lwp;
-          trace k "preempt" "cpu%d drops pid%d/lwp%d" (Cpu.id cpu)
-            lwp.proc.pid lwp.lid;
+          trace k Tracebuf.Preempt ~cpu:(Cpu.id cpu) ~pid:lwp.proc.pid
+            ~lwp:lwp.lid ~name:"" ~arg:(-1);
           lwp.pending <- P_charge (remaining, kont);
           lwp.lstate <- Lrunnable;
           enqueue k lwp;
@@ -591,8 +604,7 @@ and block k lwp ~wchan ~interruptible ~indefinite ~cancel =
       };
   lwp.wchan <- wchan;
   lwp.lstate <- Lsleeping;
-  trace k "sleep" "pid%d/lwp%d on %s%s" lwp.proc.pid lwp.lid wchan
-    (if indefinite then " (indefinite)" else "");
+  trace_lwp k Tracebuf.Sleep lwp ~name:wchan ~arg:(Bool.to_int indefinite);
   release_cpu k cpu;
   if interruptible && sig_flag lwp then
     (* a signal became deliverable while we were running: an
@@ -665,8 +677,7 @@ and check_sigwaiting k proc =
   if all_indefinite && proc.sigwaiting_armed then begin
     proc.sigwaiting_armed <- false;
     Counter.incr k.ctr_sigwaiting;
-    trace k "sigwaiting" "pid%d: all %d LWPs in indefinite waits" proc.pid
-      (List.length live);
+    trace_proc k Tracebuf.Sigwaiting proc ~name:"" ~arg:(List.length live);
     k.hook_post_proc proc Signo.sigwaiting
   end
 
@@ -749,7 +760,8 @@ and robust_sweep k channels =
   List.iter
     (fun (seg_id, offset) ->
       let woken = futex_wake_all k ~seg_id ~offset in
-      trace k "ownerdead" "seg%d+%d woke=%d" seg_id offset woken)
+      Machine.trace k.machine Tracebuf.Ownerdead ~cpu:(-1) ~pid:(-1) ~lwp:(-1)
+        ~name:"" ~name2:"" ~arg:seg_id ~arg2:offset ~arg3:woken)
     channels
 
 (* ------------------------------------------------------------------ *)
@@ -883,7 +895,7 @@ and make_lwp k proc ~entry ~cls =
 and spawn_process k ~name ~main =
   let proc = make_proc k ~name ~parent:None in
   let lwp = make_lwp k proc ~entry:main ~cls:(Sc_timeshare { ts_pri = 29 }) in
-  trace k "spawn" "pid%d (%s) created with lwp%d" proc.pid name lwp.lid;
+  trace_lwp k Tracebuf.Spawn lwp ~name ~arg:(-1);
   make_runnable k lwp;
   proc
 
@@ -908,7 +920,7 @@ and lwp_exit_internal k lwp =
   lwp.pending <- P_dead;
   gang_remove k lwp;
   lwp.proc.lwps <- List.filter (fun l -> l != lwp) lwp.proc.lwps;
-  trace k "lwp_exit" "pid%d/lwp%d" lwp.proc.pid lwp.lid;
+  trace_lwp k Tracebuf.Lwp_exit lwp ~name:"" ~arg:(-1);
   (match cpu with
   | Some c -> release_cpu k c
   | None -> ());
@@ -958,7 +970,7 @@ and proc_exit k proc ~status =
     proc.exit_status <- status;
     proc.pstate <- Pzombie;
     proc.stopped <- false;
-    trace k "exit" "pid%d (%s) status=%d" proc.pid proc.pname status;
+    trace_proc k Tracebuf.Exit proc ~name:proc.pname ~arg:status;
     (* Tear down every LWP.  Sleeping ones are deregistered from their
        wait structures; running ones lose their CPUs; queued ones become
        stale entries. *)

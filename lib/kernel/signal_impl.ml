@@ -14,6 +14,7 @@
 
 open Ktypes
 module K = Kernel_impl
+module Tracebuf = Sunos_sim.Tracebuf
 
 let rec default_action k proc signo =
   match Signo.default_action signo with
@@ -26,7 +27,7 @@ let rec default_action k proc signo =
 and stop_proc k proc =
   if (not proc.stopped) && proc.pstate = Palive then begin
     proc.stopped <- true;
-    K.trace k "stop" "pid%d stopped" proc.pid;
+    K.trace_proc k Tracebuf.Stop proc ~name:"" ~arg:(-1);
     List.iter
       (fun l ->
         match l.lstate with
@@ -42,7 +43,7 @@ and stop_proc k proc =
 and cont_proc k proc =
   if proc.stopped && proc.pstate = Palive then begin
     proc.stopped <- false;
-    K.trace k "continue" "pid%d continued" proc.pid;
+    K.trace_proc k Tracebuf.Continue proc ~name:"" ~arg:(-1);
     List.iter
       (fun l -> if l.lstate = Lstopped then K.make_runnable k l)
       proc.lwps
@@ -88,7 +89,7 @@ let pick_recipient proc signo =
 (* Process-directed signal (an "interrupt" in the paper's terms). *)
 let post_proc k proc signo =
   if proc.pstate = Palive then begin
-    K.trace k "signal" "pid%d <- %s" proc.pid (Signo.name signo);
+    K.trace_proc k Tracebuf.Signal proc ~name:(Signo.name signo) ~arg:signo;
     if signo = Signo.sigkill then K.proc_exit k proc ~status:(128 + signo)
     else begin
       if signo = Signo.sigcont then cont_proc k proc;
@@ -108,7 +109,7 @@ let post_proc k proc signo =
 let post_lwp k lwp signo =
   let proc = lwp.proc in
   if proc.pstate = Palive && lwp_alive lwp then begin
-    K.trace k "signal" "pid%d/lwp%d <- %s" proc.pid lwp.lid (Signo.name signo);
+    K.trace_lwp k Tracebuf.Signal_lwp lwp ~name:(Signo.name signo) ~arg:signo;
     if signo = Signo.sigkill then K.proc_exit k proc ~status:(128 + signo)
     else
       match proc.handlers.(signo) with

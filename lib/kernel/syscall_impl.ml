@@ -7,6 +7,7 @@
 open Ktypes
 open Sysdefs
 module K = Kernel_impl
+module Tracebuf = Sunos_sim.Tracebuf
 module Sig = Signal_impl
 module Time = Sunos_sim.Time
 module Shm = Sunos_hw.Shared_memory
@@ -204,8 +205,8 @@ let rec sock_accept_blocking k lwp l ~alive =
               | Some ep ->
                   alive := false;
                   let fd = install_fd lwp.proc (Fd_sock ep) in
-                  K.trace k "accept" "pid%d accepts on %s -> fd%d"
-                    lwp.proc.pid (Socket.listener_name l) fd;
+                  K.trace_proc k Tracebuf.Accept lwp.proc
+                    ~name:(Socket.listener_name l) ~arg:fd;
                   K.wake k lwp (R_int fd)
               | None ->
                   (* another acceptor got there first *)
@@ -381,7 +382,7 @@ let do_exec k lwp ~name ~main =
   lwp.lwp_sig_pending <- [];
   lwp.on_resume <- ignore;
   proc.pname <- name;
-  K.trace k "exec" "pid%d becomes %s" proc.pid name;
+  K.trace_proc k Tracebuf.Exec proc ~name ~arg:(-1);
   let cpu = K.cpu_of k lwp in
   K.busy k cpu lwp c.Cost.exec_cost (fun () ->
       lwp.in_kernel <- false;
@@ -443,8 +444,9 @@ let execute k lwp req =
     when proc.parent <> None
          && (match req with Sys_exit _ | Sys_fork _ -> false | _ -> true)
          && K.chaos_roll k ~site:"proc-kill" (chp k).proc_kill ->
-      K.trace k "chaos" "proc-kill pid%d (%s) in %s" proc.pid proc.pname
-        (sysreq_name req);
+      Machine.trace k.machine Tracebuf.Proc_kill ~cpu:(-1) ~pid:proc.pid
+        ~lwp:(-1) ~name:proc.pname ~name2:(sysreq_name req) ~arg:(-1)
+        ~arg2:(-1) ~arg3:(-1);
       K.proc_exit k proc ~status:137
   | Sys_getpid -> K.complete k lwp (R_int proc.pid)
   | Sys_getlwpid -> K.complete k lwp (R_int lwp.lid)
@@ -554,8 +556,7 @@ let execute k lwp req =
       | Some _ -> K.complete k lwp (R_err Errno.EINVAL))
   | Sys_note_shed ->
       proc.shed_count <- proc.shed_count + 1;
-      K.trace k "shed" "pid%d sheds a connection (total %d)" proc.pid
-        proc.shed_count;
+      K.trace_proc k Tracebuf.Shed proc ~name:"" ~arg:proc.shed_count;
       K.complete k lwp R_ok
   | Sys_write (fd, data) -> (
       match lookup_fd proc fd with
@@ -701,8 +702,8 @@ let execute k lwp req =
       | Error `Addr_in_use -> K.complete k lwp (R_err Errno.EADDRINUSE)
       | Ok l ->
           let fd = install_fd proc (Fd_sock_listen l) in
-          K.trace k "listen" "pid%d listens on %s backlog=%d fd%d" proc.pid
-            name backlog fd;
+          Machine.trace k.machine Tracebuf.Listen ~cpu:(-1) ~pid:proc.pid
+            ~lwp:(-1) ~name ~name2:"" ~arg:fd ~arg2:backlog ~arg3:(-1);
           K.complete k lwp ~op_cost:c.Cost.sock_listen (R_int fd))
   | Sys_connect name ->
       (* Pay the client-side protocol processing, then wait out the
@@ -720,7 +721,8 @@ let execute k lwp req =
               | None -> ()
               | Some _ -> (
                   let refused () =
-                    K.trace k "connect" "pid%d -> %s refused" proc.pid name;
+                    K.trace_proc k Tracebuf.Connect_refused proc ~name
+                      ~arg:(-1);
                     K.wake k lwp (R_err Errno.ECONNREFUSED)
                   in
                   if K.chaos_roll k ~site:"conn-refuse" (chp k).conn_refuse
@@ -740,8 +742,7 @@ let execute k lwp req =
                       | None -> refused ()
                       | Some client_ep ->
                           let fd = install_fd proc (Fd_sock client_ep) in
-                          K.trace k "connect" "pid%d -> %s fd%d" proc.pid
-                            name fd;
+                          K.trace_proc k Tracebuf.Connect proc ~name ~arg:fd;
                           K.wake k lwp (R_int fd)))))
   | Sys_accept (fd, nonblock) -> (
       match lookup_fd proc fd with
@@ -755,8 +756,8 @@ let execute k lwp req =
             match Socket.accept l with
             | Some ep ->
                 let nfd = install_fd proc (Fd_sock ep) in
-                K.trace k "accept" "pid%d accepts on %s -> fd%d" proc.pid
-                  (Socket.listener_name l) nfd;
+                K.trace_proc k Tracebuf.Accept proc
+                  ~name:(Socket.listener_name l) ~arg:nfd;
                 K.complete k lwp ~op_cost:c.Cost.sock_accept (R_int nfd)
             | None when Socket.listener_closed l ->
                 (* a closed listener can never produce a connection:
@@ -793,7 +794,7 @@ let execute k lwp req =
   | Sys_epoll_create ->
       let ep = Epoll.create ~id:proc.next_fd in
       let fd = install_fd proc (Fd_epoll ep) in
-      K.trace k "epoll" "pid%d epoll_create -> fd%d" proc.pid fd;
+      K.trace_proc k Tracebuf.Epoll_create proc ~name:"" ~arg:fd;
       K.complete k lwp ~op_cost:c.Cost.sock_op (R_int fd)
   | Sys_epoll_ctl (epfd, fd, op) -> (
       match lookup_fd proc epfd with
@@ -973,7 +974,7 @@ let execute k lwp req =
               && K.chaos_roll k ~site:"lwp-reap" (chp k).lwp_reap
             then begin
               lwp.parked <- false;
-              K.trace k "chaos" "lwp-reap kills pid%d/lwp%d" proc.pid lwp.lid;
+              K.trace_lwp k Tracebuf.Lwp_reap lwp ~name:"" ~arg:(-1);
               K.lwp_exit_internal k lwp
             end
             else begin

@@ -383,14 +383,12 @@ let sc_sigwaiting_rearm =
                    Uctx.sleep (Time.ms 2);
                    Uctx.kill ~pid:!target_pid Signo.sigusr1));
             Kernel.run ~max_events:500_000 k;
-            let prefix = Printf.sprintf "pid%d:" !target_pid in
-            let plen = String.length prefix in
             let blocker_edges =
               List.length
                 (List.filter
                    (fun r ->
-                     let m = r.Sunos_sim.Tracebuf.msg in
-                     String.length m >= plen && String.sub m 0 plen = prefix)
+                     r.Sunos_sim.Tracebuf.kind = Sunos_sim.Tracebuf.Sigwaiting
+                     && r.Sunos_sim.Tracebuf.pid = !target_pid)
                    (Kernel.trace_records k))
             in
             if not !got_eintr then

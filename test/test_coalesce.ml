@@ -42,7 +42,7 @@ type probe = {
 
 let probe_of_kernel k =
   let tags =
-    List.map (fun r -> r.Sunos_sim.Tracebuf.tag) (Kernel.trace_records k)
+    List.map Sunos_sim.Tracebuf.tag (Kernel.trace_records k)
   in
   {
     tag_digest = Digest.to_hex (Digest.string (String.concat "," tags));

@@ -5,7 +5,9 @@
    dispatch).  The O(1) run-queue rewrite must be behaviour-preserving:
    on fixed seeds the network-server and database workloads must produce
    byte-identical trace tag sequences and identical dispatch/preemption
-   counter values.
+   counter values.  The text digests, recorded while the kernel still
+   formatted each record at emit time, pin every record's rendered text
+   now that records are typed and rendered when read.
 
    To re-record (only legitimate after an *intentional* scheduling-policy
    change): run with SUNOS_PRINT_GOLDENS=1 and paste the output. *)
@@ -19,17 +21,26 @@ module KV = Sunos_workloads.Kv_store
 
 type probe = {
   tag_digest : string;
+  text_digest : string;
   tag_count : int;
   dispatches : int;
   preemptions : int;
 }
 
+let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+(* Every record as it reads when rendered: time, tag and message. *)
+let render r =
+  Printf.sprintf "%Ld %s %s" r.Sunos_sim.Tracebuf.time
+    (Sunos_sim.Tracebuf.tag r)
+    (Sunos_sim.Tracebuf.message r)
+
 let probe_of_kernel k =
-  let tags =
-    List.map (fun r -> r.Sunos_sim.Tracebuf.tag) (Kernel.trace_records k)
-  in
+  let records = Kernel.trace_records k in
+  let tags = List.map Sunos_sim.Tracebuf.tag records in
   {
     tag_digest = Digest.to_hex (Digest.string (String.concat "," tags));
+    text_digest = digest (List.map render records);
     tag_count = List.length tags;
     dispatches = Kernel.dispatch_count k;
     preemptions = Kernel.preemption_count k;
@@ -157,8 +168,9 @@ let timing_probes () =
 let print_goldens () =
   let show name p =
     Printf.printf
-      "%s: digest=%S tag_count=%d dispatches=%d preemptions=%d\n" name
-      p.tag_digest p.tag_count p.dispatches p.preemptions
+      "%s: digest=%S text_digest=%S tag_count=%d dispatches=%d \
+       preemptions=%d\n"
+      name p.tag_digest p.text_digest p.tag_count p.dispatches p.preemptions
   in
   show "net" (net_probe ());
   show "net-epoll" (net_epoll_probe ());
@@ -173,6 +185,7 @@ let print_goldens () =
 let golden_net =
   {
     tag_digest = "8fffe7b5bfb695c486aa300e034e1cb7";
+    text_digest = "8ce78484088009c8180dcc220ec0243e";
     tag_count = 544;
     dispatches = 223;
     preemptions = 31;
@@ -181,6 +194,7 @@ let golden_net =
 let golden_db =
   {
     tag_digest = "ce1dad7ea79bac69892ce0bd4b57df7a";
+    text_digest = "6b25106d868133ea4b1035d5f7c48e1e";
     tag_count = 128;
     dispatches = 64;
     preemptions = 0;
@@ -190,6 +204,7 @@ let golden_db =
 let golden_net_epoll =
   {
     tag_digest = "c2ca74fcfda3833e951a1f91804d96fd";
+    text_digest = "26ea5b66c75bfd02bc0f93c12deaf054";
     tag_count = 732;
     dispatches = 276;
     preemptions = 13;
@@ -199,6 +214,7 @@ let golden_net_epoll =
 let golden_kv =
   {
     tag_digest = "3078f6e4f062459f550fc3c01a64eedf";
+    text_digest = "45c330364106e6d11ff9f5338815dc14";
     tag_count = 473;
     dispatches = 190;
     preemptions = 17;
@@ -216,6 +232,8 @@ let golden_timing =
 let check name golden actual =
   Alcotest.(check string)
     (name ^ " trace tag digest") golden.tag_digest actual.tag_digest;
+  Alcotest.(check string)
+    (name ^ " trace text digest") golden.text_digest actual.text_digest;
   Alcotest.(check int) (name ^ " trace tag count") golden.tag_count
     actual.tag_count;
   Alcotest.(check int) (name ^ " dispatches") golden.dispatches

@@ -182,9 +182,38 @@ let test_machine_create () =
   let m = Machine.create ~cpus:4 () in
   Alcotest.(check int) "cpus" 4 (Machine.ncpus m);
   Alcotest.check span "boot time" 0L (Machine.now m);
-  Machine.trace m ~tag:"test" "hello %d" 42;
+  Machine.trace m Sunos_sim.Tracebuf.Dispatch ~cpu:3 ~pid:1 ~lwp:2 ~name:""
+    ~name2:"" ~arg:(-1) ~arg2:(-1) ~arg3:(-1);
   let recs = Sunos_sim.Tracebuf.records m.Machine.trace in
-  Alcotest.(check int) "trace emitted" 1 (List.length recs)
+  Alcotest.(check (list string)) "trace emitted" [ "cpu3 <- pid1/lwp2" ]
+    (List.map Sunos_sim.Tracebuf.message recs)
+
+(* A record nobody will read is never built: with tracing off, or its
+   tag filtered out, emitting allocates nothing on the hot paths. *)
+let test_machine_untraced_emit_allocates_nothing () =
+  let m = Machine.create ~cpus:2 () in
+  let emit_all () =
+    for i = 1 to 1000 do
+      Machine.trace m Sunos_sim.Tracebuf.Sleep ~cpu:(-1) ~pid:i ~lwp:1
+        ~name:"pipe" ~name2:"" ~arg:1 ~arg2:(-1) ~arg3:(-1)
+    done
+  in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  Sunos_sim.Tracebuf.set_enabled m.Machine.trace false;
+  let off = words emit_all in
+  Sunos_sim.Tracebuf.set_enabled m.Machine.trace true;
+  Sunos_sim.Tracebuf.set_interest m.Machine.trace (Some [ "dispatch" ]);
+  let filtered = words emit_all in
+  Alcotest.(check (list int)) "no record kept" []
+    (List.map (fun r -> r.Sunos_sim.Tracebuf.pid)
+       (Sunos_sim.Tracebuf.records m.Machine.trace));
+  (* the measurement itself boxes a float or two *)
+  Alcotest.(check bool) "tracing off: no words" true (off < 16.);
+  Alcotest.(check bool) "tag filtered out: no words" true (filtered < 16.)
 
 let test_machine_zero_cpus_rejected () =
   Alcotest.check_raises "zero cpus" (Invalid_argument "Machine.create: cpus")
@@ -229,5 +258,7 @@ let () =
         [
           Alcotest.test_case "create" `Quick test_machine_create;
           Alcotest.test_case "zero cpus" `Quick test_machine_zero_cpus_rejected;
+          Alcotest.test_case "untraced emit allocates nothing" `Quick
+            test_machine_untraced_emit_allocates_nothing;
         ] );
     ]

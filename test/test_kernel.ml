@@ -857,6 +857,21 @@ let test_shutdown_is_noop () =
   Alcotest.(check (option int)) "ran before" (Some 0) (Kernel.exit_status k a);
   Alcotest.(check (option int)) "ran after" (Some 3) (Kernel.exit_status k b)
 
+(* A boot allocates no trace slot up front: the ring grows as records
+   arrive, so a boot is cheap enough to pay once per explored schedule.
+   A preallocated 64K-slot ring costs about 70k words here. *)
+let test_boot_allocation () =
+  ignore (Kernel.boot ~cpus:4 ());
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  ignore (Sys.opaque_identity (Kernel.boot ~cpus:4 ()));
+  let used = words () -. w0 in
+  if used >= 4096. then
+    Alcotest.failf "Kernel.boot ~cpus:4 allocated %.0f words (bound 4096)" used
+
 (* ------------------------- procfs ------------------------- *)
 
 let test_procfs_snapshot () =
@@ -888,6 +903,8 @@ let () =
           Alcotest.test_case "charge advances time" `Quick
             test_charge_advances_time;
           Alcotest.test_case "shutdown is a no-op" `Quick test_shutdown_is_noop;
+          Alcotest.test_case "boot allocates under 4096 words" `Quick
+            test_boot_allocation;
         ] );
       ( "scheduling",
         [

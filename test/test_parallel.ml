@@ -40,7 +40,7 @@ type probe = {
 
 let probe_of_kernel k =
   let tags =
-    List.map (fun r -> r.Sunos_sim.Tracebuf.tag) (Kernel.trace_records k)
+    List.map Sunos_sim.Tracebuf.tag (Kernel.trace_records k)
   in
   let m = Kernel.machine k in
   let now = Machine.now m in

@@ -433,25 +433,153 @@ let test_hist_empty () =
 
 (* ------------------------------ Tracebuf ------------------------------ *)
 
+let record ?(cpu = -1) ?(pid = -1) ?(lwp = -1) ?(name = "") ?(name2 = "")
+    ?(arg = -1) ?(arg2 = -1) ?(arg3 = -1) ?(time = 0L) kind =
+  { Tracebuf.time; kind; cpu; pid; lwp; name; name2; arg; arg2; arg3 }
+
+let emit t r =
+  Tracebuf.emit t ~time:r.Tracebuf.time r.Tracebuf.kind ~cpu:r.Tracebuf.cpu
+    ~pid:r.Tracebuf.pid ~lwp:r.Tracebuf.lwp ~name:r.Tracebuf.name
+    ~name2:r.Tracebuf.name2 ~arg:r.Tracebuf.arg ~arg2:r.Tracebuf.arg2
+    ~arg3:r.Tracebuf.arg3
+
 let test_tracebuf_basic () =
   let t = Tracebuf.create ~capacity:4 () in
   for i = 1 to 6 do
-    Tracebuf.emit t ~time:(Int64.of_int i) ~tag:"x" (string_of_int i)
+    emit t
+      (record ~time:(Int64.of_int i) ~name:(string_of_int i) Tracebuf.Chaos)
   done;
   let recs = Tracebuf.records t in
   Alcotest.(check int) "capacity bounds" 4 (List.length recs);
   Alcotest.(check int) "dropped" 2 (Tracebuf.dropped t);
-  Alcotest.(check string) "oldest kept" "3" (List.hd recs).Tracebuf.msg
+  Alcotest.(check string) "oldest kept" "3" (Tracebuf.message (List.hd recs))
 
 let test_tracebuf_find_disable () =
   let t = Tracebuf.create () in
-  Tracebuf.emit t ~time:1L ~tag:"a" "one";
-  Tracebuf.emit t ~time:2L ~tag:"b" "two";
+  emit t (record ~time:1L ~pid:1 Tracebuf.Stop);
+  emit t (record ~time:2L ~pid:1 Tracebuf.Continue);
   Tracebuf.set_enabled t false;
-  Tracebuf.emit t ~time:3L ~tag:"a" "three";
-  Alcotest.(check int) "find a" 1 (List.length (Tracebuf.find t ~tag:"a"));
+  emit t (record ~time:3L ~pid:1 Tracebuf.Stop);
+  Alcotest.(check int) "find stop" 1
+    (List.length (Tracebuf.find t ~tag:"stop"));
   Tracebuf.clear t;
   Alcotest.(check int) "cleared" 0 (List.length (Tracebuf.records t))
+
+let test_tracebuf_zero_capacity () =
+  Alcotest.check_raises "capacity 0"
+    (Invalid_argument "Tracebuf.create: capacity") (fun () ->
+      ignore (Tracebuf.create ~capacity:0 ()))
+
+(* Each kind renders to the text its emitter once formatted. *)
+let test_tracebuf_render () =
+  let open Tracebuf in
+  List.iter
+    (fun (r, tag, text) ->
+      Alcotest.(check (pair string string)) text (tag, text)
+        (Tracebuf.tag r, message r))
+    [
+      ( record ~pid:1 ~lwp:1 ~name:"demo" Spawn,
+        "spawn",
+        "pid1 (demo) created with lwp1" );
+      (record ~cpu:0 ~pid:1 ~lwp:2 Dispatch, "dispatch", "cpu0 <- pid1/lwp2");
+      (record ~cpu:1 ~pid:2 ~lwp:3 Preempt, "preempt", "cpu1 drops pid2/lwp3");
+      ( record ~pid:1 ~lwp:2 ~name:"pipe" ~arg:1 Sleep,
+        "sleep",
+        "pid1/lwp2 on pipe (indefinite)" );
+      ( record ~pid:1 ~lwp:2 ~name:"nanosleep" ~arg:0 Sleep,
+        "sleep",
+        "pid1/lwp2 on nanosleep" );
+      ( record ~pid:4 ~arg:3 Sigwaiting,
+        "sigwaiting",
+        "pid4: all 3 LWPs in indefinite waits" );
+      (record ~pid:1 ~lwp:2 Lwp_exit, "lwp_exit", "pid1/lwp2");
+      (record ~pid:1 ~name:"demo" ~arg:0 Exit, "exit", "pid1 (demo) status=0");
+      ( record ~pid:1 ~lwp:2 ~name:"Not_found" Panic,
+        "panic",
+        "pid1/lwp2 uncaught exception: Not_found" );
+      (record ~arg:2 ~arg2:64 ~arg3:3 Ownerdead, "ownerdead", "seg2+64 woke=3");
+      (record ~name:"proc-kill" Chaos, "chaos", "proc-kill");
+      ( record ~pid:5 ~name:"kv" ~name2:"read" Proc_kill,
+        "chaos",
+        "proc-kill pid5 (kv) in read" );
+      (record ~pid:3 ~lwp:4 Lwp_reap, "chaos", "lwp-reap kills pid3/lwp4");
+      (record ~pid:3 Stop, "stop", "pid3 stopped");
+      (record ~pid:3 Continue, "continue", "pid3 continued");
+      (record ~pid:3 ~name:"SIGUSR1" Signal, "signal", "pid3 <- SIGUSR1");
+      ( record ~pid:3 ~lwp:2 ~name:"SIGWAITING" Signal_lwp,
+        "signal",
+        "pid3/lwp2 <- SIGWAITING" );
+      (record ~pid:3 ~name:"child" Exec, "exec", "pid3 becomes child");
+      ( record ~pid:1 ~name:"web" ~arg:3 ~arg2:32 Listen,
+        "listen",
+        "pid1 listens on web backlog=32 fd3" );
+      (record ~pid:2 ~name:"web" ~arg:4 Connect, "connect", "pid2 -> web fd4");
+      ( record ~pid:2 ~name:"web" Connect_refused,
+        "connect",
+        "pid2 -> web refused" );
+      ( record ~pid:1 ~name:"web" ~arg:5 Accept,
+        "accept",
+        "pid1 accepts on web -> fd5" );
+      (record ~pid:1 ~arg:6 Epoll_create, "epoll", "pid1 epoll_create -> fd6");
+      (record ~pid:1 ~arg:2 Shed, "shed", "pid1 sheds a connection (total 2)");
+      (record ~name:"hang: 2 threads" Thrsan, "thrsan", "hang: 2 threads");
+    ]
+
+(* Against a list model: the ring keeps the last [capacity] records
+   emitted while enabled since the last [clear], and counts the rest as
+   dropped, across every growth step from empty up to [capacity]. *)
+type trace_op = Emit of int | Clear | Enable of bool
+
+let trace_kinds = [| Tracebuf.Dispatch; Tracebuf.Sleep; Tracebuf.Chaos |]
+
+let trace_ops =
+  let open QCheck.Gen in
+  list_size (int_range 0 1000)
+    (frequency
+       [
+         (40, map (fun k -> Emit k) (int_bound 2));
+         (1, return Clear);
+         (2, map (fun b -> Enable b) bool);
+       ])
+
+let show_trace_op = function
+  | Emit k -> string_of_int k
+  | Clear -> "clear"
+  | Enable b -> if b then "on" else "off"
+
+let prop_tracebuf_model =
+  QCheck.Test.make ~name:"tracebuf ring matches a list model" ~count:200
+    QCheck.(
+      pair (int_range 1 300)
+        (make
+           ~print:(fun ops -> String.concat " " (List.map show_trace_op ops))
+           trace_ops))
+    (fun (capacity, ops) ->
+      let t = Tracebuf.create ~capacity () in
+      (* newest first: what was emitted while enabled since the last clear *)
+      let since_clear = ref [] and on = ref true in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Emit k ->
+              let r = record ~time:(Int64.of_int i) trace_kinds.(k) in
+              emit t r;
+              if !on then since_clear := r :: !since_clear
+          | Clear ->
+              Tracebuf.clear t;
+              since_clear := []
+          | Enable b ->
+              Tracebuf.set_enabled t b;
+              on := b)
+        ops;
+      let n = List.length !since_clear in
+      let kept =
+        List.rev (List.filteri (fun j _ -> j < capacity) !since_clear)
+      in
+      Tracebuf.records t = kept
+      && Tracebuf.find t ~tag:"sleep"
+         = List.filter (fun r -> r.Tracebuf.kind = Tracebuf.Sleep) kept
+      && Tracebuf.dropped t = n - List.length kept)
 
 (* ------------------------------ Univ ------------------------------ *)
 
@@ -523,6 +651,10 @@ let () =
         [
           Alcotest.test_case "ring" `Quick test_tracebuf_basic;
           Alcotest.test_case "find/disable" `Quick test_tracebuf_find_disable;
+          Alcotest.test_case "capacity 0 rejected" `Quick
+            test_tracebuf_zero_capacity;
+          Alcotest.test_case "render" `Quick test_tracebuf_render;
+          qt prop_tracebuf_model;
         ] );
       ("univ", [ Alcotest.test_case "roundtrip" `Quick test_univ_roundtrip ]);
     ]

@@ -223,9 +223,7 @@ let test_trace_and_procfs () =
   Alcotest.(check (pair int int)) "procfs socket counts" (1, 1) !counts;
   let tags =
     List.sort_uniq compare
-      (List.map
-         (fun r -> r.Sunos_sim.Tracebuf.tag)
-         (Kernel.trace_records k))
+      (List.map Sunos_sim.Tracebuf.tag (Kernel.trace_records k))
   in
   List.iter
     (fun t ->
