@@ -346,14 +346,14 @@ let broadcast () =
     "  (broadcast also makes the number of signals received uncountable,      as the paper notes)
 "
 
-(* A9: run-ahead charge coalescing window.  The budget a resumed fiber
-   may burn before trapping back into the event queue is capped by the
-   cost model's [coalesce_window]; this sweep shows the wall-clock
-   response (off = every charge is an event) and checks the invariant
-   the design rests on: the window is invisible to the simulation, so
-   every simulated figure must be bit-identical across the sweep. *)
+(* A9: run-ahead charge coalescing, off vs on.  Off, every charge is an
+   event; on, a resumed fiber burns up to the event horizon before
+   trapping back into the event queue.  This shows the wall-clock
+   response and checks the invariant the design rests on: coalescing is
+   invisible to the simulation, so every simulated figure must be
+   bit-identical either way. *)
 let coalesce ?(smoke = false) () =
-  section "A9: run-ahead charge coalescing window sweep";
+  section "A9: run-ahead charge coalescing, off vs on";
   let txns = if smoke then 40 else 400 in
   let db_p =
     {
@@ -366,7 +366,7 @@ let coalesce ?(smoke = false) () =
       mmap_io = true;
     }
   in
-  Bout.printf "  %-8s %10s %16s %14s\n" "window" "wall (s)"
+  Bout.printf "  %-8s %10s %16s %14s\n" "coalesce" "wall (s)"
     "sync bound (us)" "db makespan";
   let baseline = ref None in
   let drifted = ref false in
@@ -385,18 +385,16 @@ let coalesce ?(smoke = false) () =
           if not (sy0 = sy && mk0 = r.Db.makespan && c0 = r.Db.committed)
           then begin
             drifted := true;
-            Bout.printf "  ^^^ SIMULATED RESULTS DRIFTED at window %s\n" name
+            Bout.printf "  ^^^ SIMULATED RESULTS DRIFTED with coalescing %s\n"
+              name
           end)
     [
       ("off", { Cost.default with coalesce = false });
-      ("100us", { Cost.default with coalesce_window = Time.us 100 });
-      ("1ms", { Cost.default with coalesce_window = Time.ms 1 });
-      ("10ms", { Cost.default with coalesce_window = Time.ms 10 });
-      ("100ms", { Cost.default with coalesce_window = Time.ms 100 });
+      ("on", Cost.default);
     ];
   if !drifted then begin
     Printf.eprintf
-      "ablation-coalesce: simulated results depend on the coalesce window\n";
+      "ablation-coalesce: simulated results depend on coalescing\n";
     exit 1
   end
 

@@ -42,10 +42,10 @@ let targets : (string * string * (unit -> unit)) list =
     ("ablation-microtask", "raw-LWP language runtime vs bound threads", Ablations.microtask);
     ("ablation-broadcast", "single signal delivery vs Chorus broadcast", Ablations.broadcast);
     ( "ablation-coalesce",
-      "run-ahead charge coalescing window sweep",
+      "run-ahead charge coalescing, off vs on",
       fun () -> Ablations.coalesce () );
     ( "ablation-coalesce-smoke",
-      "fast coalescing sweep: checks simulated results are window-invariant",
+      "fast coalescing off vs on: checks simulated results are unchanged",
       fun () -> Ablations.coalesce ~smoke:true () );
     ( "ablation-chaos",
       "fault-rate sweep: hardened server degradation under chaos",
@@ -59,7 +59,6 @@ let targets : (string * string * (unit -> unit)) list =
     ( "ablation-kv-chaos-smoke",
       "fast proc-kill sweep: checks put/get conservation and recovery",
       fun () -> Ablations.kv_chaos ~smoke:true () );
-    ("wallclock", "Bechamel microbenchmarks of the engine", Wallclock.benchmark);
     ( "wallclock-scaling",
       "wall-clock of engine-stressing workloads; appends to BENCH_wallclock.json",
       Wallclock.scaling );

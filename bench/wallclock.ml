@@ -1,71 +1,12 @@
-(* Bechamel wall-clock microbenchmarks of the real engine underneath the
-   simulation: fiber spawn/suspend (OCaml effects), the event queue, and
-   a complete simulated thread create+join.  These measure the
-   reproduction's own implementation, not the 1991 cost model. *)
+(* Wall-clock of whole simulated workloads: the reproduction's own
+   engine, not the 1991 cost model.  The engine's single calls (heap op,
+   event, effect round trip, boot, thread handoff) are timed per layer
+   by perfbench/layers.ml. *)
 
-module Time = Sunos_sim.Time
 module Eventq = Sunos_sim.Eventq
-module Pheap = Sunos_sim.Pheap
 module Cost = Sunos_hw.Cost_model
 module Kernel = Sunos_kernel.Kernel
 module Uctx = Sunos_kernel.Uctx
-module T = Sunos_threads.Thread
-module Libthread = Sunos_threads.Libthread
-open Bechamel
-open Toolkit
-
-let test_pheap =
-  Test.make ~name:"pheap insert+pop x100"
-    (Staged.stage (fun () ->
-         let h = Pheap.create ~cmp:compare in
-         for i = 0 to 99 do
-           Pheap.insert h ((i * 7919) mod 100)
-         done;
-         for _ = 0 to 99 do
-           ignore (Pheap.pop_min h)
-         done))
-
-let test_eventq =
-  Test.make ~name:"eventq schedule+fire x100"
-    (Staged.stage (fun () ->
-         let q = Eventq.create () in
-         for i = 1 to 100 do
-           ignore (Eventq.at q (Int64.of_int i) ignore)
-         done;
-         Eventq.run q))
-
-let test_fiber =
-  Test.make ~name:"effect fiber spawn+2 suspends"
-    (Staged.stage (fun () ->
-         let step =
-           Sunos_kernel.Uctx.run_fiber (fun () ->
-               Uctx.charge 1L;
-               Uctx.charge 1L)
-         in
-         (* drive the two charges by hand *)
-         let rec drive = function
-           | Sunos_kernel.Uctx.Step_charge (_, k) ->
-               drive (Effect.Deep.continue k false)
-           | Sunos_kernel.Uctx.Step_done -> ()
-           | Sunos_kernel.Uctx.Step_sys _ | Sunos_kernel.Uctx.Step_raised _ ->
-               assert false
-         in
-         drive step))
-
-let test_sim_thread_roundtrip =
-  Test.make ~name:"simulated create+join (whole machine)"
-    (Staged.stage (fun () ->
-         let k = Kernel.boot () in
-         Kernel.set_tracing k false;
-         ignore
-           (Kernel.spawn k ~name:"b"
-              ~main:
-                (Libthread.boot (fun () ->
-                     let t =
-                       T.create ~flags:[ T.THREAD_WAIT ] (fun () -> ())
-                     in
-                     ignore (T.wait ~thread:t ()))));
-         Kernel.run k))
 
 (* ------------------------------------------------------------------ *)
 (* Scaling sections: wall-clock of whole simulated workloads            *)
@@ -531,33 +472,3 @@ let smoke () =
       (String.concat ", " failures);
     exit 1
   end
-
-let benchmark () =
-  let tests =
-    [ test_pheap; test_eventq; test_fiber; test_sim_thread_roundtrip ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Bechamel.Time.second 0.5) () in
-  let results =
-    List.map
-      (fun test ->
-        (Test.Elt.name (List.hd (Test.elements test)),
-         Benchmark.all cfg instances test))
-      tests
-  in
-  Bout.printf "\n=== W1: wall-clock microbenchmarks of the engine ===\n\n";
-  List.iter
-    (fun (name, raw) ->
-      let analyzed =
-        Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false
-                       ~predictors:[| Measure.run |])
-          (Instance.monotonic_clock) raw
-      in
-      Hashtbl.iter
-        (fun _k v ->
-          match Analyze.OLS.estimates v with
-          | Some [ est ] ->
-              Bout.printf "  %-42s %12.0f ns/iter\n" name est
-          | _ -> Bout.printf "  %-42s (no estimate)\n" name)
-        analyzed)
-    results

@@ -41,7 +41,6 @@ type t = {
   copy_per_kb : Time.span;
   disk_access : Time.span;
   net_rtt : Time.span;
-  tty_latency : Time.span;
   quantum : Time.span;
   clock_tick : Time.span;
   adaptive_spin_limit : int;
@@ -55,9 +54,6 @@ type t = {
          budget never crosses the event queue's next pending event);
          the toggle exists for ablations and for A/B equivalence
          tests, not because off is ever better *)
-  coalesce_window : Time.span;
-      (* upper bound on a single run-ahead grant, independent of the
-         quantum and the event horizon; sweepable in ablations *)
 }
 
 (* Calibration notes.  Component values are 1991-plausible path lengths at
@@ -111,12 +107,10 @@ let default =
     copy_per_kb = Time.us 55;
     disk_access = Time.ms 22;
     net_rtt = Time.ms 3;
-    tty_latency = Time.ms 1;
     quantum = Time.ms 100;
     clock_tick = Time.ms 10;
     adaptive_spin_limit = 5;
     coalesce = true;
-    coalesce_window = Time.ms 100;
   }
 
 let free =
@@ -161,12 +155,10 @@ let free =
     copy_per_kb = 0L;
     disk_access = 0L;
     net_rtt = 0L;
-    tty_latency = 0L;
     quantum = Time.ms 100;
     clock_tick = Time.ms 10;
     adaptive_spin_limit = 5;
     coalesce = true;
-    coalesce_window = Time.ms 100;
   }
 
 let scale f c =
@@ -212,10 +204,8 @@ let scale f c =
     copy_per_kb = s c.copy_per_kb;
     disk_access = s c.disk_access;
     net_rtt = s c.net_rtt;
-    tty_latency = s c.tty_latency;
     quantum = s c.quantum;
     clock_tick = s c.clock_tick;
     adaptive_spin_limit = c.adaptive_spin_limit;
     coalesce = c.coalesce;
-    coalesce_window = s c.coalesce_window;
   }

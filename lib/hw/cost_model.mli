@@ -65,7 +65,6 @@ type t = {
   (* --- devices ------------------------------------------------------- *)
   disk_access : Sunos_sim.Time.span;  (** mean rotational + seek + transfer *)
   net_rtt : Sunos_sim.Time.span;  (** LAN round trip *)
-  tty_latency : Sunos_sim.Time.span;
   (* --- scheduler parameters ------------------------------------------ *)
   quantum : Sunos_sim.Time.span;  (** timeshare scheduling quantum *)
   clock_tick : Sunos_sim.Time.span;  (** 100 Hz clock *)
@@ -81,9 +80,6 @@ type t = {
           effect per charge — one settle event per window.  Strictly
           behavior-preserving (see DESIGN.md); the toggle exists for
           the ablation and the A/B equivalence suite *)
-  coalesce_window : Sunos_sim.Time.span;
-      (** upper bound on a single run-ahead grant, independent of the
-          remaining quantum and the event horizon; [scale] scales it *)
 }
 
 val default : t

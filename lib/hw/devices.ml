@@ -88,29 +88,3 @@ module Net = struct
      while the delivery is pending. *)
   let delay t span on_complete = fire t span on_complete
 end
-
-module Tty = struct
-  type t = {
-    eventq : Eventq.t;
-    latency : Time.span;
-    input : string Queue.t;
-    mutable listeners : (unit -> unit) list;
-  }
-
-  let create ~eventq ~latency =
-    { eventq; latency; input = Queue.create (); listeners = [] }
-
-  let type_input t line =
-    ignore
-      (Eventq.after t.eventq t.latency (fun () ->
-           Queue.add line t.input;
-           let ls = List.rev t.listeners in
-           t.listeners <- [];
-           List.iter (fun f -> f ()) ls))
-
-  let read_input t = Queue.take_opt t.input
-  let has_input t = not (Queue.is_empty t.input)
-
-  let on_data_ready t f =
-    if has_input t then f () else t.listeners <- f :: t.listeners
-end

@@ -53,25 +53,3 @@ module Net : sig
   (** Re-schedule a deferred delivery after [span]; counted in flight
       like a transfer.  Used for fault-injected peer stalls. *)
 end
-
-module Tty : sig
-  (** Terminal: an input queue fed by the workload.  The kernel registers
-      a listener that fires when input arrives (interrupt). *)
-
-  type t
-
-  val create : eventq:Sunos_sim.Eventq.t -> latency:Sunos_sim.Time.span -> t
-
-  val type_input : t -> string -> unit
-  (** Enqueue a line of input; the data-ready listener fires after the
-      device latency. *)
-
-  val read_input : t -> string option
-  (** Dequeue buffered input, if any. *)
-
-  val has_input : t -> bool
-
-  val on_data_ready : t -> (unit -> unit) -> unit
-  (** One-shot: fires once when input is (or becomes) available, then is
-      dropped; re-register to keep listening. *)
-end

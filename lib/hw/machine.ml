@@ -5,7 +5,6 @@ type t = {
   cpus : Cpu.t array;
   disk : Devices.Disk.t;
   net : Devices.Net.t;
-  tty : Devices.Tty.t;
   cost : Cost_model.t;
   trace : Sim.Tracebuf.t;
   rng : Sim.Rng.t;
@@ -26,7 +25,6 @@ let create ?(cpus = 1) ?(cost = Cost_model.default) ?(seed = 1L)
     cpus = Array.init cpus (fun id -> Cpu.create ~id);
     disk = Devices.Disk.create ~eventq ~access_time:cost.Cost_model.disk_access ();
     net = Devices.Net.create ~eventq ~rtt:cost.Cost_model.net_rtt ();
-    tty = Devices.Tty.create ~eventq ~latency:cost.Cost_model.tty_latency;
     cost;
     trace = Sim.Tracebuf.create ?capacity:trace_capacity ();
     rng = Sim.Rng.create ~seed;

@@ -6,7 +6,6 @@ type t = {
   cpus : Cpu.t array;
   disk : Devices.Disk.t;
   net : Devices.Net.t;
-  tty : Devices.Tty.t;
   cost : Cost_model.t;
   trace : Sunos_sim.Tracebuf.t;
   rng : Sunos_sim.Rng.t;

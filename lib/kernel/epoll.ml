@@ -3,10 +3,10 @@
    The legacy [poll] syscall re-examines every fd in its set on every
    wakeup — O(connections) work per event, which is exactly the wall the
    C10k literature hit.  This object inverts the direction: each
-   interested fd holds a persistent {!Socket.watch}/{!Pipe.watch} that
-   pushes the fd's interest entry onto the ready queue at the state
-   transition itself, so a wait costs O(ready), independent of how many
-   connections are held.
+   interested fd holds a persistent {!Readiness.watch} on its socket or
+   pipe that pushes the fd's interest entry onto the ready queue at the
+   state transition itself, so a wait costs O(ready), independent of how
+   many connections are held.
 
    Edge-triggered with explicit re-arm: an entry is queued at most once
    (the [e_queued] flag bounds the ready queue by the interest size and
@@ -30,14 +30,14 @@ type entry = {
   mutable e_armed : bool;  (* eligible to queue; ONESHOT clears on delivery *)
   mutable e_queued : bool;  (* sitting in [ready]: dedups edges *)
   mutable e_dead : bool;  (* removed from interest; skipped at pop *)
-  mutable e_unwatch : unit -> unit;  (* detaches the object watches *)
+  mutable e_watches : Readiness.watch list;  (* on the fd's object *)
 }
 
 type t = {
   id : int;  (* the owning fd number, for /proc and traces *)
   interest : (int, entry) Hashtbl.t;
   ready : entry Queue.t;
-  mutable wait_waiters : (unit -> unit) list;  (* one-shot, socket-style *)
+  on_ready : Readiness.t;  (* an entry queued, or the epoll closed *)
   mutable closed : bool;
   (* stats, surfaced via procfs pp_epoll and the net_server debrief *)
   mutable edges : int;  (* entries enqueued *)
@@ -51,7 +51,7 @@ let create ~id =
     id;
     interest = Hashtbl.create 64;
     ready = Queue.create ();
-    wait_waiters = [];
+    on_ready = Readiness.create ();
     closed = false;
     edges = 0;
     coalesced = 0;
@@ -68,16 +68,13 @@ let edges t = t.edges
 let coalesced t = t.coalesced
 let wakeups t = t.wakeups
 let delivered t = t.delivered
+let readiness t = t.on_ready
 
 let fire_waiters t =
-  match t.wait_waiters with
-  | [] -> ()
-  | ws ->
-      t.wait_waiters <- [];
-      t.wakeups <- t.wakeups + List.length ws;
-      List.iter (fun f -> f ()) (List.rev ws)
+  t.wakeups <- t.wakeups + Readiness.waiters t.on_ready;
+  Readiness.fire t.on_ready
 
-let add_waiter t f = t.wait_waiters <- f :: t.wait_waiters
+let unwatch e = List.iter Readiness.unwatch e.e_watches
 
 let register t ~fd ~want_in ~want_out ~oneshot =
   let e =
@@ -89,7 +86,7 @@ let register t ~fd ~want_in ~want_out ~oneshot =
       e_armed = true;
       e_queued = false;
       e_dead = false;
-      e_unwatch = (fun () -> ());
+      e_watches = [];
     }
   in
   Hashtbl.replace t.interest fd e;
@@ -114,7 +111,7 @@ let note_edge t e =
 let kill_entry t e =
   if not e.e_dead then begin
     e.e_dead <- true;
-    e.e_unwatch ();
+    unwatch e;
     Hashtbl.remove t.interest e.e_fd
   end
 
@@ -134,7 +131,7 @@ let note_delivered t e =
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    Hashtbl.iter (fun _ e -> e.e_dead <- true; e.e_unwatch ()) t.interest;
+    Hashtbl.iter (fun _ e -> e.e_dead <- true; unwatch e) t.interest;
     Hashtbl.reset t.interest;
     Queue.clear t.ready;
     (* a waiter blocked on a concurrently-closed epoll fd re-checks and

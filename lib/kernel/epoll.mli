@@ -1,8 +1,9 @@
 (** The epoll kernel object: interest set + edge-triggered ready queue.
 
     Sockets and pipes push interest entries onto the ready queue at the
-    state transition itself (via their persistent watches), so a wait
-    costs O(ready) instead of the legacy poll's O(connections) rescan.
+    state transition itself (via persistent {!Readiness.watch}es on
+    their sources), so a wait costs O(ready) instead of the legacy
+    poll's O(connections) rescan.
     Edge-triggered with arm-time level checks; ONESHOT entries disarm on
     delivery until re-armed by ctl(MOD).  The [e_queued] flag bounds the
     ready queue by the interest size and counts coalesced edges.
@@ -18,7 +19,7 @@ type entry = {
   mutable e_armed : bool;
   mutable e_queued : bool;
   mutable e_dead : bool;
-  mutable e_unwatch : unit -> unit;
+  mutable e_watches : Readiness.watch list;
 }
 
 type t
@@ -32,8 +33,8 @@ val find : t -> int -> entry option
 
 val register : t -> fd:int -> want_in:bool -> want_out:bool -> oneshot:bool -> entry
 (** Insert an armed, unqueued entry; the caller attaches the object
-    watches and stores their detach closure in [e_unwatch], then runs
-    the arm-time readiness check ({!note_edge} on a ready level). *)
+    watches and stores them in [e_watches], then runs the arm-time
+    readiness check ({!note_edge} on a ready level). *)
 
 val note_edge : t -> entry -> unit
 (** An edge (or arm-time level hit) on an entry: enqueue it unless
@@ -52,9 +53,9 @@ val pop : t -> entry option
 val note_delivered : t -> entry -> unit
 (** Delivery accounting; disarms ONESHOT entries. *)
 
-val add_waiter : t -> (unit -> unit) -> unit
-(** One-shot waiter, fired (socket-style, oldest first) when an entry is
-    enqueued or the epoll closes. *)
+val readiness : t -> Readiness.t
+(** The ready queue's readiness: fires when an entry is enqueued or the
+    epoll closes.  Each one-shot waiter it fires counts as a wakeup. *)
 
 val close : t -> unit
 (** Detach every watch, clear interest and ready, wake blocked waiters. *)

@@ -37,7 +37,6 @@ let exit_status k pid =
       | Ktypes.Palive -> None)
   | None -> None
 
-let tty_input k line = Sunos_hw.Devices.Tty.type_input (machine k).Machine.tty line
 let trace_records k = Sunos_sim.Tracebuf.records (machine k).Machine.trace
 let set_tracing k b = Sunos_sim.Tracebuf.set_enabled (machine k).Machine.trace b
 

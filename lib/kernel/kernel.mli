@@ -51,9 +51,6 @@ val proc_alive : t -> int -> bool
 val exit_status : t -> int -> int option
 (** Exit status of a finished (zombie or reaped) process. *)
 
-val tty_input : t -> string -> unit
-(** Type a line on the machine's terminal. *)
-
 val trace_records : t -> Sunos_sim.Tracebuf.record list
 (** The kernel trace, oldest first, as typed records: read their fields
     directly, or render them with {!Sunos_sim.Tracebuf.tag} and

@@ -239,7 +239,7 @@ let quantum_for k lwp =
    far may it charge before settling with the kernel?
 
    The budget is min(remaining quantum, time to the event queue's next
-   pending event, coalesce_window).  The horizon cap is the exactness
+   pending event).  The horizon cap is the exactness
    argument: no event fires strictly before [next_time], so nothing in
    the simulated machine can observe the fiber between the grant and its
    settle — coalescing N charge events into one is invisible.  The
@@ -273,10 +273,9 @@ let grant_budget k cpu lwp =
          | Some b -> b = Cpu.id cpu
          | None -> true)
     then
-      let cap = Time.min lwp.quantum_left c.Cost.coalesce_window in
       match Eventq.next_time (eventq k) with
-      | Some t -> Time.min cap (Time.diff t (now k))
-      | None -> cap
+      | Some t -> Time.min lwp.quantum_left (Time.diff t (now k))
+      | None -> lwp.quantum_left
     else 0L
   in
   Uctx.grant ~budget

@@ -1,23 +1,10 @@
-(* Persistent readiness watch — same contract as Socket.watch: fires at
-   every transition until unwatched, no readiness check at registration,
-   spurious firings allowed.  The epoll object subscribes through these. *)
-type watch = { w_fire : unit -> unit; mutable w_active : bool }
-
-let unwatch w = w.w_active <- false
-
-let fire_watches ws =
-  List.iter (fun w -> if w.w_active then w.w_fire ()) ws;
-  List.filter (fun w -> w.w_active) ws
-
 type t = {
   capacity : int;
   buf : Buffer.t;
   mutable read_closed : bool;
   mutable write_closed : bool;
-  mutable read_waiters : (unit -> unit) list;
-  mutable write_waiters : (unit -> unit) list;
-  mutable read_watches : watch list;
-  mutable write_watches : watch list;
+  on_read : Readiness.t;  (* data written, or the writers closed *)
+  on_write : Readiness.t;  (* room made, or the readers closed *)
 }
 
 let default_capacity = 5120
@@ -28,10 +15,8 @@ let create ?(capacity = default_capacity) () =
     buf = Buffer.create 256;
     read_closed = false;
     write_closed = false;
-    read_waiters = [];
-    write_waiters = [];
-    read_watches = [];
-    write_watches = [];
+    on_read = Readiness.create ();
+    on_write = Readiness.create ();
   }
 
 let buffered t = Buffer.length t.buf
@@ -39,21 +24,8 @@ let readable t = buffered t > 0 || t.write_closed
 let writable t = buffered t < t.capacity || t.read_closed
 let read_closed t = t.read_closed
 let write_closed t = t.write_closed
-
-(* registration is O(1) (prepend), firing reverses to oldest-first —
-   pollers re-register each cycle, so tail-append would go quadratic *)
-let fire_read_waiters t =
-  let ws = List.rev t.read_waiters in
-  t.read_waiters <- [];
-  List.iter (fun f -> f ()) ws;
-  if t.read_watches <> [] then t.read_watches <- fire_watches t.read_watches
-
-let fire_write_waiters t =
-  let ws = List.rev t.write_waiters in
-  t.write_waiters <- [];
-  List.iter (fun f -> f ()) ws;
-  if t.write_watches <> [] then
-    t.write_watches <- fire_watches t.write_watches
+let read_readiness t = t.on_read
+let write_readiness t = t.on_write
 
 let read t ~len =
   let n = min len (buffered t) in
@@ -63,7 +35,7 @@ let read t ~len =
     let out = String.sub all 0 n in
     Buffer.clear t.buf;
     Buffer.add_substring t.buf all n (String.length all - n);
-    fire_write_waiters t;
+    Readiness.fire t.on_write;
     out
   end
 
@@ -72,30 +44,14 @@ let write t s =
   let n = min room (String.length s) in
   if n > 0 then begin
     Buffer.add_substring t.buf s 0 n;
-    fire_read_waiters t
+    Readiness.fire t.on_read
   end;
   n
 
 let close_read t =
   t.read_closed <- true;
-  fire_write_waiters t
+  Readiness.fire t.on_write
 
 let close_write t =
   t.write_closed <- true;
-  fire_read_waiters t
-
-let on_readable t f =
-  if readable t then f () else t.read_waiters <- f :: t.read_waiters
-
-let on_writable t f =
-  if writable t then f () else t.write_waiters <- f :: t.write_waiters
-
-let watch_readable t f =
-  let w = { w_fire = f; w_active = true } in
-  t.read_watches <- w :: t.read_watches;
-  w
-
-let watch_writable t f =
-  let w = { w_fire = f; w_active = true } in
-  t.write_watches <- w :: t.write_watches;
-  w
+  Readiness.fire t.on_read

@@ -1,8 +1,9 @@
-(** Kernel pipe: a bounded byte buffer with readiness callbacks.
+(** Kernel pipe: a bounded byte buffer with one {!Readiness.t} per end.
 
-    The pipe knows nothing about LWPs; the syscall layer registers
-    one-shot callbacks that it uses to wake sleepers.  This keeps the
-    module free of kernel-type cycles and reusable by [poll]. *)
+    The pipe knows nothing about LWPs; it fires the read end's readiness
+    when data arrives or the writers close, and the write end's when
+    room opens or the readers close.  The syscall layer builds blocking
+    read/write, [poll] and epoll interest on those two sources. *)
 
 type t
 
@@ -27,20 +28,9 @@ val close_write : t -> unit
 val read_closed : t -> bool
 val write_closed : t -> bool
 
-val on_readable : t -> (unit -> unit) -> unit
-(** One-shot: fires once at the next transition that could make a reader
-    make progress (data written or writers closed), then is dropped. *)
+val read_readiness : t -> Readiness.t
+(** Fires at every transition that could let a reader make progress:
+    data written, or the write end closed. *)
 
-val on_writable : t -> (unit -> unit) -> unit
-
-(** {1 Persistent readiness watches (epoll support)}
-
-    Same contract as {!Socket.watch}: fires at every transition until
-    unwatched, no readiness check at registration, spurious firings
-    allowed. *)
-
-type watch
-
-val watch_readable : t -> (unit -> unit) -> watch
-val watch_writable : t -> (unit -> unit) -> watch
-val unwatch : watch -> unit
+val write_readiness : t -> Readiness.t
+(** Fires when a read makes room or the read end closes. *)

@@ -1,15 +1,15 @@
 (* Connection-oriented stream sockets for the simulated kernel.
 
    This module is pure mechanism, in the style of Pipe: bounded buffers,
-   closed flags and one-shot readiness callbacks.  What is new relative
-   to a pipe is that the two endpoints live in different processes and
-   every byte crosses the simulated network: a successful [write] only
-   *accepts* the data into the sender's window; delivery into the peer's
-   receive buffer happens a transfer time plus half a round trip later,
-   through [Devices.Net.send].  The write window is
-   [capacity - delivered - in_flight], so a writer stalls exactly when
-   the receiver is slow to drain — TCP-style backpressure with a fixed
-   window.
+   closed flags and one {!Readiness.t} per direction and per listener.
+   What is new relative to a pipe is that the two endpoints live in
+   different processes and every byte crosses the simulated network: a
+   successful [write] only *accepts* the data into the sender's window;
+   delivery into the peer's receive buffer happens a transfer time plus
+   half a round trip later, through [Devices.Net.send].  The write
+   window is [capacity - delivered - in_flight], so a writer stalls
+   exactly when the receiver is slow to drain — TCP-style backpressure
+   with a fixed window.
 
    Determinism: the net device of the simulated machine carries no
    jitter and the event queue breaks timestamp ties in insertion order,
@@ -19,24 +19,6 @@
 module Net = Sunos_hw.Devices.Net
 module Time = Sunos_sim.Time
 
-(* A persistent readiness watch: unlike the one-shot waiter lists below
-   it stays registered across firings and is detached explicitly (or
-   lazily, via the active flag, when the owner disappears first).  This
-   is the edge-notification primitive the epoll object builds on: the
-   callback fires at every state transition that may have made the
-   object ready, and the subscriber is responsible for deduplication —
-   spurious firings are part of the contract. *)
-type watch = { w_fire : unit -> unit; mutable w_active : bool }
-
-let unwatch w = w.w_active <- false
-
-(* Fire the live watches and prune the dead ones.  Watch lists are tiny
-   (one epoll interest per fd side in practice), so the rebuild is
-   cheaper than bookkeeping a doubly-linked list. *)
-let fire_watches ws =
-  List.iter (fun w -> if w.w_active then w.w_fire ()) ws;
-  List.filter (fun w -> w.w_active) ws
-
 type dir = {
   capacity : int;
   buf : Buffer.t;  (* delivered, not yet read by the receiver *)
@@ -44,10 +26,8 @@ type dir = {
   mutable wclosed : bool;  (* sender closed: EOF once [buf] drains *)
   mutable rclosed : bool;  (* receiver closed: further writes are resets *)
   mutable stall_until : Time.t;  (* fault injection: peer not draining *)
-  mutable read_waiters : (unit -> unit) list;
-  mutable write_waiters : (unit -> unit) list;
-  mutable read_watches : watch list;  (* persistent: epoll edges *)
-  mutable write_watches : watch list;
+  on_read : Readiness.t;  (* the receiver's: delivery, EOF, reset *)
+  on_write : Readiness.t;  (* the sender's: window opened, reset *)
 }
 
 type conn = {
@@ -65,8 +45,7 @@ type listener = {
   backlog : int;
   capacity : int;  (* per-direction buffer size of accepted connections *)
   pending : endpoint Queue.t;  (* established, not yet accepted *)
-  mutable accept_waiters : (unit -> unit) list;
-  mutable accept_watches : watch list;
+  on_accept : Readiness.t;  (* an arrival, or the listener closed *)
   mutable lclosed : bool;
   registry : registry;
 }
@@ -86,35 +65,12 @@ let mk_dir capacity =
     wclosed = false;
     rclosed = false;
     stall_until = Time.zero;
-    read_waiters = [];
-    write_waiters = [];
-    read_watches = [];
-    write_watches = [];
+    on_read = Readiness.create ();
+    on_write = Readiness.create ();
   }
 
 let buffered (d : dir) = Buffer.length d.buf
 let window (d : dir) = d.capacity - buffered d - d.in_flight
-
-(* Waiters are pushed in reverse and fired oldest-first: registration
-   must be O(1) because a poller re-registers on every idle fd it
-   watches on every poll cycle — appending to the list tail would make
-   an idle connection cost quadratic time between readiness events. *)
-(* One-shot waiters fire before persistent watches so the pre-epoll
-   blocking paths observe exactly the wakeup order they always have —
-   with no watches registered these functions are byte-identical to
-   their old selves, which is what keeps the legacy goldens valid. *)
-let fire_read_waiters d =
-  let ws = List.rev d.read_waiters in
-  d.read_waiters <- [];
-  List.iter (fun f -> f ()) ws;
-  if d.read_watches <> [] then d.read_watches <- fire_watches d.read_watches
-
-let fire_write_waiters d =
-  let ws = List.rev d.write_waiters in
-  d.write_waiters <- [];
-  List.iter (fun f -> f ()) ws;
-  if d.write_watches <> [] then
-    d.write_watches <- fire_watches d.write_watches
 
 (* ---- endpoints ------------------------------------------------------ *)
 
@@ -144,7 +100,7 @@ let read ep ~len =
       Buffer.clear d.buf;
       Buffer.add_substring d.buf all n (String.length all - n);
       (* the window just opened: let the peer's writers at it *)
-      fire_write_waiters d;
+      Readiness.fire d.on_write;
       `Data out
     end
     else if at_eof d then `Eof
@@ -169,13 +125,18 @@ let rec deliver conn d chunk =
     d.in_flight <- d.in_flight - String.length chunk;
     if not (d.rclosed || conn.reset) then begin
       Buffer.add_string d.buf chunk;
-      fire_read_waiters d
+      Readiness.fire d.on_read
     end
     else if d.in_flight = 0 && d.wclosed then
       (* last straggler of an already-closed stream: readers blocked for
          the ordered EOF can now see it *)
-      fire_read_waiters d
+      Readiness.fire d.on_read
   end
+
+(* A teardown may unblock either side of a direction. *)
+let fire_all d =
+  Readiness.fire d.on_read;
+  Readiness.fire d.on_write
 
 let stall ep ~until =
   let d = outgoing ep in
@@ -191,10 +152,8 @@ let abort ep =
     c.reset <- true;
     Buffer.clear c.c2s.buf;
     Buffer.clear c.s2c.buf;
-    fire_read_waiters c.c2s;
-    fire_write_waiters c.c2s;
-    fire_read_waiters c.s2c;
-    fire_write_waiters c.s2c
+    fire_all c.c2s;
+    fire_all c.s2c
   end
 
 let write ep data =
@@ -223,40 +182,12 @@ let close ep =
       Buffer.clear inc.buf;
       Buffer.clear out.buf
     end;
-    fire_read_waiters out;
-    fire_write_waiters out;
-    fire_read_waiters inc;
-    fire_write_waiters inc
+    fire_all out;
+    fire_all inc
   end
 
-let on_readable ep f =
-  if readable ep then f ()
-  else
-    let d = incoming ep in
-    d.read_waiters <- f :: d.read_waiters
-
-let on_writable ep f =
-  if writable ep then f ()
-  else
-    let d = outgoing ep in
-    d.write_waiters <- f :: d.write_waiters
-
-(* Persistent watches do NOT check current readiness at registration:
-   the epoll layer performs its own level check when an interest is
-   added or re-armed, and only the subsequent transitions come through
-   here.  Splitting it this way is what makes the lost-wakeup argument
-   local (see DESIGN.md). *)
-let watch_readable ep f =
-  let w = { w_fire = f; w_active = true } in
-  let d = incoming ep in
-  d.read_watches <- w :: d.read_watches;
-  w
-
-let watch_writable ep f =
-  let w = { w_fire = f; w_active = true } in
-  let d = outgoing ep in
-  d.write_watches <- w :: d.write_watches;
-  w
+let read_readiness ep = (incoming ep).on_read
+let write_readiness ep = (outgoing ep).on_write
 
 (* ---- listeners ------------------------------------------------------ *)
 
@@ -269,8 +200,7 @@ let listen registry ~name ~backlog ?(capacity = default_capacity) () =
         backlog = max 1 backlog;
         capacity;
         pending = Queue.create ();
-        accept_waiters = [];
-        accept_watches = [];
+        on_accept = Readiness.create ();
         lclosed = false;
         registry;
       }
@@ -284,13 +214,7 @@ let listener_closed l = l.lclosed
 let listener_name l = l.lname
 let pending_count l = Queue.length l.pending
 let acceptable l = l.lclosed || not (Queue.is_empty l.pending)
-
-let fire_accept_waiters l =
-  let ws = List.rev l.accept_waiters in
-  l.accept_waiters <- [];
-  List.iter (fun f -> f ()) ws;
-  if l.accept_watches <> [] then
-    l.accept_watches <- fire_watches l.accept_watches
+let accept_readiness l = l.on_accept
 
 (* SYN arrival: admit a connection if the listener still exists and the
    backlog has room.  Returns the client endpoint; the matching server
@@ -302,19 +226,11 @@ let try_admit l ~net =
       { net; c2s = mk_dir l.capacity; s2c = mk_dir l.capacity; reset = false }
     in
     Queue.add { conn; side = Server } l.pending;
-    fire_accept_waiters l;
+    Readiness.fire l.on_accept;
     Some { conn; side = Client }
   end
 
 let accept l = Queue.take_opt l.pending
-
-let on_acceptable l f =
-  if acceptable l then f () else l.accept_waiters <- f :: l.accept_waiters
-
-let watch_acceptable l f =
-  let w = { w_fire = f; w_active = true } in
-  l.accept_watches <- w :: l.accept_watches;
-  w
 
 let close_listener l =
   if not l.lclosed then begin
@@ -324,7 +240,7 @@ let close_listener l =
        them so the far side sees a reset rather than a silent hang *)
     Queue.iter close l.pending;
     Queue.clear l.pending;
-    fire_accept_waiters l
+    Readiness.fire l.on_accept
   end
 
 (* A socketpair without the listen/connect dance — for shims and tests. *)

@@ -18,8 +18,9 @@
     queue until an [accept] collects it.
 
     Like {!Pipe}, this module is policy-free: no LWPs, no costs, no
-    errnos — just state transitions and one-shot readiness callbacks the
-    syscall layer builds blocking semantics from. *)
+    errnos — just state transitions, and a {!Readiness.t} per direction
+    and per listener that the syscall layer builds blocking calls,
+    [poll] and epoll interest on. *)
 
 type endpoint
 type listener
@@ -47,9 +48,10 @@ val try_admit : listener -> net:Sunos_hw.Devices.Net.t -> endpoint option
 
 val accept : listener -> endpoint option
 val acceptable : listener -> bool
-val on_acceptable : listener -> (unit -> unit) -> unit
-(** One-shot: fires when the pending queue is non-empty {e or} the
-    listener closes (so blocked acceptors can fail out). *)
+
+val accept_readiness : listener -> Readiness.t
+(** Fires on every pending-queue arrival {e and} on listener close (so
+    blocked acceptors can fail out). *)
 
 val close_listener : listener -> unit
 (** Deregisters the name and aborts never-accepted pending connections. *)
@@ -66,8 +68,8 @@ val close : endpoint -> unit
 
 val abort : endpoint -> unit
 (** Abortive teardown (fault injection: mid-stream RST).  Both streams
-    die instantly and every registered waiter fires, so blocked readers,
-    writers and pollers observe the reset. *)
+    die instantly and every direction's readiness fires, so blocked
+    readers, writers and pollers observe the reset. *)
 
 val stall : endpoint -> until:Sunos_sim.Time.t -> unit
 (** Fault injection: the peer of [endpoint] stops draining — deliveries
@@ -78,29 +80,14 @@ val stall : endpoint -> until:Sunos_sim.Time.t -> unit
 val readable : endpoint -> bool
 val writable : endpoint -> bool
 val peer_closed : endpoint -> bool
-val on_readable : endpoint -> (unit -> unit) -> unit
-val on_writable : endpoint -> (unit -> unit) -> unit
 
-(** {1 Persistent readiness watches (epoll support)}
+val read_readiness : endpoint -> Readiness.t
+(** The endpoint's receive direction: fires at every delivery, at the
+    ordered EOF, on reset and on close. *)
 
-    Unlike the one-shot [on_*] callbacks, a {!watch} survives firings:
-    it is called at {e every} state transition that may have made the
-    object ready (data delivery, window opening, EOF, reset, close)
-    until {!unwatch}ed.  Registration performs no readiness check — the
-    subscriber (the epoll object) does its own level check at
-    registration time, so the split of responsibility is: watches carry
-    edges, the subscriber handles the initial level and deduplicates.
-    Spurious firings are part of the contract. *)
-
-type watch
-
-val watch_readable : endpoint -> (unit -> unit) -> watch
-val watch_writable : endpoint -> (unit -> unit) -> watch
-val watch_acceptable : listener -> (unit -> unit) -> watch
-(** Fires on pending-queue arrivals {e and} on listener close. *)
-
-val unwatch : watch -> unit
-(** Detach; idempotent.  O(1) (lazy removal via an active flag). *)
+val write_readiness : endpoint -> Readiness.t
+(** The endpoint's send direction: fires when the peer's read opens the
+    window, on reset and on close. *)
 
 val pair :
   net:Sunos_hw.Devices.Net.t -> ?capacity:int -> unit -> endpoint * endpoint

@@ -49,18 +49,56 @@ let out_ready fdobj =
   | Fd_sock ep -> Socket.writable ep
   | Fd_sock_listen _ | Fd_epoll _ -> false
 
-(* Register a one-shot "something changed" callback on a pollable object.
-   File fds are always ready so they never need registration. *)
-let register_ready fdobj ~want_in ~want_out f =
-  match fdobj with
-  | Fd_pipe_r p -> if want_in then Pipe.on_readable p f
-  | Fd_pipe_w p -> if want_out then Pipe.on_writable p f
-  | Fd_sock ep ->
-      if want_in then Socket.on_readable ep f;
-      if want_out then Socket.on_writable ep f
-  | Fd_sock_listen l -> if want_in then Socket.on_acceptable l f
-  | Fd_epoll ep -> if want_in then Epoll.add_waiter ep f
-  | Fd_file _ -> ()
+(* Apply [g source x] to the readiness source of each wanted direction
+   of an fd: what fires when the level above may have turned true.
+   Files are always ready and need none, and neither does a direction
+   the fd does not have.  Poll's one-shot waiters and epoll's watches
+   both find their sources here. *)
+let iter_sources fdobj ~want_in ~want_out g x =
+  (if want_in then
+     match fdobj with
+     | Fd_pipe_r p -> g (Pipe.read_readiness p) x
+     | Fd_sock ep -> g (Socket.read_readiness ep) x
+     | Fd_sock_listen l -> g (Socket.accept_readiness l) x
+     | Fd_epoll ep -> g (Epoll.readiness ep) x
+     | Fd_file _ | Fd_pipe_w _ -> ());
+  if want_out then
+    match fdobj with
+    | Fd_pipe_w p -> g (Pipe.write_readiness p) x
+    | Fd_sock ep -> g (Socket.write_readiness ep) x
+    | Fd_file _ | Fd_pipe_r _ | Fd_sock_listen _ | Fd_epoll _ -> ()
+
+(* --- attempts, and the one wait path ----------------------------------- *)
+
+(* One try at a call that may have to wait: its result and the operation
+   cost a call that did not sleep is charged, or nothing to take yet.
+   The same attempt serves the no-wait path, the non-blocking variants
+   and every re-check after a wakeup. *)
+type attempt = Done of sysret * Time.span | Not_ready
+
+(* Sleep on [wchan] until [attempt] is done.  [arm f] subscribes the
+   one-shot [f] to every source whose firing may let the attempt
+   succeed; each firing re-runs the attempt, then wakes the LWP with the
+   result or arms again (another sleeper took what arrived).  The sleep
+   is interruptible and indefinite, so it counts toward SIGWAITING.  A
+   call that slept is charged no operation cost: the wakeup is its
+   return. *)
+let sleep_until k lwp ~wchan ~arm attempt =
+  let alive = ref true in
+  K.block k lwp ~wchan ~interruptible:true ~indefinite:true
+    ~cancel:(fun () -> alive := false);
+  let rec retry () =
+    if !alive then
+      match lwp.sleep with
+      | None -> alive := false
+      | Some _ -> (
+          match attempt () with
+          | Done (ret, _) ->
+              alive := false;
+              K.wake k lwp ret
+          | Not_ready -> arm retry)
+  in
+  arm retry
 
 (* --- file I/O -------------------------------------------------------- *)
 
@@ -117,101 +155,52 @@ let file_write k lwp file ~pos ~set_pos data =
     (Fs.pages_touched ~pos ~len:n);
   K.complete k lwp ~op_cost:(Int64.add c.Cost.fs_op (copy_cost c n)) (R_int n)
 
-(* --- pipe I/O -------------------------------------------------------- *)
+(* --- pipe and socket attempts ----------------------------------------- *)
 
-let rec pipe_read_blocking k lwp p ~len ~alive =
-  Pipe.on_readable p (fun () ->
-      if !alive then
-        match lwp.sleep with
-        | Some _ ->
-            let data = Pipe.read p ~len in
-            if data = "" && not (Pipe.write_closed p) then
-              (* another reader drained it first: keep sleeping *)
-              pipe_read_blocking k lwp p ~len ~alive
-            else begin
-              alive := false;
-              K.wake k lwp (R_bytes data)
-            end
-        | None -> alive := false)
+let pipe_read k p ~len =
+  let data = Pipe.read p ~len in
+  if data <> "" || Pipe.write_closed p then
+    Done (R_bytes data, (K.cost k).Cost.pipe_op)
+  else Not_ready
 
-let rec pipe_write_blocking k lwp p data ~alive =
-  Pipe.on_writable p (fun () ->
-      if !alive then
-        match lwp.sleep with
-        | Some _ ->
-            if Pipe.read_closed p then begin
-              alive := false;
-              Sig.post_lwp k lwp Signo.sigpipe;
-              K.wake k lwp (R_err Errno.EPIPE)
-            end
-            else begin
-              let n = Pipe.write p data in
-              if n = 0 then pipe_write_blocking k lwp p data ~alive
-              else begin
-                alive := false;
-                K.wake k lwp (R_int n)
-              end
-            end
-        | None -> alive := false)
+let pipe_write k lwp p data =
+  if Pipe.read_closed p then begin
+    Sig.post_lwp k lwp Signo.sigpipe;
+    Done (R_err Errno.EPIPE, 0L)
+  end
+  else
+    let n = Pipe.write p data in
+    if n > 0 then Done (R_int n, (K.cost k).Cost.pipe_op) else Not_ready
 
-(* --- sockets ---------------------------------------------------------- *)
+let sock_read k ep ~len =
+  let c = K.cost k in
+  match Socket.read ep ~len with
+  | `Data s ->
+      Done (R_bytes s, Int64.add c.Cost.sock_op (copy_cost c (String.length s)))
+  | `Eof -> Done (R_bytes "", c.Cost.sock_op)
+  | `Reset -> Done (R_err Errno.ECONNRESET, 0L)
+  | `Empty -> Not_ready
 
-let rec sock_read_blocking k lwp ep ~len ~alive =
-  Socket.on_readable ep (fun () ->
-      if !alive then
-        match lwp.sleep with
-        | Some _ -> (
-            match Socket.read ep ~len with
-            | `Data s ->
-                alive := false;
-                K.wake k lwp (R_bytes s)
-            | `Eof ->
-                alive := false;
-                K.wake k lwp (R_bytes "")
-            | `Reset ->
-                alive := false;
-                K.wake k lwp (R_err Errno.ECONNRESET)
-            | `Empty ->
-                (* another reader of the same fd drained it first *)
-                sock_read_blocking k lwp ep ~len ~alive)
-        | None -> alive := false)
+let sock_write k ep data =
+  let c = K.cost k in
+  match Socket.write ep data with
+  | `Accepted n -> Done (R_int n, Int64.add c.Cost.sock_op (copy_cost c n))
+  | `Reset -> Done (R_err Errno.ECONNRESET, 0L)
+  | `Full -> Not_ready
 
-let rec sock_write_blocking k lwp ep data ~alive =
-  Socket.on_writable ep (fun () ->
-      if !alive then
-        match lwp.sleep with
-        | Some _ -> (
-            match Socket.write ep data with
-            | `Accepted n ->
-                alive := false;
-                K.wake k lwp (R_int n)
-            | `Reset ->
-                alive := false;
-                K.wake k lwp (R_err Errno.ECONNRESET)
-            | `Full -> sock_write_blocking k lwp ep data ~alive)
-        | None -> alive := false)
-
-let rec sock_accept_blocking k lwp l ~alive =
-  Socket.on_acceptable l (fun () ->
-      if !alive then
-        match lwp.sleep with
-        | Some _ ->
-            if Socket.listener_closed l then begin
-              alive := false;
-              K.wake k lwp (R_err Errno.ECONNABORTED)
-            end
-            else (
-              match Socket.accept l with
-              | Some ep ->
-                  alive := false;
-                  let fd = install_fd lwp.proc (Fd_sock ep) in
-                  K.trace_proc k Tracebuf.Accept lwp.proc
-                    ~name:(Socket.listener_name l) ~arg:fd;
-                  K.wake k lwp (R_int fd)
-              | None ->
-                  (* another acceptor got there first *)
-                  sock_accept_blocking k lwp l ~alive)
-        | None -> alive := false)
+(* A closed listener can never produce a connection, so it fails the
+   call rather than leaving it not ready: EAGAIN would send a
+   non-blocking acceptor into a poll/EAGAIN spin forever (another LWP
+   may close the listening fd while we race toward it). *)
+let sock_accept k lwp l =
+  match Socket.accept l with
+  | Some ep ->
+      let fd = install_fd lwp.proc (Fd_sock ep) in
+      K.trace_proc k Tracebuf.Accept lwp.proc ~name:(Socket.listener_name l)
+        ~arg:fd;
+      Done (R_int fd, (K.cost k).Cost.sock_accept)
+  | None when Socket.listener_closed l -> Done (R_err Errno.ECONNABORTED, 0L)
+  | None -> Not_ready
 
 (* --- poll ------------------------------------------------------------- *)
 
@@ -226,67 +215,39 @@ let poll_ready proc fds =
           else None)
     fds
 
-let rec poll_register k lwp fds ~alive =
-  let on_change () =
-    if !alive then
-      match lwp.sleep with
-      | Some _ ->
-          let ready = poll_ready lwp.proc fds in
-          if ready <> [] then begin
-            alive := false;
-            K.wake k lwp (R_poll ready)
-          end
-          else poll_register k lwp fds ~alive
-      | None -> alive := false
-  in
+let poll_attempt proc fds ~op_cost =
+  match poll_ready proc fds with
+  | [] -> Not_ready
+  | ready -> Done (R_poll ready, op_cost)
+
+(* Arm a one-shot [f] on every wanted direction of the fds still open. *)
+let arm_poll proc fds f =
   List.iter
     (fun { pfd; want_in; want_out } ->
-      match lookup_fd lwp.proc pfd with
-      | Some o -> register_ready o ~want_in ~want_out on_change
+      match lookup_fd proc pfd with
+      | Some o -> iter_sources o ~want_in ~want_out Readiness.wait f
       | None -> ())
     fds
 
 (* --- epoll ------------------------------------------------------------ *)
 
-(* Attach persistent watches matching the entry's interest mask and
-   store their detach closure.  Returns false on objects that have no
-   edge sources (plain files, other epolls) — epoll interest on those
-   is refused rather than silently level-polled. *)
+(* Attach persistent watches on the sources matching the entry's
+   interest mask, replacing any the entry held.  Returns false on
+   objects that have no edge sources (plain files, other epolls) —
+   epoll interest on those is refused rather than silently
+   level-polled. *)
 let epoll_attach ep (e : Epoll.entry) fdobj =
-  let fire () = Epoll.note_edge ep e in
+  List.iter Readiness.unwatch e.Epoll.e_watches;
+  e.Epoll.e_watches <- [];
   match fdobj with
-  | Fd_sock sep ->
-      let r =
-        if e.Epoll.e_want_in then Some (Socket.watch_readable sep fire)
-        else None
-      and w =
-        if e.Epoll.e_want_out then Some (Socket.watch_writable sep fire)
-        else None
-      in
-      e.Epoll.e_unwatch <-
-        (fun () ->
-          Option.iter Socket.unwatch r;
-          Option.iter Socket.unwatch w);
-      true
-  | Fd_sock_listen l ->
-      if e.Epoll.e_want_in then begin
-        let w = Socket.watch_acceptable l fire in
-        e.Epoll.e_unwatch <- (fun () -> Socket.unwatch w)
-      end;
-      true
-  | Fd_pipe_r p ->
-      if e.Epoll.e_want_in then begin
-        let w = Pipe.watch_readable p fire in
-        e.Epoll.e_unwatch <- (fun () -> Pipe.unwatch w)
-      end;
-      true
-  | Fd_pipe_w p ->
-      if e.Epoll.e_want_out then begin
-        let w = Pipe.watch_writable p fire in
-        e.Epoll.e_unwatch <- (fun () -> Pipe.unwatch w)
-      end;
-      true
   | Fd_file _ | Fd_epoll _ -> false
+  | Fd_pipe_r _ | Fd_pipe_w _ | Fd_sock _ | Fd_sock_listen _ ->
+      iter_sources fdobj ~want_in:e.Epoll.e_want_in
+        ~want_out:e.Epoll.e_want_out
+        (fun r fire ->
+          e.Epoll.e_watches <- Readiness.watch r fire :: e.Epoll.e_watches)
+        (fun () -> Epoll.note_edge ep e);
+      true
 
 (* Drain up to [max] live entries off the ready queue.  This is the
    whole point of the design: cost is O(returned), never O(interest).
@@ -311,23 +272,17 @@ let epoll_collect proc ep ~max =
   in
   go [] max
 
-let rec epoll_wait_blocking k lwp ep ~maxev ~alive =
-  Epoll.add_waiter ep (fun () ->
-      if !alive then
-        match lwp.sleep with
-        | Some _ ->
-            if Epoll.closed ep then begin
-              alive := false;
-              K.wake k lwp (R_err Errno.EBADF)
-            end
-            else
-              let fds = epoll_collect lwp.proc ep ~max:maxev in
-              if fds <> [] then begin
-                alive := false;
-                K.wake k lwp (R_poll fds)
-              end
-              else epoll_wait_blocking k lwp ep ~maxev ~alive
-        | None -> alive := false)
+let epoll_attempt k proc ep ~maxev =
+  if Epoll.closed ep then Done (R_err Errno.EBADF, 0L)
+  else
+    match epoll_collect proc ep ~max:maxev with
+    | [] -> Not_ready
+    | fds ->
+        let c = K.cost k in
+        Done
+          ( R_poll fds,
+            Int64.add c.Cost.poll_fixed
+              (Int64.mul c.Cost.poll_per_fd (Int64.of_int (List.length fds))) )
 
 (* --- fork / exec ------------------------------------------------------ *)
 
@@ -503,32 +458,24 @@ let execute k lwp req =
       | Some (Fd_file f) ->
           file_read k lwp f.file ~pos:f.pos ~set_pos:(fun p -> f.pos <- p)
             ~len
-      | Some (Fd_pipe_r p) ->
-          let data = Pipe.read p ~len in
-          if data <> "" || Pipe.write_closed p then
-            K.complete k lwp ~op_cost:c.Cost.pipe_op (R_bytes data)
-          else begin
-            let alive = ref true in
-            K.block k lwp ~wchan:"pipe_read" ~interruptible:true
-              ~indefinite:true
-              ~cancel:(fun () -> alive := false);
-            pipe_read_blocking k lwp p ~len ~alive
-          end
+      | Some (Fd_pipe_r _ | Fd_sock _) when len <= 0 ->
+          (* a zero count transfers nothing and never waits *)
+          K.complete k lwp (if len < 0 then R_err Errno.EINVAL else R_bytes "")
+      | Some (Fd_pipe_r p) -> (
+          match pipe_read k p ~len with
+          | Done (ret, op_cost) -> K.complete k lwp ~op_cost ret
+          | Not_ready ->
+              sleep_until k lwp ~wchan:"pipe_read"
+                ~arm:(Readiness.wait (Pipe.read_readiness p))
+                (fun () -> pipe_read k p ~len))
       | Some (Fd_pipe_w _) -> K.complete k lwp (R_err Errno.EBADF)
       | Some (Fd_sock ep) -> (
-          match Socket.read ep ~len with
-          | `Data s ->
-              K.complete k lwp
-                ~op_cost:(Int64.add c.Cost.sock_op (copy_cost c (String.length s)))
-                (R_bytes s)
-          | `Eof -> K.complete k lwp ~op_cost:c.Cost.sock_op (R_bytes "")
-          | `Reset -> K.complete k lwp (R_err Errno.ECONNRESET)
-          | `Empty ->
-              let alive = ref true in
-              K.block k lwp ~wchan:"sock_read" ~interruptible:true
-                ~indefinite:true
-                ~cancel:(fun () -> alive := false);
-              sock_read_blocking k lwp ep ~len ~alive)
+          match sock_read k ep ~len with
+          | Done (ret, op_cost) -> K.complete k lwp ~op_cost ret
+          | Not_ready ->
+              sleep_until k lwp ~wchan:"sock_read"
+                ~arm:(Readiness.wait (Socket.read_readiness ep))
+                (fun () -> sock_read k ep ~len))
       | Some (Fd_sock_listen _) -> K.complete k lwp (R_err Errno.ENOTCONN)
       | Some (Fd_epoll _) -> K.complete k lwp (R_err Errno.EBADF))
   | Sys_read_nb (fd, len) -> (
@@ -544,15 +491,9 @@ let execute k lwp req =
                attempt *)
             K.complete k lwp (R_err Errno.EAGAIN)
           else (
-            match Socket.read ep ~len with
-            | `Data s ->
-                K.complete k lwp
-                  ~op_cost:
-                    (Int64.add c.Cost.sock_op (copy_cost c (String.length s)))
-                  (R_bytes s)
-            | `Eof -> K.complete k lwp ~op_cost:c.Cost.sock_op (R_bytes "")
-            | `Reset -> K.complete k lwp (R_err Errno.ECONNRESET)
-            | `Empty -> K.complete k lwp (R_err Errno.EAGAIN))
+            match sock_read k ep ~len with
+            | Done (ret, op_cost) -> K.complete k lwp ~op_cost ret
+            | Not_ready -> K.complete k lwp (R_err Errno.EAGAIN))
       | Some _ -> K.complete k lwp (R_err Errno.EINVAL))
   | Sys_note_shed ->
       proc.shed_count <- proc.shed_count + 1;
@@ -565,21 +506,15 @@ let execute k lwp req =
           file_write k lwp f.file ~pos:f.pos
             ~set_pos:(fun p -> f.pos <- p)
             data
-      | Some (Fd_pipe_w p) ->
-          if Pipe.read_closed p then begin
-            Sig.post_lwp k lwp Signo.sigpipe;
-            K.complete k lwp (R_err Errno.EPIPE)
-          end
-          else
-            let n = Pipe.write p data in
-            if n > 0 then K.complete k lwp ~op_cost:c.Cost.pipe_op (R_int n)
-            else begin
-              let alive = ref true in
-              K.block k lwp ~wchan:"pipe_write" ~interruptible:true
-                ~indefinite:true
-                ~cancel:(fun () -> alive := false);
-              pipe_write_blocking k lwp p data ~alive
-            end
+      | Some (Fd_pipe_w _ | Fd_sock _) when data = "" ->
+          K.complete k lwp (R_int 0)
+      | Some (Fd_pipe_w p) -> (
+          match pipe_write k lwp p data with
+          | Done (ret, op_cost) -> K.complete k lwp ~op_cost ret
+          | Not_ready ->
+              sleep_until k lwp ~wchan:"pipe_write"
+                ~arm:(Readiness.wait (Pipe.write_readiness p))
+                (fun () -> pipe_write k lwp p data))
       | Some (Fd_pipe_r _) -> K.complete k lwp (R_err Errno.EBADF)
       | Some (Fd_sock ep) ->
           if K.chaos_roll k ~site:"conn-rst" (chp k).conn_rst then begin
@@ -595,18 +530,12 @@ let execute k lwp req =
               in
               Socket.stall ep ~until:(Time.add (K.now k) (Time.us us))
             end;
-            match Socket.write ep data with
-            | `Accepted n ->
-                K.complete k lwp
-                  ~op_cost:(Int64.add c.Cost.sock_op (copy_cost c n))
-                  (R_int n)
-            | `Reset -> K.complete k lwp (R_err Errno.ECONNRESET)
-            | `Full ->
-                let alive = ref true in
-                K.block k lwp ~wchan:"sock_write" ~interruptible:true
-                  ~indefinite:true
-                  ~cancel:(fun () -> alive := false);
-                sock_write_blocking k lwp ep data ~alive
+            match sock_write k ep data with
+            | Done (ret, op_cost) -> K.complete k lwp ~op_cost ret
+            | Not_ready ->
+                sleep_until k lwp ~wchan:"sock_write"
+                  ~arm:(Readiness.wait (Socket.write_readiness ep))
+                  (fun () -> sock_write k ep data)
           end
       | Some (Fd_sock_listen _) -> K.complete k lwp (R_err Errno.ENOTCONN)
       | Some (Fd_epoll _) -> K.complete k lwp (R_err Errno.EBADF))
@@ -753,25 +682,13 @@ let execute k lwp req =
                so the caller's next poll round collects it *)
             K.complete k lwp (R_err Errno.EAGAIN)
           else (
-            match Socket.accept l with
-            | Some ep ->
-                let nfd = install_fd proc (Fd_sock ep) in
-                K.trace_proc k Tracebuf.Accept proc
-                  ~name:(Socket.listener_name l) ~arg:nfd;
-                K.complete k lwp ~op_cost:c.Cost.sock_accept (R_int nfd)
-            | None when Socket.listener_closed l ->
-                (* a closed listener can never produce a connection:
-                   EAGAIN here would send a non-blocking acceptor into a
-                   poll/EAGAIN spin forever (another LWP may close the
-                   listening fd while we race toward it) *)
-                K.complete k lwp (R_err Errno.ECONNABORTED)
-            | None when nonblock -> K.complete k lwp (R_err Errno.EAGAIN)
-            | None ->
-                let alive = ref true in
-                K.block k lwp ~wchan:"accept" ~interruptible:true
-                  ~indefinite:true
-                  ~cancel:(fun () -> alive := false);
-                sock_accept_blocking k lwp l ~alive)
+            match sock_accept k lwp l with
+            | Done (ret, op_cost) -> K.complete k lwp ~op_cost ret
+            | Not_ready when nonblock -> K.complete k lwp (R_err Errno.EAGAIN)
+            | Not_ready ->
+                sleep_until k lwp ~wchan:"accept"
+                  ~arm:(Readiness.wait (Socket.accept_readiness l))
+                  (fun () -> sock_accept k lwp l))
       | Some _ -> K.complete k lwp (R_err Errno.EINVAL)
       | None -> K.complete k lwp (R_err Errno.EBADF))
   | Sys_poll (fds, timeout) -> (
@@ -779,16 +696,14 @@ let execute k lwp req =
         Int64.add c.Cost.poll_fixed
           (Int64.mul c.Cost.poll_per_fd (Int64.of_int (List.length fds)))
       in
-      let ready = poll_ready proc fds in
-      match (ready, timeout) with
-      | _ :: _, _ -> K.complete k lwp ~op_cost (R_poll ready)
-      | [], Some t when Time.(t <= 0L) -> K.complete k lwp ~op_cost (R_poll [])
-      | [], _ ->
-          let alive = ref true in
-          K.block k lwp ~wchan:"poll" ~interruptible:true ~indefinite:true
-            ~cancel:(fun () -> alive := false);
-          poll_register k lwp fds ~alive;
-          (match timeout with
+      match (poll_attempt proc fds ~op_cost, timeout) with
+      | Done (ret, op_cost), _ -> K.complete k lwp ~op_cost ret
+      | Not_ready, Some t when Time.(t <= 0L) ->
+          K.complete k lwp ~op_cost (R_poll [])
+      | Not_ready, _ -> (
+          sleep_until k lwp ~wchan:"poll" ~arm:(arm_poll proc fds) (fun () ->
+              poll_attempt proc fds ~op_cost);
+          match timeout with
           | Some t -> K.set_sleep_timeout k lwp t (R_poll [])
           | None -> ()))
   | Sys_epoll_create ->
@@ -833,7 +748,6 @@ let execute k lwp req =
                       Epoll.kill_entry ep e;
                       K.complete k lwp (R_err Errno.EBADF)
                   | Some o ->
-                      e.Epoll.e_unwatch ();
                       e.Epoll.e_want_in <- want_in;
                       e.Epoll.e_want_out <- want_out;
                       e.Epoll.e_oneshot <- oneshot;
@@ -857,32 +771,19 @@ let execute k lwp req =
       | Some _ | None -> K.complete k lwp (R_err Errno.EBADF))
   | Sys_epoll_wait (epfd, maxev, timeout) -> (
       match lookup_fd proc epfd with
-      | Some (Fd_epoll ep) ->
-          if Epoll.closed ep then K.complete k lwp (R_err Errno.EBADF)
-          else begin
-            let maxev = max 1 maxev in
-            let op_cost n =
-              Int64.add c.Cost.poll_fixed
-                (Int64.mul c.Cost.poll_per_fd (Int64.of_int n))
-            in
-            let fds = epoll_collect proc ep ~max:maxev in
-            match (fds, timeout) with
-            | _ :: _, _ ->
-                K.complete k lwp
-                  ~op_cost:(op_cost (List.length fds))
-                  (R_poll fds)
-            | [], Some t when Time.(t <= 0L) ->
-                K.complete k lwp ~op_cost:(op_cost 0) (R_poll [])
-            | [], _ ->
-                let alive = ref true in
-                K.block k lwp ~wchan:"epoll" ~interruptible:true
-                  ~indefinite:true
-                  ~cancel:(fun () -> alive := false);
-                epoll_wait_blocking k lwp ep ~maxev ~alive;
-                (match timeout with
-                | Some t -> K.set_sleep_timeout k lwp t (R_poll [])
-                | None -> ())
-          end
+      | Some (Fd_epoll ep) -> (
+          let maxev = max 1 maxev in
+          match (epoll_attempt k proc ep ~maxev, timeout) with
+          | Done (ret, op_cost), _ -> K.complete k lwp ~op_cost ret
+          | Not_ready, Some t when Time.(t <= 0L) ->
+              K.complete k lwp ~op_cost:c.Cost.poll_fixed (R_poll [])
+          | Not_ready, _ -> (
+              sleep_until k lwp ~wchan:"epoll"
+                ~arm:(Readiness.wait (Epoll.readiness ep))
+                (fun () -> epoll_attempt k proc ep ~maxev);
+              match timeout with
+              | Some t -> K.set_sleep_timeout k lwp t (R_poll [])
+              | None -> ()))
       | Some _ | None -> K.complete k lwp (R_err Errno.EBADF))
   | Sys_kill (pid, signo) -> (
       match K.find_proc k pid with

@@ -296,6 +296,49 @@ let test_errors () =
   Alcotest.(check bool) "plain file is EINVAL" true !einval;
   Alcotest.(check bool) "read on epoll fd is EBADF" true !ebadf
 
+(* --- the readiness primitive under every wait ------------------------- *)
+
+module Readiness = Sunos_kernel.Readiness
+
+(* The order the goldens rely on: one-shot waiters oldest first, then the
+   persistent watches in list order (newest first); an unwatched watch
+   is skipped and pruned; a waiter registered while a firing runs waits
+   for the next firing; a watch keeps firing. *)
+let test_readiness_order () =
+  let r = Readiness.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  let fired () =
+    let l = List.rev !log in
+    log := [];
+    l
+  in
+  let w1 = Readiness.watch r (note "watch1") in
+  ignore (Readiness.watch r (note "watch2") : Readiness.watch);
+  let w3 = Readiness.watch r (note "watch3") in
+  Readiness.wait r (note "wait1");
+  Readiness.wait r (fun () ->
+      note "wait2" ();
+      Readiness.wait r (note "late"));
+  Readiness.wait r (note "wait3");
+  Readiness.unwatch w3;
+  Alcotest.(check int) "three waiters pending" 3 (Readiness.waiters r);
+  Readiness.fire r;
+  Alcotest.(check (list string)) "waiters oldest first, then live watches"
+    [ "wait1"; "wait2"; "wait3"; "watch2"; "watch1" ]
+    (fired ());
+  Alcotest.(check int) "registered during the firing" 1 (Readiness.waiters r);
+  Alcotest.(check int) "unwatched watch pruned" 2 (Readiness.watches r);
+  Readiness.unwatch w1;
+  Readiness.unwatch w1;
+  Alcotest.(check int) "pruned lazily" 2 (Readiness.watches r);
+  Readiness.fire r;
+  Alcotest.(check (list string)) "late waiter fires next time; watches persist"
+    [ "late"; "watch2" ] (fired ());
+  Alcotest.(check int) "pruned at the firing" 1 (Readiness.watches r);
+  Readiness.fire r;
+  Alcotest.(check (list string)) "waiters are one-shot" [ "watch2" ] (fired ())
+
 let () =
   Alcotest.run "epoll"
     [
@@ -322,4 +365,6 @@ let () =
           Alcotest.test_case "RST while ready" `Quick test_rst_while_ready;
           Alcotest.test_case "error paths" `Quick test_errors;
         ] );
+      ( "readiness",
+        [ Alcotest.test_case "firing order" `Quick test_readiness_order ] );
     ]

@@ -23,15 +23,12 @@ let test_cost_scale () =
     c.Cost.lwp_create
 
 (* [coalesce] is the one switch for run-ahead coalescing: [scale] must
-   carry it through unchanged and scale only the grant window. *)
+   carry it through unchanged. *)
 let test_cost_scale_coalesce () =
   let off = Cost.scale 3.0 { Cost.default with Cost.coalesce = false } in
   Alcotest.(check bool) "switch kept off" false off.Cost.coalesce;
   Alcotest.(check bool) "switch kept on" true
-    (Cost.scale 3.0 Cost.default).Cost.coalesce;
-  Alcotest.check span "window tripled"
-    (Int64.mul 3L Cost.default.Cost.coalesce_window)
-    off.Cost.coalesce_window
+    (Cost.scale 3.0 Cost.default).Cost.coalesce
 
 let test_cost_free () =
   Alcotest.check span "free trap" 0L Cost.free.Cost.trap_entry;
@@ -155,27 +152,6 @@ let test_net_request_response () =
   Eventq.run eventq;
   Alcotest.check span "full rtt" (Time.ms 4) !t
 
-let test_tty_input () =
-  let eventq = Eventq.create () in
-  let tty = Devices.Tty.create ~eventq ~latency:(Time.ms 1) in
-  let got = ref None in
-  Devices.Tty.on_data_ready tty (fun () -> got := Devices.Tty.read_input tty);
-  Devices.Tty.type_input tty "hello";
-  Alcotest.(check bool) "not yet" true (!got = None);
-  Eventq.run eventq;
-  Alcotest.(check (option string)) "line arrives" (Some "hello") !got;
-  Alcotest.(check bool) "drained" false (Devices.Tty.has_input tty)
-
-let test_tty_listener_is_oneshot () =
-  let eventq = Eventq.create () in
-  let tty = Devices.Tty.create ~eventq ~latency:(Time.ms 1) in
-  let fires = ref 0 in
-  Devices.Tty.on_data_ready tty (fun () -> incr fires);
-  Devices.Tty.type_input tty "a";
-  Devices.Tty.type_input tty "b";
-  Eventq.run eventq;
-  Alcotest.(check int) "fired once" 1 !fires
-
 (* --------------------------- Machine --------------------------- *)
 
 let test_machine_create () =
@@ -251,8 +227,6 @@ let () =
           Alcotest.test_case "disk transfer" `Quick test_disk_transfer_time;
           Alcotest.test_case "net concurrent" `Quick test_net_concurrent;
           Alcotest.test_case "net rtt" `Quick test_net_request_response;
-          Alcotest.test_case "tty input" `Quick test_tty_input;
-          Alcotest.test_case "tty oneshot" `Quick test_tty_listener_is_oneshot;
         ] );
       ( "machine",
         [

@@ -8,7 +8,6 @@ module Uctx = Sunos_kernel.Uctx
 module Sysdefs = Sunos_kernel.Sysdefs
 module Signo = Sunos_kernel.Signo
 module Errno = Sunos_kernel.Errno
-module Machine = Sunos_hw.Machine
 
 let expect_err name req err =
   match Uctx.syscall req with
@@ -378,12 +377,148 @@ let test_rusage_counts_faults () =
   | Some r -> Alcotest.(check int) "two minor faults" 2 r.Sysdefs.ru_minflt
   | None -> Alcotest.fail "no rusage"
 
-let test_tty_read_line () =
-  let k = Kernel.boot () in
-  Kernel.tty_input k "hello";
-  Sunos_sim.Eventq.run (Kernel.machine k).Machine.eventq;
-  Alcotest.(check bool) "tty buffered the line" true
-    (Sunos_hw.Devices.Tty.has_input (Kernel.machine k).Machine.tty)
+(* ------------------------- sleep again ------------------------- *)
+
+(* Two sleepers on one object.  One unit of progress arrives and the
+   older sleeper takes it, so the younger one's re-check finds nothing
+   and must sleep again until the second unit, 5 ms later.  [finished]
+   holds (result, finish time) per sleeper. *)
+let check_second_slept_again name ~first ~second finished =
+  match List.sort (fun (_, a) (_, b) -> Time.compare a b) finished with
+  | [ (r1, t1); (r2, t2) ] ->
+      Alcotest.(check string) (name ^ ": first unit") first r1;
+      Alcotest.(check string) (name ^ ": second unit") second r2;
+      Alcotest.(check bool) (name ^ ": second sleeper waited for it") true
+        Time.(Time.diff t2 t1 >= Time.ms 4)
+  | l -> Alcotest.failf "%s: %d sleepers finished, expected 2" name (List.length l)
+
+let run_two_sleepers ~setup ~sleeper ~progress =
+  let k = Kernel.boot ~cpus:2 () in
+  let finished = ref [] in
+  ignore
+    (Kernel.spawn k ~name:"sleepers" ~main:(fun () ->
+         let obj = setup () in
+         for _ = 1 to 2 do
+           ignore
+             (Uctx.lwp_create
+                ~entry:(fun () ->
+                  let r = sleeper obj in
+                  (* gettime is a syscall: bind it before the list update *)
+                  let t = Uctx.gettime () in
+                  finished := (r, t) :: !finished)
+                ());
+           Uctx.sleep (Time.ms 1)
+         done;
+         Uctx.sleep (Time.ms 5);
+         progress obj 1;
+         Uctx.sleep (Time.ms 5);
+         progress obj 2));
+  Kernel.run k;
+  !finished
+
+let test_pipe_read_sleeps_again () =
+  run_two_sleepers ~setup:Uctx.pipe
+    ~sleeper:(fun (r, _) -> Uctx.read r ~len:8)
+    ~progress:(fun (_, w) i -> ignore (Uctx.write w (if i = 1 then "a" else "b")))
+  |> check_second_slept_again "pipe read" ~first:"a" ~second:"b"
+
+(* A full pipe and two one-byte writers: each 1-byte read makes room for
+   exactly one of them. *)
+let test_pipe_write_sleeps_again () =
+  run_two_sleepers
+    ~setup:(fun () ->
+      let r, w = Uctx.pipe () in
+      ignore (Uctx.write w (String.make Sunos_kernel.Pipe.default_capacity 'x'));
+      (r, w))
+    ~sleeper:(fun (_, w) -> string_of_int (Uctx.write w "y"))
+    ~progress:(fun (r, _) _ -> ignore (Uctx.read r ~len:1))
+  |> check_second_slept_again "pipe write" ~first:"1" ~second:"1"
+
+(* poll never consumes, so two pollers would both wake on one byte; the
+   older sleeper here is a reader that takes the byte, and the poller's
+   re-check finds the pipe empty again. *)
+let test_poll_sleeps_again () =
+  let k = Kernel.boot ~cpus:2 () in
+  let finished = ref [] in
+  let note r =
+    let t = Uctx.gettime () in
+    finished := (r, t) :: !finished
+  in
+  ignore
+    (Kernel.spawn k ~name:"poll" ~main:(fun () ->
+         let r, w = Uctx.pipe () in
+         ignore (Uctx.lwp_create ~entry:(fun () -> note (Uctx.read r ~len:1)) ());
+         Uctx.sleep (Time.ms 1);
+         ignore
+           (Uctx.lwp_create
+              ~entry:(fun () ->
+                let ready =
+                  Uctx.poll [ { Sysdefs.pfd = r; want_in = true; want_out = false } ]
+                in
+                note (if ready = [ r ] then "ready" else "wrong fds"))
+              ());
+         Uctx.sleep (Time.ms 5);
+         ignore (Uctx.write w "a");
+         Uctx.sleep (Time.ms 5);
+         ignore (Uctx.write w "b")));
+  Kernel.run k;
+  check_second_slept_again "poll" ~first:"a" ~second:"ready" !finished
+
+(* ------------------------- zero-length transfers ------------------------- *)
+
+(* A connected stream inside one process: (read end, write end).  For a
+   socket the main LWP accepts while a second LWP connects. *)
+let open_stream = function
+  | `Pipe -> Uctx.pipe ()
+  | `Sock ->
+      let lfd = Uctx.listen ~name:"zero" ~backlog:1 in
+      let cfd = ref (-1) in
+      ignore (Uctx.lwp_create ~entry:(fun () -> cfd := Uctx.connect "zero") ());
+      let sfd = Uctx.accept lfd in
+      Uctx.sleep (Time.ms 5);
+      (sfd, !cfd)
+
+(* A zero count transfers nothing and returns at once; a negative read
+   count is EINVAL.  Buffered data must come through untouched.  The
+   event budget bounds a sleep that never ends, not a spin inside one
+   event, so a regression here shows up as a hang. *)
+let zero_length_case kind op ~buffered expected () =
+  let k = Kernel.boot ~cpus:2 () in
+  let got = ref None and rest = ref "" in
+  ignore
+    (Kernel.spawn k ~name:"zero" ~main:(fun () ->
+         let rd, wr = open_stream kind in
+         if buffered then begin
+           ignore (Uctx.write wr "data");
+           Uctx.sleep (Time.ms 10)
+         end;
+         got :=
+           Some
+             (Uctx.syscall
+                (match op with
+                | `Read len -> Sysdefs.Sys_read (rd, len)
+                | `Write -> Sysdefs.Sys_write (wr, "")));
+         if buffered then rest := Uctx.read rd ~len:16));
+  Kernel.run ~max_events:100_000 k;
+  let show r = Format.asprintf "%a" Sysdefs.pp_sysret r in
+  Alcotest.(check (option string)) "returned at once" (Some (show expected))
+    (Option.map show !got);
+  if buffered then Alcotest.(check string) "buffered data intact" "data" !rest
+
+let zero_length_cases =
+  List.concat_map
+    (fun (kname, kind) ->
+      List.map
+        (fun (oname, op, buffered, expected) ->
+          Alcotest.test_case (kname ^ " " ^ oname) `Quick
+            (zero_length_case kind op ~buffered expected))
+        [
+          ("read 0, data buffered", `Read 0, true, Sysdefs.R_bytes "");
+          ("read 0, empty", `Read 0, false, Sysdefs.R_bytes "");
+          ("read -1", `Read (-1), true, Sysdefs.R_err Errno.EINVAL);
+          ("write 0", `Write, true, Sysdefs.R_int 0);
+        ])
+    [ ("pipe", `Pipe); ("socket", `Sock) ]
 
 let () =
   Alcotest.run "sunos_kernel_edges"
@@ -418,8 +553,14 @@ let () =
           Alcotest.test_case "double close" `Quick test_double_close_ebadf;
           Alcotest.test_case "unlinked segment survives" `Quick
             test_unlinked_file_segment_survives;
-          Alcotest.test_case "tty buffers" `Quick test_tty_read_line;
         ] );
+      ( "sleep_again",
+        [
+          Alcotest.test_case "pipe read" `Quick test_pipe_read_sleeps_again;
+          Alcotest.test_case "pipe write" `Quick test_pipe_write_sleeps_again;
+          Alcotest.test_case "poll" `Quick test_poll_sleeps_again;
+        ] );
+      ("zero_length", zero_length_cases);
       ( "signals_misc",
         [
           Alcotest.test_case "KILL/STOP uncatchable" `Quick

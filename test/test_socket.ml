@@ -145,6 +145,90 @@ let test_backpressure_blocks_writer () =
     Time.(!write_done >= Time.ms 50)
 
 (* ------------------------------------------------------------------ *)
+(* A waiter that finds nothing sleeps again                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Two sleepers on one object.  One unit of progress arrives and the
+   older sleeper takes it, so the younger one's re-check finds nothing
+   and must sleep again until the second unit, 5 ms later.  [finished]
+   holds (result, finish time) per sleeper. *)
+let check_second_slept_again name finished =
+  match List.sort (fun (_, a) (_, b) -> Time.compare a b) finished with
+  | [ (_, t1); (_, t2) ] ->
+      Alcotest.(check bool) (name ^ ": second sleeper waited for it") true
+        Time.(Time.diff t2 t1 >= Time.ms 4)
+  | l -> Alcotest.failf "%s: %d sleepers finished, expected 2" name (List.length l)
+
+let note finished r =
+  (* gettime is a syscall: bind it before the list update *)
+  let t = Uctx.gettime () in
+  finished := (r, t) :: !finished
+
+(* The client fills the send window, then two client LWPs each write one
+   byte; every 1-byte read on the server side reopens the window by
+   exactly one. *)
+let test_write_sleeps_again () =
+  let k = Kernel.boot ~cpus:2 () in
+  let finished = ref [] and drained = ref "" in
+  ignore
+    (Kernel.spawn k ~name:"server" ~main:(fun () ->
+         let lfd = Uctx.listen ~name:"svc" ~backlog:1 in
+         let fd = Uctx.accept lfd in
+         Uctx.sleep (Time.ms 50);
+         let a = Uctx.read fd ~len:1 in
+         Uctx.sleep (Time.ms 5);
+         let b = Uctx.read fd ~len:1 in
+         drained := a ^ b ^ Uctx.read_exact fd ~len:8192;
+         Uctx.close fd;
+         Uctx.close lfd));
+  ignore
+    (Kernel.spawn k ~name:"client" ~main:(fun () ->
+         Uctx.sleep (Time.ms 1);
+         let fd = Uctx.connect "svc" in
+         Uctx.write_all fd (String.make 8192 'x');
+         for _ = 1 to 2 do
+           ignore
+             (Uctx.lwp_create
+                ~entry:(fun () -> note finished (Uctx.write fd "y"))
+                ());
+           Uctx.sleep (Time.ms 1)
+         done));
+  Kernel.run k;
+  Alcotest.(check (list int)) "both writers took one byte" [ 1; 1 ]
+    (List.map fst !finished);
+  check_second_slept_again "socket write" !finished;
+  Alcotest.(check string) "window carried every byte"
+    (String.make 8192 'x' ^ "yy") !drained
+
+let test_accept_sleeps_again () =
+  let k = Kernel.boot ~cpus:2 () in
+  let finished = ref [] in
+  ignore
+    (Kernel.spawn k ~name:"server" ~main:(fun () ->
+         let lfd = Uctx.listen ~name:"svc" ~backlog:4 in
+         for _ = 1 to 2 do
+           ignore
+             (Uctx.lwp_create ~entry:(fun () -> note finished (Uctx.accept lfd)) ());
+           Uctx.sleep (Time.ms 1)
+         done;
+         Uctx.sleep (Time.ms 30);
+         Uctx.close lfd));
+  List.iter
+    (fun delay ->
+      ignore
+        (Kernel.spawn k ~name:"client" ~main:(fun () ->
+             Uctx.sleep (Time.ms delay);
+             let fd = Uctx.connect "svc" in
+             Uctx.sleep (Time.ms 20);
+             Uctx.close fd)))
+    [ 5; 10 ];
+  Kernel.run k;
+  (match List.map fst !finished with
+  | [ a; b ] -> Alcotest.(check bool) "two distinct connections" true (a <> b)
+  | _ -> ());
+  check_second_slept_again "accept" !finished
+
+(* ------------------------------------------------------------------ *)
 (* poll over a mixed fd set                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -247,6 +331,13 @@ let () =
             test_close_wakes_blocked_acceptor;
           Alcotest.test_case "backpressure" `Quick
             test_backpressure_blocks_writer;
+        ] );
+      ( "sleep_again",
+        [
+          Alcotest.test_case "write, closed window" `Quick
+            test_write_sleeps_again;
+          Alcotest.test_case "accept, one connection" `Quick
+            test_accept_sleeps_again;
         ] );
       ( "poll",
         [ Alcotest.test_case "mixed fd set" `Quick test_poll_mixed_fds ] );
