@@ -66,7 +66,6 @@ let create_shared ?robust ~name (at : Syncvar.place) =
   }
 
 let name t = t.name
-let held_by_self t = Mutex.holding t.mu
 
 let charge_check () =
   (* the debugging variant pays for its bookkeeping *)

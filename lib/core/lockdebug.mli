@@ -39,8 +39,6 @@ val enter : t -> unit
 val exit : t -> unit
 val try_enter : t -> bool
 
-val held_by_self : t -> bool
-
 val acquisitions : t -> int
 val contentions : t -> int
 val max_hold : t -> Sunos_sim.Time.span

@@ -68,73 +68,34 @@ let runq_push pool tcb =
   Queue.add tcb pool.runq.(max 0 (min max_prio tcb.prio));
   pool.runq_count <- pool.runq_count + 1
 
-(* Driven (exploration) variant: enumerate the live entries of the
-   highest non-empty priority and let the schedule driver choose;
-   candidate 0 is the passive FIFO pick.  Candidate footprints are the
-   locks each thread currently holds (thrsan's held-set bookkeeping),
-   which is what the explorer's partial-order reduction keys on:
-   reordering two ready threads whose lock footprints are disjoint
-   commutes at the sync-object level. *)
-let runq_pop_driven pool =
-  let rec top prio =
+(* A queued thread that is no longer runnable (suspended while queued)
+   is a stale entry.  Under the schedule explorer a candidate's
+   footprint is the locks the thread holds (thrsan's held-set
+   bookkeeping), which is what the explorer's partial-order reduction
+   keys on: reordering two ready threads whose lock footprints are
+   disjoint commutes at the sync-object level. *)
+let runnable tcb = tcb.tstate = Trunnable
+let held_locks tcb = List.map (fun o -> o.so_id) tcb.san_held
+
+(* The highest priority with a live entry; [runq_count] counts stale
+   entries too, so it drops by whatever the take removed. *)
+let runq_pop pool =
+  let rec at prio =
     if prio < 0 then None
     else
       let q = pool.runq.(prio) in
-      match Queue.peek_opt q with
-      | None -> top (prio - 1)
-      | Some tcb when tcb.tstate <> Trunnable ->
-          ignore (Queue.pop q);
-          pool.runq_count <- pool.runq_count - 1;
-          top prio (* stale front, dropped like the passive pop *)
-      | Some _ -> Some prio
+      if Queue.is_empty q then at (prio - 1)
+      else begin
+        let before = Queue.length q in
+        let r =
+          Sunos_sim.Schedctl.take ~site:"runq" ~obj:pool.pid ~foot:held_locks
+            ~want:1 ~live:runnable q
+        in
+        pool.runq_count <- pool.runq_count - (before - Queue.length q);
+        match r with Some _ -> r | None -> at (prio - 1)
+      end
   in
-  match top max_prio with
-  | None -> None
-  | Some prio ->
-      let q = pool.runq.(prio) in
-      let cands =
-        List.rev
-          (Queue.fold
-             (fun acc t -> if t.tstate = Trunnable then t :: acc else acc)
-             [] q)
-      in
-      let foot i =
-        List.map (fun o -> o.so_id) (List.nth cands i).san_held
-      in
-      let i =
-        Sunos_sim.Schedctl.choose ~site:"runq" ~obj:pool.pid ~foot
-          (List.length cands)
-      in
-      let chosen = List.nth cands i in
-      let removed = ref false in
-      let rest =
-        Queue.fold
-          (fun acc t ->
-            if (not !removed) && t == chosen then begin
-              removed := true;
-              acc
-            end
-            else t :: acc)
-          [] q
-      in
-      Queue.clear q;
-      List.iter (fun t -> Queue.add t q) (List.rev rest);
-      pool.runq_count <- pool.runq_count - 1;
-      Some chosen
-
-let runq_pop pool =
-  if Sunos_sim.Schedctl.active () then runq_pop_driven pool
-  else
-    let rec at prio =
-      if prio < 0 then None
-      else
-        match Queue.take_opt pool.runq.(prio) with
-        | Some tcb ->
-            pool.runq_count <- pool.runq_count - 1;
-            if tcb.tstate = Trunnable then Some tcb else at prio (* stale *)
-        | None -> at (prio - 1)
-    in
-    at max_prio
+  at max_prio
 
 (* ------------------------------------------------------------------ *)
 (* Suspension and wakeup                                               *)

@@ -22,7 +22,6 @@ val make_pool :
 (** {1 Run queue} *)
 
 val runq_push : pool -> tcb -> unit
-val runq_pop : pool -> tcb option
 
 (** {1 Suspension and wakeup} *)
 
@@ -61,9 +60,6 @@ val lwp_main : pool -> unit -> unit
 (** Body of a pool LWP serving unbound threads (never returns normally;
     may [lwp_exit] when the pool shrinks). *)
 
-val bound_main : pool -> tcb -> unit -> unit
-(** Body of an LWP permanently bound to one thread. *)
-
 val grow_pool : pool -> unit
 (** Add one pool LWP ([thread_setconcurrency] / THREAD_NEW_LWP /
     SIGWAITING growth).  Retries with capped exponential backoff on a
@@ -91,10 +87,3 @@ val new_tcb :
   stack_kind:stack_kind ->
   stopped:bool ->
   tcb
-
-(** {1 Internals exposed for the scheduler composition} *)
-
-val run_thread : pool -> tcb option ref -> tcb -> unit
-val thread_finish : pool -> tcb -> unit
-val run_thread_fiber : (unit -> unit) -> tstep
-val alloc_tid : pool -> int

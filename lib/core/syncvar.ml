@@ -5,7 +5,6 @@ module Uctx = Sunos_kernel.Uctx
 type place = { seg : Shm.t; offset : int }
 
 let place seg ~offset = { seg; offset }
-let place_auto seg = { seg; offset = Shm.alloc_offset seg }
 
 let locate p ~key ~make =
   match Shm.get p.seg ~offset:p.offset with

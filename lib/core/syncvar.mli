@@ -15,8 +15,6 @@ type place = {
 }
 
 val place : Sunos_hw.Shared_memory.t -> offset:int -> place
-val place_auto : Sunos_hw.Shared_memory.t -> place
-(** Allocate a fresh offset in the segment. *)
 
 val locate :
   place -> key:'a Sunos_sim.Univ.key -> make:(unit -> 'a) -> 'a

@@ -10,7 +10,6 @@ type id = int
 type flag = THREAD_STOP | THREAD_NEW_LWP | THREAD_BIND_LWP | THREAD_WAIT
 
 let get_id () = (Current.get ()).tid
-let self_pool () = Current.pool ()
 
 let create ?(flags = []) ?(stack = `Default) entry =
   let self = Current.get () in

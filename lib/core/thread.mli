@@ -81,8 +81,5 @@ val sigaltstack : bool -> unit
     paper, only THREAD_BIND_LWP threads may use one (the state lives in
     the LWP); raises [Invalid_argument] for unbound threads. *)
 
-val self_pool : unit -> Ttypes.pool
-(** Introspection for tests/benchmarks: the calling thread's pool. *)
-
 val state : id -> string option
 (** "runnable" | "running" | "blocked" | "stopped" | "zombie". *)

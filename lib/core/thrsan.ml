@@ -51,7 +51,6 @@ let disable () = enabled := false
    parks, hang reports). *)
 let order_mode = ref false
 let set_lock_order_mode b = order_mode := b
-let lock_order_mode () = !order_mode
 
 (* ------------------------------------------------------------------ *)
 (* Sanitizer objects                                                   *)
@@ -76,8 +75,6 @@ let new_obj ~kind ?name () =
     so_last_holder = "";
     so_acq_seq = 0;
   }
-
-let set_name obj name = obj.so_name <- name
 
 (* Shared-memory sync variables, keyed by (segment name, offset) so the
    same location resolves to the same object from every process. *)

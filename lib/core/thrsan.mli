@@ -33,15 +33,11 @@ val set_lock_order_mode : bool -> unit
     reject legitimate programs, so [THRSAN=1] alone enables only the
     false-positive-free checks. *)
 
-val lock_order_mode : unit -> bool
-
 (** {1 Sanitizer objects} *)
 
 val new_obj : kind:string -> ?name:string -> unit -> Ttypes.san_obj
 (** Allocate a sanitizer identity for one sync object.  Primitives do
     this lazily, on the first tracked operation. *)
-
-val set_name : Ttypes.san_obj -> string -> unit
 
 val syncvar_obj : seg:string -> offset:int -> Ttypes.san_obj
 (** The shared identity of a kernel sync variable, keyed by (segment
@@ -147,7 +143,6 @@ val watch : Sunos_kernel.Ktypes.kernel -> unit
     asleep), build a {!hang_report}, store it for {!last_hang} and emit
     it on the trace under tag ["thrsan"]. *)
 
-val hang_check : Sunos_kernel.Ktypes.kernel -> hang_report option
 val last_hang : unit -> hang_report option
 
 (** {1 Housekeeping} *)

@@ -1,6 +1,6 @@
 module Schedctl = Sunos_sim.Schedctl
 
-type entry = { e_tcb : Ttypes.tcb; e_alive : bool ref }
+type entry = { e_tcb : Ttypes.tcb; mutable e_alive : bool }
 
 (* Each queue carries a small unique id so the exploration driver can
    tell decision points apart in its logs.  Allocating it is a pure
@@ -14,58 +14,22 @@ let create () =
   { q = Queue.create (); wq_id = !next_id }
 
 let add t tcb =
-  let alive = ref true in
-  Queue.add { e_tcb = tcb; e_alive = alive } t.q;
-  fun () -> alive := false
+  let e = { e_tcb = tcb; e_alive = true } in
+  Queue.add e t.q;
+  fun () -> e.e_alive <- false
 
-let rec pop_passive q =
-  match Queue.take_opt q with
-  | None -> None
+let live e = e.e_alive
+
+let take t ~want =
+  match
+    Schedctl.take ~site:"waitq" ~obj:t.wq_id ~foot:(fun _ -> []) ~want ~live t.q
+  with
   | Some e ->
-      if !(e.e_alive) then begin
-        e.e_alive := false;
-        Some e.e_tcb
-      end
-      else pop_passive q
+      e.e_alive <- false;
+      Some e.e_tcb
+  | None -> None
 
-(* Driven (exploration) mode: the schedule driver picks which live
-   waiter is admitted; candidate 0 is the passive FIFO head.  The chosen
-   entry is dropped from wherever it sits; cancelled entries ahead of it
-   stay queued and are skipped by later pops, exactly as in passive
-   mode. *)
-let pop_driven t =
-  let cands =
-    List.rev
-      (Queue.fold
-         (fun acc e -> if !(e.e_alive) then e :: acc else acc)
-         [] t.q)
-  in
-  match cands with
-  | [] ->
-      Queue.clear t.q;
-      None
-  | cands ->
-      let i =
-        Schedctl.choose ~site:"waitq" ~obj:t.wq_id (List.length cands)
-      in
-      let chosen = List.nth cands i in
-      chosen.e_alive := false;
-      let removed = ref false in
-      let rest =
-        Queue.fold
-          (fun acc e ->
-            if (not !removed) && e == chosen then begin
-              removed := true;
-              acc
-            end
-            else e :: acc)
-          [] t.q
-      in
-      Queue.clear t.q;
-      List.iter (fun e -> Queue.add e t.q) (List.rev rest);
-      Some chosen.e_tcb
-
-let pop t = if Schedctl.active () then pop_driven t else pop_passive t.q
+let pop t = take t ~want:1
 
 (* Broadcast pops stay FIFO even when driven: every live entry wakes, so
    admission order only shows up through the run queue — whose own
@@ -73,11 +37,10 @@ let pop t = if Schedctl.active () then pop_driven t else pop_passive t.q
    space for nothing. *)
 let pop_all t =
   let rec go acc =
-    match pop_passive t.q with None -> List.rev acc | Some x -> go (x :: acc)
+    match take t ~want:max_int with None -> List.rev acc | Some x -> go (x :: acc)
   in
   go []
 
-let is_empty t = Queue.fold (fun acc e -> acc && not !(e.e_alive)) true t.q
+let is_empty t = Queue.fold (fun acc e -> acc && not e.e_alive) true t.q
 
-let length t =
-  Queue.fold (fun acc e -> if !(e.e_alive) then acc + 1 else acc) 0 t.q
+let length t = Queue.fold (fun acc e -> if e.e_alive then acc + 1 else acc) 0 t.q

@@ -1,9 +1,12 @@
 (** Thread wait queues (turnstiles) for the user-level sync primitives.
 
     Entries are lazily removable: signal delivery may pull a thread out
-    of the middle of the queue, so [add] returns a cancel closure and
-    [pop] skips cancelled entries.  Ordering is FIFO; the paper
-    guarantees no particular wakeup order. *)
+    of the middle of the queue, so [add] returns a cancel closure and a
+    cancelled entry stays queued, dead, until a pop drops it.  Both pops
+    go through {!Sunos_sim.Schedctl.take}: FIFO when passive (the paper
+    guarantees no particular wakeup order), and under the schedule
+    explorer [pop] lets the driver choose which live waiter is
+    admitted. *)
 
 type t
 
@@ -13,9 +16,12 @@ val add : t -> Ttypes.tcb -> unit -> unit
 (** Returns the cancel closure; idempotent. *)
 
 val pop : t -> Ttypes.tcb option
-(** Next live entry (its cancel closure becomes a no-op). *)
+(** Next live entry, or the driver's choice among the live entries (its
+    cancel closure becomes a no-op). *)
 
 val pop_all : t -> Ttypes.tcb list
+(** Every live entry, in FIFO order even when driven. *)
+
 val is_empty : t -> bool
 (** True when no live entry remains. *)
 

@@ -74,5 +74,4 @@ let pages_touched ~pos ~len =
     List.init (last - first + 1) (fun i -> first + i)
   end
 
-let file_count t = Hashtbl.length t.files
 let paths t = Hashtbl.fold (fun p _ acc -> p :: acc) t.files []

@@ -36,5 +36,4 @@ val write : file -> pos:int -> string -> int
 val pages_touched : pos:int -> len:int -> int list
 (** Page indexes covered by a byte range (for residency charging). *)
 
-val file_count : t -> int
 val paths : t -> string list

@@ -1,5 +1,4 @@
 module Machine = Sunos_hw.Machine
-module Counter = Sunos_sim.Stats.Counter
 
 type t = Ktypes.kernel
 
@@ -42,11 +41,11 @@ let set_tracing k b = Sunos_sim.Tracebuf.set_enabled (machine k).Machine.trace b
 
 let set_trace_tags k tags =
   Sunos_sim.Tracebuf.set_interest (machine k).Machine.trace tags
-let syscall_count (k : t) = Counter.value k.Ktypes.ctr_syscalls
-let dispatch_count (k : t) = Counter.value k.Ktypes.ctr_dispatches
-let preemption_count (k : t) = Counter.value k.Ktypes.ctr_preemptions
-let sigwaiting_count (k : t) = Counter.value k.Ktypes.ctr_sigwaiting
-let lwp_create_count (k : t) = Counter.value k.Ktypes.ctr_lwp_creates
+let syscall_count (k : t) = k.Ktypes.ctr_syscalls
+let dispatch_count (k : t) = k.Ktypes.ctr_dispatches
+let preemption_count (k : t) = k.Ktypes.ctr_preemptions
+let sigwaiting_count (k : t) = k.Ktypes.ctr_sigwaiting
+let lwp_create_count (k : t) = k.Ktypes.ctr_lwp_creates
 
 let bug_sigwaiting_no_rearm = Kernel_impl.bug_sigwaiting_no_rearm
 let chaos k = (machine k).Machine.chaos

@@ -24,9 +24,6 @@ val boot :
     [trace_capacity] bounds the trace ring, which is filled on demand
     (see {!Sunos_hw.Machine.create}). *)
 
-val boot_on : Sunos_hw.Machine.t -> t
-(** Boot on an existing machine. *)
-
 val machine : t -> Sunos_hw.Machine.t
 val fs : t -> Fs.t
 

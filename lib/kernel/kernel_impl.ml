@@ -14,7 +14,6 @@
 open Ktypes
 module Time = Sunos_sim.Time
 module Eventq = Sunos_sim.Eventq
-module Counter = Sunos_sim.Stats.Counter
 module Machine = Sunos_hw.Machine
 module Cpu = Sunos_hw.Cpu
 module Cost = Sunos_hw.Cost_model
@@ -79,11 +78,11 @@ let create ~machine =
     gangs = Hashtbl.create 8;
     futex = Hashtbl.create 64;
     futex_names = Hashtbl.create 16;
-    ctr_syscalls = Counter.create "syscalls";
-    ctr_dispatches = Counter.create "dispatches";
-    ctr_preemptions = Counter.create "preemptions";
-    ctr_sigwaiting = Counter.create "sigwaiting";
-    ctr_lwp_creates = Counter.create "lwp_creates";
+    ctr_syscalls = 0;
+    ctr_dispatches = 0;
+    ctr_preemptions = 0;
+    ctr_sigwaiting = 0;
+    ctr_lwp_creates = 0;
     hook_post_proc = (fun _ _ -> ());
     hook_post_lwp = (fun _ _ -> ());
     syscall_exec = (fun _ _ -> failwith "no syscall table installed");
@@ -310,7 +309,7 @@ and place k cpu lwp =
             (Faultgen.draw_span (chaos k)
                ~max_span:(Int64.div lwp.quantum_left 8L))
   | Sc_realtime _ -> ());
-  Counter.incr k.ctr_dispatches;
+  k.ctr_dispatches <- k.ctr_dispatches + 1;
   trace k Tracebuf.Dispatch ~cpu:(Cpu.id cpu) ~pid:lwp.proc.pid ~lwp:lwp.lid
     ~name:"" ~arg:(-1);
   (* Going through the dispatcher costs a kernel context switch. *)
@@ -398,7 +397,7 @@ and dispatch_step k cpu lwp (s : Uctx.step) =
   | Uctx.Step_sys (req, kont) ->
       lwp.in_kernel <- true;
       lwp.pending <- P_syswait kont;
-      Counter.incr k.ctr_syscalls;
+      k.ctr_syscalls <- k.ctr_syscalls + 1;
       let c = cost k in
       busy k cpu lwp
         (Int64.add c.Cost.trap_entry c.Cost.syscall_fixed)
@@ -462,7 +461,7 @@ and charge_slice k cpu lwp span kont =
              && runnable_exists_for k cpu
         in
         if should_preempt then begin
-          Counter.incr k.ctr_preemptions;
+          k.ctr_preemptions <- k.ctr_preemptions + 1;
           if quantum_expired then ts_penalty lwp;
           trace k Tracebuf.Preempt ~cpu:(Cpu.id cpu) ~pid:lwp.proc.pid
             ~lwp:lwp.lid ~name:"" ~arg:(-1);
@@ -587,20 +586,18 @@ and find_lwp_by_lid k _hint lid =
 (* Sleep and wakeup                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Block the LWP that is currently executing a system call.  The caller
-   has already registered the means of wakeup; [cancel] deregisters it.
+(* Block the LWP that is currently executing a system call, and return
+   the sleep: the caller registers its means of wakeup under it, and
+   that registration stays live exactly while [sleep_live lwp sl].
    Detects the paper's SIGWAITING condition: every live LWP of the
    process asleep in an indefinite wait. *)
-and block k lwp ~wchan ~interruptible ~indefinite ~cancel =
+and block k lwp ~wchan ~interruptible ~indefinite =
   let cpu = cpu_of k lwp in
-  lwp.sleep <-
-    Some
-      {
-        sl_interruptible = interruptible;
-        sl_indefinite = indefinite;
-        sl_cancel = cancel;
-        sl_timeout = None;
-      };
+  let sl =
+    { sl_interruptible = interruptible; sl_indefinite = indefinite;
+      sl_timeout = None }
+  in
+  lwp.sleep <- Some sl;
   lwp.wchan <- wchan;
   lwp.lstate <- Lsleeping;
   trace_lwp k Tracebuf.Sleep lwp ~name:wchan ~arg:(Bool.to_int indefinite);
@@ -620,22 +617,18 @@ and block k lwp ~wchan ~interruptible ~indefinite ~cancel =
     upcall_block k lwp.proc
   else if indefinite then check_sigwaiting k lwp.proc;
   try_dispatch k cpu;
-  kick k
+  kick k;
+  sl
 
 and upcall_block k proc =
-  Counter.incr k.ctr_sigwaiting;
+  k.ctr_sigwaiting <- k.ctr_sigwaiting + 1;
   let parked =
     List.find_opt
       (fun l -> l.parked && l.lstate = Lsleeping)
       proc.lwps
   in
   match parked with
-  | Some l -> (
-      match l.sleep with
-      | Some sl ->
-          sl.sl_cancel ();
-          wake k l Sysdefs.R_ok
-      | None -> ())
+  | Some l -> wake k l Sysdefs.R_ok
   | None ->
       (* an LWP that is runnable (or mid-way into a park) will look at
          the run queue soon anyway — creating another activation would
@@ -675,7 +668,7 @@ and check_sigwaiting k proc =
   in
   if all_indefinite && proc.sigwaiting_armed then begin
     proc.sigwaiting_armed <- false;
-    Counter.incr k.ctr_sigwaiting;
+    k.ctr_sigwaiting <- k.ctr_sigwaiting + 1;
     trace_proc k Tracebuf.Sigwaiting proc ~name:"" ~arg:(List.length live);
     k.hook_post_proc proc Signo.sigwaiting
   end
@@ -687,11 +680,7 @@ and set_sleep_timeout k lwp span ret =
   | Some sl ->
       let h =
         Eventq.after (eventq k) span (fun () ->
-            match lwp.sleep with
-            | Some sl' when sl' == sl ->
-                sl.sl_cancel ();
-                wake k lwp ret
-            | _ -> ())
+            if sleep_live lwp sl then wake k lwp ret)
       in
       sl.sl_timeout <- Some h
 
@@ -703,6 +692,7 @@ and wake ?(sig_eintr = false) k lwp ret =
       | Some h -> Eventq.cancel h
       | None -> ());
       lwp.sleep <- None;
+      lwp.parked <- false;
       lwp.wchan <- "";
       (match lwp.pending with
       | P_syswait kont -> lwp.pending <- P_sysret (kont, ret)
@@ -730,25 +720,29 @@ and wake ?(sig_eintr = false) k lwp ret =
 and interrupt_sleep k lwp =
   match lwp.sleep with
   | Some sl when sl.sl_interruptible ->
-      sl.sl_cancel ();
       wake ~sig_eintr:true k lwp (Sysdefs.R_err Errno.EINTR)
   | Some _ | None -> ()
 
-(* Wake every live waiter parked on a shared-object wait channel (the
-   kwake syscall wakes [count]; robust-owner death wakes everyone so all
-   contenders re-examine the lock word and observe OWNERDEAD). *)
-and futex_wake_all k ~seg_id ~offset =
+(* Wake up to [count] live waiters of a shared-object wait channel,
+   oldest first unless the schedule driver chooses; returns how many
+   woke.  The kwake syscall wakes its count; robust-owner death wakes
+   everyone, so all contenders re-examine the lock word and observe
+   OWNERDEAD. *)
+and futex_wake k ~seg_id ~offset ~count =
   match Hashtbl.find_opt k.futex (seg_id, offset) with
   | None -> 0
   | Some q ->
-      let woken = ref 0 in
-      while not (Queue.is_empty q) do
-        let w = Queue.pop q in
-        if !(w.fw_alive) && w.fw_lwp.lstate = Lsleeping then begin
-          w.fw_alive := false;
-          wake k w.fw_lwp Sysdefs.R_ok;
-          incr woken
-        end
+      let woken = ref 0 and draining = ref true in
+      while !draining && !woken < count do
+        match
+          Sunos_sim.Schedctl.take ~site:"kwake" ~obj:offset
+            ~foot:(fun _ -> [])
+            ~want:(count - !woken) ~live:futex_live q
+        with
+        | Some w ->
+            incr woken;
+            wake k w.fw_lwp Sysdefs.R_ok
+        | None -> draining := false
       done;
       !woken
 
@@ -758,7 +752,7 @@ and futex_wake_all k ~seg_id ~offset =
 and robust_sweep k channels =
   List.iter
     (fun (seg_id, offset) ->
-      let woken = futex_wake_all k ~seg_id ~offset in
+      let woken = futex_wake k ~seg_id ~offset ~count:max_int in
       Machine.trace k.machine Tracebuf.Ownerdead ~cpu:(-1) ~pid:(-1) ~lwp:(-1)
         ~name:"" ~name2:"" ~arg:seg_id ~arg2:offset ~arg3:woken)
     channels
@@ -786,7 +780,7 @@ and complete k lwp ?(op_cost = 0L) ret =
             try_dispatch k cpu
           end
           else if Cpu.need_resched cpu && runnable_exists_for k cpu then begin
-            Counter.incr k.ctr_preemptions;
+            k.ctr_preemptions <- k.ctr_preemptions + 1;
             lwp.pending <- P_sysret (kont, ret);
             lwp.lstate <- Lrunnable;
             enqueue k lwp;
@@ -845,7 +839,7 @@ and make_proc k ~name ~parent =
 and make_lwp k proc ~entry ~cls =
   let lid = proc.next_lid in
   proc.next_lid <- proc.next_lid + 1;
-  Counter.incr k.ctr_lwp_creates;
+  k.ctr_lwp_creates <- k.ctr_lwp_creates + 1;
   proc.sigwaiting_armed <- true (* new capacity: re-arm the edge *);
   let lwp =
     {
@@ -853,7 +847,6 @@ and make_lwp k proc ~entry ~cls =
       proc;
       lstate = Lrunnable;
       cls;
-      prio_user = 0;
       bound_cpu = None;
       sigmask = Sigset.empty;
       altstack = false;
@@ -877,18 +870,7 @@ and make_lwp k proc ~entry ~cls =
     }
   in
   proc.lwps <- proc.lwps @ [ lwp ];
-  (match cls with
-  | Sc_gang gid ->
-      let members =
-        match Hashtbl.find_opt k.gangs gid with
-        | Some m -> m
-        | None ->
-            let m = ref [] in
-            Hashtbl.replace k.gangs gid m;
-            m
-      in
-      members := !members @ [ lwp ]
-  | Sc_timeshare _ | Sc_realtime _ -> ());
+  gang_add k lwp;
   lwp
 
 and spawn_process k ~name ~main =
@@ -902,6 +884,14 @@ and spawn_lwp k proc ~entry ~cls =
   let lwp = make_lwp k proc ~entry ~cls in
   make_runnable k lwp;
   lwp
+
+and gang_add k lwp =
+  match lwp.cls with
+  | Sc_gang gid -> (
+      match Hashtbl.find_opt k.gangs gid with
+      | Some members -> members := !members @ [ lwp ]
+      | None -> Hashtbl.replace k.gangs gid (ref [ lwp ]))
+  | Sc_timeshare _ | Sc_realtime _ -> ()
 
 and gang_remove k lwp =
   match lwp.cls with
@@ -939,15 +929,12 @@ and lwp_exit_internal k lwp =
 and destroy_lwp k l =
   (match l.lstate with
   | Lrunning c -> release_cpu k k.machine.Machine.cpus.(c)
-  | Lsleeping -> (
+  | Lsleeping ->
       (match l.sleep with
-      | Some sl -> (
-          sl.sl_cancel ();
-          match sl.sl_timeout with
-          | Some h -> Eventq.cancel h
-          | None -> ())
-      | None -> ());
-      l.sleep <- None)
+      | Some { sl_timeout = Some h; _ } -> Eventq.cancel h
+      | Some _ | None -> ());
+      l.sleep <- None;
+      l.parked <- false
   | Lrunnable | Lstopped | Lzombie -> ());
   l.proc.dead_utime <- Int64.add l.proc.dead_utime l.utime;
   l.proc.dead_stime <- Int64.add l.proc.dead_stime l.stime;
@@ -970,13 +957,13 @@ and proc_exit k proc ~status =
     proc.pstate <- Pzombie;
     proc.stopped <- false;
     trace_proc k Tracebuf.Exit proc ~name:proc.pname ~arg:status;
-    (* Tear down every LWP.  Sleeping ones are deregistered from their
-       wait structures; running ones lose their CPUs; queued ones become
-       stale entries. *)
+    (* Tear down every LWP.  Sleeping ones end their sleeps, which kills
+       whatever wait-structure entries they left; running ones lose their
+       CPUs; queued ones become stale entries. *)
     List.iter (fun l -> destroy_lwp k l) proc.lwps;
     proc.lwps <- [];
     (* Robust USYNC_PROCESS cleanup — after the LWP teardown so the dead
-       process's own futex waiters are already cancelled and only other
+       process's own futex waiters are already dead and only other
        processes' contenders get woken to observe OWNERDEAD. *)
     robust_sweep k (Robust.sweep_pid proc.pid);
     Hashtbl.iter (fun _ fdobj -> close_fdobj fdobj) proc.fdtab;
@@ -992,8 +979,9 @@ and proc_exit k proc ~status =
     | Some pp when pp.pstate = Palive ->
         k.hook_post_proc pp Signo.sigchld;
         (* wake the parent's waitpid sleepers; they rescan and reap *)
-        let waiters = pp.waitpid_waiters in
-        List.iter (fun l -> interrupt_sleep k l) waiters
+        List.iter
+          (fun (l, sl) -> if sleep_live l sl then interrupt_sleep k l)
+          pp.waitpid_waiters
     | Some _ | None -> proc.pstate <- Preaped);
     kick k
   end

@@ -32,11 +32,14 @@ type ts_state = { mutable ts_pri : int }
 
 type sched_class = Sc_timeshare of ts_state | Sc_realtime of int | Sc_gang of int
 
+(* One sleep of one LWP, created by [Kernel_impl.block].  It is also
+   the liveness token of every wakeup path registered for it: the sleep
+   is live while its LWP's [sleep] field holds this very record, and
+   every way out of a sleep (wakeup, timeout, signal, death) clears that
+   field, so a stale registration needs no cancelling. *)
 type sleep = {
   sl_interruptible : bool;
   sl_indefinite : bool;
-  mutable sl_cancel : unit -> unit;
-      (* deregister from the wait structure (called on interrupt/kill) *)
   mutable sl_timeout : Sunos_sim.Eventq.handle option;
 }
 
@@ -45,7 +48,6 @@ type lwp = {
   proc : proc;
   mutable lstate : lwp_state;
   mutable cls : sched_class;
-  mutable prio_user : int;
   mutable bound_cpu : int option;
   mutable sigmask : Sigset.t;
   mutable altstack : bool;
@@ -85,7 +87,8 @@ and proc = {
   handlers : Sysdefs.disposition array;  (* indexed by signal number *)
   mutable proc_sig_pending : Signo.t list;  (* process-directed, all masked *)
   mutable pstate : proc_state;
-  mutable waitpid_waiters : lwp list;  (* our LWPs blocked in waitpid *)
+  mutable waitpid_waiters : (lwp * sleep) list;
+      (* our LWPs blocked in waitpid, each with the sleep it blocked in *)
   mutable rtimer : Sunos_sim.Eventq.handle option;
   mutable mappings : Shm.t list;
   mutable cpu_limit : Time.span option;
@@ -122,8 +125,9 @@ and fdobj =
   | Fd_sock of Socket.endpoint
   | Fd_epoll of Epoll.t
 
-(* A futex-queue entry; [fw_alive] is the lazy-removal guard. *)
-type futex_waiter = { fw_lwp : lwp; fw_alive : bool ref }
+(* A futex-queue entry: dead (and dropped lazily) once its LWP no longer
+   sleeps [fw_sleep]. *)
+type futex_waiter = { fw_lwp : lwp; fw_sleep : sleep }
 
 (* A run-queue entry: the LWP, its enqueue generation (stale entries —
    older generation — are pruned lazily at pick time) and a kernel-wide
@@ -151,11 +155,11 @@ type kernel = {
       (* segment id -> segment name, recorded at kwait so /proc can
          label wait channels without holding segment handles *)
   (* counters for /proc and tests *)
-  ctr_syscalls : Sunos_sim.Stats.Counter.t;
-  ctr_dispatches : Sunos_sim.Stats.Counter.t;
-  ctr_preemptions : Sunos_sim.Stats.Counter.t;
-  ctr_sigwaiting : Sunos_sim.Stats.Counter.t;
-  ctr_lwp_creates : Sunos_sim.Stats.Counter.t;
+  mutable ctr_syscalls : int;
+  mutable ctr_dispatches : int;
+  mutable ctr_preemptions : int;
+  mutable ctr_sigwaiting : int;
+  mutable ctr_lwp_creates : int;
   (* service vector: policy layers install themselves at boot *)
   mutable hook_post_proc : proc -> Signo.t -> unit;
   mutable hook_post_lwp : lwp -> Signo.t -> unit;
@@ -165,15 +169,19 @@ type kernel = {
 let max_global_prio = 159
 
 (* Global dispatch priority: real-time above everything (100..159), gang
-   at a fixed middle band (80), timeshare at 0..59 shifted by the
-   user-set LWP priority. *)
+   at a fixed middle band (80), timeshare at 0..59. *)
 let global_prio lwp =
   match lwp.cls with
   | Sc_realtime p -> 100 + (max 0 (min 59 p))
   | Sc_gang _ -> 80
-  | Sc_timeshare ts ->
-      max 0 (min 59 (ts.ts_pri + lwp.prio_user))
+  | Sc_timeshare ts -> max 0 (min 59 ts.ts_pri)
 
 let live_lwps proc = List.filter (fun l -> l.lstate <> Lzombie) proc.lwps
 
 let lwp_alive l = l.lstate <> Lzombie && l.proc.pstate = Palive
+
+(* Does [lwp] still sleep [sl]?  The liveness test of every wakeup path
+   registered for a sleep. *)
+let sleep_live lwp sl = match lwp.sleep with Some s -> s == sl | None -> false
+
+let futex_live w = sleep_live w.fw_lwp w.fw_sleep

@@ -141,8 +141,7 @@ let wait_channels k =
       let waiters =
         Queue.fold
           (fun ws w ->
-            if !(w.fw_alive) && w.fw_lwp.lstate = Lsleeping then
-              (w.fw_lwp.proc.pid, w.fw_lwp.lid) :: ws
+            if futex_live w then (w.fw_lwp.proc.pid, w.fw_lwp.lid) :: ws
             else ws)
           [] q
       in

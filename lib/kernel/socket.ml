@@ -87,8 +87,6 @@ let readable ep =
 let writable ep =
   ep.conn.reset || (outgoing ep).rclosed || window (outgoing ep) > 0
 
-let peer_closed ep = (incoming ep).wclosed
-
 let read ep ~len =
   if ep.conn.reset then `Reset
   else

@@ -79,7 +79,6 @@ val stall : endpoint -> until:Sunos_sim.Time.t -> unit
 
 val readable : endpoint -> bool
 val writable : endpoint -> bool
-val peer_closed : endpoint -> bool
 
 val read_readiness : endpoint -> Readiness.t
 (** The endpoint's receive direction: fires at every delivery, at the

@@ -84,23 +84,33 @@ type attempt = Done of sysret * Time.span | Not_ready
    call that slept is charged no operation cost: the wakeup is its
    return. *)
 let sleep_until k lwp ~wchan ~arm attempt =
-  let alive = ref true in
-  K.block k lwp ~wchan ~interruptible:true ~indefinite:true
-    ~cancel:(fun () -> alive := false);
+  let sl = K.block k lwp ~wchan ~interruptible:true ~indefinite:true in
   let rec retry () =
-    if !alive then
-      match lwp.sleep with
-      | None -> alive := false
-      | Some _ -> (
-          match attempt () with
-          | Done (ret, _) ->
-              alive := false;
-              K.wake k lwp ret
-          | Not_ready -> arm retry)
+    if sleep_live lwp sl then
+      match attempt () with
+      | Done (ret, _) -> K.wake k lwp ret
+      | Not_ready -> arm retry
   in
   arm retry
 
 (* --- file I/O -------------------------------------------------------- *)
+
+(* A major fault: block the LWP (uninterruptibly, like the classic "D"
+   state) until the disk delivers [pages] of [seg]; only this LWP waits.
+   The pages become resident and the LWP wakes with [ret ()]. *)
+let major_fault k lwp ~wchan seg pages ret =
+  lwp.proc.majflt <- lwp.proc.majflt + List.length pages;
+  let sl = K.block k lwp ~wchan ~interruptible:false ~indefinite:false in
+  let spike =
+    if K.chaos_roll k ~site:"fault-spike" (chp k).fault_spike then
+      max 1 (chp k).spike_factor
+    else 1
+  in
+  Disk.submit k.machine.Machine.disk
+    ~bytes_:(List.length pages * 4096 * spike)
+    ~on_complete:(fun () ->
+      List.iter (fun p -> Shm.make_resident seg ~page:p) pages;
+      if sleep_live lwp sl then K.wake k lwp (ret ()))
 
 (* Pages of [file] covered by the range that are not yet in the "page
    cache" (segment residency). *)
@@ -122,27 +132,10 @@ let file_read k lwp file ~pos ~set_pos ~len =
   match missing_pages file ~pos ~len with
   | [] -> finish ()
   | missing ->
-      (* major fault path: block (uninterruptibly, like the classic "D"
-         state) until the disk delivers the pages; only this LWP waits *)
-      lwp.proc.majflt <- lwp.proc.majflt + List.length missing;
-      K.block k lwp ~wchan:"disk" ~interruptible:false ~indefinite:false
-        ~cancel:(fun () -> ());
-      let spike =
-        if K.chaos_roll k ~site:"fault-spike" (chp k).fault_spike then
-          max 1 (chp k).spike_factor
-        else 1
-      in
-      Disk.submit k.machine.Machine.disk
-        ~bytes_:(List.length missing * 4096 * spike)
-        ~on_complete:(fun () ->
-          let seg = Fs.segment file in
-          List.iter (fun p -> Shm.make_resident seg ~page:p) missing;
-          match lwp.sleep with
-          | Some _ ->
-              let data = Fs.read file ~pos ~len in
-              set_pos (pos + String.length data);
-              K.wake k lwp (R_bytes data)
-          | None -> ())
+      major_fault k lwp ~wchan:"disk" (Fs.segment file) missing (fun () ->
+          let data = Fs.read file ~pos ~len in
+          set_pos (pos + String.length data);
+          R_bytes data)
 
 let file_write k lwp file ~pos ~set_pos data =
   let c = K.cost k in
@@ -360,11 +353,13 @@ let do_waitpid k lwp pid_filter =
         proc.children <- List.filter (fun ch -> ch != zombie) proc.children;
         K.complete k lwp (R_wait (zombie.pid, zombie.exit_status))
     | None ->
-        proc.waitpid_waiters <- lwp :: proc.waitpid_waiters;
-        K.block k lwp ~wchan:"waitpid" ~interruptible:true ~indefinite:true
-          ~cancel:(fun () ->
-            proc.waitpid_waiters <-
-              List.filter (fun l -> l != lwp) proc.waitpid_waiters)
+        let sl =
+          K.block k lwp ~wchan:"waitpid" ~interruptible:true ~indefinite:true
+        in
+        (* drop the waiters a signal took out of waitpid meanwhile *)
+        proc.waitpid_waiters <-
+          (lwp, sl)
+          :: List.filter (fun (l, s) -> sleep_live l s) proc.waitpid_waiters
 
 (* --- segment handle translation ---------------------------------------- *)
 
@@ -412,8 +407,9 @@ let execute k lwp req =
          long sleep pins its LWP while runnable threads starve (the
          paper's "supposedly short term blocking may take a long time"
          remark). *)
-      K.block k lwp ~wchan:"nanosleep" ~interruptible:true ~indefinite:true
-        ~cancel:(fun () -> ());
+      ignore
+        (K.block k lwp ~wchan:"nanosleep" ~interruptible:true ~indefinite:true
+          : sleep);
       if K.chaos_roll k ~site:"eintr-sleep" (chp k).eintr_sleep then
         (* Early EINTR, at least half the requested span in: the
            user-side retry loop re-sleeps the remainder, which at least
@@ -600,21 +596,8 @@ let execute k lwp req =
           | Some file -> Fs.segment file == seg
           | None -> false
         in
-        if file_backed then begin
-          proc.majflt <- proc.majflt + 1;
-          K.block k lwp ~wchan:"pagefault" ~interruptible:false
-            ~indefinite:false
-            ~cancel:(fun () -> ());
-          let spike =
-            if K.chaos_roll k ~site:"fault-spike" (chp k).fault_spike then
-              max 1 (chp k).spike_factor
-            else 1
-          in
-          Disk.submit k.machine.Machine.disk ~bytes_:(4096 * spike)
-            ~on_complete:(fun () ->
-              Shm.make_resident seg ~page;
-              K.wake k lwp R_ok)
-        end
+        if file_backed then
+          major_fault k lwp ~wchan:"pagefault" seg [ page ] (fun () -> R_ok)
         else begin
           proc.minflt <- proc.minflt + 1;
           Shm.make_resident seg ~page;
@@ -641,38 +624,37 @@ let execute k lwp req =
          RTT therefore succeeds, and a full backlog refuses it. *)
       let cpu = K.cpu_of k lwp in
       K.busy k cpu lwp c.Cost.sock_connect (fun () ->
-          K.block k lwp ~wchan:"connect" ~interruptible:false
-            ~indefinite:false
-            ~cancel:(fun () -> ());
+          let sl =
+            K.block k lwp ~wchan:"connect" ~interruptible:false
+              ~indefinite:false
+          in
           Sunos_hw.Devices.Net.request_response k.machine.Machine.net
             ~bytes_:64 ~on_complete:(fun () ->
-              match lwp.sleep with
-              | None -> ()
-              | Some _ -> (
-                  let refused () =
-                    K.trace_proc k Tracebuf.Connect_refused proc ~name
-                      ~arg:(-1);
-                    K.wake k lwp (R_err Errno.ECONNREFUSED)
-                  in
-                  if K.chaos_roll k ~site:"conn-refuse" (chp k).conn_refuse
-                  then refused ()
-                  else if
-                    (* modelled as a SYN-queue overflow drop: the
-                       admission never happens, the client sees a
-                       refusal — distinguishable from conn-refuse only
-                       by its fault counter *)
-                    K.chaos_roll k ~site:"backlog-drop" (chp k).backlog_drop
-                  then refused ()
-                  else
-                  match Socket.lookup k.sockets name with
-                  | None -> refused ()
-                  | Some l -> (
-                      match Socket.try_admit l ~net:k.machine.Machine.net with
-                      | None -> refused ()
-                      | Some client_ep ->
-                          let fd = install_fd proc (Fd_sock client_ep) in
-                          K.trace_proc k Tracebuf.Connect proc ~name ~arg:fd;
-                          K.wake k lwp (R_int fd)))))
+              if sleep_live lwp sl then (
+                let refused () =
+                  K.trace_proc k Tracebuf.Connect_refused proc ~name
+                    ~arg:(-1);
+                  K.wake k lwp (R_err Errno.ECONNREFUSED)
+                in
+                if K.chaos_roll k ~site:"conn-refuse" (chp k).conn_refuse
+                then refused ()
+                else if
+                  (* modelled as a SYN-queue overflow drop: the
+                     admission never happens, the client sees a
+                     refusal — distinguishable from conn-refuse only
+                     by its fault counter *)
+                  K.chaos_roll k ~site:"backlog-drop" (chp k).backlog_drop
+                then refused ()
+                else
+                match Socket.lookup k.sockets name with
+                | None -> refused ()
+                | Some l -> (
+                    match Socket.try_admit l ~net:k.machine.Machine.net with
+                    | None -> refused ()
+                    | Some client_ep ->
+                        let fd = install_fd proc (Fd_sock client_ep) in
+                        K.trace_proc k Tracebuf.Connect proc ~name ~arg:fd;
+                        K.wake k lwp (R_int fd)))))
   | Sys_accept (fd, nonblock) -> (
       match lookup_fd proc fd with
       | Some (Fd_sock_listen l) ->
@@ -879,10 +861,12 @@ let execute k lwp req =
               K.lwp_exit_internal k lwp
             end
             else begin
+              (* every end of this sleep clears [parked] (K.wake) *)
               lwp.parked <- true;
-              K.block k lwp ~wchan:"lwp_park" ~interruptible:true
-                ~indefinite:(timeout = None)
-                ~cancel:(fun () -> lwp.parked <- false);
+              ignore
+                (K.block k lwp ~wchan:"lwp_park" ~interruptible:true
+                   ~indefinite:(timeout = None)
+                  : sleep);
               match timeout with
               | Some t ->
                   K.set_sleep_timeout k lwp t (R_err Errno.ETIMEDOUT)
@@ -893,12 +877,7 @@ let execute k lwp req =
       match K.find_lwp proc lid with
       | None -> K.complete k lwp (R_err Errno.ESRCH)
       | Some target ->
-          if target.parked then begin
-            (match target.sleep with
-            | Some sl -> sl.sl_cancel ()
-            | None -> ());
-            K.wake k target R_ok
-          end
+          if target.parked then K.wake k target R_ok
           else target.park_token <- true;
           (* unpark = dequeue from the park sleep queue + generic wakeup *)
           K.complete k lwp
@@ -921,74 +900,19 @@ let execute k lwp req =
                 Hashtbl.replace k.futex key q;
                 q
           in
-          let waiter = { fw_lwp = lwp; fw_alive = ref true } in
-          Queue.add waiter q;
-          K.block k lwp ~wchan:"kwait" ~interruptible:true ~indefinite:true
-            ~cancel:(fun () -> waiter.fw_alive := false);
+          let sl =
+            K.block k lwp ~wchan:"kwait" ~interruptible:true ~indefinite:true
+          in
+          Queue.add { fw_lwp = lwp; fw_sleep = sl } q;
           (match timeout with
           | Some t -> K.set_sleep_timeout k lwp t (R_err Errno.ETIMEDOUT)
           | None -> ()))
   | Sys_kwake { seg; offset; count } ->
       let seg = resolve_seg proc seg in
-      let key = (Shm.id seg, offset) in
-      let woken = ref 0 in
-      (match Hashtbl.find_opt k.futex key with
-      | None -> ()
-      | Some q when Sunos_sim.Schedctl.active () ->
-          (* driven (exploration) mode: when the wake is selective
-             (fewer wakeups than live waiters), the schedule driver
-             picks who gets the word; candidate 0 is the passive FIFO
-             head.  A wake-all is order-free here — every waiter wakes
-             and the dispatch site explores their run order. *)
-          let live () =
-            List.rev
-              (Queue.fold
-                 (fun acc w ->
-                   if !(w.fw_alive) && w.fw_lwp.lstate = Lsleeping then
-                     w :: acc
-                   else acc)
-                 [] q)
-          in
-          let remove chosen =
-            let rest =
-              Queue.fold
-                (fun acc w -> if w == chosen then acc else w :: acc)
-                [] q
-            in
-            Queue.clear q;
-            List.iter (fun w -> Queue.add w q) (List.rev rest)
-          in
-          let draining = ref true in
-          while !draining && !woken < count do
-            match live () with
-            | [] ->
-                Queue.clear q;
-                draining := false
-            | cands ->
-                let n = List.length cands in
-                let i =
-                  if count - !woken >= n then 0
-                  else Sunos_sim.Schedctl.choose ~site:"kwake" ~obj:offset n
-                in
-                let w = List.nth cands i in
-                w.fw_alive := false;
-                remove w;
-                incr woken;
-                K.wake k w.fw_lwp R_ok
-          done
-      | Some q ->
-          while !woken < count && not (Queue.is_empty q) do
-            let w = Queue.pop q in
-            if !(w.fw_alive) && w.fw_lwp.lstate = Lsleeping then begin
-              w.fw_alive := false;
-              incr woken;
-              K.wake k w.fw_lwp R_ok
-            end
-          done);
+      let woken = K.futex_wake k ~seg_id:(Shm.id seg) ~offset ~count in
       (* a futex wake is a directed handoff straight onto the run queue:
          its cost is folded into the fixed part *)
-      let op_cost = c.Cost.kwake_fixed in
-      K.complete k lwp ~op_cost (R_int !woken)
+      K.complete k lwp ~op_cost:c.Cost.kwake_fixed (R_int woken)
   | Sys_setitimer (which, span) -> (
       match which with
       | Timer_real ->
@@ -1031,21 +955,7 @@ let execute k lwp req =
         | Cls_timeshare -> Sc_timeshare { ts_pri = 29 }
         | Cls_realtime p -> Sc_realtime p
         | Cls_gang g -> Sc_gang g));
-      (match lwp.cls with
-      | Sc_gang gid ->
-          let members =
-            match Hashtbl.find_opt k.gangs gid with
-            | Some m -> m
-            | None ->
-                let m = ref [] in
-                Hashtbl.replace k.gangs gid m;
-                m
-          in
-          members := !members @ [ lwp ]
-      | Sc_timeshare _ | Sc_realtime _ -> ());
-      K.complete k lwp R_ok
-  | Sys_prio_set p ->
-      lwp.prio_user <- p;
+      K.gang_add k lwp;
       K.complete k lwp R_ok
   | Sys_processor_bind cpu_opt -> (
       match cpu_opt with

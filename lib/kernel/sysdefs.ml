@@ -75,7 +75,6 @@ type sysreq =
   | Sys_kwake of { seg : Sunos_hw.Shared_memory.t; offset : int; count : int }
   | Sys_setitimer of which_timer * Sunos_sim.Time.span option
   | Sys_priocntl of sched_class_req
-  | Sys_prio_set of int
   | Sys_processor_bind of int option
   | Sys_getrusage
   | Sys_setrlimit_cpu of Sunos_sim.Time.span option
@@ -142,7 +141,6 @@ let sysreq_name = function
   | Sys_kwake _ -> "kwake"
   | Sys_setitimer _ -> "setitimer"
   | Sys_priocntl _ -> "priocntl"
-  | Sys_prio_set _ -> "prio_set"
   | Sys_processor_bind _ -> "processor_bind"
   | Sys_getrusage -> "getrusage"
   | Sys_setrlimit_cpu _ -> "setrlimit_cpu"

@@ -130,7 +130,6 @@ type sysreq =
   | Sys_kwake of { seg : Sunos_hw.Shared_memory.t; offset : int; count : int }
   | Sys_setitimer of which_timer * Sunos_sim.Time.span option
   | Sys_priocntl of sched_class_req
-  | Sys_prio_set of int
   | Sys_processor_bind of int option
   | Sys_getrusage
   | Sys_setrlimit_cpu of Sunos_sim.Time.span option

@@ -407,9 +407,6 @@ let setitimer which span =
 let priocntl cls =
   match syscall (Sys_priocntl cls) with R_ok -> () | r -> fail "priocntl" r
 
-let set_priority p =
-  match syscall (Sys_prio_set p) with R_ok -> () | r -> fail "prio_set" r
-
 let processor_bind cpu =
   match syscall (Sys_processor_bind cpu) with
   | R_ok -> ()

@@ -228,7 +228,6 @@ val kwake : seg:Sunos_hw.Shared_memory.t -> offset:int -> count:int -> int
 
 val setitimer : Sysdefs.which_timer -> Sunos_sim.Time.span option -> unit
 val priocntl : Sysdefs.sched_class_req -> unit
-val set_priority : int -> unit
 val processor_bind : int option -> unit
 val getrusage : unit -> Sysdefs.rusage
 val setrlimit_cpu : Sunos_sim.Time.span option -> unit

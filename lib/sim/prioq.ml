@@ -105,21 +105,9 @@ let live_entries t prio ~keep =
 
 let remove t prio x =
   let q = t.buckets.(prio) in
-  let removed = ref false in
-  let rest =
-    Queue.fold
-      (fun acc y ->
-        if (not !removed) && y == x then begin
-          removed := true;
-          acc
-        end
-        else y :: acc)
-      [] q
-  in
-  Queue.clear q;
-  List.iter (fun y -> Queue.add y q) (List.rev rest);
+  let removed = Schedctl.remove q x in
   if Queue.is_empty q then clear_bit t prio;
-  !removed
+  removed
 
 let length t =
   Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.buckets

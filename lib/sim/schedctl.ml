@@ -4,12 +4,14 @@
    Every place where the engine breaks a tie among equally-eligible
    work — which LWP a CPU dispatches within a priority, which futex
    waiter a kwake hands the word to, which user thread an LWP runs
-   next, which waiter a sync primitive admits — calls [choose] with the
-   candidate count.  In the default (passive) mode [choose] is a single
-   ref load returning 0, and callers are written so that "candidate 0"
-   IS today's behavior down to the byte: the passive path does not even
-   enumerate the candidates, it runs the pre-existing code.  The
-   determinism goldens pin this.
+   next, which waiter a sync primitive admits — is a decision, and
+   "candidate 0" is the engine's own default.  Three of them admit from
+   a FIFO whose entries die lazily (a signal or timeout ends the wait
+   but leaves the entry queued): they all call [take], whose passive
+   path is a plain front pop and does not even count the candidates.
+   The dispatcher merges two run queues by sequence number, so it
+   enumerates its own candidates and calls [choose].  The determinism
+   goldens pin that the passive paths are the engine's behavior.
 
    In driven mode (installed by [begin_run]) the first [vector] choices
    replay a prescribed prefix and everything beyond it takes the
@@ -29,7 +31,8 @@ type decision = {
   d_choice : int;  (* index actually taken (0 = the engine's default) *)
   d_foot : int list array;
       (* per-candidate sync-object footprint for the explorer's
-         partial-order reduction; [||] when the site reports none *)
+         partial-order reduction; [||] or empty lists when the site
+         reports none *)
 }
 
 type driver = {
@@ -77,6 +80,50 @@ let choose ~site ~obj ?foot n =
           :: d.log;
         c
       end
+
+(* Remove the first entry physically equal to [x], keeping the others in
+   order: rotate the queue once, re-adding all but that entry. *)
+let remove q x =
+  let found = ref false in
+  for _ = 1 to Queue.length q do
+    let y = Queue.take q in
+    if (not !found) && y == x then found := true else Queue.add y q
+  done;
+  !found
+
+let rec drop_dead ~live q =
+  if (not (Queue.is_empty q)) && not (live (Queue.peek q)) then begin
+    ignore (Queue.take q);
+    drop_dead ~live q
+  end
+
+(* The front is always live once the dead fronts are gone, so passive
+   mode, and any pop that wants at least as many entries as are live,
+   takes it without counting.  Dead entries behind the chosen one stay
+   queued for a later pop to drop. *)
+let take ~site ~obj ~foot ~want ~live q =
+  drop_dead ~live q;
+  if Queue.is_empty q then None
+  else
+    match !driver_r with
+    | None -> Some (Queue.take q)
+    | Some _ when want >= Queue.length q -> Some (Queue.take q)
+    | Some _ ->
+        let n = Queue.fold (fun n x -> if live x then n + 1 else n) 0 q in
+        if n <= want then Some (Queue.take q)
+        else begin
+          let cands = Array.make n (Queue.peek q) and i = ref 0 in
+          Queue.iter
+            (fun x ->
+              if live x then begin
+                cands.(!i) <- x;
+                incr i
+              end)
+            q;
+          let x = cands.(choose ~site ~obj ~foot:(fun i -> foot cands.(i)) n) in
+          ignore (remove q x : bool);
+          Some x
+        end
 
 let begin_run ~vector =
   (match !driver_r with

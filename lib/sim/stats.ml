@@ -1,14 +1,3 @@
-module Counter = struct
-  type t = { name : string; mutable v : int }
-
-  let create name = { name; v = 0 }
-  let incr t = t.v <- t.v + 1
-  let add t n = t.v <- t.v + n
-  let value t = t.v
-  let name t = t.name
-  let reset t = t.v <- 0
-end
-
 module Hist = struct
   type t = {
     name : string;

@@ -1,19 +1,8 @@
-(** Measurement plumbing: counters, gauges and duration histograms.
+(** Measurement plumbing: duration histograms.
 
     Benchmarks report simulated-time distributions, so the histogram
     stores exact nanosecond samples (capped reservoir) alongside streaming
     aggregates — exact percentiles matter more than memory here. *)
-
-module Counter : sig
-  type t
-
-  val create : string -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val value : t -> int
-  val name : t -> string
-  val reset : t -> unit
-end
 
 module Hist : sig
   type t

@@ -12,7 +12,9 @@
 
 module Explore = Sunos_sim.Explore
 module Schedctl = Sunos_sim.Schedctl
+module Time = Sunos_sim.Time
 module Kernel = Sunos_kernel.Kernel
+module Uctx = Sunos_kernel.Uctx
 module Rwlock = Sunos_threads.Rwlock
 module Sc = Sunos_workloads.Explore_scenarios
 
@@ -98,6 +100,67 @@ let test_dpor_parity () =
   Alcotest.(check bool) "reduction pruned something" true
     (reduced.Explore.pruned > 0);
   Alcotest.(check int) "raw tree prunes nothing" 0 raw.Explore.pruned
+
+(* ----------------------- the kwake decision -------------------------- *)
+
+(* Two LWPs kwait on one channel, the second 1 ms after the first, so
+   the channel holds them in creation order in every schedule.  A third
+   LWP then wakes [count] of them, and wakes the rest 1 ms later.
+   Returns the lwpids in the order their kwaits returned. *)
+let kwake_run ~count () =
+  let k = Kernel.boot ~cpus:2 () in
+  let woken = ref [] in
+  ignore
+    (Kernel.spawn k ~name:"kwake" ~main:(fun () ->
+         let seg = Uctx.mmap_anon ~size:4096 ~shared:true in
+         for _ = 1 to 2 do
+           ignore
+             (Uctx.lwp_create
+                ~entry:(fun () ->
+                  ignore (Uctx.kwait ~seg ~offset:0 ());
+                  let me = Uctx.getlwpid () in
+                  woken := me :: !woken)
+                ());
+           Uctx.sleep (Time.ms 1)
+         done;
+         let n = Uctx.kwake ~seg ~offset:0 ~count in
+         Uctx.sleep (Time.ms 1);
+         if n < 2 then ignore (Uctx.kwake ~seg ~offset:0 ~count:(2 - n))));
+  Kernel.run ~max_events:100_000 k;
+  List.rev !woken
+
+let kwake_decisions log =
+  List.filter (fun d -> d.Schedctl.d_site = "kwake") log
+
+(* A selective wake is a decision: the explorer must run a schedule in
+   which each waiter gets the word first. *)
+let test_kwake_orders_explored () =
+  let firsts = ref [] in
+  let st =
+    Explore.explore (fun () ->
+        match kwake_run ~count:1 () with
+        | [ first; _ ] ->
+            if not (List.mem first !firsts) then firsts := first :: !firsts;
+            Explore.Pass
+        | l -> Explore.Fail (Printf.sprintf "%d of 2 woke" (List.length l)))
+  in
+  Alcotest.(check int) "no failing schedule" 0 (List.length st.Explore.failures);
+  Alcotest.(check bool) "full exhaustion" false st.Explore.capped;
+  Alcotest.(check int) "both waiters were woken first" 2 (List.length !firsts);
+  Schedctl.begin_run ~vector:[||];
+  ignore (kwake_run ~count:1 ());
+  let log, _ = Schedctl.end_run () in
+  Alcotest.(check (list int)) "one kwake decision over two waiters" [ 2 ]
+    (List.map (fun d -> d.Schedctl.d_arity) (kwake_decisions log))
+
+(* A wake whose count covers every waiter leaves nothing to choose. *)
+let test_kwake_all_no_decision () =
+  Schedctl.begin_run ~vector:[||];
+  let woken = kwake_run ~count:2 () in
+  let log, _ = Schedctl.end_run () in
+  Alcotest.(check int) "both woke" 2 (List.length woken);
+  Alcotest.(check int) "no kwake decision" 0
+    (List.length (kwake_decisions log))
 
 (* ----------------------- seeded-bug teeth ---------------------------- *)
 
@@ -195,6 +258,13 @@ let () =
           Alcotest.test_case "lock-chain deadlocks found" `Quick
             test_lock_chain_deadlocks_found;
           Alcotest.test_case "dpor parity" `Quick test_dpor_parity;
+        ] );
+      ( "kwake decision",
+        [
+          Alcotest.test_case "both wake orders explored" `Quick
+            test_kwake_orders_explored;
+          Alcotest.test_case "count covering all waiters records none" `Quick
+            test_kwake_all_no_decision;
         ] );
       ( "seeded bugs",
         [

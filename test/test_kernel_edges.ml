@@ -464,6 +464,183 @@ let test_poll_sleeps_again () =
   Kernel.run k;
   check_second_slept_again "poll" ~first:"a" ~second:"ready" !finished
 
+(* ------------------------- stale waiters ------------------------- *)
+
+(* A wait structure may still hold an LWP whose sleep on it has ended
+   (timeout, signal) while that LWP now sleeps somewhere else.  Such a
+   stale entry must never end the new sleep.  The sleepers below use raw
+   system calls so that an EINTR or an early return is seen, not retried;
+   each records its results in refs checked after the run. *)
+
+let show r = Format.asprintf "%a" Sysdefs.pp_sysret r
+
+let check_ret name expected got =
+  Alcotest.(check (option string)) name (Some (show expected))
+    (Option.map show got)
+
+(* A nanosleep of [span], entered after the stale sleep, returned R_ok
+   after its full span: nothing aimed at the stale entry ended it. *)
+let check_full_sleep name span slept =
+  match slept with
+  | Some (r, dt) ->
+      Alcotest.(check string) (name ^ ": nanosleep result") (show Sysdefs.R_ok)
+        (show r);
+      Alcotest.(check bool) (name ^ ": nanosleep ran its full span") true
+        Time.(dt >= span)
+  | None -> Alcotest.failf "%s: the nanosleep never returned" name
+
+let timed_nanosleep span =
+  let t0 = Uctx.gettime () in
+  let r = Uctx.syscall (Sysdefs.Sys_nanosleep span) in
+  let t1 = Uctx.gettime () in
+  (r, Time.diff t1 t0)
+
+let kwait_req seg timeout =
+  Sysdefs.Sys_kwait { seg; offset = 0; timeout; expect = None }
+
+(* A times out of its kwait and sits in nanosleep; B waits behind A's
+   dead entry.  kwake ~count:1 must skip A and wake B. *)
+let test_stale_kwait_skipped () =
+  let k = Kernel.boot ~cpus:2 () in
+  let a_kwait = ref None and a_slept = ref None in
+  let b_woke = ref None and woken = ref (-1) in
+  ignore
+    (Kernel.spawn k ~name:"kwait" ~main:(fun () ->
+         let seg = Uctx.mmap_anon ~size:4096 ~shared:true in
+         ignore
+           (Uctx.lwp_create
+              ~entry:(fun () ->
+                a_kwait := Some (Uctx.syscall (kwait_req seg (Some (Time.ms 1))));
+                a_slept := Some (timed_nanosleep (Time.ms 20)))
+              ());
+         Uctx.sleep (Time.us 500);
+         ignore
+           (Uctx.lwp_create
+              ~entry:(fun () ->
+                let r = Uctx.syscall (kwait_req seg None) in
+                let t = Uctx.gettime () in
+                b_woke := Some (r, t))
+              ());
+         Uctx.sleep (Time.ms 5);
+         woken := Uctx.kwake ~seg ~offset:0 ~count:1));
+  Kernel.run ~max_events:100_000 k;
+  check_ret "A's kwait timed out" (Sysdefs.R_err Errno.ETIMEDOUT) !a_kwait;
+  Alcotest.(check int) "kwake woke one waiter" 1 !woken;
+  (match !b_woke with
+  | Some (r, t) ->
+      Alcotest.(check string) "B woken by the kwake" (show Sysdefs.R_ok) (show r);
+      Alcotest.(check bool) "B woken before A's nanosleep ended" true
+        Time.(t < Time.ms 20)
+  | None -> Alcotest.fail "B never woke");
+  check_full_sleep "A" (Time.ms 20) !a_slept
+
+(* W is interrupted out of waitpid and then sleeps in nanosleep; the
+   child's exit must not interrupt that nanosleep. *)
+let test_stale_waitpid_not_interrupted () =
+  let k = Kernel.boot ~cpus:2 () in
+  let waited = ref None and slept = ref None in
+  ignore
+    (Kernel.spawn k ~name:"parent" ~main:(fun () ->
+         ignore (Uctx.sigaction Signo.sigusr1 (Sysdefs.Sig_handler (fun _ -> ())));
+         (* fork alone costs the parent about 10 ms of CPU: the child
+            exits well after W's waitpid was interrupted, in the middle
+            of W's nanosleep *)
+         ignore
+           (Uctx.fork1 ~child_main:(fun () ->
+                Uctx.sleep (Time.ms 40);
+                Uctx.exit 0));
+         let w =
+           Uctx.lwp_create
+             ~entry:(fun () ->
+               waited := Some (Uctx.syscall (Sysdefs.Sys_waitpid None));
+               Uctx.checkpoint ();
+               slept := Some (timed_nanosleep (Time.ms 60)))
+             ()
+         in
+         Uctx.sleep (Time.ms 5);
+         Uctx.lwp_kill ~lwpid:w Signo.sigusr1;
+         Uctx.sleep (Time.ms 100);
+         ignore (Uctx.waitpid ())));
+  Kernel.run ~max_events:100_000 k;
+  check_ret "waitpid interrupted" (Sysdefs.R_err Errno.EINTR) !waited;
+  check_full_sleep "W" (Time.ms 60) !slept
+
+(* X's park times out; X then sleeps.  /proc must show X not parked, so
+   an unpark leaves a token instead of ending the sleep, and X's next
+   park returns at once. *)
+let test_timed_out_park_leaves_token () =
+  let k = Kernel.boot ~cpus:2 () in
+  let parked = ref None and slept = ref None in
+  let shown_parked = ref None and park2 = ref None in
+  ignore
+    (Kernel.spawn k ~name:"park" ~main:(fun () ->
+         let pid = Uctx.getpid () in
+         let x =
+           Uctx.lwp_create
+             ~entry:(fun () ->
+               parked := Some (Uctx.syscall (Sysdefs.Sys_lwp_park (Some (Time.ms 1))));
+               slept := Some (timed_nanosleep (Time.ms 10));
+               let t0 = Uctx.gettime () in
+               let r = Uctx.syscall (Sysdefs.Sys_lwp_park None) in
+               let t1 = Uctx.gettime () in
+               park2 := Some (r, Time.diff t1 t0))
+             ()
+         in
+         Uctx.sleep (Time.ms 3);
+         (shown_parked :=
+            match Sunos_kernel.Procfs.proc k pid with
+            | Some pi ->
+                List.find_map
+                  (fun li ->
+                    if li.Sunos_kernel.Procfs.li_lwpid = x then
+                      Some li.Sunos_kernel.Procfs.li_parked
+                    else None)
+                  pi.Sunos_kernel.Procfs.pi_lwps
+            | None -> None);
+         Uctx.lwp_unpark x));
+  Kernel.run ~max_events:100_000 k;
+  check_ret "park timed out" (Sysdefs.R_err Errno.ETIMEDOUT) !parked;
+  Alcotest.(check (option bool)) "/proc: not parked" (Some false) !shown_parked;
+  check_full_sleep "X" (Time.ms 10) !slept;
+  match !park2 with
+  | Some (r, dt) ->
+      Alcotest.(check string) "second park consumed the token"
+        (show Sysdefs.R_ok) (show r);
+      Alcotest.(check bool) "second park returned at once" true
+        Time.(dt < Time.ms 1)
+  | None -> Alcotest.fail "the second park never returned"
+
+(* R's read of pipe 1 is interrupted; R then blocks reading pipe 2.  A
+   write to pipe 1 must stay in pipe 1, not complete the read of pipe 2. *)
+let test_stale_pipe_read_not_completed () =
+  let k = Kernel.boot ~cpus:2 () in
+  let first = ref None and second = ref None and leftover = ref None in
+  ignore
+    (Kernel.spawn k ~name:"pipes" ~main:(fun () ->
+         ignore (Uctx.sigaction Signo.sigusr1 (Sysdefs.Sig_handler (fun _ -> ())));
+         let r1, w1 = Uctx.pipe () in
+         let r2, w2 = Uctx.pipe () in
+         let rd =
+           Uctx.lwp_create
+             ~entry:(fun () ->
+               first := Some (Uctx.syscall (Sysdefs.Sys_read (r1, 8)));
+               Uctx.checkpoint ();
+               second := Some (Uctx.syscall (Sysdefs.Sys_read (r2, 8))))
+             ()
+         in
+         Uctx.sleep (Time.ms 1);
+         Uctx.lwp_kill ~lwpid:rd Signo.sigusr1;
+         Uctx.sleep (Time.ms 1);
+         ignore (Uctx.write w1 "one");
+         Uctx.sleep (Time.ms 1);
+         ignore (Uctx.write w2 "two");
+         Uctx.sleep (Time.ms 1);
+         leftover := Some (Uctx.read r1 ~len:8)));
+  Kernel.run ~max_events:100_000 k;
+  check_ret "first read interrupted" (Sysdefs.R_err Errno.EINTR) !first;
+  check_ret "second read got pipe 2's data" (Sysdefs.R_bytes "two") !second;
+  Alcotest.(check (option string)) "pipe 1 kept its data" (Some "one") !leftover
+
 (* ------------------------- zero-length transfers ------------------------- *)
 
 (* A connected stream inside one process: (read end, write end).  For a
@@ -500,7 +677,6 @@ let zero_length_case kind op ~buffered expected () =
                 | `Write -> Sysdefs.Sys_write (wr, "")));
          if buffered then rest := Uctx.read rd ~len:16));
   Kernel.run ~max_events:100_000 k;
-  let show r = Format.asprintf "%a" Sysdefs.pp_sysret r in
   Alcotest.(check (option string)) "returned at once" (Some (show expected))
     (Option.map show !got);
   if buffered then Alcotest.(check string) "buffered data intact" "data" !rest
@@ -559,6 +735,17 @@ let () =
           Alcotest.test_case "pipe read" `Quick test_pipe_read_sleeps_again;
           Alcotest.test_case "pipe write" `Quick test_pipe_write_sleeps_again;
           Alcotest.test_case "poll" `Quick test_poll_sleeps_again;
+        ] );
+      ( "stale_waiters",
+        [
+          Alcotest.test_case "kwait timed out, kwake skips it" `Quick
+            test_stale_kwait_skipped;
+          Alcotest.test_case "waitpid interrupted, child exit ignores it"
+            `Quick test_stale_waitpid_not_interrupted;
+          Alcotest.test_case "park timed out, unpark leaves a token" `Quick
+            test_timed_out_park_leaves_token;
+          Alcotest.test_case "pipe read interrupted, write leaves it" `Quick
+            test_stale_pipe_read_not_completed;
         ] );
       ("zero_length", zero_length_cases);
       ( "signals_misc",

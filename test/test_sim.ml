@@ -7,6 +7,7 @@ module Rng = Sunos_sim.Rng
 module Stats = Sunos_sim.Stats
 module Tracebuf = Sunos_sim.Tracebuf
 module Univ = Sunos_sim.Univ
+module Schedctl = Sunos_sim.Schedctl
 
 let span = Alcotest.testable (Fmt.of_to_string Int64.to_string) Int64.equal
 
@@ -394,14 +395,6 @@ let test_rng_shuffle_permutation () =
 
 (* ------------------------------ Stats ------------------------------ *)
 
-let test_counter () =
-  let c = Stats.Counter.create "c" in
-  Stats.Counter.incr c;
-  Stats.Counter.add c 5;
-  Alcotest.(check int) "value" 6 (Stats.Counter.value c);
-  Stats.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Stats.Counter.value c)
-
 let test_hist_exact () =
   let h = Stats.Hist.create "h" in
   List.iter (fun x -> Stats.Hist.add h (Int64.of_int x)) [ 10; 20; 30; 40; 50 ];
@@ -593,6 +586,59 @@ let test_univ_roundtrip () =
   Alcotest.(check (option int)) "distinct keys of same type" None
     (Univ.unpack ki2 u)
 
+(* --------------------------- Schedctl.take --------------------------- *)
+
+type ent = { id : int; mutable live : bool }
+
+let queue_of specs =
+  let q = Queue.create () in
+  List.iter (fun (id, live) -> Queue.add { id; live } q) specs;
+  q
+
+let ids q = List.rev (Queue.fold (fun acc e -> e.id :: acc) [] q)
+
+let take ?(want = 1) q =
+  Option.map
+    (fun e -> e.id)
+    (Schedctl.take ~site:"test" ~obj:0 ~foot:(fun e -> [ e.id ]) ~want
+       ~live:(fun e -> e.live) q)
+
+let test_take_passive () =
+  let q = queue_of [ (1, false); (2, false); (3, true); (4, false); (5, true) ] in
+  Alcotest.(check (option int)) "first live entry" (Some 3) (take q);
+  Alcotest.(check (list int)) "dead fronts dropped, the rest kept" [ 4; 5 ]
+    (ids q);
+  Alcotest.(check (option int)) "next live entry" (Some 5) (take q);
+  Alcotest.(check (option int)) "none left" None (take q);
+  Alcotest.(check (list int)) "drained" [] (ids q)
+
+let test_take_driven_choice () =
+  let q = queue_of [ (1, false); (2, true); (3, false); (4, true); (5, true) ] in
+  Schedctl.begin_run ~vector:[| 1 |];
+  let got = take q in
+  let log, diverged = Schedctl.end_run () in
+  Alcotest.(check (option int)) "the driver's pick" (Some 4) got;
+  Alcotest.(check (option string)) "no divergence" None diverged;
+  (match log with
+  | [ d ] ->
+      Alcotest.(check int) "arity counts live entries only" 3 d.Schedctl.d_arity;
+      Alcotest.(check (list (list int))) "live candidates in queue order"
+        [ [ 2 ]; [ 4 ]; [ 5 ] ]
+        (Array.to_list d.Schedctl.d_foot)
+  | l -> Alcotest.failf "%d decisions, expected 1" (List.length l));
+  Alcotest.(check (list int)) "chosen removed, the rest kept in order"
+    [ 2; 3; 5 ] (ids q)
+
+let test_take_want_covers_all () =
+  let q = queue_of [ (1, true); (2, false); (3, true) ] in
+  Schedctl.begin_run ~vector:[| 1; 1 |];
+  let first = take ~want:2 q in
+  let second = take q in
+  let log, _ = Schedctl.end_run () in
+  Alcotest.(check (option int)) "want 2 of 2 live: the front" (Some 1) first;
+  Alcotest.(check (option int)) "want 1 of 1 live: the front" (Some 3) second;
+  Alcotest.(check int) "no decision recorded" 0 (List.length log)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "sunos_sim"
@@ -642,7 +688,6 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "hist exact" `Quick test_hist_exact;
           Alcotest.test_case "hist decimation" `Quick test_hist_decimation;
           Alcotest.test_case "hist empty" `Quick test_hist_empty;
@@ -657,4 +702,13 @@ let () =
           qt prop_tracebuf_model;
         ] );
       ("univ", [ Alcotest.test_case "roundtrip" `Quick test_univ_roundtrip ]);
+      ( "schedctl take",
+        [
+          Alcotest.test_case "passive drops dead fronts, takes the front"
+            `Quick test_take_passive;
+          Alcotest.test_case "driven chooses among live entries" `Quick
+            test_take_driven_choice;
+          Alcotest.test_case "want covering all live: no decision" `Quick
+            test_take_want_covers_all;
+        ] );
     ]
