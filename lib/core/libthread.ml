@@ -78,7 +78,7 @@ let stats () =
     lwps_grown = pool.ctr_lwp_grown;
     pool_lwps = pool.n_pool_lwps;
     live_threads = pool.live_threads;
-    runnable = pool.runq_count;
+    runnable = Sunos_sim.Prioq.length pool.runq;
     stack_cache_hits = pool.stack_hits;
     stack_cache_misses = pool.stack_misses;
   }

@@ -41,6 +41,8 @@ type stats = {
   pool_lwps : int;
   live_threads : int;
   runnable : int;
+      (** run-queue entries, counting those of threads stopped while
+          queued until a pick drops them *)
   stack_cache_hits : int;
   stack_cache_misses : int;
 }

@@ -26,6 +26,7 @@ module Cost = Sunos_hw.Cost_model
    closure at every value use) *)
 let no_cancel : unit -> unit = fun () -> ()
 module Time = Sunos_sim.Time
+module Prioq = Sunos_sim.Prioq
 
 let charge = Uctx.charge
 
@@ -37,8 +38,7 @@ let make_pool ~pid ~cost ~auto_grow =
   {
     pid;
     cost;
-    runq = Array.init (max_prio + 1) (fun _ -> Queue.create ());
-    runq_count = 0;
+    runq = Prioq.create ~levels:(max_prio + 1);
     threads = Hashtbl.create 64;
     next_tid = 1;
     live_threads = 0;
@@ -65,8 +65,7 @@ let make_pool ~pid ~cost ~auto_grow =
 (* ------------------------------------------------------------------ *)
 
 let runq_push pool tcb =
-  Queue.add tcb pool.runq.(max 0 (min max_prio tcb.prio));
-  pool.runq_count <- pool.runq_count + 1
+  Prioq.push pool.runq (max 0 (min max_prio tcb.prio)) tcb
 
 (* A queued thread that is no longer runnable (suspended while queued)
    is a stale entry.  Under the schedule explorer a candidate's
@@ -77,25 +76,10 @@ let runq_push pool tcb =
 let runnable tcb = tcb.tstate = Trunnable
 let held_locks tcb = List.map (fun o -> o.so_id) tcb.san_held
 
-(* The highest priority with a live entry; [runq_count] counts stale
-   entries too, so it drops by whatever the take removed. *)
+(* The front live thread of the highest priority that has one. *)
 let runq_pop pool =
-  let rec at prio =
-    if prio < 0 then None
-    else
-      let q = pool.runq.(prio) in
-      if Queue.is_empty q then at (prio - 1)
-      else begin
-        let before = Queue.length q in
-        let r =
-          Sunos_sim.Schedctl.take ~site:"runq" ~obj:pool.pid ~foot:held_locks
-            ~want:1 ~live:runnable q
-        in
-        pool.runq_count <- pool.runq_count - (before - Queue.length q);
-        match r with Some _ -> r | None -> at (prio - 1)
-      end
-  in
-  at max_prio
+  Prioq.take ~site:"runq" ~obj:pool.pid ~foot:held_locks ~want:1
+    ~live:runnable pool.runq
 
 (* ------------------------------------------------------------------ *)
 (* Suspension and wakeup                                               *)

@@ -63,18 +63,24 @@ let next_obj_id = ref 0
    schedule.) *)
 let acq_seq = ref 0
 
+(* An object is named only when a report is built: most objects never
+   appear in one, so a default name is not even formatted. *)
 let new_obj ~kind ?name () =
   incr next_obj_id;
-  let id = !next_obj_id in
   {
-    so_id = id;
+    so_id = !next_obj_id;
     so_kind = kind;
-    so_name =
-      (match name with Some n -> n | None -> Printf.sprintf "%s#%d" kind id);
+    so_name = name;
     so_holders = [];
-    so_last_holder = "";
+    so_last_pid = -1;
+    so_last_tid = -1;
     so_acq_seq = 0;
   }
+
+let obj_name o =
+  match o.so_name with
+  | Some n -> n
+  | None -> Printf.sprintf "%s#%d" o.so_kind o.so_id
 
 (* Shared-memory sync variables, keyed by (segment name, offset) so the
    same location resolves to the same object from every process. *)
@@ -89,8 +95,6 @@ let syncvar_obj ~seg ~offset =
       in
       Hashtbl.add syncvar_objs (seg, offset) o;
       o
-
-let thread_desc (t : tcb) = Printf.sprintf "%d/%d" t.pool.pid t.tid
 
 (* ------------------------------------------------------------------ *)
 (* Lock-order graph (transitive)                                       *)
@@ -129,7 +133,7 @@ let check_order self obj =
     (fun held ->
       if held.so_id <> obj.so_id then begin
         if reachable obj.so_id held.so_id then
-          raise (Lock_order_violation (held.so_name, obj.so_name));
+          raise (Lock_order_violation (obj_name held, obj_name obj));
         add_edge held.so_id obj.so_id
       end)
     self.san_held
@@ -202,7 +206,7 @@ let link_of (t, o) =
     wl_tid = t.tid;
     wl_obj_id = o.so_id;
     wl_obj_kind = o.so_kind;
-    wl_obj_name = o.so_name;
+    wl_obj_name = obj_name o;
     wl_acq_seq = o.so_acq_seq;
     wl_holders = List.map (fun h -> (h.pool.pid, h.tid)) o.so_holders;
   }
@@ -232,7 +236,8 @@ let acquired self obj =
   incr acq_seq;
   obj.so_acq_seq <- !acq_seq;
   obj.so_holders <- self :: obj.so_holders;
-  obj.so_last_holder <- thread_desc self;
+  obj.so_last_pid <- self.pool.pid;
+  obj.so_last_tid <- self.tid;
   (* held is maintained whenever the sanitizer tracks: the order
      checker reads it, and so does the exploration driver (per-thread
      lock footprints for its partial-order reduction) *)
@@ -370,11 +375,14 @@ let hang_check (k : Ktypes.kernel) =
                     let on, holders, last =
                       match t.san_waiting with
                       | Some o ->
-                          ( Printf.sprintf "%s %s" o.so_kind o.so_name,
+                          ( Printf.sprintf "%s %s" o.so_kind (obj_name o),
                             List.map
                               (fun h -> (h.pool.pid, h.tid))
                               o.so_holders,
-                            o.so_last_holder )
+                            if o.so_last_tid < 0 then ""
+                            else
+                              Printf.sprintf "%d/%d" o.so_last_pid
+                                o.so_last_tid )
                       | None -> ("", [], "")
                     in
                     threads :=

@@ -37,7 +37,9 @@ val set_lock_order_mode : bool -> unit
 
 val new_obj : kind:string -> ?name:string -> unit -> Ttypes.san_obj
 (** Allocate a sanitizer identity for one sync object.  Primitives do
-    this lazily, on the first tracked operation. *)
+    this lazily, on the first tracked operation.  Without [name], reports
+    call the object ["kind#id"]; that name and the last acquirer's
+    ["pid/tid"] are formatted only when a report is built. *)
 
 val syncvar_obj : seg:string -> offset:int -> Ttypes.san_obj
 (** The shared identity of a kernel sync variable, keyed by (segment

@@ -74,10 +74,11 @@ and tcb = {
 and san_obj = {
   so_id : int;
   so_kind : string;
-  mutable so_name : string;
+  so_name : string option;  (* [None]: reports name it "kind#id" *)
   mutable so_holders : tcb list;  (* current owners (readers, or the one
                                      owner); empty for condvars/semaphores *)
-  mutable so_last_holder : string;  (* "pid/tid" of the last acquirer *)
+  mutable so_last_pid : int;  (* last acquirer's pid; -1 before any *)
+  mutable so_last_tid : int;  (* last acquirer's tid; -1 before any *)
   mutable so_acq_seq : int;  (* global acquisition sequence stamp of the
                                 most recent acquisition (the "site") *)
 }
@@ -86,8 +87,9 @@ and pool = {
   pid : int;
   cost : Cost.t;
       (* the library's own path-length calibration; see DESIGN.md *)
-  runq : tcb Queue.t array;  (* per-priority FIFO, index = priority *)
-  mutable runq_count : int;
+  runq : tcb Sunos_sim.Prioq.t;
+      (* runnable threads by priority, [0 .. max_prio]; stopped threads
+         leave dead entries, dropped at the next pick that meets them *)
   threads : (int, tcb) Hashtbl.t;
   mutable next_tid : int;
   mutable live_threads : int;
@@ -127,4 +129,5 @@ exception Thread_exit_exn
 let max_prio = 63
 let default_prio = 31
 
-let live_runnable pool = pool.runq_count > 0
+(* counts dead entries not yet dropped, as a pick would meet them *)
+let live_runnable pool = Sunos_sim.Prioq.length pool.runq > 0

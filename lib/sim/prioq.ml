@@ -3,27 +3,38 @@
    One FIFO bucket per priority level plus a bitmask of the non-empty
    buckets, so "highest occupied priority" is a find-highest-set over a
    couple of words instead of a scan of every level.  Consumers that use
-   lazy deletion (the dispatcher's stale run-queue entries) prune dead
-   entries from bucket fronts through [peek_live]; the mask tracks
-   non-emptiness exactly, and is therefore only conservative about
-   *liveness* — a set bit may cover a bucket holding nothing but stale
-   entries until a prune drains it.  Every pruned entry was pushed once,
-   so all operations stay O(1) amortized. *)
+   lazy deletion (the dispatcher's stale run-queue entries, the thread
+   library's stopped threads) prune dead entries from bucket fronts
+   through [peek_live] or [take]; the mask tracks non-emptiness exactly,
+   and is therefore only conservative about *liveness* — a set bit may
+   cover a bucket holding nothing but stale entries until a prune drains
+   it.  Every pruned entry was pushed once, so all operations stay O(1)
+   amortized.
+
+   A level's FIFO is made at its first push: until then the level holds
+   the queue's one shared [empty] FIFO, which nothing ever pushes to.  A
+   machine is booted once per explored schedule, and most of its 160
+   kernel levels (and 64 library levels per process) are never used. *)
 
 (* 62 bits per word keeps the arithmetic safely inside an OCaml int on
    any platform dune supports. *)
 let bits_per_word = 62
 
 type 'a t = {
-  buckets : 'a Queue.t array;
+  buckets : 'a Queue.t array;  (* [empty] until the level's first push *)
+  empty : 'a Queue.t;  (* shared by every unused level; always empty *)
   mask : int array;  (* bit p%62 of word p/62 set iff buckets.(p) non-empty *)
+  mutable size : int;  (* queued entries, stale ones included *)
 }
 
 let create ~levels =
   if levels <= 0 then invalid_arg "Prioq.create: levels";
+  let empty = Queue.create () in
   {
-    buckets = Array.init levels (fun _ -> Queue.create ());
+    buckets = Array.make levels empty;
+    empty;
     mask = Array.make ((levels + bits_per_word - 1) / bits_per_word) 0;
+    size = 0;
   }
 
 let levels t = Array.length t.buckets
@@ -38,8 +49,17 @@ let clear_bit t p =
 
 let push t prio x =
   let q = t.buckets.(prio) in
+  let q =
+    if q == t.empty then begin
+      let q = Queue.create () in
+      t.buckets.(prio) <- q;
+      q
+    end
+    else q
+  in
   if Queue.is_empty q then set_bit t prio;
-  Queue.add x q
+  Queue.add x q;
+  t.size <- t.size + 1
 
 (* Index of the highest set bit of [w > 0]: branchless-ish binary probe. *)
 let highest_bit w =
@@ -83,14 +103,42 @@ let peek_live t prio ~keep =
     | None ->
         clear_bit t prio;
         None
-    | Some x -> if keep x then Some x else (ignore (Queue.pop q); go ())
+    | Some x ->
+        if keep x then Some x
+        else begin
+          ignore (Queue.pop q);
+          t.size <- t.size - 1;
+          go ()
+        end
   in
   go ()
 
 let drop_front t prio =
   let q = t.buckets.(prio) in
   ignore (Queue.pop q);
+  t.size <- t.size - 1;
   if Queue.is_empty q then clear_bit t prio
+
+(* Admit one live entry from the highest level that still has one.  A
+   level that held only dead entries is drained by [Schedctl.take] and
+   the search moves down.  Written with every argument passed along
+   rather than as a local loop, so a pick allocates no closure. *)
+let rec take_below ~site ~obj ~foot ~want ~live t limit =
+  let prio = top_below t limit in
+  if prio < 0 then None
+  else begin
+    let q = t.buckets.(prio) in
+    let before = Queue.length q in
+    let r = Schedctl.take ~site ~obj ~foot ~want ~live q in
+    t.size <- t.size - (before - Queue.length q);
+    if Queue.is_empty q then clear_bit t prio;
+    match r with
+    | Some _ -> r
+    | None -> take_below ~site ~obj ~foot ~want ~live t (prio - 1)
+  end
+
+let take ~site ~obj ~foot ~want ~live t =
+  take_below ~site ~obj ~foot ~want ~live t (levels t - 1)
 
 (* Exploration support (Schedctl driven mode): the systematic
    dispatcher enumerates a bucket's live entries and removes the chosen
@@ -106,10 +154,9 @@ let live_entries t prio ~keep =
 let remove t prio x =
   let q = t.buckets.(prio) in
   let removed = Schedctl.remove q x in
+  if removed then t.size <- t.size - 1;
   if Queue.is_empty q then clear_bit t prio;
   removed
 
-let length t =
-  Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.buckets
-
-let is_empty t = Array.for_all (fun w -> w = 0) t.mask
+let length t = t.size
+let is_empty t = t.size = 0

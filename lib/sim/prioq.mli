@@ -2,12 +2,18 @@
 
     One FIFO bucket per priority level; a bitmask of non-empty buckets
     makes "highest occupied priority" a find-highest-set over a couple of
-    words rather than a scan of every level.  Built for the dispatcher's
-    run queues: consumers using lazy deletion prune stale entries from
-    bucket fronts via {!peek_live}, keeping every operation O(1)
-    amortized.  The mask is exact about bucket non-emptiness and
-    conservative about liveness (a set bit may cover only stale entries
-    until a prune drains them). *)
+    words rather than a scan of every level.  Built for run queues: the
+    dispatcher's (160 levels, two queues merged by sequence number) and
+    the thread library's (64 levels, one per process).  Consumers using
+    lazy deletion prune stale entries from bucket fronts via
+    {!peek_live} or {!take}, keeping every operation O(1) amortized.
+    The mask is exact about bucket non-emptiness and conservative about
+    liveness (a set bit may cover only stale entries until a prune
+    drains them).
+
+    A level's FIFO is allocated at its first push; until then every
+    unused level shares one empty FIFO, so creating a queue costs its
+    bucket array and mask, not a FIFO per level. *)
 
 type 'a t
 
@@ -35,6 +41,21 @@ val drop_front : 'a t -> int -> unit
 (** Remove the front entry of the bucket (raises [Queue.Empty] if the
     bucket is empty). *)
 
+val take :
+  site:string ->
+  obj:int ->
+  foot:('a -> int list) ->
+  want:int ->
+  live:('a -> bool) ->
+  'a t ->
+  'a option
+(** [take ~site ~obj ~foot ~want ~live t] admits one live entry from the
+    highest occupied level through {!Schedctl.take} (same arguments, same
+    passive and driven behavior): dead entries at the level's front are
+    dropped, and a level that held only dead entries is left empty and
+    the search moves down a level.  [None] when no level has a live
+    entry.  Allocates no closure of its own. *)
+
 val live_entries : 'a t -> int -> keep:('a -> bool) -> 'a list
 (** All entries of the bucket passing [keep], front first, without
     mutating the queue.  Exploration support; O(bucket). *)
@@ -45,6 +66,7 @@ val remove : 'a t -> int -> 'a -> bool
     O(bucket). *)
 
 val length : 'a t -> int
-(** Total queued entries, including stale ones; O(levels). *)
+(** Total queued entries, including stale ones not yet pruned; O(1). *)
 
 val is_empty : 'a t -> bool
+(** [length t = 0]. *)

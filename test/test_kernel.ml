@@ -857,20 +857,27 @@ let test_shutdown_is_noop () =
   Alcotest.(check (option int)) "ran before" (Some 0) (Kernel.exit_status k a);
   Alcotest.(check (option int)) "ran after" (Some 3) (Kernel.exit_status k b)
 
-(* A boot allocates no trace slot up front: the ring grows as records
-   arrive, so a boot is cheap enough to pay once per explored schedule.
-   A preallocated 64K-slot ring costs about 70k words here. *)
+(* A boot allocates no trace slot and no run-queue level up front: the
+   ring grows as records arrive and a level's FIFO is made at its first
+   push, so a boot is cheap enough to pay once per explored schedule.
+   A preallocated 64K-slot ring costs about 70k words here, and five
+   eagerly filled 160-level run queues (the global one and one per CPU)
+   about 3.2k.  On OCaml 5.1,
+   [Gc.counters] and [Gc.quick_stat] miss the minor heap not yet
+   collected, so minor words come from [Gc.minor_words]; Gc.counters'
+   major count sees a direct major allocation (such as the ring) at
+   once, and promoted words are counted in both. *)
 let test_boot_allocation () =
   ignore (Kernel.boot ~cpus:4 ());
   let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
   in
   let w0 = words () in
   ignore (Sys.opaque_identity (Kernel.boot ~cpus:4 ()));
   let used = words () -. w0 in
-  if used >= 4096. then
-    Alcotest.failf "Kernel.boot ~cpus:4 allocated %.0f words (bound 4096)" used
+  if used >= 2048. then
+    Alcotest.failf "Kernel.boot ~cpus:4 allocated %.0f words (bound 2048)" used
 
 (* ------------------------- procfs ------------------------- *)
 
@@ -903,7 +910,7 @@ let () =
           Alcotest.test_case "charge advances time" `Quick
             test_charge_advances_time;
           Alcotest.test_case "shutdown is a no-op" `Quick test_shutdown_is_noop;
-          Alcotest.test_case "boot allocates under 4096 words" `Quick
+          Alcotest.test_case "boot allocates under 2048 words" `Quick
             test_boot_allocation;
         ] );
       ( "scheduling",

@@ -8,6 +8,7 @@ module Stats = Sunos_sim.Stats
 module Tracebuf = Sunos_sim.Tracebuf
 module Univ = Sunos_sim.Univ
 module Schedctl = Sunos_sim.Schedctl
+module Prioq = Sunos_sim.Prioq
 
 let span = Alcotest.testable (Fmt.of_to_string Int64.to_string) Int64.equal
 
@@ -639,6 +640,154 @@ let test_take_want_covers_all () =
   Alcotest.(check (option int)) "want 1 of 1 live: the front" (Some 3) second;
   Alcotest.(check int) "no decision recorded" 0 (List.length log)
 
+(* ------------------------------ Prioq ------------------------------ *)
+
+(* Against a list model: one FIFO per level, entries that die lazily
+   (a [Kill] marks one dead in place), and passive [take] admitting the
+   front live entry of the highest level that has one.  Pushes reach
+   only levels 0, 1, 3 and 5, so levels 2, 4 and 6 are never pushed and
+   keep the shared empty FIFO.  Every level's contents, [top_below],
+   [top] and [length] are compared after every operation, so a push that
+   showed up at another level would be caught at once. *)
+type pq_op =
+  | Push of int * bool
+  | Kill of int
+  | Peek of int
+  | Drop of int
+  | Remove of int * int
+  | Take
+
+let pq_levels = 7
+let pq_pushed = [| 0; 1; 3; 5 |]
+
+let pq_ops =
+  let open QCheck.Gen in
+  let level = int_bound (pq_levels - 1) in
+  list_size (int_range 0 300)
+    (frequency
+       [
+         ( 6,
+           map2
+             (fun i live -> Push (pq_pushed.(i), live))
+             (int_bound (Array.length pq_pushed - 1))
+             (frequencyl [ (3, true); (1, false) ]) );
+         (2, map (fun id -> Kill id) (int_bound 200));
+         (2, map (fun l -> Peek l) level);
+         (1, map (fun l -> Drop l) level);
+         (1, map2 (fun l id -> Remove (l, id)) level (int_bound 200));
+         (3, return Take);
+       ])
+
+let show_pq_op = function
+  | Push (l, live) -> Printf.sprintf "push%d%s" l (if live then "" else "-dead")
+  | Kill id -> Printf.sprintf "kill#%d" id
+  | Peek l -> Printf.sprintf "peek%d" l
+  | Drop l -> Printf.sprintf "drop%d" l
+  | Remove (l, id) -> Printf.sprintf "remove%d#%d" l id
+  | Take -> "take"
+
+let prop_prioq_model =
+  QCheck.Test.make ~name:"prioq matches a list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map show_pq_op ops))
+       pq_ops)
+    (fun ops ->
+      let q = Prioq.create ~levels:pq_levels in
+      let model = Array.make pq_levels [] (* front first *)
+      and ents = Hashtbl.create 64
+      and next = ref 0 in
+      let live e = e.live in
+      let rec drop_dead = function
+        | e :: rest when not e.live -> drop_dead rest
+        | l -> l
+      in
+      let ids_of l = List.map (fun e -> e.id) l in
+      let model_top_below p =
+        let rec go l = if l < 0 || model.(l) <> [] then l else go (l - 1) in
+        go (min p (pq_levels - 1))
+      in
+      let rec model_take l =
+        if l < 0 then None
+        else
+          match drop_dead model.(l) with
+          | [] ->
+              model.(l) <- [];
+              model_take (l - 1)
+          | e :: rest ->
+              model.(l) <- rest;
+              Some e
+      in
+      let fail i fmt =
+        QCheck.Test.fail_reportf ("op %d (%s): " ^^ fmt) i
+          (show_pq_op (List.nth ops i))
+      in
+      let same_entry i what got want =
+        if Option.map (fun e -> e.id) got <> Option.map (fun e -> e.id) want
+        then fail i "%s differs from the model" what
+      in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Push (l, alive) ->
+              let e = { id = !next; live = alive } in
+              incr next;
+              Hashtbl.replace ents e.id e;
+              Prioq.push q l e;
+              model.(l) <- model.(l) @ [ e ]
+          | Kill id -> (
+              match Hashtbl.find_opt ents id with
+              | Some e -> e.live <- false
+              | None -> ())
+          | Peek l ->
+              let got = Prioq.peek_live q l ~keep:live in
+              model.(l) <- drop_dead model.(l);
+              same_entry i "peek_live" got
+                (match model.(l) with e :: _ -> Some e | [] -> None)
+          | Drop l -> (
+              match (Prioq.drop_front q l, model.(l)) with
+              | (), _ :: rest -> model.(l) <- rest
+              | (), [] -> fail i "dropped from an empty level"
+              | exception Queue.Empty ->
+                  if model.(l) <> [] then fail i "Queue.Empty on a full level")
+          | Remove (l, id) ->
+              let e =
+                match Hashtbl.find_opt ents id with
+                | Some e -> e
+                | None -> { id = -1; live = true }
+              in
+              let found = Prioq.remove q l e in
+              let rec rm = function
+                | [] -> []
+                | x :: rest -> if x == e then rest else x :: rm rest
+              in
+              let in_model = List.memq e model.(l) in
+              model.(l) <- rm model.(l);
+              if found <> in_model then fail i "remove returned %b" found
+          | Take ->
+              let got =
+                Prioq.take ~site:"test" ~obj:0
+                  ~foot:(fun e -> [ e.id ])
+                  ~want:1 ~live q
+              in
+              same_entry i "take" got (model_take (pq_levels - 1)));
+          for l = 0 to pq_levels - 1 do
+            let got = ids_of (Prioq.live_entries q l ~keep:(fun _ -> true)) in
+            if got <> ids_of model.(l) then
+              fail i "level %d holds [%s], model [%s]" l
+                (String.concat ";" (List.map string_of_int got))
+                (String.concat ";" (List.map string_of_int (ids_of model.(l))));
+            if Prioq.top_below q l <> model_top_below l then
+              fail i "top_below %d is %d, model %d" l (Prioq.top_below q l)
+                (model_top_below l)
+          done;
+          let n = Array.fold_left (fun n l -> n + List.length l) 0 model in
+          if Prioq.top q <> model_top_below (pq_levels - 1) then
+            fail i "top is %d" (Prioq.top q);
+          if Prioq.length q <> n || Prioq.is_empty q <> (n = 0) then
+            fail i "length is %d, model %d" (Prioq.length q) n)
+        ops;
+      true)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "sunos_sim"
@@ -711,4 +860,5 @@ let () =
           Alcotest.test_case "want covering all live: no decision" `Quick
             test_take_want_covers_all;
         ] );
+      ("prioq", [ qt prop_prioq_model ]);
     ]

@@ -165,6 +165,42 @@ let test_priority_scheduling () =
   Alcotest.(check (list string)) "high priority first" [ "hi"; "lo" ]
     (List.rev !order)
 
+(* A thread stopped while queued leaves a dead entry at its priority.
+   The next pick drops it, finds that level empty and runs the lower-
+   priority thread.  Until that pick, the dead entry still counts as
+   runnable in the pool's statistics. *)
+let test_stale_runq_entry_skipped () =
+  let order = ref [] and queued = ref (-1) and after_pick = ref (-1) in
+  ignore
+    (run_app (fun () ->
+         let hi =
+           T.create
+             ~flags:[ T.THREAD_STOP; T.THREAD_WAIT ]
+             (fun () -> order := "hi" :: !order)
+         in
+         let lo =
+           T.create
+             ~flags:[ T.THREAD_STOP; T.THREAD_WAIT ]
+             (fun () ->
+               after_pick := (Libthread.stats ()).Libthread.runnable;
+               order := "lo" :: !order)
+         in
+         ignore (T.priority ~thread:hi 60);
+         ignore (T.priority ~thread:lo 5);
+         T.continue hi;
+         T.stop ~thread:hi ();
+         T.continue lo;
+         queued := (Libthread.stats ()).Libthread.runnable;
+         ignore (T.wait ~thread:lo ());
+         T.continue hi;
+         ignore (T.wait ~thread:hi ())));
+  Alcotest.(check int) "the dead entry counts until a pick drops it" 2
+    !queued;
+  Alcotest.(check int) "the pick dropped it along with taking lo" 0
+    !after_pick;
+  Alcotest.(check (list string)) "lo ran first, hi once continued"
+    [ "lo"; "hi" ] (List.rev !order)
+
 (* ------------------------- mutex ------------------------- *)
 
 let test_mutex_mutual_exclusion () =
@@ -1027,6 +1063,8 @@ let () =
             test_stop_flag_and_continue;
           Alcotest.test_case "yield interleaves" `Quick test_yield_interleaves;
           Alcotest.test_case "priorities" `Quick test_priority_scheduling;
+          Alcotest.test_case "stale entry skipped" `Quick
+            test_stale_runq_entry_skipped;
         ] );
       ( "mutex",
         [

@@ -23,12 +23,18 @@ let with_san f =
       Thrsan.disable ())
     f
 
+(* Sanitizer object ids are process-wide, so a pinned report names its
+   objects relative to the next free id.  The probe spends one id and
+   returns the id the scenario's first object will get. *)
+let next_obj_id () = (Thrsan.new_obj ~kind:"probe" ()).Ttypes.so_id + 1
+
 (* An ABBA deadlock between two threads on two mutexes: the second
    blocked_on closes the waits-for cycle, the sanitizer raises its
    structured report, and the process dies of the uncaught exception
    (status 139) instead of hanging forever. *)
 let test_waits_for_deadlock_report () =
   with_san (fun () ->
+      let base = next_obj_id () in
       let k = Kernel.boot ~cpus:1 () in
       ignore
         (Kernel.spawn k ~name:"abba"
@@ -68,8 +74,15 @@ let test_waits_for_deadlock_report () =
               Alcotest.(check bool) "each held lock has one holder" true
                 (List.length l.Thrsan.wl_holders = 1))
             r.Thrsan.dl_links;
-          Alcotest.(check bool) "report names the cycle" true
-            (String.length r.Thrsan.dl_text > 0))
+          (* ma (id [base]) was taken first, mb (id [base + 1]) next *)
+          let acq = (List.hd r.Thrsan.dl_links).Thrsan.wl_acq_seq in
+          Alcotest.(check string) "report text"
+            (Printf.sprintf
+               "thrsan: deadlock (waits-for cycle):\n\
+               \  thread 1/3 waits on mutex mutex#%d (acq#%d) held by 1/2\n\
+               \  thread 1/2 waits on mutex mutex#%d (acq#%d) held by 1/3\n"
+               base acq (base + 1) (acq + 1))
+            r.Thrsan.dl_text)
 
 (* Lock-order mode catches a 3-lock cycle transitively: a<b and b<c are
    recorded on clean runs, so c-then-a trips the DFS even though a and c
@@ -77,7 +90,8 @@ let test_waits_for_deadlock_report () =
 let test_lock_order_transitive_cycle () =
   with_san (fun () ->
       Thrsan.set_lock_order_mode true;
-      let caught = ref false in
+      let base = next_obj_id () in
+      let caught = ref None in
       let k = Kernel.boot ~cpus:1 () in
       ignore
         (Kernel.spawn k ~name:"order"
@@ -93,10 +107,16 @@ let test_lock_order_transitive_cycle () =
                   lock2 b c;
                   Mutex.enter c;
                   (try Mutex.enter a
-                   with Thrsan.Lock_order_violation _ -> caught := true);
+                   with Thrsan.Lock_order_violation (held, wanted) ->
+                     caught := Some (held, wanted));
                   Mutex.exit c)));
       Kernel.run k;
-      Alcotest.(check bool) "transitive inversion caught" true !caught)
+      (* taking a (id [base]) while holding c (id [base + 2]) *)
+      Alcotest.(check (option (pair string string)))
+        "transitive inversion caught, naming both locks"
+        (Some
+           (Printf.sprintf "mutex#%d" (base + 2), Printf.sprintf "mutex#%d" base))
+        !caught)
 
 (* Hang diagnosis on the A2 ablation scenario: with pool growth disabled
    the only LWP blocks in a pipe read while a runnable thread (holding
@@ -132,23 +152,36 @@ let test_hang_report_auto_grow_off () =
             (String.length h.Thrsan.hr_text > 0))
 
 (* Hang diagnosis knows what a blocked thread is blocked ON: a condvar
-   wait that is never signalled shows up with the object description. *)
+   wait that is never signalled shows up with the object description,
+   and a thread queued behind a lock the waiter still holds shows who
+   last took that lock. *)
 let test_hang_report_names_condvar () =
   with_san (fun () ->
+      let base = next_obj_id () in
       let k = Kernel.boot ~cpus:1 () in
       Thrsan.watch k;
       ignore
         (Kernel.spawn k ~name:"lost-signal"
            ~main:
              (Libthread.boot (fun () ->
-                  let m = Mutex.create () and cv = Condvar.create () in
+                  let m = Mutex.create ()
+                  and cv = Condvar.create ()
+                  and outer = Mutex.create () in
                   let w =
                     T.create ~flags:[ T.THREAD_WAIT ] (fun () ->
+                        Mutex.enter outer;
                         Mutex.enter m;
                         Condvar.wait cv m;
-                        Mutex.exit m)
+                        Mutex.exit m;
+                        Mutex.exit outer)
                   in
-                  ignore (T.wait ~thread:w ()))));
+                  let queued =
+                    T.create ~flags:[ T.THREAD_WAIT ] (fun () ->
+                        Mutex.enter outer;
+                        Mutex.exit outer)
+                  in
+                  ignore (T.wait ~thread:w ());
+                  ignore (T.wait ~thread:queued ()))));
       Kernel.run ~until:(Time.s 5) k;
       match Thrsan.last_hang () with
       | None -> Alcotest.fail "no hang report"
@@ -160,7 +193,18 @@ let test_hang_report_names_condvar () =
                  t.Thrsan.ht_state = "blocked"
                  && String.length t.Thrsan.ht_on >= 7
                  && String.sub t.Thrsan.ht_on 0 7 = "condvar")
-               h.Thrsan.hr_threads))
+               h.Thrsan.hr_threads);
+          (* outer (id [base]) and m were taken first, cv (id [base + 2])
+             named at its wait *)
+          Alcotest.(check string) "report text"
+            (Printf.sprintf
+               "thrsan: event queue drained with threads still waiting:\n\
+               \  thread 1/2 blocked on condvar condvar#%d\n\
+               \  thread 1/3 blocked on mutex mutex#%d (last held by 1/2)\n\
+               \  thread 1/1 blocked\n\
+               \  lwp 1/1 asleep in kernel on \"lwp_park\" (indefinite)\n"
+               (base + 2) base)
+            h.Thrsan.hr_text)
 
 (* The bare-park audit: a thread that parks Tblocked without registering
    cancel_wait anywhere (and without a waits-for edge) is invisible to
