@@ -49,8 +49,7 @@ let windows model cpus widgets events interarrival seed =
   let (module M) = resolve_model model in
   let p =
     {
-      W.default_params with
-      widgets;
+      W.widgets;
       events;
       mean_interarrival_us = interarrival;
       seed = Int64.of_int seed;

@@ -41,23 +41,13 @@ let create ~name =
    process that wraps the same (segment, offset) must land its order
    edges on the same graph node, or a cross-process ABBA would never
    close a cycle. *)
-let shared_sans : (string * int, Ttypes.san_obj) Hashtbl.t = Hashtbl.create 16
-
 let create_shared ?robust ~name (at : Syncvar.place) =
-  let key =
-    (Sunos_hw.Shared_memory.name at.Syncvar.seg, at.Syncvar.offset)
-  in
-  let san =
-    match Hashtbl.find_opt shared_sans key with
-    | Some o -> o
-    | None ->
-        let o = Thrsan.new_obj ~kind:"lockdebug(shared)" ~name () in
-        Hashtbl.add shared_sans key o;
-        o
-  in
   {
     name;
-    san;
+    san =
+      Thrsan.shared_obj ~kind:"lockdebug(shared)" ~name
+        ~seg:(Sunos_hw.Shared_memory.name at.Syncvar.seg)
+        ~offset:at.Syncvar.offset ();
     mu = Mutex.create_shared ?robust at;
     acquisitions = 0;
     contentions = 0;

@@ -6,11 +6,11 @@
 
     - detects self-deadlock (relocking a lock the thread already holds)
       and raises instead of hanging;
-    - tracks the process-wide lock-order graph (shared with {!Thrsan},
-      so edges from sanitizer-tracked plain mutexes and rwlocks land in
-      the same graph) and raises on an acquisition that closes an
-      ordering cycle — checked transitively, so A→B→C→A is caught, not
-      just direct ABBA — naming the two locks involved;
+    - tracks the lock-order graph (the domain's one, shared with
+      {!Thrsan}, so edges from sanitizer-tracked plain mutexes and
+      rwlocks land in the same graph) and raises on an acquisition that
+      closes an ordering cycle — checked transitively, so A→B→C→A is
+      caught, not just direct ABBA — naming the two locks involved;
     - keeps statistics: acquisitions, contended acquisitions, and the
       longest hold time.
 
@@ -44,4 +44,4 @@ val contentions : t -> int
 val max_hold : t -> Sunos_sim.Time.span
 
 val reset_order_graph : unit -> unit
-(** Forget recorded lock orderings (for tests; process-global). *)
+(** Forget this domain's recorded lock orderings (for tests). *)

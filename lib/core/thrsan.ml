@@ -24,6 +24,10 @@
       LWP asleep), {!watch}'s drain hook dumps who is blocked on what
       and who last held it — turning a silent deadlock into a report.
 
+   The two switches are process-wide; every table is domain-local, so
+   machines run side by side on several domains (bench -j N) keep their
+   own objects, graphs and reports.
+
    Cost when disabled: one [bool ref] load and branch per hook site; no
    allocation, no formatting (the PR 2 [Tracebuf.interested] pattern). *)
 
@@ -56,19 +60,20 @@ let set_lock_order_mode b = order_mode := b
 (* Sanitizer objects                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let next_obj_id = ref 0
+let next_obj_id = Domain.DLS.new_key (fun () -> ref 0)
 
-(* Global acquisition sequence: a deterministic "site" stamp.  (Not
-   simulated time — reading the clock is a syscall and would perturb the
+(* Acquisition sequence: a deterministic "site" stamp.  (Not simulated
+   time — reading the clock is a syscall and would perturb the
    schedule.) *)
-let acq_seq = ref 0
+let acq_seq = Domain.DLS.new_key (fun () -> ref 0)
 
 (* An object is named only when a report is built: most objects never
    appear in one, so a default name is not even formatted. *)
 let new_obj ~kind ?name () =
-  incr next_obj_id;
+  let id = Domain.DLS.get next_obj_id in
+  incr id;
   {
-    so_id = !next_obj_id;
+    so_id = !id;
     so_kind = kind;
     so_name = name;
     so_holders = [];
@@ -82,18 +87,24 @@ let obj_name o =
   | Some n -> n
   | None -> Printf.sprintf "%s#%d" o.so_kind o.so_id
 
-(* Shared-memory sync variables, keyed by (segment name, offset) so the
-   same location resolves to the same object from every process. *)
-let syncvar_objs : (string * int, san_obj) Hashtbl.t = Hashtbl.create 32
+(* Objects at a shared-memory location, keyed by (kind, segment name,
+   offset) so the same location resolves to the same object from every
+   process. *)
+let shared_objs : (string * string * int, san_obj) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
 
-let syncvar_obj ~seg ~offset =
-  match Hashtbl.find_opt syncvar_objs (seg, offset) with
+let shared_obj ~kind ?name ~seg ~offset () =
+  let objs = Domain.DLS.get shared_objs in
+  match Hashtbl.find_opt objs (kind, seg, offset) with
   | Some o -> o
   | None ->
-      let o =
-        new_obj ~kind:"syncvar" ~name:(Printf.sprintf "%s+%d" seg offset) ()
+      let name =
+        match name with
+        | Some n -> n
+        | None -> Printf.sprintf "%s+%d" seg offset
       in
-      Hashtbl.add syncvar_objs (seg, offset) o;
+      let o = new_obj ~kind ~name () in
+      Hashtbl.add objs (kind, seg, offset) o;
       o
 
 (* ------------------------------------------------------------------ *)
@@ -102,23 +113,25 @@ let syncvar_obj ~seg ~offset =
 
 exception Lock_order_violation of string * string
 
-let order_edges : (int, int list ref) Hashtbl.t = Hashtbl.create 64
-let reset_order_graph () = Hashtbl.reset order_edges
+let order_edges : (int, int list ref) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
-let add_edge a b =
-  match Hashtbl.find_opt order_edges a with
+let reset_order_graph () = Hashtbl.reset (Domain.DLS.get order_edges)
+
+let add_edge edges a b =
+  match Hashtbl.find_opt edges a with
   | Some l -> if not (List.mem b !l) then l := b :: !l
-  | None -> Hashtbl.add order_edges a (ref [ b ])
+  | None -> Hashtbl.add edges a (ref [ b ])
 
 (* DFS over the recorded order: is [dst] reachable from [src]? *)
-let reachable src dst =
+let reachable edges src dst =
   let visited = Hashtbl.create 16 in
   let rec go n =
     if n = dst then true
     else if Hashtbl.mem visited n then false
     else begin
       Hashtbl.add visited n ();
-      match Hashtbl.find_opt order_edges n with
+      match Hashtbl.find_opt edges n with
       | None -> false
       | Some l -> List.exists go !l
     end
@@ -129,12 +142,13 @@ let reachable src dst =
    order already puts [obj] (transitively) before [held]; otherwise the
    new edge held -> obj is recorded. *)
 let check_order self obj =
+  let edges = Domain.DLS.get order_edges in
   List.iter
     (fun held ->
       if held.so_id <> obj.so_id then begin
-        if reachable obj.so_id held.so_id then
+        if reachable edges obj.so_id held.so_id then
           raise (Lock_order_violation (obj_name held, obj_name obj));
-        add_edge held.so_id obj.so_id
+        add_edge edges held.so_id obj.so_id
       end)
     self.san_held
 
@@ -165,8 +179,10 @@ type deadlock_report = { dl_links : wait_link list; dl_text : string }
 
 exception Deadlock of deadlock_report
 
-let last_deadlock_r : deadlock_report option ref = ref None
-let last_deadlock () = !last_deadlock_r
+let last_deadlock_r : deadlock_report option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let last_deadlock () = !(Domain.DLS.get last_deadlock_r)
 
 (* Search the waits-for graph for a cycle through [self]: self waits on
    [root]; a holder of [root] may wait on another object, whose holder
@@ -233,8 +249,9 @@ let render_deadlock links =
 let acquiring self obj = if !order_mode then check_order self obj
 
 let acquired self obj =
-  incr acq_seq;
-  obj.so_acq_seq <- !acq_seq;
+  let seq = Domain.DLS.get acq_seq in
+  incr seq;
+  obj.so_acq_seq <- !seq;
   obj.so_holders <- self :: obj.so_holders;
   obj.so_last_pid <- self.pool.pid;
   obj.so_last_tid <- self.tid;
@@ -258,7 +275,7 @@ let blocked_on ?(skip_self_hold = false) self obj =
   | Some chain ->
       let links = List.map link_of chain in
       let r = { dl_links = links; dl_text = render_deadlock links } in
-      last_deadlock_r := Some r;
+      Domain.DLS.get last_deadlock_r := Some r;
       (* we raise instead of parking, so we are not actually waiting *)
       self.san_waiting <- None;
       raise (Deadlock r)
@@ -275,13 +292,14 @@ let clear_wait self = self.san_waiting <- None
    exact shape of the rwlock upgrader bug (BUG 14).  The scheduler calls
    this right after the park function runs. *)
 
-let bare_parks_r : (int * int) list ref = ref []
+let bare_parks_r : (int * int) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
 let note_bare_park self =
-  let key = (self.pool.pid, self.tid) in
-  if not (List.mem key !bare_parks_r) then bare_parks_r := key :: !bare_parks_r
+  let parks = Domain.DLS.get bare_parks_r and key = (self.pool.pid, self.tid) in
+  if not (List.mem key !parks) then parks := key :: !parks
 
-let bare_parks () = List.rev !bare_parks_r
+let bare_parks () = List.rev !(Domain.DLS.get bare_parks_r)
 
 (* ------------------------------------------------------------------ *)
 (* Hang diagnosis at event-queue drain                                 *)
@@ -317,8 +335,10 @@ type hang_report = {
   hr_text : string;
 }
 
-let last_hang_r : hang_report option ref = ref None
-let last_hang () = !last_hang_r
+let last_hang_r : hang_report option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let last_hang () = !(Domain.DLS.get last_hang_r)
 
 let render_hang threads lwps =
   let b = Buffer.create 256 in
@@ -428,7 +448,7 @@ let watch (k : Ktypes.kernel) =
       match hang_check k with
       | None -> ()
       | Some r ->
-          last_hang_r := Some r;
+          Domain.DLS.get last_hang_r := Some r;
           Machine.trace m Sunos_sim.Tracebuf.Thrsan ~cpu:(-1) ~pid:(-1)
             ~lwp:(-1) ~name:r.hr_text ~name2:"" ~arg:(-1) ~arg2:(-1) ~arg3:(-1))
 
@@ -436,15 +456,21 @@ let watch (k : Ktypes.kernel) =
 (* Housekeeping                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* This domain's tables start over, object ids and acquisition stamps
+   included, so a scenario run after a reset renders the same reports on
+   any domain. *)
 let reset () =
-  last_deadlock_r := None;
-  last_hang_r := None;
-  bare_parks_r := [];
+  Domain.DLS.get next_obj_id := 0;
+  Domain.DLS.get acq_seq := 0;
+  Domain.DLS.get last_deadlock_r := None;
+  Domain.DLS.get last_hang_r := None;
+  Domain.DLS.get bare_parks_r := [];
   reset_order_graph ();
-  (* drop cached syncvar objects: the exploration driver boots many
-     machines in one process, and a stale object's holder list would
-     let a dead run's threads leak into a fresh run's cycle search *)
-  Hashtbl.reset syncvar_objs
+  (* drop cached shared objects: the exploration driver boots many
+     machines in one process, and a stale object's holder list, or its
+     id that a fresh object may reuse, would let a dead run leak into a
+     fresh run's graphs *)
+  Hashtbl.reset (Domain.DLS.get shared_objs)
 
 let () =
   Printexc.register_printer (function

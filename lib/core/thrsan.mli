@@ -15,9 +15,11 @@
       and reports who is still blocked on what, and who last held it.
 
     Enable with the [THRSAN] environment variable (the [@sanitize] dune
-    alias does this) or programmatically with {!enable}.  When disabled,
-    every hook site costs one [bool] load and branch — no allocation, no
-    formatting. *)
+    alias does this) or programmatically with {!enable}.  The switches
+    are process-wide; objects, graphs and reports are kept per domain,
+    so machines may run sanitized on several domains at once.  When
+    disabled, every hook site costs one [bool] load and branch — no
+    allocation, no formatting. *)
 
 (** {1 Switches} *)
 
@@ -41,10 +43,13 @@ val new_obj : kind:string -> ?name:string -> unit -> Ttypes.san_obj
     call the object ["kind#id"]; that name and the last acquirer's
     ["pid/tid"] are formatted only when a report is built. *)
 
-val syncvar_obj : seg:string -> offset:int -> Ttypes.san_obj
-(** The shared identity of a kernel sync variable, keyed by (segment
-    name, offset) so every process resolves the same location to the
-    same object. *)
+val shared_obj :
+  kind:string -> ?name:string -> seg:string -> offset:int -> unit ->
+  Ttypes.san_obj
+(** The identity of an object at a shared-memory location (a kernel
+    sync variable, a {!Lockdebug} shared lock), keyed by ([kind],
+    segment name, offset) so every process resolves the same location
+    to the same object.  Named ["seg+offset"] without [name]. *)
 
 (** {1 Waits-for graph} *)
 
@@ -150,4 +155,8 @@ val last_hang : unit -> hang_report option
 (** {1 Housekeeping} *)
 
 val reset : unit -> unit
-(** Clear reports, the bare-park list and the order graph (tests). *)
+(** Start this domain's sanitizer over: clear its reports, bare-park
+    list, order graph and shared-object registry, and restart object ids
+    and acquisition stamps, so a scenario run after a reset renders the
+    same reports on any domain.  An object made before a reset must not
+    be used after it (tests; each explored schedule). *)

@@ -18,6 +18,7 @@ module Machine = Sunos_hw.Machine
 module Cpu = Sunos_hw.Cpu
 module Cost = Sunos_hw.Cost_model
 module Prioq = Sunos_sim.Prioq
+module Schedctl = Sunos_sim.Schedctl
 module Tracebuf = Sunos_sim.Tracebuf
 
 let cost k = k.machine.Machine.cost
@@ -70,11 +71,6 @@ let create ~machine =
     procs = [];
     next_pid = 1;
     runq = Prioq.create ~levels:(max_global_prio + 1);
-    cpu_runqs =
-      Array.init
-        (Array.length machine.Machine.cpus)
-        (fun _ -> Prioq.create ~levels:(max_global_prio + 1));
-    runq_seq = 0;
     gangs = Hashtbl.create 8;
     futex = Hashtbl.create 64;
     futex_names = Hashtbl.create 16;
@@ -101,129 +97,74 @@ let cpu_of k lwp =
 let release_cpu k cpu = Cpu.set_occupant cpu ~now:(now k) None
 
 (* ------------------------------------------------------------------ *)
-(* Run queues                                                          *)
+(* Run queue                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* An LWP bound to a CPU is routed to that CPU's side queue at enqueue
-   time (binding only ever changes while the LWP is running, never while
-   it sits queued), so picks never have to skip over — let alone rebuild
-   around — entries another CPU owns.  The kernel-wide [runq_seq] stamps
-   every entry so the unbound queue and a CPU's side queue stay in
-   global FIFO order within a priority. *)
+(* May [cpu] run [lwp]?  Any CPU may, unless the LWP is bound to
+   another. *)
+let runs_on cpu lwp =
+  match lwp.bound_cpu with Some c -> c = Cpu.id cpu | None -> true
+
+(* One queue serves every CPU: an LWP bound to a CPU waits in it like any
+   other, and only that CPU takes it.  FIFO within a priority is enqueue
+   order. *)
 let enqueue k lwp =
   lwp.runq_gen <- lwp.runq_gen + 1;
   match lwp.cls with
   | Sc_gang _ -> ()  (* gang members are placed by gang_place *)
   | Sc_timeshare _ | Sc_realtime _ ->
-      let seq = k.runq_seq in
-      k.runq_seq <- seq + 1;
-      let entry = (lwp, lwp.runq_gen, seq) in
-      let q =
-        match lwp.bound_cpu with
-        | Some c -> k.cpu_runqs.(c)
-        | None -> k.runq
-      in
-      Prioq.push q (global_prio lwp) entry
+      Prioq.push k.runq (global_prio lwp) (lwp, lwp.runq_gen)
 
 (* A queue entry is dead once the LWP was re-enqueued (newer generation),
    ran (state change), or changed priority; pruning them at the bucket
    front is the lazy half of the O(1) dequeue. *)
-let entry_live prio (lwp, gen, _seq) =
+let entry_live prio (lwp, gen) =
   lwp.runq_gen = gen && lwp.lstate = Lrunnable && global_prio lwp = prio
 
-(* Exploration (Schedctl-driven) variant of [pick]: enumerate every
-   live entry at the winning priority across both queues in enqueue-
-   sequence order and let the schedule driver choose.  Candidate 0 is
-   exactly the passive pick (each bucket is FIFO in seq, so the merged
-   head is the smaller of the two live fronts).  Removal is O(bucket);
-   exploration scenarios are tiny. *)
-let pick_driven k side =
-  let rec at_prio limit =
-    if limit < 0 then None
-    else
-      let prio =
-        max (Prioq.top_below k.runq limit) (Prioq.top_below side limit)
-      in
-      if prio < 0 then None
-      else begin
-        let keep = entry_live prio in
-        (* prune dead fronts so the occupancy masks stay honest, exactly
-           as the passive peek does *)
-        ignore (Sunos_sim.Prioq.peek_live k.runq prio ~keep);
-        ignore (Sunos_sim.Prioq.peek_live side prio ~keep);
-        let cands =
-          List.merge
-            (fun (_, _, s1) (_, _, s2) -> compare (s1 : int) s2)
-            (Prioq.live_entries k.runq prio ~keep)
-            (Prioq.live_entries side prio ~keep)
-        in
-        match cands with
-        | [] -> at_prio (prio - 1)
+(* The live entries at [prio] that [cpu] may run, front first. *)
+let eligible k cpu prio =
+  Prioq.live_entries k.runq prio ~keep:(fun ((lwp, _) as e) ->
+      entry_live prio e && runs_on cpu lwp)
+
+(* Pop the best LWP [cpu] may run: the highest occupied priority (a
+   find-highest-set probe), FIFO within it.  Passive dispatch takes the
+   live front when this CPU may run it, O(1) amortized.  Otherwise the
+   candidates are the level's live entries this CPU may run, front
+   first, so candidate 0 is the passive pick; the schedule driver, if
+   any, chooses, and a level with no candidate is passed over. *)
+let rec pick_below k cpu limit =
+  let prio = Prioq.top_below k.runq limit in
+  if prio < 0 then None
+  else
+    match Prioq.peek_live k.runq prio ~keep:(entry_live prio) with
+    | None -> pick_below k cpu (prio - 1)
+    | Some (lwp, _) when runs_on cpu lwp && not (Schedctl.active ()) ->
+        Prioq.drop_front k.runq prio;
+        Some lwp
+    | Some _ -> (
+        match eligible k cpu prio with
+        | [] -> pick_below k cpu (prio - 1)
         | cands ->
             let i =
-              Sunos_sim.Schedctl.choose ~site:"dispatch" ~obj:prio
-                (List.length cands)
+              Schedctl.choose ~site:"dispatch" ~obj:prio (List.length cands)
             in
-            let ((lwp, _, _) as entry) = List.nth cands i in
-            if not (Prioq.remove k.runq prio entry) then
-              ignore (Prioq.remove side prio entry);
-            Some lwp
-      end
-  in
-  at_prio max_global_prio
+            let ((lwp, _) as entry) = List.nth cands i in
+            ignore (Prioq.remove k.runq prio entry : bool);
+            Some lwp)
 
-(* Pop the best eligible LWP for [cpu]: the highest occupied priority
-   across the unbound queue and this CPU's side queue (two find-highest-
-   set probes), FIFO within the priority by enqueue sequence.  O(1)
-   amortized — no scanning, no skip-and-restore. *)
-let pick k cpu =
-  let side = k.cpu_runqs.(Cpu.id cpu) in
-  if Sunos_sim.Schedctl.active () then pick_driven k side
-  else
-  let rec at_prio limit =
-    if limit < 0 then None
-    else
-      let prio = max (Prioq.top_below k.runq limit) (Prioq.top_below side limit) in
-      if prio < 0 then None
-      else
-        let keep = entry_live prio in
-        match
-          (Prioq.peek_live k.runq prio ~keep, Prioq.peek_live side prio ~keep)
-        with
-        | None, None -> at_prio (prio - 1)
-        | Some (lwp, _, _), None ->
-            Prioq.drop_front k.runq prio;
-            Some lwp
-        | None, Some (lwp, _, _) ->
-            Prioq.drop_front side prio;
-            Some lwp
-        | Some (lg, _, sg), Some (ls, _, ss) ->
-            if sg < ss then begin
-              Prioq.drop_front k.runq prio;
-              Some lg
-            end
-            else begin
-              Prioq.drop_front side prio;
-              Some ls
-            end
-  in
-  at_prio max_global_prio
+let pick k cpu = pick_below k cpu max_global_prio
 
-(* Cheap idle/preemption probe: stops at the first live entry instead of
-   walking every queue (the bitmask skips empty priorities entirely). *)
-let runnable_exists_for k cpu =
-  let side = k.cpu_runqs.(Cpu.id cpu) in
-  let rec at_prio limit =
-    if limit < 0 then false
-    else
-      let prio = max (Prioq.top_below k.runq limit) (Prioq.top_below side limit) in
-      prio >= 0
-      && (let keep = entry_live prio in
-          Prioq.peek_live k.runq prio ~keep <> None
-          || Prioq.peek_live side prio ~keep <> None
-          || at_prio (prio - 1))
-  in
-  at_prio max_global_prio
+(* Idle/preemption probe: the same walk without the take. *)
+let rec runnable_below k cpu limit =
+  let prio = Prioq.top_below k.runq limit in
+  prio >= 0
+  &&
+  match Prioq.peek_live k.runq prio ~keep:(entry_live prio) with
+  | Some (lwp, _) when runs_on cpu lwp -> true
+  | Some _ when eligible k cpu prio <> [] -> true
+  | Some _ | None -> runnable_below k cpu (prio - 1)
+
+let runnable_exists_for k cpu = runnable_below k cpu max_global_prio
 
 (* ------------------------------------------------------------------ *)
 (* The dispatch / step machine                                         *)
@@ -268,9 +209,7 @@ let grant_budget k cpu lwp =
       && (not lwp.proc.stopped)
       && (not (sig_flag lwp))
       && (not (Cpu.need_resched cpu))
-      && (match lwp.bound_cpu with
-         | Some b -> b = Cpu.id cpu
-         | None -> true)
+      && runs_on cpu lwp
     then
       match Eventq.next_time (eventq k) with
       | Some t -> Time.min lwp.quantum_left (Time.diff t (now k))
@@ -424,10 +363,7 @@ and busy k cpu lwp span fin =
       end)
 
 and charge_slice k cpu lwp span kont =
-  let misplaced_now =
-    match lwp.bound_cpu with Some c -> c <> Cpu.id cpu | None -> false
-  in
-  if misplaced_now then begin
+  if not (runs_on cpu lwp) then begin
     (* newly bound elsewhere: migrate before burning any time here *)
     lwp.pending <- P_charge (span, kont);
     lwp.lstate <- Lrunnable;
@@ -450,13 +386,8 @@ and charge_slice k cpu lwp span kont =
       end
       else
         let quantum_expired = Time.(lwp.quantum_left <= 0L) in
-        let misplaced =
-          match lwp.bound_cpu with
-          | Some c -> c <> Cpu.id cpu
-          | None -> false
-        in
         let should_preempt =
-          misplaced
+          (not (runs_on cpu lwp))
           || (Cpu.need_resched cpu || quantum_expired)
              && runnable_exists_for k cpu
         in
@@ -555,16 +486,11 @@ and preempt_check k lwp =
       | None -> ()
       | Some lid -> (
           match find_lwp_by_lid k lwp.proc lid with
-          | Some running when global_prio running < prio -> (
-              let eligible =
-                match lwp.bound_cpu with
-                | Some c -> c = Cpu.id cpu
-                | None -> true
-              in
-              if eligible then
-                match !best with
-                | Some (_, p) when p <= global_prio running -> ()
-                | _ -> best := Some (cpu, global_prio running))
+          | Some running when global_prio running < prio && runs_on cpu lwp
+            -> (
+              match !best with
+              | Some (_, p) when p <= global_prio running -> ()
+              | _ -> best := Some (cpu, global_prio running))
           | _ -> ()))
     k.machine.Machine.cpus;
   match !best with
@@ -735,7 +661,7 @@ and futex_wake k ~seg_id ~offset ~count =
       let woken = ref 0 and draining = ref true in
       while !draining && !woken < count do
         match
-          Sunos_sim.Schedctl.take ~site:"kwake" ~obj:offset
+          Schedctl.take ~site:"kwake" ~obj:offset
             ~foot:(fun _ -> [])
             ~want:(count - !woken) ~live:futex_live q
         with

@@ -129,11 +129,9 @@ and fdobj =
    sleeps [fw_sleep]. *)
 type futex_waiter = { fw_lwp : lwp; fw_sleep : sleep }
 
-(* A run-queue entry: the LWP, its enqueue generation (stale entries —
-   older generation — are pruned lazily at pick time) and a kernel-wide
-   enqueue sequence number that totally orders entries within a priority
-   across the unbound queue and the per-CPU bound queues. *)
-type runq_entry = lwp * int * int
+(* A run-queue entry: the LWP and its enqueue generation (stale entries —
+   older generation — are pruned lazily at pick time). *)
+type runq_entry = lwp * int
 
 type kernel = {
   machine : Sunos_hw.Machine.t;
@@ -142,12 +140,9 @@ type kernel = {
   mutable procs : proc list;
   mutable next_pid : int;
   runq : runq_entry Sunos_sim.Prioq.t;
-      (* unbound runnable LWPs, bucketed by global priority under an
-         occupancy bitmask: dispatch is O(1) amortized *)
-  cpu_runqs : runq_entry Sunos_sim.Prioq.t array;
-      (* side queues for [bound_cpu] LWPs, one per CPU, so bound entries
-         are never skipped over (and restored) by other CPUs' picks *)
-  mutable runq_seq : int;
+      (* every runnable LWP, bucketed by global priority under an
+         occupancy bitmask and FIFO within a priority; an LWP bound to a
+         CPU waits here too, and only that CPU takes it *)
   gangs : (int, lwp list ref) Hashtbl.t;
   futex : (int * int, futex_waiter Queue.t) Hashtbl.t;
       (* (segment id, offset) -> waiters *)

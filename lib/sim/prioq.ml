@@ -140,10 +140,11 @@ let rec take_below ~site ~obj ~foot ~want ~live t limit =
 let take ~site ~obj ~foot ~want ~live t =
   take_below ~site ~obj ~foot ~want ~live t (levels t - 1)
 
-(* Exploration support (Schedctl driven mode): the systematic
-   dispatcher enumerates a bucket's live entries and removes the chosen
-   one from wherever it sits.  Passive dispatch never calls these — its
-   peek_live/drop_front path is untouched. *)
+(* Candidate enumeration: the kernel dispatcher lists the live entries
+   of a bucket that a CPU may run and removes the chosen one from
+   wherever it sits.  It does so under a schedule driver, or when the
+   front is bound to another CPU; otherwise it takes the front with
+   peek_live/drop_front. *)
 
 let live_entries t prio ~keep =
   List.rev

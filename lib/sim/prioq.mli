@@ -3,8 +3,8 @@
     One FIFO bucket per priority level; a bitmask of non-empty buckets
     makes "highest occupied priority" a find-highest-set over a couple of
     words rather than a scan of every level.  Built for run queues: the
-    dispatcher's (160 levels, two queues merged by sequence number) and
-    the thread library's (64 levels, one per process).  Consumers using
+    kernel's (160 levels, one queue for every CPU) and the thread
+    library's (64 levels, one per process).  Consumers using
     lazy deletion prune stale entries from bucket fronts via
     {!peek_live} or {!take}, keeping every operation O(1) amortized.
     The mask is exact about bucket non-emptiness and conservative about
@@ -58,12 +58,14 @@ val take :
 
 val live_entries : 'a t -> int -> keep:('a -> bool) -> 'a list
 (** All entries of the bucket passing [keep], front first, without
-    mutating the queue.  Exploration support; O(bucket). *)
+    mutating the queue.  For a consumer that cannot simply take the
+    front (a schedule driver, a CPU passing over an LWP bound
+    elsewhere); O(bucket). *)
 
 val remove : 'a t -> int -> 'a -> bool
 (** Remove the first physically-equal occurrence of the entry from the
-    bucket; returns whether one was found.  Exploration support;
-    O(bucket). *)
+    bucket; returns whether one was found.  The companion of
+    {!live_entries}; O(bucket). *)
 
 val length : 'a t -> int
 (** Total queued entries, including stale ones not yet pruned; O(1). *)

@@ -9,9 +9,10 @@
    a FIFO whose entries die lazily (a signal or timeout ends the wait
    but leaves the entry queued): they all call [take], whose passive
    path is a plain front pop and does not even count the candidates.
-   The dispatcher merges two run queues by sequence number, so it
-   enumerates its own candidates and calls [choose].  The determinism
-   goldens pin that the passive paths are the engine's behavior.
+   The dispatcher enumerates its own candidates and calls [choose],
+   because a CPU may not run every entry at a level: an LWP bound to
+   another CPU is not a candidate.  The determinism goldens pin that the
+   passive paths are the engine's behavior.
 
    In driven mode (installed by [begin_run]) the first [vector] choices
    replay a prescribed prefix and everything beyond it takes the

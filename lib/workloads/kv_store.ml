@@ -58,12 +58,7 @@ type params = {
   lru_capacity : int;  (* cached values per shard *)
   batch : int;  (* dirty puts per write-batch flush *)
   think_time_us : int;  (* mean client think time *)
-  shed_queue_limit : int;  (* queued conns before the server says busy *)
-  listen_backlog : int;
-  connect_retry_limit : int;
-  retry_base_us : int;
   request_deadline_us : int;
-  client_lwps : int;  (* 0 = one LWP per client *)
   robust : bool;  (* robust shard locks (required under proc-kill) *)
   flush_under_write : bool;
       (* legacy flush placement: run the batched disk write with the
@@ -87,16 +82,21 @@ let default_params =
     lru_capacity = 8;
     batch = 4;
     think_time_us = 1_000;
-    shed_queue_limit = 6;
-    listen_backlog = 32;
-    connect_retry_limit = 8;
-    retry_base_us = 500;
     request_deadline_us = 100_000;
-    client_lwps = 0;
     robust = true;
     flush_under_write = false;
     seed = 47L;
   }
+
+(* A server answers "busy" once this many connections queue for its
+   workers.  A client retries a refused connect up to
+   [connect_retry_limit] times, backing off exponentially from
+   [retry_base_us] plus jitter.  The load generator runs one LWP per
+   client. *)
+let shed_queue_limit = 6
+let listen_backlog = 32
+let connect_retry_limit = 8
+let retry_base_us = 500
 
 type results = {
   gets_ok : int;
@@ -380,16 +380,14 @@ let server p ctl ~idx ~assigned ~counters () =
     loop ()
   in
   let acceptor () =
-    let lfd = Uctx.listen ~name:(svc idx) ~backlog:p.listen_backlog in
+    let lfd = Uctx.listen ~name:(svc idx) ~backlog:listen_backlog in
     for _ = 1 to assigned do
       let fd = Uctx.accept lfd in
       Mutex.enter qmu;
       (* shed at admission: a queue this deep means the workers are a
          full burst behind — answer busy instead of growing the backlog *)
       let job =
-        if p.shed_queue_limit > 0 && Queue.length workq >= p.shed_queue_limit
-        then Shed fd
-        else Work fd
+        if Queue.length workq >= shed_queue_limit then Shed fd else Work fd
       in
       Queue.add job workq;
       Mutex.exit qmu;
@@ -457,8 +455,7 @@ let loadgen p ~latency ~tallies ~gaveup_per () =
         refused ) =
     tallies
   in
-  T.setconcurrency
-    (if p.client_lwps > 0 then p.client_lwps else max 1 p.clients);
+  T.setconcurrency (max 1 p.clients);
   let one cid () =
     let rng =
       Rng.create ~seed:(Int64.add p.seed (Int64.of_int (7919 * cid)))
@@ -483,15 +480,14 @@ let loadgen p ~latency ~tallies ~gaveup_per () =
       | fd -> Some fd
       | exception Errno.Unix_error (Errno.ECONNREFUSED, _) ->
           incr refused;
-          if attempt >= p.connect_retry_limit then begin
+          if attempt >= connect_retry_limit then begin
             incr gaveup;
             gaveup_per.(target) <- gaveup_per.(target) + 1;
             None
           end
           else begin
-            let base = max 1 p.retry_base_us in
-            let backoff = base * (1 lsl min attempt 6) in
-            Uctx.sleep (Time.us (backoff + Rng.int rng base));
+            let backoff = retry_base_us * (1 lsl min attempt 6) in
+            Uctx.sleep (Time.us (backoff + Rng.int rng retry_base_us));
             connect_bounded (attempt + 1)
           end
     in

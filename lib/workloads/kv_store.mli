@@ -43,14 +43,7 @@ type params = {
   lru_capacity : int;  (** cached values per shard *)
   batch : int;  (** dirty puts buffered before one batched write *)
   think_time_us : int;  (** mean client think time *)
-  shed_queue_limit : int;
-      (** connections queued at a server before it answers "busy"
-          (0 = never shed) *)
-  listen_backlog : int;
-  connect_retry_limit : int;
-  retry_base_us : int;
   request_deadline_us : int;
-  client_lwps : int;  (** load-generator LWP pool (0 = one per client) *)
   robust : bool;
       (** robust shard locks; required for recovery under proc-kill *)
   flush_under_write : bool;

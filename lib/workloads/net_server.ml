@@ -12,8 +12,6 @@ module Fs = Sunos_kernel.Fs
 type params = {
   connections : int;
   requests_per_conn : int;
-  request_bytes : int;
-  reply_bytes : int;
   parse_compute_us : int;
   reply_compute_us : int;
   think_time_us : int;
@@ -43,8 +41,6 @@ let default_params =
   {
     connections = 40;
     requests_per_conn = 3;
-    request_bytes = 64;
-    reply_bytes = 512;
     parse_compute_us = 150;
     reply_compute_us = 100;
     think_time_us = 2_000;
@@ -69,6 +65,10 @@ let default_params =
     connectors = 4;
     seed = 31L;
   }
+
+(* Every request and every reply is one fixed-size frame. *)
+let request_bytes = 64
+let reply_bytes = 512
 
 type results = {
   issued : int;
@@ -212,13 +212,13 @@ let server (module M : Sunos_baselines.Model.S) k p
           incr closed)
     in
     let read_frame fd =
-      let first = Uctx.read fd ~len:p.request_bytes in
+      let first = Uctx.read fd ~len:request_bytes in
       if first = "" then None
       else begin
         (* delivery may have split the frame: finish it *)
         let got = String.length first in
-        if got < p.request_bytes then
-          ignore (Uctx.read_exact fd ~len:(p.request_bytes - got));
+        if got < request_bytes then
+          ignore (Uctx.read_exact fd ~len:(request_bytes - got));
         Some ()
       end
     in
@@ -236,7 +236,7 @@ let server (module M : Sunos_baselines.Model.S) k p
           Uctx.lseek data_fd off;
           ignore (Uctx.read data_fd ~len:512);
           compute_phase p.reply_compute_us;
-          Uctx.write_all fd (pad "done" p.reply_bytes);
+          Uctx.write_all fd (pad "done" reply_bytes);
           signal_change (fun () -> Hashtbl.replace polled fd ())
     in
     let shed fd =
@@ -246,7 +246,7 @@ let server (module M : Sunos_baselines.Model.S) k p
           (* overload: drain the frame, record the shed where /proc can
              see it, answer "busy" — no parse, no disk, no reply work *)
           Uctx.note_shed ();
-          Uctx.write_all fd (pad "busy" p.reply_bytes);
+          Uctx.write_all fd (pad "busy" reply_bytes);
           signal_change (fun () -> Hashtbl.replace polled fd ())
     in
     let rec loop () =
@@ -379,8 +379,8 @@ let server_epoll (module M : Sunos_baselines.Model.S) k p
     | None -> assert false
   in
   (* replies are constant: build each once, not per request *)
-  let reply_done = pad "done" p.reply_bytes in
-  let reply_busy = pad "busy" p.reply_bytes in
+  let reply_done = pad "done" reply_bytes in
+  let reply_busy = pad "busy" reply_bytes in
   let stats_mu = if p.compute_steps > 1 then Some (M.Mu.create ()) else None in
   let stats_ops = ref 0 in
   let compute_phase us =
@@ -459,13 +459,13 @@ let server_epoll (module M : Sunos_baselines.Model.S) k p
          edge, then re-arm.  Spurious readiness (chaos EAGAIN, a stale
          edge) simply re-arms. *)
       let rec go () =
-        match Uctx.try_read fd ~len:p.request_bytes with
+        match Uctx.try_read fd ~len:request_bytes with
         | `Again -> rearm fd
         | `Eof | `Reset -> retire s fd
         | `Data first ->
             let got = String.length first in
-            if got < p.request_bytes then
-              ignore (Uctx.read_exact fd ~len:(p.request_bytes - got));
+            if got < request_bytes then
+              ignore (Uctx.read_exact fd ~len:(request_bytes - got));
             compute_phase p.parse_compute_us;
             incr nreq;
             let off = !nreq * 512 mod 65536 in
@@ -482,13 +482,13 @@ let server_epoll (module M : Sunos_baselines.Model.S) k p
     in
     let shed_frames fd =
       let rec go () =
-        match Uctx.try_read fd ~len:p.request_bytes with
+        match Uctx.try_read fd ~len:request_bytes with
         | `Again -> rearm fd
         | `Eof | `Reset -> retire s fd
         | `Data first ->
             let got = String.length first in
-            if got < p.request_bytes then
-              ignore (Uctx.read_exact fd ~len:(p.request_bytes - got));
+            if got < request_bytes then
+              ignore (Uctx.read_exact fd ~len:(request_bytes - got));
             Uctx.note_shed ();
             Uctx.write_all fd reply_busy;
             go ()
@@ -715,14 +715,14 @@ let client (module M : Sunos_baselines.Model.S) p ~latency ~served ~shed
                       ~mean:(float_of_int p.think_time_us)));
             let t0 = Uctx.gettime () in
             Uctx.write_all fd
-              (pad (Printf.sprintf "r%d.%d" cid r) p.request_bytes);
+              (pad (Printf.sprintf "r%d.%d" cid r) request_bytes);
             let reply =
               if p.hardened && p.request_deadline_us > 0 then
-                deadline_read fd ~len:p.reply_bytes
+                deadline_read fd ~len:reply_bytes
                   ~deadline:(Time.add t0 (Time.us p.request_deadline_us))
-              else Uctx.read_exact fd ~len:p.reply_bytes
+              else Uctx.read_exact fd ~len:reply_bytes
             in
-            if String.length reply = p.reply_bytes then begin
+            if String.length reply = reply_bytes then begin
               if is_busy reply then incr shed
               else begin
                 Histo.add latency (Time.diff (Uctx.gettime ()) t0);
@@ -865,11 +865,11 @@ let client_open_loop (module M : Sunos_baselines.Model.S) k p ~latency
       let off = ref 0 in
       while !off < len do
         if have.(i) = 0 then busy.(i) <- chunk.[!off] = 'b';
-        let need = p.reply_bytes - have.(i) in
+        let need = reply_bytes - have.(i) in
         let take = min need (len - !off) in
         have.(i) <- have.(i) + take;
         off := !off + take;
-        if have.(i) = p.reply_bytes then begin
+        if have.(i) = reply_bytes then begin
           have.(i) <- 0;
           if npend.(i) > 0 then begin
             let t0 = sent.((i * cap) + rhead.(i)) in
@@ -948,7 +948,7 @@ let client_open_loop (module M : Sunos_baselines.Model.S) k p ~latency
         float_of_int p.think_time_us /. float_of_int (max 1 n)
     in
     (* request content is never parsed, only counted: one constant frame *)
-    let frame = pad "r" p.request_bytes in
+    let frame = pad "r" request_bytes in
     let rr = ref 0 in
     (* arrivals live on an absolute schedule: the next arrival time
        advances by an exponential gap independent of how long the

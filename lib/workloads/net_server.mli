@@ -50,8 +50,6 @@ type params = {
   requests_per_conn : int;
       (** closed loop: synchronous rounds per connection; open loop:
           multiplier for the total arrival count *)
-  request_bytes : int;  (** fixed request frame size *)
-  reply_bytes : int;  (** fixed reply frame size *)
   parse_compute_us : int;
   reply_compute_us : int;
   think_time_us : int;  (** mean client think time between requests *)

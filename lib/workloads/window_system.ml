@@ -8,8 +8,6 @@ module Errno = Sunos_kernel.Errno
 type params = {
   widgets : int;
   events : int;
-  input_compute_us : int;
-  render_compute_us : int;
   mean_interarrival_us : int;
   seed : int64;
 }
@@ -18,11 +16,13 @@ let default_params =
   {
     widgets = 100;
     events = 500;
-    input_compute_us = 120;
-    render_compute_us = 250;
     mean_interarrival_us = 1500;
     seed = 11L;
   }
+
+(* Work per event: the input handler's, then the output handler's. *)
+let input_compute_us = 120
+let render_compute_us = 250
 
 type results = {
   handled : int;
@@ -73,7 +73,7 @@ let run (module M : Sunos_baselines.Model.S) ?(cpus = 1) ?cost ?chaos
             M.Sem.v out_sem.(w)
         | stamp :: rest ->
             in_box.(w) <- rest;
-            Uctx.charge_us p.input_compute_us;
+            Uctx.charge_us input_compute_us;
             out_box.(w) <- out_box.(w) @ [ stamp ];
             M.Sem.v out_sem.(w);
             loop ()
@@ -87,7 +87,7 @@ let run (module M : Sunos_baselines.Model.S) ?(cpus = 1) ?cost ?chaos
         | [] -> ()
         | stamp :: rest ->
             out_box.(w) <- rest;
-            Uctx.charge_us p.render_compute_us;
+            Uctx.charge_us render_compute_us;
             Hist.add latency (Time.diff (Uctx.gettime ()) stamp);
             incr handled;
             loop ()

@@ -15,8 +15,6 @@
 type params = {
   widgets : int;
   events : int;
-  input_compute_us : int;  (** input-handler work per event *)
-  render_compute_us : int;  (** output-handler work per event *)
   mean_interarrival_us : int;  (** Poisson arrivals *)
   seed : int64;
 }

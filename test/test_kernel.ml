@@ -739,6 +739,130 @@ let test_processor_bind_invalid () =
   Kernel.run k;
   Alcotest.(check bool) "EINVAL" true !got
 
+(* ------------------------- bound dispatch ------------------------- *)
+
+module Tracebuf = Sunos_sim.Tracebuf
+module Schedctl = Sunos_sim.Schedctl
+module Explore = Sunos_sim.Explore
+
+let dispatches k =
+  List.filter_map
+    (fun r ->
+      if r.Tracebuf.kind = Tracebuf.Dispatch then
+        Some (r.Tracebuf.time, r.Tracebuf.cpu, r.Tracebuf.pid)
+      else None)
+    (Kernel.trace_records k)
+
+(* Two real-time hogs, bound to CPU 0 and CPU 1, nap 500 us and then
+   hold their CPUs for 8 and 10 ms.  During the nap three timeshare
+   LWPs run and go to sleep: B binds itself to CPU 1 and sleeps 1 ms,
+   U1 sleeps 2 ms and U2 3 ms.  They wake in that order while the hogs
+   hold the CPUs, so all three wait at one priority (29 plus the wakeup
+   boost) with B at the front.  Each then computes 1 ms.  Returns the
+   kernel and the pids of B, U1 and U2. *)
+let bound_order_run () =
+  let k = Kernel.boot ~cpus:2 () in
+  let hog cpu ms () =
+    Uctx.priocntl (Sysdefs.Cls_realtime 10);
+    Uctx.processor_bind (Some cpu);
+    Uctx.sleep (Time.us 500);
+    Uctx.charge (Time.ms ms)
+  in
+  let sleeper ?bind ms () =
+    Option.iter (fun c -> Uctx.processor_bind (Some c)) bind;
+    Uctx.sleep (Time.ms ms);
+    Uctx.charge (Time.ms 1)
+  in
+  ignore (Kernel.spawn k ~name:"hog0" ~main:(hog 0 8));
+  ignore (Kernel.spawn k ~name:"hog1" ~main:(hog 1 10));
+  let b = Kernel.spawn k ~name:"B" ~main:(sleeper ~bind:1 1) in
+  let u1 = Kernel.spawn k ~name:"U1" ~main:(sleeper 2) in
+  let u2 = Kernel.spawn k ~name:"U2" ~main:(sleeper 3) in
+  Kernel.run ~max_events:10_000 k;
+  (k, b, u1, u2)
+
+(* CPU 0 frees first and must pass over B, which only CPU 1 may run,
+   to take U1 and then U2 in wakeup order; B waits for CPU 1. *)
+let test_bound_dispatch_order () =
+  let k, b, u1, u2 = bound_order_run () in
+  let after_wakeups =
+    List.filter_map
+      (fun (t, cpu, pid) ->
+        if Time.(t >= Time.ms 4) && List.mem pid [ b; u1; u2 ] then
+          Some (cpu, pid)
+        else None)
+      (dispatches k)
+  in
+  Alcotest.(check (list (pair int int)))
+    "cpu0 <- U1, cpu0 <- U2, cpu1 <- B"
+    [ (0, u1); (0, u2); (1, b) ]
+    after_wakeups
+
+(* B, bound to CPU 1, waits behind a real-time hog that switched class
+   after its dispatch and so keeps its 100 ms timeshare quantum.  When
+   that quantum expires B is runnable for CPU 1: one preemption (the
+   hog, still the best, is dispatched again).  The timeshare hog on
+   CPU 0 reaches its own quantum expiry meanwhile, and B must not count
+   as runnable there. *)
+let test_bound_runnable_probe () =
+  let k = Kernel.boot ~cpus:2 () in
+  ignore
+    (Kernel.spawn k ~name:"A" ~main:(fun () ->
+         Uctx.processor_bind (Some 0);
+         Uctx.charge (Time.ms 250)));
+  ignore
+    (Kernel.spawn k ~name:"B" ~main:(fun () ->
+         Uctx.processor_bind (Some 1);
+         Uctx.sleep (Time.ms 1);
+         Uctx.charge (Time.ms 1)));
+  ignore
+    (Kernel.spawn k ~name:"H" ~main:(fun () ->
+         Uctx.priocntl (Sysdefs.Cls_realtime 10);
+         Uctx.processor_bind (Some 1);
+         Uctx.charge (Time.ms 150)));
+  Kernel.run ~max_events:10_000 k;
+  let preempted_cpus =
+    List.filter_map
+      (fun r ->
+        if r.Tracebuf.kind = Tracebuf.Preempt then Some r.Tracebuf.cpu
+        else None)
+      (Kernel.trace_records k)
+  in
+  Alcotest.(check (list int)) "one preemption, on cpu1" [ 1 ] preempted_cpus;
+  Alcotest.(check int) "preemption count" 1 (Kernel.preemption_count k)
+
+(* Under a schedule driver the pick at the wakeup priority enumerates
+   only the LWPs CPU 0 may run: U1 and U2, not B.  The explored tree
+   (that decision and the two made at priority 29 when the hogs nap) is
+   pinned, and in every schedule B last runs on CPU 1. *)
+let test_bound_dispatch_driven () =
+  Schedctl.begin_run ~vector:[||];
+  ignore (bound_order_run ());
+  let log, _ = Schedctl.end_run () in
+  Alcotest.(check (list int)) "one decision at priority 41, over U1 and U2"
+    [ 2 ]
+    (List.filter_map
+       (fun d ->
+         if d.Schedctl.d_site = "dispatch" && d.Schedctl.d_obj = 41 then
+           Some d.Schedctl.d_arity
+         else None)
+       log);
+  let st =
+    Explore.explore (fun () ->
+        let k, b, _, _ = bound_order_run () in
+        match
+          List.rev
+            (List.filter_map
+               (fun (_, cpu, pid) -> if pid = b then Some cpu else None)
+               (dispatches k))
+        with
+        | 1 :: _ -> Explore.Pass
+        | _ -> Explore.Fail "B did not end on cpu1")
+  in
+  Alcotest.(check int) "no failing schedule" 0
+    (List.length st.Explore.failures);
+  Alcotest.(check int) "schedules explored" 12 st.Explore.explored
+
 (* ------------------------- kwait/kwake, mmap ------------------------- *)
 
 let test_kwait_kwake_cross_process () =
@@ -858,11 +982,12 @@ let test_shutdown_is_noop () =
   Alcotest.(check (option int)) "ran after" (Some 3) (Kernel.exit_status k b)
 
 (* A boot allocates no trace slot and no run-queue level up front: the
-   ring grows as records arrive and a level's FIFO is made at its first
-   push, so a boot is cheap enough to pay once per explored schedule.
-   A preallocated 64K-slot ring costs about 70k words here, and five
-   eagerly filled 160-level run queues (the global one and one per CPU)
-   about 3.2k.  On OCaml 5.1,
+   ring grows as records arrive, a level's FIFO is made at its first
+   push, and one run queue serves every CPU, so a boot is cheap enough
+   to pay once per explored schedule.  A preallocated 64K-slot ring
+   costs about 70k words here, a FIFO made up front for each of the 160
+   levels about 640, and a second 160-level queue per CPU about 175
+   words per CPU (1,215 words in all at 4 CPUs).  On OCaml 5.1,
    [Gc.counters] and [Gc.quick_stat] miss the minor heap not yet
    collected, so minor words come from [Gc.minor_words]; Gc.counters'
    major count sees a direct major allocation (such as the ring) at
@@ -876,8 +1001,8 @@ let test_boot_allocation () =
   let w0 = words () in
   ignore (Sys.opaque_identity (Kernel.boot ~cpus:4 ()));
   let used = words () -. w0 in
-  if used >= 2048. then
-    Alcotest.failf "Kernel.boot ~cpus:4 allocated %.0f words (bound 2048)" used
+  if used >= 1024. then
+    Alcotest.failf "Kernel.boot ~cpus:4 allocated %.0f words (bound 1024)" used
 
 (* ------------------------- procfs ------------------------- *)
 
@@ -910,7 +1035,7 @@ let () =
           Alcotest.test_case "charge advances time" `Quick
             test_charge_advances_time;
           Alcotest.test_case "shutdown is a no-op" `Quick test_shutdown_is_noop;
-          Alcotest.test_case "boot allocates under 2048 words" `Quick
+          Alcotest.test_case "boot allocates under 1024 words" `Quick
             test_boot_allocation;
         ] );
       ( "scheduling",
@@ -925,6 +1050,12 @@ let () =
           Alcotest.test_case "processor_bind" `Quick test_processor_bind;
           Alcotest.test_case "processor_bind invalid" `Quick
             test_processor_bind_invalid;
+        ] );
+      ( "bound dispatch",
+        [
+          Alcotest.test_case "order" `Quick test_bound_dispatch_order;
+          Alcotest.test_case "runnable probe" `Quick test_bound_runnable_probe;
+          Alcotest.test_case "driven" `Quick test_bound_dispatch_driven;
         ] );
       ( "lwp",
         [

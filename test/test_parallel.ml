@@ -14,8 +14,8 @@
    per-machine stream.  Finally the single event heap is checked at
    quiescence: a drained run leaves neither live nor cancelled entries.
 
-   The sanitizer keeps process-global tables (lib/core/thrsan.ml), so
-   this suite is not part of @sanitize. *)
+   The sanitizer keeps its tables per domain (lib/core/thrsan.ml), so
+   @sanitize runs this suite under THRSAN=1 too. *)
 
 module Kernel = Sunos_kernel.Kernel
 module Machine = Sunos_hw.Machine

@@ -23,10 +23,40 @@ let with_san f =
       Thrsan.disable ())
     f
 
-(* Sanitizer object ids are process-wide, so a pinned report names its
-   objects relative to the next free id.  The probe spends one id and
-   returns the id the scenario's first object will get. *)
+(* A pinned report names its objects relative to the next free id.  The
+   probe spends one id and returns the id the scenario's first object
+   will get. *)
 let next_obj_id () = (Thrsan.new_obj ~kind:"probe" ()).Ttypes.so_id + 1
+
+(* Two threads take two mutexes in opposite orders, yielding between
+   the two acquisitions. *)
+let abba_run () =
+  let k = Kernel.boot ~cpus:1 () in
+  ignore
+    (Kernel.spawn k ~name:"abba"
+       ~main:
+         (Libthread.boot (fun () ->
+              let ma = Mutex.create () and mb = Mutex.create () in
+              let t1 =
+                T.create ~flags:[ T.THREAD_WAIT ] (fun () ->
+                    Mutex.enter ma;
+                    T.yield ();
+                    Mutex.enter mb;
+                    Mutex.exit mb;
+                    Mutex.exit ma)
+              in
+              let t2 =
+                T.create ~flags:[ T.THREAD_WAIT ] (fun () ->
+                    Mutex.enter mb;
+                    T.yield ();
+                    Mutex.enter ma;
+                    Mutex.exit ma;
+                    Mutex.exit mb)
+              in
+              ignore (T.wait ~thread:t1 ());
+              ignore (T.wait ~thread:t2 ()))));
+  Kernel.run ~until:(Time.s 5) k;
+  k
 
 (* An ABBA deadlock between two threads on two mutexes: the second
    blocked_on closes the waits-for cycle, the sanitizer raises its
@@ -35,31 +65,7 @@ let next_obj_id () = (Thrsan.new_obj ~kind:"probe" ()).Ttypes.so_id + 1
 let test_waits_for_deadlock_report () =
   with_san (fun () ->
       let base = next_obj_id () in
-      let k = Kernel.boot ~cpus:1 () in
-      ignore
-        (Kernel.spawn k ~name:"abba"
-           ~main:
-             (Libthread.boot (fun () ->
-                  let ma = Mutex.create () and mb = Mutex.create () in
-                  let t1 =
-                    T.create ~flags:[ T.THREAD_WAIT ] (fun () ->
-                        Mutex.enter ma;
-                        T.yield ();
-                        Mutex.enter mb;
-                        Mutex.exit mb;
-                        Mutex.exit ma)
-                  in
-                  let t2 =
-                    T.create ~flags:[ T.THREAD_WAIT ] (fun () ->
-                        Mutex.enter mb;
-                        T.yield ();
-                        Mutex.enter ma;
-                        Mutex.exit ma;
-                        Mutex.exit mb)
-                  in
-                  ignore (T.wait ~thread:t1 ());
-                  ignore (T.wait ~thread:t2 ()))));
-      Kernel.run ~until:(Time.s 5) k;
+      let k = abba_run () in
       Alcotest.(check (option int)) "process died of the deadlock"
         (Some 139) (Kernel.exit_status k 1);
       match Thrsan.last_deadlock () with
@@ -227,6 +233,29 @@ let test_bare_park_flagged () =
       Alcotest.(check bool) "bare park recorded" true
         (Thrsan.bare_parks () <> []))
 
+(* The tables are per domain.  A deadlock found on another domain is
+   reported there, not here; and since a domain counts object ids and
+   acquisition stamps from its own last reset, the ABBA scenario renders
+   one text on two domains at once and then on this one. *)
+let test_tables_per_domain () =
+  with_san (fun () ->
+      let abba_text () =
+        Thrsan.reset ();
+        ignore (abba_run ());
+        Option.map (fun r -> r.Thrsan.dl_text) (Thrsan.last_deadlock ())
+      in
+      let there = Domain.join (Domain.spawn abba_text) in
+      Alcotest.(check bool) "the spawned domain has its report" true
+        (there <> None);
+      Alcotest.(check bool) "this domain has none" true
+        (Thrsan.last_deadlock () = None);
+      let d1 = Domain.spawn abba_text and d2 = Domain.spawn abba_text in
+      let t1 = Domain.join d1 and t2 = Domain.join d2 in
+      let here = abba_text () in
+      Alcotest.(check (option string)) "first concurrent domain" here t1;
+      Alcotest.(check (option string)) "second concurrent domain" here t2;
+      Alcotest.(check (option string)) "the earlier domain" here there)
+
 (* Zero-cost-off sanity: with tracking off, the hooks record nothing. *)
 let test_disabled_records_nothing () =
   Thrsan.reset ();
@@ -270,5 +299,9 @@ let () =
           Alcotest.test_case "bare park" `Quick test_bare_park_flagged;
           Alcotest.test_case "off records nothing" `Quick
             test_disabled_records_nothing;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "tables per domain" `Quick test_tables_per_domain;
         ] );
     ]
