@@ -226,10 +226,7 @@ let microtask cpus mode workers grain doalls =
         Printf.eprintf "unknown mode %S (raw|threads)\n" m;
         Stdlib.exit 2
   in
-  let r =
-    M.run ~cpus
-      { M.default_params with mode; workers; grain_us = grain; doalls }
-  in
+  let r = M.run ~cpus { M.mode; workers; grain_us = grain; doalls } in
   Format.printf "microtask: %a@." M.pp_results r
 
 let microtask_cmd =

@@ -12,7 +12,7 @@ let () =
   Format.printf
     "Parallel array (%d CPUs): %d rows x %d sweeps, %dus per row@\n@\n" cpus
     A.default_params.A.rows A.default_params.A.sweeps
-    A.default_params.A.row_compute_us;
+    A.row_compute_us;
   List.iter
     (fun (label, mode) ->
       let r = A.run ~cpus { A.default_params with mode } in

@@ -11,33 +11,12 @@
    LWPs or creates a fresh activation that enters the pool's LWP main
    loop. *)
 
-module T = Sunos_threads.Thread
-module Libthread = Sunos_threads.Libthread
+include Common
 
 let name = "activations"
 let boot ?cost main = Libthread.boot ?cost ~activations:true main
 
-type thread = T.id
-
 let spawn f = T.create ~flags:[ T.THREAD_WAIT ] f
-let join t = ignore (T.wait ~thread:t ())
-let yield = T.yield
 
 (* the pool sizes itself through blocking upcalls *)
 let set_concurrency _ = ()
-
-module Mu = struct
-  type t = Sunos_threads.Mutex.t
-
-  let create () = Sunos_threads.Mutex.create ()
-  let lock = Sunos_threads.Mutex.enter
-  let unlock = Sunos_threads.Mutex.exit
-end
-
-module Sem = struct
-  type t = Sunos_threads.Semaphore.t
-
-  let create count = Sunos_threads.Semaphore.create ~count ()
-  let p = Sunos_threads.Semaphore.p
-  let v = Sunos_threads.Semaphore.v
-end

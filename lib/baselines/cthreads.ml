@@ -5,35 +5,14 @@
    trips (the Figure 6 bound row).  Realized as the threads library with
    every thread THREAD_BIND_LWP. *)
 
-module T = Sunos_threads.Thread
-module Libthread = Sunos_threads.Libthread
+include Common
 
 let name = "cthreads"
 
 (* growth is irrelevant: each thread brings its own LWP *)
 let boot ?cost main = Libthread.boot ?cost ~auto_grow:false main
 
-type thread = T.id
-
 let spawn f = T.create ~flags:[ T.THREAD_BIND_LWP; T.THREAD_WAIT ] f
-let join t = ignore (T.wait ~thread:t ())
-let yield = T.yield
 
 (* 1:1 — every thread already has an LWP; there is no pool to size *)
 let set_concurrency _ = ()
-
-module Mu = struct
-  type t = Sunos_threads.Mutex.t
-
-  let create () = Sunos_threads.Mutex.create ()
-  let lock = Sunos_threads.Mutex.enter
-  let unlock = Sunos_threads.Mutex.exit
-end
-
-module Sem = struct
-  type t = Sunos_threads.Semaphore.t
-
-  let create count = Sunos_threads.Semaphore.create ~count ()
-  let p = Sunos_threads.Semaphore.p
-  let v = Sunos_threads.Semaphore.v
-end

@@ -13,38 +13,17 @@
    coroutines run while I/O is pending (page faults still stall the
    world, as the paper notes). *)
 
-module T = Sunos_threads.Thread
-module Libthread = Sunos_threads.Libthread
+include Common
 module Uctx = Sunos_kernel.Uctx
 module Time = Sunos_sim.Time
 
 let name = "liblwp"
 let boot ?cost main = Libthread.boot ?cost ~concurrency:1 ~auto_grow:false main
 
-type thread = T.id
-
 let spawn f = T.create ~flags:[ T.THREAD_WAIT ] f
-let join t = ignore (T.wait ~thread:t ())
-let yield = T.yield
 
 (* the whole point of this model is its single LWP *)
 let set_concurrency _ = ()
-
-module Mu = struct
-  type t = Sunos_threads.Mutex.t
-
-  let create () = Sunos_threads.Mutex.create ()
-  let lock = Sunos_threads.Mutex.enter
-  let unlock = Sunos_threads.Mutex.exit
-end
-
-module Sem = struct
-  type t = Sunos_threads.Semaphore.t
-
-  let create count = Sunos_threads.Semaphore.create ~count ()
-  let p = Sunos_threads.Semaphore.p
-  let v = Sunos_threads.Semaphore.v
-end
 
 (* Poll-and-yield read: never commits the single LWP to an indefinite
    kernel sleep while other coroutines could run. *)

@@ -9,7 +9,9 @@
       kernel block lets the library keep a virtual processor busy.
 
     The signature is deliberately a subset of the full thread API: only
-    what the comparison workloads need. *)
+    what the comparison workloads need.  The models share its common
+    half (threads joined by id, the library's mutex and semaphore); each
+    adds only how it boots the library and spawns threads. *)
 
 module type S = sig
   val name : string

@@ -3,31 +3,10 @@
    pool.  This is the system under test; the other files in this library
    are its competitors. *)
 
-module T = Sunos_threads.Thread
-module Libthread = Sunos_threads.Libthread
+include Common
 
 let name = "mt"
 let boot ?cost main = Libthread.boot ?cost ~auto_grow:true main
 
-type thread = T.id
-
 let spawn f = T.create ~flags:[ T.THREAD_WAIT ] f
-let join t = ignore (T.wait ~thread:t ())
-let yield = T.yield
 let set_concurrency n = T.setconcurrency n
-
-module Mu = struct
-  type t = Sunos_threads.Mutex.t
-
-  let create () = Sunos_threads.Mutex.create ()
-  let lock = Sunos_threads.Mutex.enter
-  let unlock = Sunos_threads.Mutex.exit
-end
-
-module Sem = struct
-  type t = Sunos_threads.Semaphore.t
-
-  let create count = Sunos_threads.Semaphore.create ~count ()
-  let p = Sunos_threads.Semaphore.p
-  let v = Sunos_threads.Semaphore.v
-end

@@ -25,7 +25,7 @@ let wait cv m =
   Uctx.charge c.Cost.sync_fast;
   Pool.thread_checkpoint ();
   (match cv with
-  | Private p -> (
+  | Private p ->
       if Thrsan.tracking () then begin
         let o =
           match p.san with
@@ -40,16 +40,14 @@ let wait cv m =
       let waitq = p.waitq in
       (* the park function enqueues us on the condvar and only THEN
          releases the mutex — a signaller that sneaks in after the
-         release necessarily finds us queued (no lost signal) *)
-      match
-        Pool.suspend ~park:(fun tcb ->
-            tcb.tstate <- Tblocked;
-            tcb.cancel_wait <- Waitq.add waitq tcb;
-            Mutex.release_from m tcb)
-      with
-      | Wake_normal -> ()
-      | Wake_signal _ -> Pool.run_pending_tsigs ()
-      (* spurious from the caller's viewpoint: it re-tests the condition *))
+         release necessarily finds us queued (no lost signal).  A
+         signal wakeup returns too: spurious from the caller's
+         viewpoint, it re-tests the condition *)
+      ignore
+        (Pool.suspend ~park:(fun tcb ->
+             tcb.tstate <- Tblocked;
+             Waitq.add waitq tcb;
+             Mutex.release_from m tcb))
   | Shared { state; at } ->
       let seq0 = state.s_seq in
       Mutex.exit m;

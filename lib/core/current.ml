@@ -15,3 +15,17 @@ let get () =
 let get_opt () = !(cur ())
 let set t = cur () := t
 let pool () = (get ()).Ttypes.pool
+
+(* The published thread table, one per domain like the register: the
+   library publishes each pool by pid at boot, where the debugger and
+   the sanitizer's hang report look it up (the analogue of an outside
+   reader finding libthread's tables in the inferior).  Sequential
+   simulations reuse pids; boot replaces, so the table always holds the
+   latest process under a pid. *)
+let pools_key : (int, Ttypes.pool) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+let publish (p : Ttypes.pool) =
+  Hashtbl.replace (Domain.DLS.get pools_key) p.pid p
+
+let published pid = Hashtbl.find_opt (Domain.DLS.get pools_key) pid

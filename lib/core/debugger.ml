@@ -15,34 +15,18 @@ type snapshot = {
   d_threads : thread_view list;
 }
 
-(* The "published thread table": the library registers a reader closure
-   per pid at boot (the analogue of the debugger knowing where
-   libthread's tables live in the inferior).  Sequential simulations
-   reuse pids; boot overwrites, so the registry always reflects the
-   latest process under that pid. *)
-let registry_key : (int, unit -> thread_view list) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let registry () = Domain.DLS.get registry_key
-
-let publish pool =
-  Hashtbl.replace (registry ()) pool.pid (fun () ->
-      Hashtbl.fold
-        (fun tid t acc ->
-          {
-            dt_tid = tid;
-            dt_state =
-              (match t.tstate with
-              | Trunnable -> "runnable"
-              | Trunning -> "running"
-              | Tblocked -> "blocked"
-              | Tstopped -> "stopped"
-              | Tzombie -> "zombie");
-            dt_bound_lwp = (if t.bound then Some t.bound_lwp else None);
-          }
-          :: acc)
-        pool.threads []
-      |> List.sort (fun a b -> compare a.dt_tid b.dt_tid))
+(* Read the thread table the library published (Current.publish). *)
+let thread_views pool =
+  Hashtbl.fold
+    (fun tid t acc ->
+      {
+        dt_tid = tid;
+        dt_state = tstate_name t.tstate;
+        dt_bound_lwp = (if t.bound then Some t.bound_lwp else None);
+      }
+      :: acc)
+    pool.threads []
+  |> List.sort (fun a b -> compare a.dt_tid b.dt_tid)
 
 let with_proc k pid f =
   match Kernel.find_proc k pid with
@@ -60,8 +44,8 @@ let snapshot k pid =
   | None -> Error (Printf.sprintf "no such process: %d" pid)
   | Some pi ->
       let threads =
-        match Hashtbl.find_opt (registry ()) pid with
-        | Some read -> read ()
+        match Current.published pid with
+        | Some pool -> thread_views pool
         | None -> []
       in
       Ok

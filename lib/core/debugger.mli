@@ -10,8 +10,8 @@
     debugger in another process): it stops the target through the kernel
     (as /proc's PIOCSTOP would), reads LWP state from {!Sunos_kernel.Procfs},
     and reads the thread table that the threads library publishes for it
-    (the analogue of reading libthread's data structures out of the
-    inferior's address space). *)
+    ({!Current.publish}: the analogue of reading libthread's data
+    structures out of the inferior's address space). *)
 
 type thread_view = {
   dt_tid : int;
@@ -25,10 +25,6 @@ type snapshot = {
   d_lwps : Sunos_kernel.Procfs.lwp_info list;  (** the kernel half *)
   d_threads : thread_view list;  (** the library half *)
 }
-
-val publish : Ttypes.pool -> unit
-(** Called by {!Libthread.boot}: register the pool's thread table for
-    debugger reads (the inferior exposing its library structures). *)
 
 val attach : Sunos_kernel.Kernel.t -> int -> (unit, string) result
 (** Stop every LWP of the process (as /proc PIOCSTOP).  The simulation

@@ -9,10 +9,8 @@ let boot ?(cost = Sunos_hw.Cost_model.default) ?(concurrency = 0)
   let pool = Pool.make_pool ~pid:(Uctx.getpid ()) ~cost ~auto_grow in
   pool.concurrency_target <- concurrency;
   (* publish the thread table for debuggers (the paper's /proc + library
-     cooperation) *)
-  Debugger.publish pool;
-  (* same replace-on-boot registry for the sanitizer's hang diagnosis *)
-  Thrsan.register_pool pool;
+     cooperation) and the sanitizer's hang diagnosis *)
+  Current.publish pool;
   if activations then
     (* scheduler-activations mode: on every application block the kernel
        hands us a context; fresh activations enter our LWP main loop *)
@@ -85,16 +83,6 @@ let stats () =
 
 let threads_snapshot () =
   let pool = Current.pool () in
-  Hashtbl.fold
-    (fun tid t acc ->
-      let s =
-        match t.tstate with
-        | Trunnable -> "runnable"
-        | Trunning -> "running"
-        | Tblocked -> "blocked"
-        | Tstopped -> "stopped"
-        | Tzombie -> "zombie"
-      in
-      (tid, s) :: acc)
+  Hashtbl.fold (fun tid t acc -> (tid, tstate_name t.tstate) :: acc)
     pool.threads []
   |> List.sort compare

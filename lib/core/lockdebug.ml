@@ -45,8 +45,7 @@ let create_shared ?robust ~name (at : Syncvar.place) =
   {
     name;
     san =
-      Thrsan.shared_obj ~kind:"lockdebug(shared)" ~name
-        ~seg:(Sunos_hw.Shared_memory.name at.Syncvar.seg)
+      Thrsan.shared_obj ~kind:"lockdebug(shared)" ~name ~seg:at.Syncvar.seg
         ~offset:at.Syncvar.offset ();
     mu = Mutex.create_shared ?robust at;
     acquisitions = 0;

@@ -136,17 +136,11 @@ let rec sleep_until_owned s self =
   else begin
     if Thrsan.tracking () then Thrsan.blocked_on self (msan s);
     (* commit rule: no effect between this check and the Suspend *)
-    match
-      Pool.suspend ~park:(fun tcb ->
-          tcb.tstate <- Tblocked;
-          tcb.cancel_wait <- Waitq.add s.waitq tcb)
-    with
+    match Waitq.sleep s.waitq with
     | Wake_normal ->
         (* handoff: the releaser made us the owner *)
         assert (match s.owner with Some o -> o == self | None -> false)
-    | Wake_signal _ ->
-        Pool.run_pending_tsigs ();
-        sleep_until_owned s self
+    | Wake_signal -> sleep_until_owned s self
   end
 
 let enter_private s self =

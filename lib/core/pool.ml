@@ -19,12 +19,6 @@ open Ttypes
 module Uctx = Sunos_kernel.Uctx
 module Errno = Sunos_kernel.Errno
 module Cost = Sunos_hw.Cost_model
-
-(* the "registered on no wait queue" sentinel for [cancel_wait]: a
-   single shared closure, so the bare-park audit can test it with
-   physical equality ([ignore] itself is a primitive and makes a fresh
-   closure at every value use) *)
-let no_cancel : unit -> unit = fun () -> ()
 module Time = Sunos_sim.Time
 module Prioq = Sunos_sim.Prioq
 
@@ -82,10 +76,45 @@ let runq_pop pool =
     ~live:runnable pool.runq
 
 (* ------------------------------------------------------------------ *)
+(* Thread-level signal pickup                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Run the handlers for any thread-directed signals pending on the
+   current thread.  Runs inside the thread's own fiber, so handlers may
+   block, make system calls, etc. *)
+let rec run_pending_tsigs () =
+  let tcb = Current.get () in
+  let pool = tcb.pool in
+  match Queue.take_opt tcb.pending_tsigs with
+  | None -> ()
+  | Some signo ->
+      (match pool.handlers.(signo) with
+      | Sysdefs.Sig_handler h ->
+          charge pool.cost.Cost.signal_deliver;
+          h signo
+      | Sysdefs.Sig_default | Sysdefs.Sig_ignore -> ());
+      run_pending_tsigs ()
+
+(* A cooperative delivery point: primitives call this so running threads
+   notice thread_kill()s and routed interrupts promptly. *)
+let thread_checkpoint () =
+  match Current.get_opt () with
+  | Some tcb when not (Queue.is_empty tcb.pending_tsigs) ->
+      run_pending_tsigs ()
+  | Some _ | None -> ()
+
+(* ------------------------------------------------------------------ *)
 (* Suspension and wakeup                                               *)
 (* ------------------------------------------------------------------ *)
 
-let suspend ~park = Effect.perform (Suspend park)
+(* A signal wakeup runs the thread's pending handlers here, in its own
+   fiber, before the blocking primitive looks at why it woke. *)
+let suspend ~park =
+  match Effect.perform (Suspend park) with
+  | Wake_normal -> Wake_normal
+  | Wake_signal ->
+      run_pending_tsigs ();
+      Wake_signal
 
 (* Pop an idle pool LWP and unpark it so it notices new work.  Returns
    whether a live LWP was actually kicked: under fault injection an LWP
@@ -117,8 +146,9 @@ let unpark_bound pool tcb =
 
 let make_ready tcb reason =
   let pool = tcb.pool in
-  tcb.cancel_wait ();
-  tcb.cancel_wait <- no_cancel;
+  (* retire the thread's wait registration: the entry it left in a wait
+     queue, joinee or timer is dead from here on *)
+  tcb.wait_gen <- tcb.wait_gen + 1;
   (* a woken thread is no longer waiting: clear its waits-for edge so
      the sanitizer never walks a stale one (single store; kept
      unconditional so toggling thrsan mid-run stays sound) *)
@@ -145,34 +175,6 @@ let make_ready tcb reason =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Thread-level signal pickup                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Run the handlers for any thread-directed signals pending on the
-   current thread.  Runs inside the thread's own fiber, so handlers may
-   block, make system calls, etc. *)
-let rec run_pending_tsigs () =
-  let tcb = Current.get () in
-  let pool = tcb.pool in
-  match Queue.take_opt tcb.pending_tsigs with
-  | None -> ()
-  | Some signo ->
-      (match pool.handlers.(signo) with
-      | Sysdefs.Sig_handler h ->
-          charge pool.cost.Cost.signal_deliver;
-          h signo
-      | Sysdefs.Sig_default | Sysdefs.Sig_ignore -> ());
-      run_pending_tsigs ()
-
-(* A cooperative delivery point: primitives call this so running threads
-   notice thread_kill()s and routed interrupts promptly. *)
-let thread_checkpoint () =
-  match Current.get_opt () with
-  | Some tcb when not (Queue.is_empty tcb.pending_tsigs) ->
-      run_pending_tsigs ()
-  | Some _ | None -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Running one thread on the current LWP                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -192,6 +194,15 @@ let run_thread_fiber entry =
           | _ -> None);
     }
 
+(* Wake the oldest live thread_wait(NULL) sleeper, dropping the dead
+   registrations in front of it. *)
+let rec wake_any_waiter pool =
+  match pool.any_waiters with
+  | [] -> ()
+  | ((w, _) as j) :: rest ->
+      pool.any_waiters <- rest;
+      if live j then make_ready w Wake_normal else wake_any_waiter pool
+
 (* Reclaim what thread_exit leaves behind.  Default stacks go back to
    the library cache; joinable (THREAD_WAIT) threads linger as zombies
    until waited for. *)
@@ -203,16 +214,11 @@ let thread_finish pool tcb =
   | Stack_default -> pool.stack_cached <- pool.stack_cached + 1
   | Stack_caller _ -> ());
   if tcb.wait_flag then begin
-    match tcb.waiter with
-    | Some w ->
-        tcb.waiter <- None;
-        make_ready w Wake_normal
-    | None -> (
-        match pool.any_waiters with
-        | w :: rest ->
-            pool.any_waiters <- rest;
-            make_ready w Wake_normal
-        | [] -> ())
+    let joiner = tcb.waiter in
+    tcb.waiter <- None;
+    match joiner with
+    | Some ((w, _) as j) when live j -> make_ready w Wake_normal
+    | Some _ | None -> wake_any_waiter pool
   end
   else Hashtbl.remove pool.threads tcb.tid;
   if pool.live_threads = 0 then
@@ -254,14 +260,11 @@ let run_thread pool my_cur tcb =
       (* no effect between saving the continuation and parking: commit
          rule (see the header comment) *)
       tcb.kont <- Some kont;
+      let gen = tcb.wait_gen in
       park tcb;
-      (* bare-park audit: blocked, yet registered on no wait queue and
-         known to no waits-for edge — no waker can find this thread *)
-      if
-        Thrsan.tracking ()
-        && tcb.tstate = Tblocked
-        && tcb.san_waiting = None
-        && tcb.cancel_wait == no_cancel
+      (* bare-park audit: blocked, yet the park registered no wait (the
+         generation is unchanged) — no waker can find this thread *)
+      if Thrsan.tracking () && tcb.tstate = Tblocked && tcb.wait_gen = gen
       then Thrsan.note_bare_park tcb;
       charge pool.cost.Cost.user_ctx_save
 
@@ -402,7 +405,7 @@ let new_tcb pool ~entry ~prio ~sigmask ~bound ~wait_flag ~stack_kind ~stopped =
       stack_kind;
       tls = Array.make 8 None;
       waiter = None;
-      cancel_wait = no_cancel;
+      wait_gen = 0;
       pending_tsigs = Queue.create ();
       stop_requested = false;
       exited = false;

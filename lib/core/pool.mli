@@ -27,13 +27,17 @@ val runq_push : pool -> tcb -> unit
 
 val suspend : park:(tcb -> unit) -> wake_reason
 (** Give the LWP back to the scheduler.  [park] runs after the
-    continuation is saved (commit rule) and must record the TCB wherever
-    its waker will look, setting [tstate] and [cancel_wait]. *)
+    continuation is saved (commit rule), sets [tstate] and, to block,
+    registers the thread wherever its waker will look: a
+    {!Ttypes.register}ed [(tcb, gen)] pair.  On [Wake_signal] the
+    thread's pending thread-directed handlers have run before [suspend]
+    returns; the caller only decides whether to wait again. *)
 
 val make_ready : tcb -> wake_reason -> unit
-(** Wake a blocked thread: cancels its wait registration, then either
-    requeues it (unbound; kicks an idle LWP) or unparks its dedicated LWP
-    (bound).  A pending stop request diverts it to [Tstopped]. *)
+(** Wake a blocked thread: bumps its wait generation, which retires its
+    wait registration wherever it is queued, then either requeues it
+    (unbound; kicks an idle LWP) or unparks its dedicated LWP (bound).
+    A pending stop request diverts it to [Tstopped]. *)
 
 val unpark_bound : pool -> tcb -> unit
 (** Unpark a bound thread's dedicated LWP; if the LWP was reaped by

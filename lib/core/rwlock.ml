@@ -133,15 +133,8 @@ let rec block_on ~self ~san ~waitq ~can ~admit =
   end
   else begin
     if Thrsan.tracking () then Thrsan.blocked_on self (san ());
-    match
-      Pool.suspend ~park:(fun tcb ->
-          tcb.tstate <- Tblocked;
-          tcb.cancel_wait <- Waitq.add waitq tcb)
-    with
-    | Wake_normal -> block_on ~self ~san ~waitq ~can ~admit
-    | Wake_signal _ ->
-        Pool.run_pending_tsigs ();
-        block_on ~self ~san ~waitq ~can ~admit
+    ignore (Waitq.sleep waitq);
+    block_on ~self ~san ~waitq ~can ~admit
   end
 
 (* Wake policy on release: one waiting writer first; with none, every
@@ -233,16 +226,10 @@ let try_upgrade_priv s self =
                hold at the root of the cycle check *)
             if Thrsan.tracking () then
               Thrsan.blocked_on ~skip_self_hold:true self (rsan s);
-            match
-              Pool.suspend ~park:(fun tcb ->
-                  tcb.tstate <- Tblocked;
-                  if not !bug14_bare_upgrader then
-                    tcb.cancel_wait <- Waitq.add s.uq tcb)
-            with
-            | Wake_normal -> wait ()
-            | Wake_signal _ ->
-                Pool.run_pending_tsigs ();
-                wait ()
+            if !bug14_bare_upgrader then
+              ignore (Pool.suspend ~park:(fun tcb -> tcb.tstate <- Tblocked))
+            else ignore (Waitq.sleep s.uq);
+            wait ()
           end
         in
         wait ();

@@ -47,15 +47,9 @@ let p sem =
           if s.count > 0 then s.count <- s.count - 1
           else begin
             if Thrsan.tracking () then Thrsan.blocked_on self (san ());
-            match
-              Pool.suspend ~park:(fun tcb ->
-                  tcb.tstate <- Tblocked;
-                  tcb.cancel_wait <- Waitq.add s.waitq tcb)
-            with
+            match Waitq.sleep s.waitq with
             | Wake_normal -> () (* v() handed its unit directly to us *)
-            | Wake_signal _ ->
-                Pool.run_pending_tsigs ();
-                block ()
+            | Wake_signal -> block ()
           end
         in
         block ()

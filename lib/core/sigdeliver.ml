@@ -46,7 +46,7 @@ let route pool signo =
           with
           | Some t ->
               Queue.add signo t.pending_tsigs;
-              Pool.make_ready t (Wake_signal signo)
+              Pool.make_ready t Wake_signal
           | None -> (
               match List.find_opt (eligible signo) all with
               | Some t ->
@@ -100,7 +100,7 @@ let thread_kill target signo =
       | Some me when me == target -> Pool.run_pending_tsigs ()
       | _ ->
           if target.tstate = Tblocked && eligible signo target then
-            Pool.make_ready target (Wake_signal signo))
+            Pool.make_ready target Wake_signal)
 
 (* sigsend(P_THREAD_ALL): the signal goes to every thread. *)
 let sigsend_all pool signo =

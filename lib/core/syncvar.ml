@@ -38,8 +38,7 @@ let wait p ?timeout ~expect () =
     match Current.get_opt () with
     | Some self when self.Ttypes.san_waiting = None ->
         Thrsan.blocked_on self
-          (Thrsan.shared_obj ~kind:"syncvar" ~seg:(Shm.name p.seg)
-             ~offset:p.offset ());
+          (Thrsan.shared_obj ~kind:"syncvar" ~seg:p.seg ~offset:p.offset ());
         let r = Uctx.kwait ~seg:p.seg ~offset:p.offset ?timeout ~expect () in
         Thrsan.clear_wait self;
         r

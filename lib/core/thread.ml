@@ -70,17 +70,10 @@ let rec wait_any self pool =
       in
       if not waitable_exists then
         invalid_arg "Thread.wait: no THREAD_WAIT thread to wait for";
-      (match
-         Pool.suspend ~park:(fun tcb ->
+      ignore
+        (Pool.suspend ~park:(fun tcb ->
              tcb.tstate <- Tblocked;
-             pool.any_waiters <- pool.any_waiters @ [ tcb ];
-             tcb.cancel_wait <-
-               (fun () ->
-                 pool.any_waiters <-
-                   List.filter (fun t -> t != tcb) pool.any_waiters))
-       with
-      | Wake_normal -> ()
-      | Wake_signal _ -> Pool.run_pending_tsigs ());
+             pool.any_waiters <- pool.any_waiters @ [ (tcb, register tcb) ]));
       wait_any self pool
 
 let rec wait_for self pool target =
@@ -89,18 +82,10 @@ let rec wait_for self pool target =
     target.tid
   end
   else begin
-    (match
-       Pool.suspend ~park:(fun tcb ->
+    ignore
+      (Pool.suspend ~park:(fun tcb ->
            tcb.tstate <- Tblocked;
-           target.waiter <- Some tcb;
-           tcb.cancel_wait <-
-             (fun () ->
-               match target.waiter with
-               | Some w when w == tcb -> target.waiter <- None
-               | Some _ | None -> ()))
-     with
-    | Wake_normal -> ()
-    | Wake_signal _ -> Pool.run_pending_tsigs ());
+           target.waiter <- Some (tcb, register tcb)));
     wait_for self pool target
   end
 
@@ -117,8 +102,10 @@ let wait ?thread () =
           if target == self then invalid_arg "Thread.wait: waiting for self";
           if not target.wait_flag then
             invalid_arg "Thread.wait: thread not created with THREAD_WAIT";
-          if target.waiter <> None then
-            invalid_arg "Thread.wait: thread already has a waiter";
+          (match target.waiter with
+          | Some j when live j ->
+              invalid_arg "Thread.wait: thread already has a waiter"
+          | Some _ | None -> ());
           wait_for self pool target)
 
 let sigsetmask how set =
@@ -142,9 +129,7 @@ let stop ?thread () =
   let pool = self.pool in
   Uctx.charge pool.cost.Cost.call;
   let stop_self () =
-    match Pool.suspend ~park:(fun tcb -> tcb.tstate <- Tstopped) with
-    | Wake_normal -> ()
-    | Wake_signal _ -> Pool.run_pending_tsigs ()
+    ignore (Pool.suspend ~park:(fun tcb -> tcb.tstate <- Tstopped))
   in
   match thread with
   | None -> stop_self ()
@@ -212,15 +197,11 @@ let yield () =
   let self = Current.get () in
   let pool = self.pool in
   Pool.thread_checkpoint ();
-  if live_runnable pool && not self.bound then begin
-    match
-      Pool.suspend ~park:(fun tcb ->
-          tcb.tstate <- Trunnable;
-          Pool.runq_push pool tcb)
-    with
-    | Wake_normal -> ()
-    | Wake_signal _ -> Pool.run_pending_tsigs ()
-  end
+  if live_runnable pool && not self.bound then
+    ignore
+      (Pool.suspend ~park:(fun tcb ->
+           tcb.tstate <- Trunnable;
+           Pool.runq_push pool tcb))
   else Uctx.charge pool.cost.Cost.call
 
 let sigaction signo disp =
@@ -238,13 +219,4 @@ let sigaltstack enabled =
   | _ -> invalid_arg "Thread.sigaltstack"
 
 let state tid =
-  match find (Current.pool ()) tid with
-  | None -> None
-  | Some t ->
-      Some
-        (match t.tstate with
-        | Trunnable -> "runnable"
-        | Trunning -> "running"
-        | Tblocked -> "blocked"
-        | Tstopped -> "stopped"
-        | Tzombie -> "zombie")
+  Option.map (fun t -> tstate_name t.tstate) (find (Current.pool ()) tid)

@@ -33,6 +33,7 @@
 
 open Ttypes
 module Machine = Sunos_hw.Machine
+module Shm = Sunos_hw.Shared_memory
 module Ktypes = Sunos_kernel.Ktypes
 
 (* ------------------------------------------------------------------ *)
@@ -87,24 +88,25 @@ let obj_name o =
   | Some n -> n
   | None -> Printf.sprintf "%s#%d" o.so_kind o.so_id
 
-(* Objects at a shared-memory location, keyed by (kind, segment name,
+(* Objects at a shared-memory location, keyed by (kind, segment id,
    offset) so the same location resolves to the same object from every
-   process. *)
-let shared_objs : (string * string * int, san_obj) Hashtbl.t Domain.DLS.key =
+   process.  Not by segment name: every anonymous segment is "[anon]". *)
+let shared_objs : (string * int * int, san_obj) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 32)
 
 let shared_obj ~kind ?name ~seg ~offset () =
   let objs = Domain.DLS.get shared_objs in
-  match Hashtbl.find_opt objs (kind, seg, offset) with
+  let key = (kind, Shm.id seg, offset) in
+  match Hashtbl.find_opt objs key with
   | Some o -> o
   | None ->
       let name =
         match name with
         | Some n -> n
-        | None -> Printf.sprintf "%s+%d" seg offset
+        | None -> Printf.sprintf "%s+%d" (Shm.name seg) offset
       in
       let o = new_obj ~kind ~name () in
-      Hashtbl.add objs (kind, seg, offset) o;
+      Hashtbl.add objs key o;
       o
 
 (* ------------------------------------------------------------------ *)
@@ -286,11 +288,10 @@ let clear_wait self = self.san_waiting <- None
 (* Bare-park audit                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A thread that parks [Tblocked] without registering [cancel_wait] on
-   any wait queue (and without telling the sanitizer what it waits on)
-   is invisible to wakers and uncancellable on signal routing — the
-   exact shape of the rwlock upgrader bug (BUG 14).  The scheduler calls
-   this right after the park function runs. *)
+(* A thread whose park sets [Tblocked] but registers no wait (its wait
+   generation is unchanged) is invisible to wakers — the exact shape of
+   the rwlock upgrader bug (BUG 14).  The scheduler calls this right
+   after the park function runs. *)
 
 let bare_parks_r : (int * int) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
@@ -304,14 +305,6 @@ let bare_parks () = List.rev !(Domain.DLS.get bare_parks_r)
 (* ------------------------------------------------------------------ *)
 (* Hang diagnosis at event-queue drain                                 *)
 (* ------------------------------------------------------------------ *)
-
-(* The library publishes each pool here at boot (same replace-on-boot
-   semantics as Debugger.publish: the latest process under a pid wins). *)
-let pools_key : (int, pool) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let pools () = Domain.DLS.get pools_key
-let register_pool (p : pool) = Hashtbl.replace (pools ()) p.pid p
 
 type hung_thread = {
   ht_pid : int;
@@ -385,7 +378,8 @@ let hang_check (k : Ktypes.kernel) =
                   :: !lwps
             | _ -> ())
           p.Ktypes.lwps;
-        match Hashtbl.find_opt (pools ()) p.Ktypes.pid with
+        (* the thread table the library published at boot *)
+        match Current.published p.Ktypes.pid with
         | None -> ()
         | Some pool ->
             Hashtbl.iter

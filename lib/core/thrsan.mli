@@ -44,12 +44,18 @@ val new_obj : kind:string -> ?name:string -> unit -> Ttypes.san_obj
     ["pid/tid"] are formatted only when a report is built. *)
 
 val shared_obj :
-  kind:string -> ?name:string -> seg:string -> offset:int -> unit ->
+  kind:string ->
+  ?name:string ->
+  seg:Sunos_hw.Shared_memory.t ->
+  offset:int ->
+  unit ->
   Ttypes.san_obj
 (** The identity of an object at a shared-memory location (a kernel
     sync variable, a {!Lockdebug} shared lock), keyed by ([kind],
-    segment name, offset) so every process resolves the same location
-    to the same object.  Named ["seg+offset"] without [name]. *)
+    segment id, offset) so every process resolves the same location to
+    the same object, and two segments of one name (every anonymous
+    segment is ["[anon]"]) stay apart.  Named ["seg+offset"] after the
+    segment's name without [name]. *)
 
 (** {1 Waits-for graph} *)
 
@@ -109,9 +115,10 @@ val reset_order_graph : unit -> unit
 (** {1 Bare-park audit} *)
 
 val note_bare_park : Ttypes.tcb -> unit
-(** Called by the scheduler when a thread parks [Tblocked] without
-    registering [cancel_wait] anywhere and without a waits-for edge —
-    invisible to wakers, uncancellable on signal routing. *)
+(** Called by the scheduler when a park function sets [Tblocked] but
+    leaves the thread's wait generation unchanged: it registered no wait
+    ({!Ttypes.register}), so no waker can find the thread.  A waits-for
+    edge does not excuse it; no waker reads that. *)
 
 val bare_parks : unit -> (int * int) list
 (** (pid, tid) of every thread caught bare-parking, oldest first. *)
@@ -140,15 +147,12 @@ type hang_report = {
   hr_text : string;
 }
 
-val register_pool : Ttypes.pool -> unit
-(** Publish a pool for hang diagnosis (called by [Libthread.boot];
-    replace-on-boot semantics like [Debugger.publish]). *)
-
 val watch : Sunos_kernel.Ktypes.kernel -> unit
 (** Install a drain hook on the kernel's event queue: when the queue
     empties while threads remain blocked (or runnable with every LWP
     asleep), build a {!hang_report}, store it for {!last_hang} and emit
-    it on the trace under tag ["thrsan"]. *)
+    it on the trace under tag ["thrsan"].  Threads are read from the
+    table the library published at boot ({!Current.published}). *)
 
 val last_hang : unit -> hang_report option
 

@@ -10,7 +10,8 @@ type entry = {
   e_id : id;
   deadline : Time.t;
   action : [ `Wake of tcb | `Call of unit -> unit ];
-  mutable cancelled : bool;
+  mutable gen : int;  (* `Wake: the sleeper's registration, from its park *)
+  mutable cancelled : bool;  (* `Call: [cancel] *)
 }
 
 (* Per-process timer state, stored in the pool itself (each simulated
@@ -63,6 +64,16 @@ let rearm s =
         Uctx.setitimer Sysdefs.Timer_real (Some span)
       end
 
+(* An entry still owes its action: a callback not cancelled, or a sleep
+   whose sleeper still waits in the park that registered [gen] (a signal
+   wakeup retires the registration). *)
+let armed e =
+  (not e.cancelled)
+  &&
+  match e.action with
+  | `Wake tcb -> live (tcb, e.gen)
+  | `Call _ -> true
+
 (* SIGALRM arrives in whichever thread the router picks: expire what is
    due, wake sleepers, run callbacks, re-arm for the rest. *)
 let on_alarm s _signo =
@@ -74,7 +85,7 @@ let on_alarm s _signo =
   s.entries <- rest;
   List.iter
     (fun e ->
-      if not e.cancelled then
+      if armed e then
         match e.action with
         | `Wake tcb -> Pool.make_ready tcb Wake_normal
         | `Call f -> f ())
@@ -95,6 +106,7 @@ let add s action span =
       e_id = s.next_id;
       deadline = Time.add (Uctx.gettime ()) span;
       action;
+      gen = -1;
       cancelled = false;
     }
   in
@@ -112,14 +124,10 @@ let sleep span =
     if Time.(now < deadline) then begin
       let self = Current.get () in
       let e = add s (`Wake self) (Time.diff deadline now) in
-      (match
-         Pool.suspend ~park:(fun tcb ->
+      ignore
+        (Pool.suspend ~park:(fun tcb ->
              tcb.tstate <- Tblocked;
-             tcb.cancel_wait <- (fun () -> e.cancelled <- true))
-       with
-      | Wake_normal -> ()
-      | Wake_signal _ -> Pool.run_pending_tsigs ());
-      e.cancelled <- true;
+             e.gen <- register tcb));
       go ()
     end
   in
@@ -145,4 +153,4 @@ let cancel id =
 
 let pending () =
   let s = get_state () in
-  List.length (List.filter (fun e -> not e.cancelled) s.entries)
+  List.length (List.filter armed s.entries)

@@ -24,9 +24,10 @@ type tstate =
 
 type wake_reason =
   | Wake_normal
-  | Wake_signal of Signo.t
-      (* woken to run a signal handler; blocking primitives re-block (or
-         report a spurious wakeup) after the handler runs *)
+  | Wake_signal
+      (* woken to run a signal handler: Pool.suspend has run it by the
+         time it returns; blocking primitives then re-block (or report a
+         spurious wakeup) *)
 
 type stack_kind =
   | Stack_default  (* library-managed, cached *)
@@ -51,10 +52,12 @@ and tcb = {
   wait_flag : bool;  (* THREAD_WAIT: joinable; tid not reused until waited *)
   stack_kind : stack_kind;
   mutable tls : Sunos_sim.Univ.t option array;
-  mutable waiter : tcb option;  (* the (single) thread_wait()er *)
-  mutable cancel_wait : unit -> unit;
-      (* deregister from whatever wait queue holds us; installed by the
-         park function, invoked before an out-of-band wakeup (signal) *)
+  mutable waiter : (tcb * int) option;
+      (* the (single) thread_wait()er's registration; see [register] *)
+  mutable wait_gen : int;
+      (* wait generation: bumped by every registration ([register]) and
+         every wakeup (Pool.make_ready), so a wakeup retires all of the
+         thread's registrations at once, wherever they are queued *)
   pending_tsigs : Signo.t Queue.t;  (* thread-directed, not yet handled *)
   mutable stop_requested : bool;
   mutable exited : bool;
@@ -105,7 +108,9 @@ and pool = {
          dispositions that Sigdeliver routes by thread masks *)
   mutable proc_pending_tsigs : Signo.t list;
       (* process-directed signals every current thread masks *)
-  mutable any_waiters : tcb list;  (* thread_wait(NULL) sleepers *)
+  mutable any_waiters : (tcb * int) list;
+      (* thread_wait(NULL) sleepers' registrations, oldest first; dead
+         ones are dropped when a thread exit meets them *)
   mutable auto_grow : bool;  (* create an LWP on SIGWAITING *)
   mutable timer_slot : Sunos_sim.Univ.t option;
       (* per-pool state of the Timers module (per-thread timers
@@ -128,6 +133,24 @@ exception Thread_exit_exn
 
 let max_prio = 63
 let default_prio = 31
+
+let tstate_name = function
+  | Trunnable -> "runnable"
+  | Trunning -> "running"
+  | Tblocked -> "blocked"
+  | Tstopped -> "stopped"
+  | Tzombie -> "zombie"
+
+(* A library wait is a registration [(tcb, gen)]: the park function
+   takes a fresh generation and records the pair where the waker looks
+   (a wait queue, a joinee, a timer entry).  It stays live while the
+   thread's generation still matches; the next wakeup of the thread, for
+   whatever reason, bumps the generation and so retires it in place. *)
+let register tcb =
+  tcb.wait_gen <- tcb.wait_gen + 1;
+  tcb.wait_gen
+
+let live (tcb, gen) = tcb.wait_gen = gen
 
 (* counts dead entries not yet dropped, as a pick would meet them *)
 let live_runnable pool = Sunos_sim.Prioq.length pool.runq > 0

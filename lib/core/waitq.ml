@@ -1,11 +1,12 @@
+open Ttypes
 module Schedctl = Sunos_sim.Schedctl
 
-type entry = { e_tcb : Ttypes.tcb; mutable e_alive : bool }
-
-(* Each queue carries a small unique id so the exploration driver can
-   tell decision points apart in its logs.  Allocating it is a pure
-   counter bump — schedule-invariant. *)
-type t = { q : entry Queue.t; wq_id : int }
+(* An entry is a registration [(tcb, gen)] (Ttypes.register): it dies in
+   place when the thread wakes for any reason, and stays queued, dead,
+   until a pop drops it.  Each queue carries a small unique id
+   so the exploration driver can tell decision points apart in its logs.
+   Allocating it is a pure counter bump — schedule-invariant. *)
+type t = { q : (tcb * int) Queue.t; wq_id : int }
 
 let next_id = ref 0
 
@@ -13,20 +14,20 @@ let create () =
   incr next_id;
   { q = Queue.create (); wq_id = !next_id }
 
-let add t tcb =
-  let e = { e_tcb = tcb; e_alive = true } in
-  Queue.add e t.q;
-  fun () -> e.e_alive <- false
+let add t tcb = Queue.add (tcb, register tcb) t.q
 
-let live e = e.e_alive
+let sleep t =
+  Pool.suspend ~park:(fun tcb ->
+      tcb.tstate <- Tblocked;
+      add t tcb)
 
+(* The taken entry leaves the queue; its thread's next wakeup (the
+   caller's Pool.make_ready) retires the registration. *)
 let take t ~want =
   match
     Schedctl.take ~site:"waitq" ~obj:t.wq_id ~foot:(fun _ -> []) ~want ~live t.q
   with
-  | Some e ->
-      e.e_alive <- false;
-      Some e.e_tcb
+  | Some (tcb, _) -> Some tcb
   | None -> None
 
 let pop t = take t ~want:1
@@ -41,6 +42,4 @@ let pop_all t =
   in
   go []
 
-let is_empty t = Queue.fold (fun acc e -> acc && not e.e_alive) true t.q
-
-let length t = Queue.fold (fun acc e -> if e.e_alive then acc + 1 else acc) 0 t.q
+let is_empty t = Queue.fold (fun acc e -> acc && not (live e)) true t.q

@@ -1,17 +1,9 @@
 module Time = Sunos_sim.Time
 module Eventq = Sunos_sim.Eventq
-module Rng = Sunos_sim.Rng
 
 (* Transfer rate for byte-count-dependent service times: 1 MiB/s (a 1991
    SCSI disk / thin Ethernet), i.e. ~954 ns per byte. *)
 let transfer_span bytes_ = Time.ns (bytes_ * 954)
-
-let jittered jitter base =
-  match jitter with
-  | None -> base
-  | Some rng ->
-      let mean = Int64.to_float base in
-      Int64.of_float (Rng.exponential rng ~mean)
 
 module Disk = struct
   type req = { bytes_ : int; on_complete : unit -> unit }
@@ -19,18 +11,15 @@ module Disk = struct
   type t = {
     eventq : Eventq.t;
     access_time : Time.span;
-    jitter : Rng.t option;
     queue : req Queue.t;
     mutable busy : bool;
     mutable completed : int;
   }
 
-  let create ~eventq ~access_time ?jitter () =
-    { eventq; access_time; jitter; queue = Queue.create (); busy = false;
-      completed = 0 }
+  let create ~eventq ~access_time () =
+    { eventq; access_time; queue = Queue.create (); busy = false; completed = 0 }
 
-  let service_time t bytes_ =
-    Int64.add (jittered t.jitter t.access_time) (transfer_span bytes_)
+  let service_time t bytes_ = Int64.add t.access_time (transfer_span bytes_)
 
   let rec start_next t =
     match Queue.take_opt t.queue with
@@ -55,13 +44,11 @@ module Net = struct
   type t = {
     eventq : Eventq.t;
     rtt : Time.span;
-    jitter : Rng.t option;
     mutable in_flight : int;
     mutable completed : int;
   }
 
-  let create ~eventq ~rtt ?jitter () =
-    { eventq; rtt; jitter; in_flight = 0; completed = 0 }
+  let create ~eventq ~rtt () = { eventq; rtt; in_flight = 0; completed = 0 }
 
   let fire t span on_complete =
     t.in_flight <- t.in_flight + 1;
@@ -72,12 +59,11 @@ module Net = struct
            on_complete ()))
 
   let send t ~bytes_ ~on_complete =
-    let one_way = Int64.div (jittered t.jitter t.rtt) 2L in
+    let one_way = Int64.div t.rtt 2L in
     fire t (Int64.add one_way (transfer_span bytes_)) on_complete
 
   let request_response t ~bytes_ ~on_complete =
-    fire t (Int64.add (jittered t.jitter t.rtt) (transfer_span bytes_))
-      on_complete
+    fire t (Int64.add t.rtt (transfer_span bytes_)) on_complete
 
   let in_flight t = t.in_flight
   let completed t = t.completed

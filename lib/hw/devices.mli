@@ -11,13 +11,8 @@ module Disk : sig
   type t
 
   val create :
-    eventq:Sunos_sim.Eventq.t ->
-    access_time:Sunos_sim.Time.span ->
-    ?jitter:Sunos_sim.Rng.t ->
-    unit ->
-    t
-  (** With [jitter], service time is exponentially distributed around
-      [access_time]; without, it is exactly [access_time]. *)
+    eventq:Sunos_sim.Eventq.t -> access_time:Sunos_sim.Time.span -> unit -> t
+  (** Service time is exactly [access_time] plus the transfer. *)
 
   val submit : t -> bytes_:int -> on_complete:(unit -> unit) -> unit
   (** [bytes_] adds transfer time at 1 MiB/s (a 1991 SCSI disk). *)
@@ -31,12 +26,7 @@ module Net : sig
 
   type t
 
-  val create :
-    eventq:Sunos_sim.Eventq.t ->
-    rtt:Sunos_sim.Time.span ->
-    ?jitter:Sunos_sim.Rng.t ->
-    unit ->
-    t
+  val create : eventq:Sunos_sim.Eventq.t -> rtt:Sunos_sim.Time.span -> unit -> t
 
   val send : t -> bytes_:int -> on_complete:(unit -> unit) -> unit
   (** Completion fires after one-way latency (rtt/2) + transfer time. *)

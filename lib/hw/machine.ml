@@ -7,12 +7,10 @@ type t = {
   net : Devices.Net.t;
   cost : Cost_model.t;
   trace : Sim.Tracebuf.t;
-  rng : Sim.Rng.t;
   chaos : Sim.Faultgen.t;
 }
 
-let create ?(cpus = 1) ?(cost = Cost_model.default) ?(seed = 1L)
-    ?trace_capacity ?chaos () =
+let create ?(cpus = 1) ?(cost = Cost_model.default) ?(seed = 1L) ?chaos () =
   if cpus <= 0 then invalid_arg "Machine.create: cpus";
   let chaos =
     match chaos with
@@ -26,8 +24,7 @@ let create ?(cpus = 1) ?(cost = Cost_model.default) ?(seed = 1L)
     disk = Devices.Disk.create ~eventq ~access_time:cost.Cost_model.disk_access ();
     net = Devices.Net.create ~eventq ~rtt:cost.Cost_model.net_rtt ();
     cost;
-    trace = Sim.Tracebuf.create ?capacity:trace_capacity ();
-    rng = Sim.Rng.create ~seed;
+    trace = Sim.Tracebuf.create ();
     chaos;
   }
 

@@ -8,7 +8,6 @@ type t = {
   net : Devices.Net.t;
   cost : Cost_model.t;
   trace : Sunos_sim.Tracebuf.t;
-  rng : Sunos_sim.Rng.t;
   chaos : Sunos_sim.Faultgen.t;
 }
 
@@ -16,17 +15,15 @@ val create :
   ?cpus:int ->
   ?cost:Cost_model.t ->
   ?seed:int64 ->
-  ?trace_capacity:int ->
   ?chaos:Sunos_sim.Faultgen.profile ->
   unit ->
   t
 (** Defaults: 1 CPU (the paper's measurement platform was a uniprocessor),
     {!Cost_model.default}, seed 1, chaos profile from [SUNOS_CHAOS]
-    (off when unset).  The chaos stream is seeded independently of the
-    machine's workload stream.  Every CPU and device shares the one
-    event queue.  [trace_capacity] bounds the trace ring (default 65536
-    records); the ring starts empty and grows only as records arrive, so
-    a machine costs no trace memory until something is traced. *)
+    (off when unset); [seed] seeds the chaos stream.  Every CPU and
+    device shares the one event queue.  The trace ring holds up to 65536
+    records; it starts empty and grows only as records arrive, so a
+    machine costs no trace memory until something is traced. *)
 
 val now : t -> Sunos_sim.Time.t
 val ncpus : t -> int

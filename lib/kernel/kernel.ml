@@ -8,8 +8,8 @@ let boot_on machine =
   Syscall_impl.install k;
   k
 
-let boot ?cpus ?cost ?seed ?trace_capacity ?chaos () =
-  boot_on (Machine.create ?cpus ?cost ?seed ?trace_capacity ?chaos ())
+let boot ?cpus ?cost ?seed ?chaos () =
+  boot_on (Machine.create ?cpus ?cost ?seed ?chaos ())
 
 let machine (k : t) = k.Ktypes.machine
 let fs (k : t) = k.Ktypes.fs

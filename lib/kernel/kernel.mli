@@ -15,14 +15,11 @@ val boot :
   ?cpus:int ->
   ?cost:Sunos_hw.Cost_model.t ->
   ?seed:int64 ->
-  ?trace_capacity:int ->
   ?chaos:Sunos_sim.Faultgen.profile ->
   unit ->
   t
 (** Build a machine and boot a kernel on it.  [chaos] selects the fault
-    injection profile (default: [SUNOS_CHAOS] env, else off).
-    [trace_capacity] bounds the trace ring, which is filled on demand
-    (see {!Sunos_hw.Machine.create}). *)
+    injection profile (default: [SUNOS_CHAOS] env, else off). *)
 
 val machine : t -> Sunos_hw.Machine.t
 val fs : t -> Fs.t

@@ -81,7 +81,6 @@ type sysreq =
           backlog) is decided when the SYN arrives.  Returns the
           connected fd or [ECONNREFUSED]. *)
   | Sys_accept of fd * bool
-  | Sys_note_shed
       (** Take the next established connection off a listening fd's
           backlog.  With the flag false, blocks (interruptibly) while
           the backlog is empty; closing the listening fd fails blocked
@@ -89,6 +88,7 @@ type sysreq =
           (non-blocking), an empty backlog returns [EAGAIN] instead —
           this is how an event-driven server drains every pending
           connection behind one poll readiness event. *)
+  | Sys_note_shed  (** Account one load-shed connection in /proc. *)
   | Sys_poll of poll_fd list * Sunos_sim.Time.span option
       (** No timeout = indefinite wait (counts toward SIGWAITING). *)
   | Sys_epoll_create

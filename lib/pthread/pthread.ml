@@ -139,9 +139,7 @@ module Mutex = struct
 
   type t = { kind : kind; mu : Smutex.t }
 
-  let create ?(kind = Normal) ?(spin = false) () =
-    let variant = if spin then Smutex.Spin else Smutex.Sleep in
-    { kind; mu = Smutex.create ~variant () }
+  let create ?(kind = Normal) () = { kind; mu = Smutex.create () }
 
   let lock t =
     (match t.kind with

@@ -50,7 +50,7 @@ module Mutex : sig
     | Normal  (** self-deadlock on relock, like PTHREAD_MUTEX_NORMAL *)
     | Errorcheck  (** relock and wrong-owner unlock raise *)
 
-  val create : ?kind:kind -> ?spin:bool -> unit -> t
+  val create : ?kind:kind -> unit -> t
   val lock : t -> unit
   val unlock : t -> unit
   val trylock : t -> bool

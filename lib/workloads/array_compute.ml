@@ -9,17 +9,17 @@ module Condvar = Sunos_threads.Condvar
 
 type mode = Unbound of int | Bound | Bound_gang
 
+let row_compute_us = 400
+
 type params = {
   rows : int;
-  row_compute_us : int;
   sweeps : int;
   mode : mode;
   spin_barrier : bool;
 }
 
 let default_params =
-  { rows = 64; row_compute_us = 400; sweeps = 10; mode = Bound;
-    spin_barrier = false }
+  { rows = 64; sweeps = 10; mode = Bound; spin_barrier = false }
 
 type results = {
   makespan : Sunos_sim.Time.span;
@@ -92,7 +92,7 @@ let run ?(cpus = 4) ?cost ?chaos ?(background_load = false) p =
       if gang then Uctx.priocntl (Sysdefs.Cls_gang 1);
       for _sweep = 1 to p.sweeps do
         for _row = 1 to rows_of i do
-          Uctx.charge_us p.row_compute_us
+          Uctx.charge_us row_compute_us
         done;
         barrier ()
       done

@@ -14,9 +14,11 @@
 
 type mode = Unbound of int | Bound | Bound_gang
 
+val row_compute_us : int
+(** Compute per row and sweep, in microseconds (400). *)
+
 type params = {
   rows : int;
-  row_compute_us : int;
   sweeps : int;
   mode : mode;
   spin_barrier : bool;

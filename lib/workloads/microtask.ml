@@ -7,8 +7,9 @@ module Semaphore = Sunos_threads.Semaphore
 
 type mode = Raw_lwps | Bound_threads
 
+let iterations = 64
+
 type params = {
-  iterations : int;
   grain_us : int;
   workers : int;
   mode : mode;
@@ -16,7 +17,7 @@ type params = {
 }
 
 let default_params =
-  { iterations = 64; grain_us = 200; workers = 4; mode = Raw_lwps; doalls = 5 }
+  { grain_us = 200; workers = 4; mode = Raw_lwps; doalls = 5 }
 
 type results = {
   makespan : Sunos_sim.Time.span;
@@ -25,7 +26,7 @@ type results = {
 }
 
 let chunk_of p w =
-  let per = p.iterations / p.workers and extra = p.iterations mod p.workers in
+  let per = iterations / p.workers and extra = iterations mod p.workers in
   per + (if w < extra then 1 else 0)
 
 (* The "Fortran runtime": raw LWPs, park/unpark as the only coordination

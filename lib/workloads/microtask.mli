@@ -13,8 +13,10 @@
 
 type mode = Raw_lwps | Bound_threads
 
+val iterations : int
+(** Iterations per DOALL loop (64). *)
+
 type params = {
-  iterations : int;
   grain_us : int;  (** compute per iteration *)
   workers : int;
   mode : mode;

@@ -371,8 +371,8 @@ let test_lockdebug_transitive_order_cycle () =
          Lockdebug.exit c));
   Alcotest.(check bool) "A->B->C->A raises on the closing edge" true !caught
 
-(* BUG 14: a pending rwlock upgrader parked *bare* — no cancel_wait
-   registration, so nothing could find or cancel its park.  If a signal
+(* BUG 14: a pending rwlock upgrader parked *bare* — no wait
+   registration, so nothing could find or retire its park.  If a signal
    woke it while the last other reader exited, the exit path re-readied
    the upgrader through its TCB even though it was RUNNING its handler
    on another LWP: the phantom runq entry passed the stale-entry check

@@ -907,6 +907,30 @@ let test_sigsend_all_threads () =
   (* main + 3 helpers *)
   Alcotest.(check int) "every thread handled it" 4 !count
 
+(* A signal wakeup at every library wait site (Wake_sites): the handler
+   runs once, the wait then completes with its usual outcome, and the
+   run drains at the simulated instant pinned here. *)
+let signal_wakeup_ends_at =
+  [
+    ("mutex", 1_429_000L);
+    ("condvar", 1_439_000L);
+    ("semaphore", 1_411_000L);
+    ("rwlock reader", 1_403_000L);
+    ("rwlock writer", 1_403_000L);
+    ("wait thread", 2_075_000L);
+    ("wait any", 2_075_000L);
+    ("timer sleep", 22_123_000L);
+  ]
+
+let test_signal_wakeup (name, site) () =
+  let r = Wake_sites.run site in
+  Alcotest.(check int) "handler ran once" 1 r.Wake_sites.handled;
+  Alcotest.(check bool) "the wait completed" true r.held;
+  Alcotest.(check (option int)) "clean exit" (Some 0) r.status;
+  Alcotest.(check int64) "simulated end"
+    (List.assoc name signal_wakeup_ends_at)
+    r.ended
+
 (* ------------------------- cross-process sync (Figure 1) ----------- *)
 
 let test_shared_mutex_across_processes () =
@@ -1135,7 +1159,12 @@ let () =
           Alcotest.test_case "mask routes" `Quick
             test_thread_mask_blocks_delivery;
           Alcotest.test_case "sigsend all" `Quick test_sigsend_all_threads;
-        ] );
+        ]
+        @ List.map
+            (fun ((name, _) as site) ->
+              Alcotest.test_case ("wakeup at " ^ name) `Quick
+                (test_signal_wakeup site))
+            Wake_sites.sites );
       ( "cross_process",
         [
           Alcotest.test_case "shared mutex" `Quick

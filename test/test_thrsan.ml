@@ -212,9 +212,9 @@ let test_hang_report_names_condvar () =
                (base + 2) base)
             h.Thrsan.hr_text)
 
-(* The bare-park audit: a thread that parks Tblocked without registering
-   cancel_wait anywhere (and without a waits-for edge) is invisible to
-   wakers and to signal routing; the scheduler flags it. *)
+(* The bare-park audit: a thread whose park sets Tblocked without
+   registering a wait anywhere is invisible to wakers; the scheduler
+   flags it. *)
 let test_bare_park_flagged () =
   with_san (fun () ->
       let k = Kernel.boot ~cpus:1 () in
@@ -232,6 +232,47 @@ let test_bare_park_flagged () =
       Kernel.run ~until:(Time.s 5) k;
       Alcotest.(check bool) "bare park recorded" true
         (Thrsan.bare_parks () <> []))
+
+(* The seeded BUG 14 upgrader parks without registering on the upgrade
+   queue.  Its waits-for edge is the sanitizer's own record, which no
+   waker reads, so the park is flagged all the same. *)
+let test_bug14_upgrader_flagged () =
+  with_san (fun () ->
+      Rwlock.bug14_bare_upgrader := true;
+      Fun.protect
+        ~finally:(fun () -> Rwlock.bug14_bare_upgrader := false)
+        (fun () ->
+          let k = Kernel.boot ~cpus:1 () in
+          ignore
+            (Kernel.spawn k ~name:"upgrade"
+               ~main:
+                 (Libthread.boot (fun () ->
+                      let rw = Rwlock.create () in
+                      Rwlock.enter rw Rwlock.Reader;
+                      let w =
+                        T.create ~flags:[ T.THREAD_WAIT ] (fun () ->
+                            Rwlock.enter rw Rwlock.Reader;
+                            ignore (Rwlock.try_upgrade rw);
+                            Rwlock.exit rw)
+                      in
+                      T.yield ();
+                      Rwlock.exit rw;
+                      ignore (T.wait ~thread:w ()))));
+          Kernel.run k);
+      Alcotest.(check (list (pair int int))) "the upgrader parked bare"
+        [ (1, 2) ] (Thrsan.bare_parks ()))
+
+(* Every legitimate library wait registers where its waker looks, even
+   when a signal wakes it and it waits again: none is a bare park. *)
+let test_legit_waits_not_bare () =
+  with_san (fun () ->
+      List.iter
+        (fun (name, site) ->
+          let r = Wake_sites.run site in
+          Alcotest.(check bool) (name ^ " completed") true r.Wake_sites.held)
+        Wake_sites.sites;
+      Alcotest.(check (list (pair int int))) "no bare park" []
+        (Thrsan.bare_parks ()))
 
 (* The tables are per domain.  A deadlock found on another domain is
    reported there, not here; and since a domain counts object ids and
@@ -297,6 +338,10 @@ let () =
       ( "audit",
         [
           Alcotest.test_case "bare park" `Quick test_bare_park_flagged;
+          Alcotest.test_case "BUG 14 upgrader park" `Quick
+            test_bug14_upgrader_flagged;
+          Alcotest.test_case "legit waits are not bare parks" `Quick
+            test_legit_waits_not_bare;
           Alcotest.test_case "off records nothing" `Quick
             test_disabled_records_nothing;
         ] );

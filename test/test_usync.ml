@@ -20,6 +20,7 @@ module Rwlock = Sunos_threads.Rwlock
 module Syncvar = Sunos_threads.Syncvar
 module Semaphore = Sunos_threads.Semaphore
 module Thrsan = Sunos_threads.Thrsan
+module Lockdebug = Sunos_threads.Lockdebug
 
 (* ------------------- anon mapping semantics at fork ------------------- *)
 
@@ -404,6 +405,41 @@ let test_thrsan_names_shared_objects () =
           Alcotest.(check string) "wanted named by placement" "[anon]+0"
             wanted)
 
+(* Two anonymous segments share the name "[anon]" but not their lock
+   words: shared Lockdebug locks at offset 0 of each are two locks, so
+   taking L1 -> F and then F -> L2 is no order inversion. *)
+let test_thrsan_anon_segments_distinct () =
+  Thrsan.reset ();
+  let k = Kernel.boot ~cpus:1 () in
+  (match Sunos_kernel.Fs.create_file (Kernel.fs k) ~path:"/locks" () with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "setup");
+  let violation = ref None in
+  ignore
+    (Kernel.spawn k ~name:"order"
+       ~main:
+         (Libthread.boot (fun () ->
+              let lock name seg =
+                Lockdebug.create_shared ~name (Syncvar.place seg ~offset:0)
+              in
+              let l1 = lock "L1" (Uctx.mmap_anon ~size:4096 ~shared:true) in
+              let l2 = lock "L2" (Uctx.mmap_anon ~size:4096 ~shared:true) in
+              let f = lock "F" (Uctx.mmap (Uctx.open_file "/locks")) in
+              let nest a b =
+                Lockdebug.enter a;
+                Lockdebug.enter b;
+                Lockdebug.exit b;
+                Lockdebug.exit a
+              in
+              try
+                nest l1 f;
+                nest f l2
+              with Thrsan.Lock_order_violation (held, wanted) ->
+                violation := Some (held, wanted))));
+  Kernel.run k;
+  Alcotest.(check (option (pair string string))) "no order violation" None
+    !violation
+
 (* ------------- thread-signal delivery in shared-sync loops ------------ *)
 
 (* The missing-checkpoint class of BUG 13/14, shared-mutex edition: a
@@ -523,6 +559,8 @@ let () =
             test_procfs_wait_channels;
           Alcotest.test_case "thrsan names shared objects" `Quick
             test_thrsan_names_shared_objects;
+          Alcotest.test_case "anon segments are distinct locks" `Quick
+            test_thrsan_anon_segments_distinct;
         ] );
       ( "signal-delivery",
         [

@@ -108,7 +108,7 @@ let test_microtask_raw_lwps () =
   let p = M.default_params in
   let r = M.run ~cpus:4 p in
   Alcotest.(check int) "all iterations, all doalls"
-    (p.M.iterations * p.M.doalls) r.M.iterations_done;
+    (M.iterations * p.M.doalls) r.M.iterations_done;
   Alcotest.(check int) "one LWP per worker + master"
     (p.M.workers + 1) r.M.lwps_created
 
