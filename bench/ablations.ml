@@ -111,50 +111,19 @@ let sigwaiting () =
    spinning burns. *)
 let mutexes () =
   section "A3: spin vs sleep vs adaptive mutexes (2 CPUs, 3 bound threads)";
-  let run_case ?cost variant ~cs_us =
-    let k = Kernel.boot ~cpus:2 ?cost () in
-    Kernel.set_tracing k false;
-    let makespan = ref Time.zero and cpu_used = ref 0L in
-    ignore
-      (Kernel.spawn k ~name:"mtx"
-         ~main:
-           (Libthread.boot (fun () ->
-                let m = Mutex.create ~variant () in
-                let worker i () =
-                  (* stagger the start so the threads collide *)
-                  Uctx.charge_us (i * (cs_us / 2));
-                  for _ = 1 to 50 do
-                    Mutex.enter m;
-                    Uctx.charge_us cs_us;
-                    Mutex.exit m;
-                    Uctx.charge_us (7 * (i + 1))
-                  done
-                in
-                let ts =
-                  List.init 3 (fun i ->
-                      T.create
-                        ~flags:[ T.THREAD_BIND_LWP; T.THREAD_WAIT ]
-                        (worker i))
-                in
-                List.iter (fun t -> ignore (T.wait ~thread:t ())) ts;
-                makespan := Uctx.gettime ();
-                let ru = Uctx.getrusage () in
-                cpu_used :=
-                  Int64.add ru.Sunos_kernel.Sysdefs.ru_utime
-                    ru.Sunos_kernel.Sysdefs.ru_stime)));
-    Kernel.run k;
-    (Time.to_ms !makespan, Time.to_ms !cpu_used)
+  let row label ?cost v =
+    let short = Microbench.mutex_contention ?cost v ~cs_us:40 in
+    let long = Microbench.mutex_contention ?cost v ~cs_us:3000 in
+    Bout.printf "  %-10s %12.2f ms %7.1f ms %12.2f ms %7.1f ms\n" label
+      short.Microbench.makespan_ms short.Microbench.cpu_ms
+      long.Microbench.makespan_ms long.Microbench.cpu_ms
   in
   Bout.printf "  %-10s %26s %26s\n" "variant" "short CS (40us)"
     "long CS (3000us)";
   Bout.printf "  %-10s %15s %10s %15s %10s\n" "" "makespan" "cpu" "makespan"
     "cpu";
   List.iter
-    (fun (name, v) ->
-      let m1, c1 = run_case v ~cs_us:40 in
-      let m2, c2 = run_case v ~cs_us:3000 in
-      Bout.printf "  %-10s %12.2f ms %7.1f ms %12.2f ms %7.1f ms\n" name m1
-        c1 m2 c2)
+    (fun (name, v) -> row name v)
     [ ("spin", Mutex.Spin); ("sleep", Mutex.Sleep); ("adaptive", Mutex.Adaptive) ];
   (* the adaptive variant's spin budget, swept through the cost model
      (Basic Lock Algorithms in Lightweight Thread Environments): a short
@@ -164,14 +133,9 @@ let mutexes () =
     "long CS (3000us)";
   List.iter
     (fun limit ->
-      let cost =
-        { Sunos_hw.Cost_model.default with adaptive_spin_limit = limit }
-      in
-      let m1, c1 = run_case ~cost Mutex.Adaptive ~cs_us:40 in
-      let m2, c2 = run_case ~cost Mutex.Adaptive ~cs_us:3000 in
-      Bout.printf "  %-10d %12.2f ms %7.1f ms %12.2f ms %7.1f ms\n" limit m1
-        c1 m2 c2)
-    [ 0; 1; 5; 20; 100 ]
+      let cost = { Cost.default with adaptive_spin_limit = limit } in
+      row (string_of_int limit) ~cost Mutex.Adaptive)
+    Microbench.spin_budgets
 
 (* A4: fork vs fork1 as the LWP population grows. *)
 let forks () =

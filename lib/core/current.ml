@@ -13,7 +13,11 @@ let get () =
   | None -> failwith "Sunos_threads: no current thread (Libthread.boot missing?)"
 
 let get_opt () = !(cur ())
-let set t = cur () := t
+(* The resume hook restores the register on every busy completion, and
+   mostly to the value it already holds: skip that store. *)
+let set t =
+  let r = cur () in
+  if !r != t then r := t
 let pool () = (get ()).Ttypes.pool
 
 (* The published thread table, one per domain like the register: the

@@ -229,8 +229,9 @@ let thread_finish pool tcb =
    behind the kernel resume hook. *)
 let run_thread pool my_cur tcb =
   charge pool.cost.Cost.user_ctx_restore;
-  my_cur := Some tcb;
-  Current.set (Some tcb);
+  let cur = Some tcb in
+  my_cur := cur;
+  Current.set cur;
   tcb.tstate <- Trunning;
   pool.ctr_switches <- pool.ctr_switches + 1;
   let step =

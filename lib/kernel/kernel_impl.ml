@@ -25,6 +25,7 @@ let cost k = k.machine.Machine.cost
 let now k = Machine.now k.machine
 let eventq k = k.machine.Machine.eventq
 let schedule k span f = ignore (Eventq.after (eventq k) span f)
+let is_idle cpu = match Cpu.occupant cpu with None -> true | Some _ -> false
 
 (* Typed trace records ({!Tracebuf.kind} says which fields a kind uses;
    the others are -1 or "").  Every argument is an immediate or a string
@@ -119,7 +120,9 @@ let enqueue k lwp =
    ran (state change), or changed priority; pruning them at the bucket
    front is the lazy half of the O(1) dequeue. *)
 let entry_live prio (lwp, gen) =
-  lwp.runq_gen = gen && lwp.lstate = Lrunnable && global_prio lwp = prio
+  lwp.runq_gen = gen
+  && (match lwp.lstate with Lrunnable -> true | _ -> false)
+  && global_prio lwp = prio
 
 (* The live entries at [prio] that [cpu] may run, front first. *)
 let eligible k cpu prio =
@@ -172,8 +175,9 @@ let runnable_exists_for k cpu = runnable_below k cpu max_global_prio
 
 let quantum_for k lwp =
   match lwp.cls with
-  | Sc_realtime _ -> Time.s 3600  (* effectively until it blocks *)
-  | Sc_timeshare _ | Sc_gang _ -> (cost k).Cost.quantum
+  | Sc_realtime _ ->
+      Int64.to_int (Time.s 3600) (* effectively until it blocks *)
+  | Sc_timeshare _ | Sc_gang _ -> Int64.to_int (cost k).Cost.quantum
 
 (* Open a run-ahead window for the fiber we are about to continue: how
    far may it charge before settling with the kernel?
@@ -195,37 +199,42 @@ let quantum_for k lwp =
    rlimit, a posted stop, a pending preemption, a stale CPU binding —
    forces a zero budget, reproducing the old behavior bit-for-bit.
    None of these can *appear* inside the window (only events create
-   them), so checking at grant time covers the whole window. *)
+   them), so checking at grant time covers the whole window.  For the
+   same reason [account]'s timer, limit and profil branches are off for
+   a prefix settled under a grant. *)
 let grant_budget k cpu lwp =
   let c = cost k in
   let budget =
     if
       c.Cost.coalesce
-      && Time.(lwp.quantum_left > 0L)
+      && lwp.quantum_left > 0
       && (not lwp.prof_on)
-      && lwp.vtimer_left = None
-      && lwp.ptimer_left = None
-      && lwp.proc.cpu_limit = None
+      && (match (lwp.vtimer_left, lwp.ptimer_left, lwp.proc.cpu_limit) with
+         | None, None, None -> true
+         | _ -> false)
       && (not lwp.proc.stopped)
       && (not (sig_flag lwp))
       && (not (Cpu.need_resched cpu))
       && runs_on cpu lwp
     then
       match Eventq.next_time (eventq k) with
-      | Some t -> Time.min lwp.quantum_left (Time.diff t (now k))
+      | Some t ->
+          let gap = Time.diff t (now k) in
+          if Time.(gap < Int64.of_int lwp.quantum_left) then Int64.to_int gap
+          else lwp.quantum_left
       | None -> lwp.quantum_left
-    else 0L
+    else 0
   in
-  Uctx.grant ~budget
+  Uctx.grant ~budget:(Int64.of_int budget)
 
 let rec kick k =
   gang_place k;
   Array.iter
-    (fun cpu -> if Cpu.occupant cpu = None then try_dispatch k cpu)
+    (fun cpu -> if is_idle cpu then try_dispatch k cpu)
     k.machine.Machine.cpus
 
 and try_dispatch k cpu =
-  if Cpu.occupant cpu = None then
+  if is_idle cpu then
     match pick k cpu with
     | None -> Cpu.set_need_resched cpu false
     | Some lwp -> place k cpu lwp
@@ -244,9 +253,10 @@ and place k cpu lwp =
       if chaos_roll k ~site:"preempt-storm" (Faultgen.profile (chaos k)).preempt_storm
       then
         lwp.quantum_left <-
-          Time.max (Time.us 20)
-            (Faultgen.draw_span (chaos k)
-               ~max_span:(Int64.div lwp.quantum_left 8L))
+          Int64.to_int
+            (Time.max (Time.us 20)
+               (Faultgen.draw_span (chaos k)
+                  ~max_span:(Int64.of_int (lwp.quantum_left / 8))))
   | Sc_realtime _ -> ());
   k.ctr_dispatches <- k.ctr_dispatches + 1;
   trace k Tracebuf.Dispatch ~cpu:(Cpu.id cpu) ~pid:lwp.proc.pid ~lwp:lwp.lid
@@ -261,13 +271,17 @@ and place k cpu lwp =
    (space sharing), which keeps gangs deadlock-free when members sleep at
    different times.  See DESIGN.md. *)
 and gang_place k =
+  if Hashtbl.length k.gangs > 0 then
   let idle_cpus () =
-    Array.to_list k.machine.Machine.cpus
-    |> List.filter (fun c -> Cpu.occupant c = None)
+    Array.to_list k.machine.Machine.cpus |> List.filter is_idle
   in
   Hashtbl.iter
     (fun _gid members ->
-      let ready = List.filter (fun l -> l.lstate = Lrunnable) !members in
+      let ready =
+        List.filter
+          (fun l -> match l.lstate with Lrunnable -> true | _ -> false)
+          !members
+      in
       let n = List.length ready in
       let idle = idle_cpus () in
       if n > 0 && n <= List.length idle then begin
@@ -296,7 +310,7 @@ and resume k cpu lwp =
         grant_budget k cpu lwp;
         step k cpu lwp (Uctx.run_fiber f)
     | P_charge (remaining, kont) ->
-        if Time.(remaining > 0L) then charge_slice k cpu lwp remaining kont
+        if Time.(remaining > 0L) then charge_slice k cpu lwp 0 remaining kont
         else continue_charge k cpu lwp kont
     | P_sysret (kont, ret) -> deliver_sysret k cpu lwp kont ret
     | P_syswait _ | P_dead ->
@@ -305,23 +319,34 @@ and resume k cpu lwp =
         kick k
   end
 
-(* Every fiber step settles the run-ahead ledger first: the coalesced
-   prefix becomes one busy event.  The prefix is strictly below the
-   granted budget, which was itself capped at the remaining quantum and
-   the event horizon — so the quantum cannot expire here, no
-   stop/preempt condition can have arisen (those need events, and none
-   fired), and the settle completion runs before any foreign event.
-   The step itself is then dispatched at the settled instant, exactly
-   when the per-charge regime would have reached it. *)
+(* Every fiber step settles the run-ahead ledger first.  The coalesced
+   prefix is strictly below the granted budget, which was itself capped
+   at the remaining quantum and the event horizon — so the quantum
+   cannot expire inside it, no stop/preempt condition can arise (those
+   need events, and none fires before the horizon), and nothing else is
+   scheduled in the window.  So a charge or a syscall step accounts the
+   prefix at once and starts its next busy interval [lead] = prefix
+   later: that interval's event sorts against every other event exactly
+   as it would behind a settle event of its own.  Exit and panic keep
+   the settle event, since they must happen at the settled instant. *)
 and step k cpu lwp (s : Uctx.step) =
-  let prefix = Uctx.unsettled () in
-  if Time.(prefix > 0L) then
-    busy k cpu lwp prefix (fun () ->
-        lwp.quantum_left <- Time.diff lwp.quantum_left prefix;
-        dispatch_step k cpu lwp s)
-  else dispatch_step k cpu lwp s
+  let prefix = Int64.to_int (Uctx.unsettled ()) in
+  if prefix = 0 then dispatch_step k cpu lwp 0 s
+  else
+    match s with
+    | Uctx.Step_charge _ | Uctx.Step_sys _ ->
+        account k lwp prefix;
+        lwp.quantum_left <- lwp.quantum_left - prefix;
+        dispatch_step k cpu lwp prefix s
+    | Uctx.Step_done | Uctx.Step_raised _ ->
+        busy k cpu lwp 0 (Int64.of_int prefix) (fun () ->
+            lwp.quantum_left <- lwp.quantum_left - prefix;
+            dispatch_step k cpu lwp 0 s)
 
-and dispatch_step k cpu lwp (s : Uctx.step) =
+(* Act on a step whose busy interval, if any, starts [lead] ns from
+   now ([lead] > 0 only for a charge or a syscall after a settled
+   prefix). *)
+and dispatch_step k cpu lwp lead (s : Uctx.step) =
   match s with
   | Uctx.Step_done -> lwp_exit_internal k lwp
   | Uctx.Step_raised (Uctx.Process_killed, _) ->
@@ -332,13 +357,13 @@ and dispatch_step k cpu lwp (s : Uctx.step) =
       trace_lwp k Tracebuf.Panic lwp ~name:(Printexc.to_string e) ~arg:(-1);
       ignore bt;
       proc_exit k lwp.proc ~status:139
-  | Uctx.Step_charge (span, kont) -> charge_slice k cpu lwp span kont
+  | Uctx.Step_charge (span, kont) -> charge_slice k cpu lwp lead span kont
   | Uctx.Step_sys (req, kont) ->
       lwp.in_kernel <- true;
       lwp.pending <- P_syswait kont;
       k.ctr_syscalls <- k.ctr_syscalls + 1;
       let c = cost k in
-      busy k cpu lwp
+      busy k cpu lwp lead
         (Int64.add c.Cost.trap_entry c.Cost.syscall_fixed)
         (fun () -> k.syscall_exec lwp req)
 
@@ -348,21 +373,25 @@ and continue_charge k cpu lwp kont =
   grant_budget k cpu lwp;
   step k cpu lwp (Effect.Deep.continue kont (sig_flag lwp))
 
-(* Hold the CPU for [span], accounting it to the LWP, then run [fin].
-   If the LWP lost the CPU meanwhile (kill, stop at a boundary), the
-   completion is dropped — whoever took the CPU away owns the next move. *)
-and busy k cpu lwp span fin =
-  schedule k span (fun () ->
-      if is_running_on lwp cpu then begin
-        account k lwp span;
-        (* other LWPs may have run during this interval: restore this
-           LWP's register context (current-thread pointer) before any of
-           its code continues *)
-        lwp.on_resume ();
-        fin ()
-      end)
+(* Hold the CPU for [span] from [lead] ns on, accounting it to the LWP,
+   then run [fin].  If the LWP lost the CPU meanwhile (kill, stop at a
+   boundary), the completion is dropped — whoever took the CPU away owns
+   the next move. *)
+and busy k cpu lwp lead span fin =
+  let due = Int64.add (now k) (Int64.add (Int64.of_int lead) span) in
+  ignore
+    (Eventq.at (eventq k) due (fun () ->
+         if is_running_on lwp cpu then begin
+           account k lwp (Int64.to_int span);
+           (* other LWPs may have run during this interval: restore this
+              LWP's register context (current-thread pointer) before any
+              of its code continues *)
+           lwp.on_resume ();
+           fin ()
+         end))
 
-and charge_slice k cpu lwp span kont =
+(* [lead] > 0 only under a grant, which requires [runs_on]. *)
+and charge_slice k cpu lwp lead span kont =
   if not (runs_on cpu lwp) then begin
     (* newly bound elsewhere: migrate before burning any time here *)
     lwp.pending <- P_charge (span, kont);
@@ -372,11 +401,13 @@ and charge_slice k cpu lwp span kont =
     kick k
   end
   else
-  let slice = Time.min span lwp.quantum_left in
-  let slice = if Time.(slice <= 0L) then span else slice in
-  busy k cpu lwp slice (fun () ->
+  let q = lwp.quantum_left in
+  let slice =
+    if q > 0 && Time.(span > Int64.of_int q) then Int64.of_int q else span
+  in
+  busy k cpu lwp lead slice (fun () ->
       let remaining = Time.diff span slice in
-      lwp.quantum_left <- Time.diff lwp.quantum_left slice;
+      lwp.quantum_left <- lwp.quantum_left - Int64.to_int slice;
       if lwp.proc.stopped then begin
         (* stop takes effect at the charge boundary *)
         lwp.pending <- P_charge (remaining, kont);
@@ -385,7 +416,7 @@ and charge_slice k cpu lwp span kont =
         try_dispatch k cpu
       end
       else
-        let quantum_expired = Time.(lwp.quantum_left <= 0L) in
+        let quantum_expired = lwp.quantum_left <= 0 in
         let should_preempt =
           (not (runs_on cpu lwp))
           || (Cpu.need_resched cpu || quantum_expired)
@@ -404,26 +435,26 @@ and charge_slice k cpu lwp span kont =
         end
         else begin
           if quantum_expired then lwp.quantum_left <- quantum_for k lwp;
-          if Time.(remaining > 0L) then charge_slice k cpu lwp remaining kont
+          if Time.(remaining > 0L) then charge_slice k cpu lwp 0 remaining kont
           else continue_charge k cpu lwp kont
         end)
 
 and deliver_sysret k cpu lwp kont ret =
-  busy k cpu lwp (cost k).Cost.trap_exit (fun () ->
+  busy k cpu lwp 0 (cost k).Cost.trap_exit (fun () ->
       lwp.in_kernel <- false;
       lwp.pending <- P_dead;
       grant_budget k cpu lwp;
       step k cpu lwp (Effect.Deep.continue kont ret))
 
-(* CPU-time accounting: drives virtual/profiling interval timers, the
-   profil(2) tick counter and the CPU resource limit. *)
-and account k lwp span =
-  if lwp.in_kernel then lwp.stime <- Int64.add lwp.stime span
+(* CPU-time accounting of [ns]: drives virtual/profiling interval timers,
+   the profil(2) tick counter and the CPU resource limit. *)
+and account k lwp ns =
+  if lwp.in_kernel then lwp.stime <- lwp.stime + ns
   else begin
-    lwp.utime <- Int64.add lwp.utime span;
+    lwp.utime <- lwp.utime + ns;
     match lwp.vtimer_left with
     | Some left ->
-        let left = Time.diff left span in
+        let left = Time.diff left (Int64.of_int ns) in
         if Time.(left <= 0L) then begin
           lwp.vtimer_left <- None;
           k.hook_post_lwp lwp Signo.sigvtalrm
@@ -433,7 +464,7 @@ and account k lwp span =
   end;
   (match lwp.ptimer_left with
   | Some left ->
-      let left = Time.diff left span in
+      let left = Time.diff left (Int64.of_int ns) in
       if Time.(left <= 0L) then begin
         lwp.ptimer_left <- None;
         k.hook_post_lwp lwp Signo.sigprof
@@ -442,16 +473,11 @@ and account k lwp span =
   | None -> ());
   if lwp.prof_on && not lwp.in_kernel then
     lwp.prof_ticks <-
-      lwp.prof_ticks + Int64.to_int (Int64.div span (cost k).Cost.clock_tick);
+      lwp.prof_ticks + (ns / Int64.to_int (cost k).Cost.clock_tick);
   match lwp.proc.cpu_limit with
   | Some limit ->
-      let total =
-        List.fold_left
-          (fun acc l -> Int64.add acc (Int64.add l.utime l.stime))
-          (Int64.add lwp.proc.dead_utime lwp.proc.dead_stime)
-          lwp.proc.lwps
-      in
-      if Time.(total > limit) then begin
+      let u, s = cpu_times lwp.proc in
+      if u + s > Int64.to_int limit then begin
         lwp.proc.cpu_limit <- None;
         k.hook_post_lwp lwp Signo.sigxcpu
       end
@@ -550,7 +576,8 @@ and upcall_block k proc =
   k.ctr_sigwaiting <- k.ctr_sigwaiting + 1;
   let parked =
     List.find_opt
-      (fun l -> l.parked && l.lstate = Lsleeping)
+      (fun l ->
+        l.parked && match l.lstate with Lsleeping -> true | _ -> false)
       proc.lwps
   in
   match parked with
@@ -580,22 +607,13 @@ and check_sigwaiting k proc =
      posting SIGWAITING too would interrupt their indefinite waits
      (poll, accept) in a storm: the upcall unparks an idle LWP, the
      unpark re-arms the edge, the LWP re-parks, SIGWAITING fires ... *)
-  if proc.upcall_on_block then ()
-  else
-  let live = live_lwps proc in
-  let all_indefinite =
-    live <> []
-    && List.for_all
-         (fun l ->
-           match (l.lstate, l.sleep) with
-           | Lsleeping, Some sl -> sl.sl_indefinite
-           | _ -> false)
-         live
-  in
-  if all_indefinite && proc.sigwaiting_armed then begin
+  if proc.sigwaiting_armed && (not proc.upcall_on_block)
+     && all_indefinite proc
+  then begin
     proc.sigwaiting_armed <- false;
     k.ctr_sigwaiting <- k.ctr_sigwaiting + 1;
-    trace_proc k Tracebuf.Sigwaiting proc ~name:"" ~arg:(List.length live);
+    trace_proc k Tracebuf.Sigwaiting proc ~name:""
+      ~arg:(List.length (live_lwps proc));
     k.hook_post_proc proc Signo.sigwaiting
   end
 
@@ -641,7 +659,9 @@ and wake ?(sig_eintr = false) k lwp ret =
       (match lwp.cls with
       | Sc_timeshare ts -> ts.ts_pri <- min 59 (ts.ts_pri + 12)
       | Sc_realtime _ | Sc_gang _ -> ());
-      if lwp.lstate = Lsleeping then make_runnable k lwp
+      match lwp.lstate with
+      | Lsleeping -> make_runnable k lwp
+      | Lrunnable | Lrunning _ | Lstopped | Lzombie -> ()
 
 and interrupt_sleep k lwp =
   match lwp.sleep with
@@ -696,7 +716,7 @@ and complete k lwp ?(op_cost = 0L) ret =
       () (* the syscall killed / blocked the caller; nothing to deliver *)
   | Lrunning _ ->
   let cpu = cpu_of k lwp in
-  busy k cpu lwp op_cost (fun () ->
+  busy k cpu lwp 0 op_cost (fun () ->
       match lwp.pending with
       | P_syswait kont ->
           if lwp.proc.stopped then begin
@@ -746,8 +766,8 @@ and make_proc k ~name ~parent =
       rtimer = None;
       mappings = [];
       cpu_limit = None;
-      dead_utime = 0L;
-      dead_stime = 0L;
+      dead_utime = 0;
+      dead_stime = 0;
       minflt = 0;
       majflt = 0;
       shed_count = 0;
@@ -784,10 +804,10 @@ and make_lwp k proc ~entry ~cls =
       sleep = None;
       park_token = false;
       parked = false;
-      utime = 0L;
-      stime = 0L;
+      utime = 0;
+      stime = 0;
       in_kernel = false;
-      quantum_left = 0L;
+      quantum_left = 0;
       vtimer_left = None;
       ptimer_left = None;
       prof_on = false;
@@ -829,8 +849,8 @@ and gang_remove k lwp =
 
 and lwp_exit_internal k lwp =
   let cpu = try Some (cpu_of k lwp) with Invalid_argument _ -> None in
-  lwp.proc.dead_utime <- Int64.add lwp.proc.dead_utime lwp.utime;
-  lwp.proc.dead_stime <- Int64.add lwp.proc.dead_stime lwp.stime;
+  lwp.proc.dead_utime <- lwp.proc.dead_utime + lwp.utime;
+  lwp.proc.dead_stime <- lwp.proc.dead_stime + lwp.stime;
   lwp.lstate <- Lzombie;
   lwp.pending <- P_dead;
   gang_remove k lwp;
@@ -862,8 +882,8 @@ and destroy_lwp k l =
       l.sleep <- None;
       l.parked <- false
   | Lrunnable | Lstopped | Lzombie -> ());
-  l.proc.dead_utime <- Int64.add l.proc.dead_utime l.utime;
-  l.proc.dead_stime <- Int64.add l.proc.dead_stime l.stime;
+  l.proc.dead_utime <- l.proc.dead_utime + l.utime;
+  l.proc.dead_stime <- l.proc.dead_stime + l.stime;
   gang_remove k l;
   l.lstate <- Lzombie;
   l.pending <- P_dead

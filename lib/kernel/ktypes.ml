@@ -59,10 +59,10 @@ type lwp = {
   mutable sleep : sleep option;
   mutable park_token : bool;
   mutable parked : bool;
-  mutable utime : Time.span;
-  mutable stime : Time.span;
+  mutable utime : int;  (* ns; the CPU accumulators hold immediates *)
+  mutable stime : int;
   mutable in_kernel : bool;
-  mutable quantum_left : Time.span;
+  mutable quantum_left : int;  (* ns *)
   mutable vtimer_left : Time.span option;
   mutable ptimer_left : Time.span option;
   mutable prof_on : bool;
@@ -92,8 +92,8 @@ and proc = {
   mutable rtimer : Sunos_sim.Eventq.handle option;
   mutable mappings : Shm.t list;
   mutable cpu_limit : Time.span option;
-  mutable dead_utime : Time.span;
-  mutable dead_stime : Time.span;
+  mutable dead_utime : int;  (* ns *)
+  mutable dead_stime : int;
   mutable minflt : int;
   mutable majflt : int;
   mutable shed_count : int;
@@ -171,9 +171,33 @@ let global_prio lwp =
   | Sc_gang _ -> 80
   | Sc_timeshare ts -> max 0 (min 59 ts.ts_pri)
 
-let live_lwps proc = List.filter (fun l -> l.lstate <> Lzombie) proc.lwps
+let is_zombie l = match l.lstate with Lzombie -> true | _ -> false
 
-let lwp_alive l = l.lstate <> Lzombie && l.proc.pstate = Palive
+let live_lwps proc = List.filter (fun l -> not (is_zombie l)) proc.lwps
+
+let lwp_alive l =
+  (not (is_zombie l)) && match l.proc.pstate with Palive -> true | _ -> false
+
+(* Is every live LWP of [proc] asleep in an indefinite wait, with at
+   least one live?  One walk, no list built. *)
+let all_indefinite proc =
+  let rec go seen = function
+    | [] -> seen
+    | l :: rest -> (
+        match (l.lstate, l.sleep) with
+        | Lzombie, _ -> go seen rest
+        | Lsleeping, Some sl when sl.sl_indefinite -> go true rest
+        | _ -> false)
+  in
+  go false proc.lwps
+
+(* A process's CPU time in ns, (user, system): its LWPs' and the dead
+   ones'. *)
+let cpu_times p =
+  List.fold_left
+    (fun (u, s) l -> (u + l.utime, s + l.stime))
+    (p.dead_utime, p.dead_stime)
+    p.lwps
 
 (* Does [lwp] still sleep [sl]?  The liveness test of every wakeup path
    registered for a sleep. *)

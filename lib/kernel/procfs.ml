@@ -57,18 +57,13 @@ let lwp_info l =
       (match l.sleep with Some s -> s.sl_indefinite | None -> false);
     li_sleep_interruptible =
       (match l.sleep with Some s -> s.sl_interruptible | None -> false);
-    li_utime = l.utime;
-    li_stime = l.stime;
+    li_utime = Int64.of_int l.utime;
+    li_stime = Int64.of_int l.stime;
     li_bound_cpu = l.bound_cpu;
   }
 
 let proc_info p =
-  let utime, stime =
-    List.fold_left
-      (fun (u, s) l -> (Int64.add u l.utime, Int64.add s l.stime))
-      (p.dead_utime, p.dead_stime)
-      p.lwps
-  in
+  let utime, stime = cpu_times p in
   {
     pi_pid = p.pid;
     pi_name = p.pname;
@@ -80,8 +75,8 @@ let proc_info p =
     pi_parent = Option.map (fun pp -> pp.pid) p.parent;
     pi_nlwps = List.length (live_lwps p);
     pi_lwps = List.map lwp_info p.lwps;
-    pi_utime = utime;
-    pi_stime = stime;
+    pi_utime = Int64.of_int utime;
+    pi_stime = Int64.of_int stime;
     pi_minflt = p.minflt;
     pi_majflt = p.majflt;
     pi_shed = p.shed_count;

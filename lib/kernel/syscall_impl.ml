@@ -332,7 +332,7 @@ let do_exec k lwp ~name ~main =
   proc.pname <- name;
   K.trace_proc k Tracebuf.Exec proc ~name ~arg:(-1);
   let cpu = K.cpu_of k lwp in
-  K.busy k cpu lwp c.Cost.exec_cost (fun () ->
+  K.busy k cpu lwp 0 c.Cost.exec_cost (fun () ->
       lwp.in_kernel <- false;
       lwp.pending <- P_start main;
       K.resume k cpu lwp)
@@ -623,7 +623,7 @@ let execute k lwp req =
          arrives at the listener — a connect racing a listen within one
          RTT therefore succeeds, and a full backlog refuses it. *)
       let cpu = K.cpu_of k lwp in
-      K.busy k cpu lwp c.Cost.sock_connect (fun () ->
+      K.busy k cpu lwp 0 c.Cost.sock_connect (fun () ->
           let sl =
             K.block k lwp ~wchan:"connect" ~interruptible:false
               ~indefinite:false
@@ -826,7 +826,7 @@ let execute k lwp req =
   | Sys_lwp_exit ->
       (* charge the destruction before the LWP disappears *)
       let cpu = K.cpu_of k lwp in
-      K.busy k cpu lwp c.Cost.lwp_destroy (fun () ->
+      K.busy k cpu lwp 0 c.Cost.lwp_destroy (fun () ->
           K.lwp_exit_internal k lwp)
   | Sys_lwp_park timeout ->
       if lwp.park_token then begin
@@ -836,7 +836,7 @@ let execute k lwp req =
       else begin
         (* pay for the sleep-queue insertion before giving up the CPU *)
         let cpu = K.cpu_of k lwp in
-        K.busy k cpu lwp c.Cost.sleep_enqueue (fun () ->
+        K.busy k cpu lwp 0 c.Cost.sleep_enqueue (fun () ->
             (* an unpark may have landed during the enqueue interval: it
                saw parked=false and left a token.  Consume it instead of
                blocking, or the wakeup is lost for good — nothing ever
@@ -965,17 +965,12 @@ let execute k lwp req =
           lwp.bound_cpu <- cpu_opt;
           K.complete k lwp R_ok)
   | Sys_getrusage ->
-      let utime, stime =
-        List.fold_left
-          (fun (u, s) l -> (Int64.add u l.utime, Int64.add s l.stime))
-          (proc.dead_utime, proc.dead_stime)
-          proc.lwps
-      in
+      let utime, stime = cpu_times proc in
       K.complete k lwp
         (R_rusage
            {
-             ru_utime = utime;
-             ru_stime = stime;
+             ru_utime = Int64.of_int utime;
+             ru_stime = Int64.of_int stime;
              ru_nlwps = List.length (live_lwps proc);
              ru_minflt = proc.minflt;
              ru_majflt = proc.majflt;

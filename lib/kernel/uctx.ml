@@ -42,40 +42,41 @@ let run_fiber f =
    simulated observer — can fire inside the window).  [charge] then
    accumulates spans here instead of performing an effect per call; the
    kernel collects the balance with [unsettled] at the next step and
-   accounts it with a single busy event.  One ledger per domain: only
+   accounts it (see [Kernel_impl.step]).  One ledger per domain: only
    one fiber runs per domain at a time (the whole simulated machine is
    single-threaded), and domain-local state keeps the [-j N] bench
-   runner's machines independent. *)
+   runner's machines independent.  The amounts are int nanoseconds, so
+   an update stores an immediate: no boxed int64, no write barrier. *)
 type ledger = {
   mutable lg_active : bool;  (* a grant is open *)
-  mutable lg_budget : Time.span;  (* size of the open grant *)
-  mutable lg_acc : Time.span;  (* coalesced-but-unsettled charge total *)
+  mutable lg_budget : int;  (* size of the open grant, ns *)
+  mutable lg_acc : int;  (* coalesced-but-unsettled charge total, ns *)
 }
 
 let ledger_key =
   Domain.DLS.new_key (fun () ->
-      { lg_active = false; lg_budget = 0L; lg_acc = 0L })
+      { lg_active = false; lg_budget = 0; lg_acc = 0 })
 
 let grant ~budget =
   let l = Domain.DLS.get ledger_key in
   if Time.(budget > 0L) then begin
     l.lg_active <- true;
-    l.lg_budget <- budget;
-    l.lg_acc <- 0L
+    l.lg_budget <- Int64.to_int budget;
+    l.lg_acc <- 0
   end
   else begin
     (* Zero budget: coalescing off for this window; charges perform
        effects directly, exactly as before run-ahead existed. *)
     l.lg_active <- false;
-    l.lg_acc <- 0L
+    l.lg_acc <- 0
   end
 
 let unsettled () =
   let l = Domain.DLS.get ledger_key in
   let acc = l.lg_acc in
   l.lg_active <- false;
-  l.lg_acc <- 0L;
-  acc
+  l.lg_acc <- 0;
+  Int64.of_int acc
 
 (* ------------------------------------------------------------------ *)
 (* Typed wrappers                                                      *)
@@ -108,18 +109,19 @@ let rec checkpoint () =
 
 (* Coalescing fast path: while a grant is open and this span keeps the
    running total strictly under the budget, just add it to the ledger —
-   no effect, no event, no allocation beyond the boxed int64.  The span
-   that would reach the budget closes the grant and is performed as the
-   effect itself (the coalesced prefix stays in the ledger for the
-   kernel to settle first), so the performing charge sees exactly the
-   quantum/preemption/signal treatment it always did.  Zero spans never
-   coalesce: under [Cost_model.free] every charge must still yield to
-   same-time pending events, as it always has. *)
+   no effect, no event, no allocation.  The span that would reach the
+   budget closes the grant and is performed as the effect itself (the
+   coalesced prefix stays in the ledger for the kernel to settle first),
+   so the performing charge sees exactly the quantum/preemption/signal
+   treatment it always did.  Zero spans never coalesce: under
+   [Cost_model.free] every charge must still yield to same-time pending
+   events, as it always has.  (A span beyond max_int ns reads negative
+   as an int, so it performs too, and the event queue rejects it.) *)
 let charge span =
   let l = Domain.DLS.get ledger_key in
   if l.lg_active && Time.(span > 0L) then begin
-    let acc = Time.add l.lg_acc span in
-    if Time.(acc < l.lg_budget) then l.lg_acc <- acc
+    let ns = Int64.to_int span in
+    if ns > 0 && ns < l.lg_budget - l.lg_acc then l.lg_acc <- l.lg_acc + ns
     else begin
       l.lg_active <- false;
       if Effect.perform (Charge span) then checkpoint ()

@@ -11,7 +11,7 @@ type handle
 (** A scheduled event.  Cancelling is O(1) (lazy deletion). *)
 
 val create : unit -> t
-(** An empty queue at time zero: one pairing heap that every CPU and
+(** An empty queue at time zero: one binary heap that every CPU and
     device of a machine schedules into. *)
 
 val now : t -> Time.t
@@ -19,7 +19,8 @@ val now : t -> Time.t
 
 val at : t -> Time.t -> (unit -> unit) -> handle
 (** [at q time f] schedules [f] to run at absolute [time].  Scheduling in
-    the past raises [Invalid_argument]. *)
+    the past, or beyond [max_int] ns (about 146 years), raises
+    [Invalid_argument]. *)
 
 val after : t -> Time.span -> (unit -> unit) -> handle
 (** [after q d f] = [at q (now q + d) f]. *)

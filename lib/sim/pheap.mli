@@ -1,10 +1,11 @@
 (** Imperative pairing heap (min-heap).
 
-    Used as the backing store of the event queue.  Amortized O(1) insert
-    and O(log n) delete-min.  Elements are ordered by the comparison
-    function supplied at creation; ties are broken by insertion order only
-    if the comparison says so (the event queue encodes a sequence number
-    in its keys for that purpose). *)
+    No engine module uses it: the event queue keeps its own int-keyed
+    binary heap.  It stays because the perfbench layer microbenchmark
+    ([perfbench/layers.ml]) times it; retiring it is a change to the
+    benchmark.  Amortized O(1) insert and O(log n) delete-min.  Elements
+    are ordered by the comparison function supplied at creation; ties
+    are broken by insertion order only if the comparison says so. *)
 
 type 'a t
 
@@ -24,9 +25,7 @@ val drop_min : 'a t -> unit
     [top] then [drop_min] is {!pop_min} minus the option. *)
 
 val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
-(** Build a heap from the elements; O(n) (n O(1) inserts).  Used by the
-    event queue to rebuild itself when compacting away cancelled
-    entries. *)
+(** Build a heap from the elements; O(n) (n O(1) inserts). *)
 
 val to_list_unordered : 'a t -> 'a list
 (** All elements, in unspecified order; O(n). For tests and introspection. *)

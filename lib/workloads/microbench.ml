@@ -5,6 +5,7 @@ module Fs = Sunos_kernel.Fs
 module T = Sunos_threads.Thread
 module Libthread = Sunos_threads.Libthread
 module Semaphore = Sunos_threads.Semaphore
+module Mutex = Sunos_threads.Mutex
 module Syncvar = Sunos_threads.Syncvar
 
 let us = Time.to_us
@@ -172,3 +173,40 @@ let sync ?cost () =
     bound_us = sync_bound ?cost ();
     cross_process_us = sync_cross ?cost ();
   }
+
+type contention = { makespan_ms : float; cpu_ms : float }
+
+let mutex_contention ?cost variant ~cs_us =
+  let k = Kernel.boot ~cpus:2 ?cost () in
+  Kernel.set_tracing k false;
+  let makespan = ref Time.zero and cpu_used = ref 0L in
+  ignore
+    (Kernel.spawn k ~name:"mtx"
+       ~main:
+         (Libthread.boot ?cost (fun () ->
+              let m = Mutex.create ~variant () in
+              let worker i () =
+                (* stagger the start so the threads collide *)
+                Uctx.charge_us (i * (cs_us / 2));
+                for _ = 1 to 50 do
+                  Mutex.enter m;
+                  Uctx.charge_us cs_us;
+                  Mutex.exit m;
+                  Uctx.charge_us (7 * (i + 1))
+                done
+              in
+              let ts =
+                List.init 3 (fun i ->
+                    T.create ~flags:[ T.THREAD_BIND_LWP; T.THREAD_WAIT ]
+                      (worker i))
+              in
+              List.iter (fun t -> ignore (T.wait ~thread:t ())) ts;
+              makespan := Uctx.gettime ();
+              let ru = Uctx.getrusage () in
+              cpu_used :=
+                Int64.add ru.Sunos_kernel.Sysdefs.ru_utime
+                  ru.Sunos_kernel.Sysdefs.ru_stime)));
+  Kernel.run k;
+  { makespan_ms = Time.to_ms !makespan; cpu_ms = Time.to_ms !cpu_used }
+
+let spin_budgets = [ 0; 1; 5; 20; 100 ]

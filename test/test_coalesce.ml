@@ -8,7 +8,8 @@
 
    This suite pins that equivalence on the three paper workloads and on
    targeted budget edges: quantum expiry mid-ledger, a signal landing
-   during the run-ahead window, and parking with an unsettled ledger. *)
+   during the run-ahead window, parking with an unsettled ledger, and
+   the edges of a prefix settled without an event of its own. *)
 
 module Time = Sunos_sim.Time
 module Eventq = Sunos_sim.Eventq
@@ -167,16 +168,17 @@ let test_window () =
 
 (* --- budget edges ---------------------------------------------------- *)
 
-(* Run a two-process program under both modes and compare probes. *)
-let edge_probe prog ~coalesce =
-  let k = Kernel.boot ~cpus:1 ~cost:(cost_of ~coalesce) () in
+(* Run a program under both modes and compare probes. *)
+let edge_probe ~cpus prog ~coalesce =
+  let k = Kernel.boot ~cpus ~cost:(cost_of ~coalesce) () in
   prog k;
   Kernel.run k;
   probe_of_kernel k
 
-let check_edge name prog =
-  check_equal name (edge_probe prog ~coalesce:false)
-    (edge_probe prog ~coalesce:true)
+let check_edge ?(cpus = 1) name prog =
+  check_equal name
+    (edge_probe ~cpus prog ~coalesce:false)
+    (edge_probe ~cpus prog ~coalesce:true)
 
 (* Quantum expiry mid-ledger: two competing CPU hogs on one CPU charge
    in 1ms slices, far past the timeshare quantum, so run-ahead windows
@@ -233,6 +235,84 @@ let test_park_unsettled () =
                   in
                   List.iter (fun t -> ignore (T.wait ~thread:t ())) ts))))
 
+(* --- the folded prefix ------------------------------------------------ *)
+
+(* A step after run-ahead starts its next busy interval at the end of the
+   coalesced prefix.  These edges put foreign events right after that
+   instant and at a quantum boundary; both modes must agree. *)
+
+(* A syscall to get past start-up (whose grant is closed by the other
+   CPU's start), then three charges that coalesce under the next grant. *)
+let run_ahead () =
+  ignore (Uctx.getpid ());
+  for _ = 1 to 3 do
+    Uctx.charge_us 10
+  done
+
+(* The instant the coalesced prefix of [run_ahead] ends, read back from a
+   solo run: a [gettime] right after it executes at the end of its trap
+   entry. *)
+let prefix_end =
+  lazy
+    (let t = ref 0L in
+     let k = Kernel.boot ~cpus:2 () in
+     ignore
+       (Kernel.spawn k ~name:"solo" ~main:(fun () ->
+            run_ahead ();
+            t := Uctx.gettime ()));
+     Kernel.run k;
+     Time.diff !t
+       (Int64.add Cost.default.trap_entry Cost.default.syscall_fixed))
+
+(* A neighbour on the other CPU, started with the caller, whose first
+   charge completes 1 ns after the caller's prefix ends. *)
+let neighbour k =
+  let start = Cost.default.kernel_dispatch in
+  let span = Time.diff (Int64.succ (Lazy.force prefix_end)) start in
+  ignore
+    (Kernel.spawn k ~name:"neighbour" ~main:(fun () ->
+         Uctx.charge span;
+         ignore (Uctx.getpid ())))
+
+(* The prefix is followed by a syscall, and the neighbour's charge
+   completes inside the trap entry that the prefix's end starts. *)
+let test_prefix_then_syscall () =
+  Alcotest.(check bool) "the neighbour's event lies inside the trap entry"
+    true
+    Time.(Int64.add Cost.default.trap_entry Cost.default.syscall_fixed > 1L);
+  check_edge ~cpus:2 "prefix-then-syscall" (fun k ->
+      ignore
+        (Kernel.spawn k ~name:"caller" ~main:(fun () ->
+             run_ahead ();
+             ignore (Uctx.getpid ())));
+      neighbour k)
+
+(* The prefix is followed by the thread's exit: the LWP must die at the
+   settled instant, 1 ns before the neighbour's event, with the prefix in
+   its accounted CPU. *)
+let test_prefix_then_exit () =
+  check_edge ~cpus:2 "prefix-then-exit" (fun k ->
+      ignore (Kernel.spawn k ~name:"exiter" ~main:run_ahead);
+      neighbour k)
+
+(* Two hogs on one CPU charge a quarter quantum at a time: three charges
+   coalesce, and the fourth starts a slice that ends exactly when the
+   quantum runs out, where the other hog preempts. *)
+let test_prefix_exhausts_quantum () =
+  let quarter = Int64.div Cost.default.quantum 4L in
+  Alcotest.(check int64) "the quantum splits in quarters"
+    Cost.default.quantum (Int64.mul quarter 4L);
+  check_edge "prefix-exhausts-quantum" (fun k ->
+      for i = 1 to 2 do
+        ignore
+          (Kernel.spawn k
+             ~name:(Printf.sprintf "quarter%d" i)
+             ~main:(fun () ->
+               for _ = 1 to 12 do
+                 Uctx.charge quarter
+               done))
+      done)
+
 (* --- the event queue micro-fix: on_drain fires in registration order *)
 
 let test_on_drain_order () =
@@ -264,6 +344,14 @@ let () =
             test_signal_during_runahead;
           Alcotest.test_case "park with unsettled ledger" `Quick
             test_park_unsettled;
+        ] );
+      ( "folded-prefix",
+        [
+          Alcotest.test_case "prefix then syscall, event inside the trap"
+            `Quick test_prefix_then_syscall;
+          Alcotest.test_case "prefix then exit" `Quick test_prefix_then_exit;
+          Alcotest.test_case "prefix exhausts the quantum on a slice boundary"
+            `Quick test_prefix_exhausts_quantum;
         ] );
       ( "eventq",
         [

@@ -63,6 +63,39 @@ let test_scaling_cost_model_scales_results () =
   Alcotest.(check bool) "bound scales ~2x" true
     (within ~tol:0.15 (2. *. base.MB.bound_us) scaled.MB.bound_us)
 
+(* Ablation A3's spin-budget sweep must be live: budget 0 is the sleep
+   mutex, a longer budget never burns less CPU on the long critical
+   section, and the sweep's ends differ. *)
+let test_spin_budget_sweep () =
+  let module Mutex = Sunos_threads.Mutex in
+  let run ?cost v =
+    ( MB.mutex_contention ?cost v ~cs_us:40,
+      MB.mutex_contention ?cost v ~cs_us:3000 )
+  in
+  let sweep =
+    List.map
+      (fun limit ->
+        let cost =
+          { Sunos_hw.Cost_model.default with adaptive_spin_limit = limit }
+        in
+        run ~cost Mutex.Adaptive)
+      MB.spin_budgets
+  in
+  let sleep = run Mutex.Sleep in
+  Alcotest.(check bool) "budget 0 equals the sleep row" true
+    (List.hd sweep = sleep);
+  let long_cpu = List.map (fun (_, l) -> l.MB.cpu_ms) sweep in
+  let rec nondecreasing = function
+    | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
+    | _ -> true
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "long-CS CPU never falls (%s)"
+       (String.concat ", " (List.map (Printf.sprintf "%.1f") long_cpu)))
+    true (nondecreasing long_cpu);
+  Alcotest.(check bool) "the last row differs from the first" true
+    (List.hd sweep <> List.nth sweep (List.length sweep - 1))
+
 let () =
   Alcotest.run "figures"
     [
@@ -72,5 +105,10 @@ let () =
           Alcotest.test_case "figure 6" `Quick test_figure6_shape;
           Alcotest.test_case "cost-model scaling" `Quick
             test_scaling_cost_model_scales_results;
+        ] );
+      ( "ablations",
+        [
+          Alcotest.test_case "A3 spin-budget sweep" `Quick
+            test_spin_budget_sweep;
         ] );
     ]

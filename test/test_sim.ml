@@ -331,6 +331,104 @@ let prop_eventq_model =
       in
       List.rev !fired = expected)
 
+(* Against a model while the queue runs: each fired event schedules new
+   events and cancels some (pending or not), and the 40th cancels all
+   but ten pending events, enough to compact mid-run.  300 initial
+   events grow the queue from its first capacity several times over.
+   The head must always be the model's earliest (time, scheduling
+   order), at that time, with the live count exact. *)
+let prop_eventq_model_dynamic =
+  QCheck.Test.make
+    ~name:"eventq matches a model while callbacks schedule and cancel"
+    ~count:30 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let q = Eventq.create () in
+      (* pending events as (time, id); ids count in scheduling order *)
+      let pending = ref [] and handles = Hashtbl.create 64 in
+      let next_id = ref 0 and fired = ref 0 in
+      let compacted = ref false and ok = ref true in
+      let cancel id =
+        if List.exists (fun (_, i) -> i = id) !pending then
+          pending := List.filter (fun (_, i) -> i <> id) !pending;
+        Eventq.cancel (Hashtbl.find handles id)
+      in
+      let rec schedule t =
+        let id = !next_id in
+        incr next_id;
+        pending := (t, id) :: !pending;
+        Hashtbl.replace handles id (Eventq.at q t (fun () -> fire id))
+      and fire id =
+        (match !pending with
+        | [] -> ok := false
+        | e :: es ->
+            let t, i =
+              List.fold_left (fun a e -> if compare e a < 0 then e else a) e es
+            in
+            if i <> id || Eventq.now q <> t then ok := false;
+            pending := List.filter (fun (_, j) -> j <> i) !pending);
+        incr fired;
+        if !fired = 40 then begin
+          let before = Eventq.heap_population q in
+          List.iteri (fun i (_, id) -> if i >= 10 then cancel id) !pending;
+          compacted := Eventq.heap_population q < before
+        end
+        else begin
+          if !next_id < 700 then
+            for _ = 1 to Random.State.int rs 4 do
+              schedule
+                (Int64.add (Eventq.now q)
+                   (Int64.of_int (Random.State.int rs 41)))
+            done;
+          for _ = 1 to Random.State.int rs 3 do
+            cancel (Random.State.int rs !next_id)
+          done
+        end;
+        if Eventq.pending_count q <> List.length !pending then ok := false
+      in
+      for _ = 1 to 300 do
+        schedule (Int64.of_int (Random.State.int rs 200))
+      done;
+      Eventq.run q;
+      !ok && !compacted && !pending = []
+      && Eventq.pending_count q = 0
+      && Eventq.heap_population q = 0)
+
+(* A fired or cancelled action is garbage once it leaves the queue, even
+   while the queue itself lives on with other events. *)
+let test_eventq_releases_actions () =
+  let q = Eventq.create () in
+  let arm w ~cancel t =
+    let v = ref 0 in
+    Weak.set w 0 (Some v);
+    let h = Eventq.at q t (fun () -> incr v) in
+    if cancel then Eventq.cancel h
+  in
+  let fired = Weak.create 1 and cancelled = Weak.create 1 in
+  (arm [@inlined never]) cancelled ~cancel:true 10L;
+  (arm [@inlined never]) fired ~cancel:false 20L;
+  ignore (Eventq.at q 1_000L ignore);
+  Eventq.run ~until:100L q;
+  Gc.full_major ();
+  Alcotest.(check bool) "cancelled action collected" false
+    (Weak.check cancelled 0);
+  Alcotest.(check bool) "fired action collected" false (Weak.check fired 0);
+  Alcotest.(check int) "the queue lives on" 1
+    (Eventq.pending_count (Sys.opaque_identity q))
+
+let test_eventq_time_range () =
+  let q = Eventq.create () in
+  let last = Int64.of_int max_int in
+  Alcotest.check_raises "beyond max_int"
+    (Invalid_argument "Eventq.at: time beyond max_int ns") (fun () ->
+      ignore (Eventq.at q (Int64.succ last) ignore));
+  Alcotest.(check int) "nothing queued" 0 (Eventq.pending_count q);
+  let fired = ref false in
+  ignore (Eventq.at q last (fun () -> fired := true));
+  Eventq.run q;
+  Alcotest.(check bool) "max_int itself fires" true !fired;
+  Alcotest.check span "clock at max_int" last (Eventq.now q)
+
 let prop_eventq_monotonic =
   QCheck.Test.make ~name:"eventq fires in nondecreasing time order" ~count:100
     QCheck.(list (int_bound 1000))
@@ -824,6 +922,10 @@ let () =
           Alcotest.test_case "drain skims cancelled" `Quick
             test_eventq_drain_skims_cancelled;
           qt prop_eventq_model;
+          qt prop_eventq_model_dynamic;
+          Alcotest.test_case "fired and cancelled actions are released" `Quick
+            test_eventq_releases_actions;
+          Alcotest.test_case "time range" `Quick test_eventq_time_range;
           Alcotest.test_case "cancel the next head from a callback" `Quick
             test_eventq_cancel_next_from_callback;
         ] );
