@@ -399,7 +399,6 @@ let chaos ?(smoke = false) () =
       concurrency = 4;
       client_concurrency = 10;
       listen_backlog = 16;
-      hardened = true;
       connect_retry_limit = 12;
       retry_base_us = 300;
       request_deadline_us = 1_000_000;
@@ -458,7 +457,6 @@ let chaos ?(smoke = false) () =
           max_pending = 4;
           drain_grace_us = 5_000_000;
           listen_backlog = 64;
-          hardened = true;
           connect_retry_limit = 12;
           retry_base_us = 300;
           shed_queue_limit = 64;

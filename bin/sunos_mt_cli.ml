@@ -90,9 +90,10 @@ let server model cpus connections requests_per_conn think disk_every workers
       think_time_us = think;
       disk_every;
       workers;
-      hardened;
-      (* hardened defaults sized for the demo scale: a 250ms reply
-         deadline and shedding once the queue is two bursts deep *)
+      (* the hardened preset, sized for the demo scale: bounded connect
+         retry, a 250ms reply deadline and shedding once the queue is
+         two bursts deep *)
+      connect_retry_limit = (if hardened then 10 else 0);
       request_deadline_us = (if hardened then 250_000 else 0);
       shed_queue_limit = (if hardened then 2 * workers else 0);
       seed = Int64.of_int seed;

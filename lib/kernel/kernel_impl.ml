@@ -865,7 +865,8 @@ and lwp_exit_internal k lwp =
     (* The process survives this LWP: robust locks whose registering
        thread died with it (e.g. a chaos-reaped pool LWP holding a
        shard lock) must still be repaired. *)
-    robust_sweep k (Robust.sweep_dead_owners lwp.proc.pid);
+    robust_sweep k
+      (Robust.sweep_dead_owners ~maps:lwp.proc.mappings lwp.proc.pid);
     (* the remaining LWPs may now all be in indefinite waits *)
     if lwp.proc.pstate = Palive then check_sigwaiting k lwp.proc;
     kick k
@@ -911,7 +912,7 @@ and proc_exit k proc ~status =
     (* Robust USYNC_PROCESS cleanup — after the LWP teardown so the dead
        process's own futex waiters are already dead and only other
        processes' contenders get woken to observe OWNERDEAD. *)
-    robust_sweep k (Robust.sweep_pid proc.pid);
+    robust_sweep k (Robust.sweep_pid ~maps:proc.mappings proc.pid);
     Hashtbl.iter (fun _ fdobj -> close_fdobj fdobj) proc.fdtab;
     Hashtbl.reset proc.fdtab;
     List.iter Sunos_hw.Shared_memory.decr_map_count proc.mappings;

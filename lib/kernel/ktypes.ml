@@ -178,6 +178,14 @@ let live_lwps proc = List.filter (fun l -> not (is_zombie l)) proc.lwps
 let lwp_alive l =
   (not (is_zombie l)) && match l.proc.pstate with Palive -> true | _ -> false
 
+(* Has [lwp]'s process a live LWP other than [lwp]?  One walk, no list
+   or closure built. *)
+let rec other_live_in lwp = function
+  | [] -> false
+  | l :: rest -> (l != lwp && not (is_zombie l)) || other_live_in lwp rest
+
+let other_live lwp = other_live_in lwp lwp.proc.lwps
+
 (* Is every live LWP of [proc] asleep in an indefinite wait, with at
    least one live?  One walk, no list built. *)
 let all_indefinite proc =

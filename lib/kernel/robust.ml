@@ -13,11 +13,14 @@
    the same key the kwait/kwake futex table uses — so the sweep can hand
    the affected channels straight back to the kernel for wakeup.
 
-   The registry is domain-local (the bench runner runs one simulation
-   per worker domain).  Pids are only unique within one kernel, but a
-   stale entry from a finished run can never alias a live lock: its
-   segment id is globally unique, so a sweep that matches a recycled pid
-   only wakes channels no live kernel has waiters on. *)
+   The registry is domain-local, not per kernel: a lock still held when
+   its run drains stays registered after its kernel is gone, and pids
+   repeat in every kernel.  A sweep therefore takes only the entries in
+   segments the dying process maps (or maps a private clone of).
+   Segment ids are unique across kernels, so another kernel's process
+   never matches a stale entry and never runs its repair closure. *)
+
+module Shm = Sunos_hw.Shared_memory
 
 type entry = {
   rb_pid : int;
@@ -54,35 +57,38 @@ let unregister ~seg_id ~offset ~pid ~tid =
       l := drop_first !l;
       if !l = [] then Hashtbl.remove t (seg_id, offset)
 
-(* Shared sweep core: run [rb_on_death] for every entry matching [dead],
-   drop those entries, and return the (seg_id, offset) channels that had
-   at least one death — the caller wakes their futex waiters. *)
-let sweep dead =
+let mapped maps seg_id =
+  List.exists
+    (fun s -> Shm.id s = seg_id || Shm.clone_of s = Some seg_id)
+    maps
+
+(* Shared sweep core: run [rb_on_death] for every entry in a segment of
+   [maps] matching [dead], drop those entries, and return the
+   (seg_id, offset) channels that had at least one death — the caller
+   wakes their futex waiters. *)
+let sweep maps dead =
   let t = tbl () in
   let hit = ref [] in
   let empty = ref [] in
   Hashtbl.iter
-    (fun k l ->
-      let dying, live = List.partition dead !l in
-      if dying <> [] then begin
-        List.iter (fun e -> e.rb_on_death ()) dying;
-        l := live;
-        hit := k :: !hit;
-        if live = [] then empty := k :: !empty
+    (fun ((seg_id, _) as k) l ->
+      if mapped maps seg_id then begin
+        let dying, live = List.partition dead !l in
+        if dying <> [] then begin
+          List.iter (fun e -> e.rb_on_death ()) dying;
+          l := live;
+          hit := k :: !hit;
+          if live = [] then empty := k :: !empty
+        end
       end)
     t;
   List.iter (Hashtbl.remove t) !empty;
   List.sort compare !hit
 
-let sweep_pid pid = sweep (fun e -> e.rb_pid = pid)
+let sweep_pid ~maps pid = sweep maps (fun e -> e.rb_pid = pid)
 
 (* Safety net for LWP-level death while the process survives (e.g. a
    chaos-reaped LWP): only entries whose registering thread really died
    are repaired. *)
-let sweep_dead_owners pid =
-  sweep (fun e -> e.rb_pid = pid && e.rb_owner_dead ())
-
-let holder ~seg_id ~offset =
-  match Hashtbl.find_opt (tbl ()) (seg_id, offset) with
-  | Some { contents = e :: _ } -> Some (e.rb_pid, e.rb_tid)
-  | _ -> None
+let sweep_dead_owners ~maps pid =
+  sweep maps (fun e -> e.rb_pid = pid && e.rb_owner_dead ())

@@ -853,7 +853,7 @@ let execute k lwp req =
                  process: that is Sys_exit, not a recoverable fault),
                  and only after the token re-check so no wakeup is
                  owed to the dying LWP. *)
-              List.length (live_lwps proc) > 1
+              other_live lwp
               && K.chaos_roll k ~site:"lwp-reap" (chp k).lwp_reap
             then begin
               lwp.parked <- false;

@@ -53,19 +53,15 @@ let lock_offset r = r * record_size
 let run ?(cpus = 2) ?cost ?chaos ?(trace = false) ?debrief p =
   let k = Kernel.boot ~cpus ?cost ?chaos () in
   if not trace then Kernel.set_tracing k false;
-  (* create and populate the database file *)
-  (match Fs.create_file (Kernel.fs k) ~path:db_path () with
-  | Ok f ->
-      ignore (Fs.write f ~pos:0 (String.make (p.records * record_size) 'd'));
-      if p.start_cold then
-        (* reads hit the disk until the page cache warms *)
-        Shm.evict_all (Fs.segment f)
-      else
-        let seg = Fs.segment f in
-        for page = 0 to Shm.page_count seg - 1 do
-          Shm.make_resident seg ~page
-        done
-  | Error _ -> invalid_arg "Database.run: setup failed");
+  (* the database file: cold, reads hit the disk until the page cache
+     warms, unless [start_cold] is off *)
+  let seg =
+    Fs.segment (Wire.cold_file k ~path:db_path ~size:(p.records * record_size))
+  in
+  if not p.start_cold then
+    for page = 0 to Shm.page_count seg - 1 do
+      Shm.make_resident seg ~page
+    done;
   let committed = ref 0 in
   let latency = Hist.create "txn latency" in
   let makespan = ref Time.zero in
@@ -139,14 +135,13 @@ let run ?(cpus = 2) ?cost ?chaos ?(trace = false) ?debrief p =
       List.init p.threads_per_process (fun w ->
           T.create ~flags:[ T.THREAD_WAIT ] (worker w))
     in
-    List.iter (fun t -> ignore (T.wait ~thread:t ())) ts;
-    makespan := Time.max !makespan (Uctx.gettime ())
+    List.iter (fun t -> ignore (T.wait ~thread:t ())) ts
   in
   for id = 1 to p.processes do
     ignore
       (Kernel.spawn k
          ~name:(Printf.sprintf "dbserver%d" id)
-         ~main:(Libthread.boot (server id)))
+         ~main:(Libthread.boot (Wire.finishing makespan (server id))))
   done;
   Kernel.run k;
   (* [debrief] runs against the still-live kernel: determinism tests read
@@ -161,10 +156,7 @@ let run ?(cpus = 2) ?cost ?chaos ?(trace = false) ?debrief p =
   {
     committed = !committed;
     makespan = !makespan;
-    throughput_tps =
-      (if Time.(!makespan > 0L) then
-         float_of_int !committed /. Time.to_s !makespan
-       else 0.);
+    throughput_tps = Wire.per_second !committed !makespan;
     latency;
     majflt;
   }

@@ -32,12 +32,8 @@ module Time = Sunos_sim.Time
 module Hist = Sunos_sim.Stats.Hist
 module Rng = Sunos_sim.Rng
 module Univ = Sunos_sim.Univ
-module Shm = Sunos_hw.Shared_memory
 module Kernel = Sunos_kernel.Kernel
 module Uctx = Sunos_kernel.Uctx
-module Errno = Sunos_kernel.Errno
-module Sysdefs = Sunos_kernel.Sysdefs
-module Fs = Sunos_kernel.Fs
 module T = Sunos_threads.Thread
 module Libthread = Sunos_threads.Libthread
 module Mutex = Sunos_threads.Mutex
@@ -98,24 +94,27 @@ let listen_backlog = 32
 let connect_retry_limit = 8
 let retry_base_us = 500
 
+(* A run's counters live in its results: clients classify each op,
+   servers count cache, flush and repair work, the master counts kills.
+   The forked processes share one OCaml heap, so they bump one record. *)
 type results = {
-  gets_ok : int;
-  gets_shed : int;
-  gets_aborted : int;
-  gets_issued : int;
-  puts_applied : int;
-  puts_shed : int;
-  puts_aborted : int;
-  puts_issued : int;
-  server_applied : int;
-  recoveries : int;  (* OWNERDEAD repairs performed *)
-  torn_repaired : int;  (* repairs that found a torn epoch *)
-  flushes : int;
-  cache_hits : int;
-  cache_misses : int;
-  gaveup : int;
-  refused : int;
-  killed : int;  (* servers lost to chaos proc-kill *)
+  mutable gets_ok : int;
+  mutable gets_shed : int;
+  mutable gets_aborted : int;
+  mutable gets_issued : int;
+  mutable puts_applied : int;
+  mutable puts_shed : int;
+  mutable puts_aborted : int;
+  mutable puts_issued : int;
+  mutable server_applied : int;
+  mutable recoveries : int;  (* OWNERDEAD repairs performed *)
+  mutable torn_repaired : int;  (* repairs that found a torn epoch *)
+  mutable flushes : int;
+  mutable cache_hits : int;
+  mutable cache_misses : int;
+  mutable gaveup : int;
+  mutable refused : int;
+  mutable killed : int;  (* servers lost to chaos proc-kill *)
   makespan : Time.span;
   throughput_rps : float;
   latency : Hist.t;
@@ -132,14 +131,6 @@ let gets_conserved r = r.gets_ok + r.gets_shed + r.gets_aborted = r.gets_issued
 
 let req_bytes = 32
 let reply_bytes = 32
-
-let pad s len =
-  if String.length s >= len then String.sub s 0 len
-  else s ^ String.make (len - String.length s) ' '
-
-let is_reply tag reply =
-  String.length reply >= String.length tag
-  && String.sub reply 0 (String.length tag) = tag
 
 (* --- shared-segment layout -------------------------------------------- *)
 
@@ -191,33 +182,25 @@ let meta_at p ctl =
 
 let svc i = Printf.sprintf "kv%d" i
 
+(* Handles on every lock word and record of the control segment:
+   (shard locks, shard records, meta mutex, meta record).  Creation is
+   pure, and every process that opens the store resolves the same
+   records. *)
+let open_store p ctl =
+  let place off = Syncvar.place ctl ~offset:off in
+  ( Array.init p.shards (fun s ->
+        Rwlock.create_shared ~robust:p.robust (place (lock_off s))),
+    Array.init p.shards (shard_at ctl),
+    Mutex.create_shared ~robust:p.robust (place (meta_lock_off p)),
+    meta_at p ctl )
+
 (* --- server process --------------------------------------------------- *)
 
-type job = Stop | Work of Sysdefs.fd | Shed of Sysdefs.fd
-
-let server p ctl ~idx ~assigned ~counters () =
-  let ( cache_hits,
-        cache_misses,
-        flushes,
-        recoveries,
-        torn_repaired,
-        server_applied ) =
-    counters
-  in
+let server p ctl ~idx ~assigned ~(r : results) () =
   T.setconcurrency (max 1 p.lwps_per_server);
   let fd_file = Uctx.open_file kv_path in
   let fileseg = Uctx.mmap fd_file in
-  let locks =
-    Array.init p.shards (fun s ->
-        Rwlock.create_shared ~robust:p.robust
-          (Syncvar.place ctl ~offset:(lock_off s)))
-  in
-  let shards = Array.init p.shards (fun s -> shard_at ctl s) in
-  let meta_mu =
-    Mutex.create_shared ~robust:p.robust
-      (Syncvar.place ctl ~offset:(meta_lock_off p))
-  in
-  let meta = meta_at p ctl in
+  let locks, shards, meta_mu, meta = open_store p ctl in
   (* One write syscall per batch — the point of batching.  Runs with the
      shard write lock held, so a chaos proc-kill at the lseek/write
      boundary dies mid-critical-section with a non-empty dirty list. *)
@@ -226,7 +209,7 @@ let server p ctl ~idx ~assigned ~counters () =
       let n = List.length sd.dirty in
       Uctx.lseek fd_file (file_off s);
       ignore (Uctx.write fd_file (String.make (n * p.value_bytes) 'w'));
-      incr flushes;
+      r.flushes <- r.flushes + 1;
       sd.dirty <- [];
       (* store-wide flush counter under the robust meta mutex; lock
          order is always shard -> meta *)
@@ -234,7 +217,7 @@ let server p ctl ~idx ~assigned ~counters () =
       | `Locked -> ()
       | `Owner_dead ->
           (* a counter cannot tear; just take the repair credit *)
-          incr recoveries;
+          r.recoveries <- r.recoveries + 1;
           Mutex.set_consistent meta_mu);
       meta.total_flushes <- meta.total_flushes + 1;
       Mutex.exit meta_mu
@@ -249,10 +232,11 @@ let server p ctl ~idx ~assigned ~counters () =
     | `Locked -> ()
     | `Owner_dead ->
         let sd = shards.(s) in
-        if sd.epoch_start <> sd.epoch_done then incr torn_repaired;
+        if sd.epoch_start <> sd.epoch_done then
+          r.torn_repaired <- r.torn_repaired + 1;
         flush_shard s sd;
         sd.epoch_done <- sd.epoch_start;
-        incr recoveries;
+        r.recoveries <- r.recoveries + 1;
         Rwlock.set_consistent locks.(s);
         (match kind with
         | Rwlock.Reader -> Rwlock.downgrade locks.(s)
@@ -276,12 +260,12 @@ let server p ctl ~idx ~assigned ~counters () =
     lock_shard s Rwlock.Reader;
     let sd = shards.(s) in
     if Hashtbl.mem sd.cache key then begin
-      incr cache_hits;
+      r.cache_hits <- r.cache_hits + 1;
       Uctx.charge_us 5;
       Rwlock.exit locks.(s)
     end
     else begin
-      incr cache_misses;
+      r.cache_misses <- r.cache_misses + 1;
       (* promote to the write side to fill the cache from the mapping *)
       Rwlock.exit locks.(s);
       lock_shard s Rwlock.Writer;
@@ -323,44 +307,42 @@ let server p ctl ~idx ~assigned ~counters () =
         Rwlock.exit locks.(s)
       end
     else Rwlock.exit locks.(s);
-    incr server_applied
+    r.server_applied <- r.server_applied + 1
   in
   (* frame dispatch: "G <key>" / "P <key> <n>" *)
   let handle req =
     match String.split_on_char ' ' (String.trim req) with
     | "G" :: key :: _ ->
         serve_get (int_of_string key);
-        pad "val" reply_bytes
+        Wire.pad "val" reply_bytes
     | "P" :: key :: n :: _ ->
-        serve_put (int_of_string key) (pad (Printf.sprintf "v%s.%s" key n)
-                                         p.value_bytes);
-        pad "ok" reply_bytes
-    | _ -> pad "err" reply_bytes
+        serve_put (int_of_string key)
+          (Wire.pad (Printf.sprintf "v%s.%s" key n) p.value_bytes);
+        Wire.pad "ok" reply_bytes
+    | _ -> Wire.pad "err" reply_bytes
   in
   let qmu = Mutex.create () in
   let qsem = Semaphore.create () in
   let workq = Queue.create () in
   let worker () =
-    let rec serve_conn fd busy =
+    let rec serve_conn fd shed =
       let req =
         try Uctx.read_exact fd ~len:req_bytes
-        with Errno.Unix_error ((Errno.ECONNRESET | Errno.EPIPE), _) -> ""
+        with e when Wire.conn_dead e -> ""
       in
       if String.length req < req_bytes then Uctx.close fd
       else begin
         Uctx.charge_us 3 (* parse *);
         let reply =
-          if busy then begin
+          if shed then begin
             Uctx.note_shed ();
-            pad "busy" reply_bytes
+            Wire.pad "busy" reply_bytes
           end
           else handle req
         in
         match Uctx.write_all fd reply with
-        | () -> serve_conn fd busy
-        | exception Errno.Unix_error ((Errno.ECONNRESET | Errno.EPIPE), _)
-          ->
-            Uctx.close fd
+        | () -> serve_conn fd shed
+        | exception e when Wire.conn_dead e -> Uctx.close fd
       end
     in
     let rec loop () =
@@ -369,12 +351,9 @@ let server p ctl ~idx ~assigned ~counters () =
       let job = Queue.pop workq in
       Mutex.exit qmu;
       match job with
-      | Stop -> ()
-      | Work fd ->
-          serve_conn fd false;
-          loop ()
-      | Shed fd ->
-          serve_conn fd true;
+      | Wire.Stop -> ()
+      | Wire.Work { fd; shed } ->
+          serve_conn fd shed;
           loop ()
     in
     loop ()
@@ -386,16 +365,14 @@ let server p ctl ~idx ~assigned ~counters () =
       Mutex.enter qmu;
       (* shed at admission: a queue this deep means the workers are a
          full burst behind — answer busy instead of growing the backlog *)
-      let job =
-        if Queue.length workq >= shed_queue_limit then Shed fd else Work fd
-      in
-      Queue.add job workq;
+      let shed = Queue.length workq >= shed_queue_limit in
+      Queue.add (Wire.Work { fd; shed }) workq;
       Mutex.exit qmu;
       Semaphore.v qsem
     done;
     Mutex.enter qmu;
     for _ = 1 to p.workers_per_server do
-      Queue.add Stop workq
+      Queue.add Wire.Stop workq
     done;
     Mutex.exit qmu;
     for _ = 1 to p.workers_per_server do
@@ -412,93 +389,51 @@ let server p ctl ~idx ~assigned ~counters () =
 
 (* --- client / load generator ------------------------------------------ *)
 
-exception Conn_dead
-
-(* Reply read with a hard deadline (see Net_server): a client that waits
-   forever on a killed server would turn one proc-kill into a hung
-   fleet. *)
-let deadline_read fd ~len ~deadline =
-  let buf = Buffer.create len in
-  let rec go () =
-    if Buffer.length buf >= len then Buffer.contents buf
-    else
-      let now = Uctx.gettime () in
-      if Time.(now >= deadline) then Buffer.contents buf
-      else
-        let ready =
-          Uctx.poll
-            ~timeout:(Time.diff deadline now)
-            [ { Sysdefs.pfd = fd; want_in = true; want_out = false } ]
-        in
-        if ready = [] then Buffer.contents buf
-        else
-          match Uctx.try_read fd ~len:(len - Buffer.length buf) with
-          | `Data s ->
-              Buffer.add_string buf s;
-              go ()
-          | `Again -> go ()
-          | `Eof -> Buffer.contents buf
-          | `Reset -> raise (Errno.Unix_error (Errno.ECONNRESET, "read"))
-  in
-  go ()
-
 type op = Get of int | Put of int
 
-let loadgen p ~latency ~tallies ~gaveup_per () =
-  let ( gets_ok,
-        gets_shed,
-        gets_aborted,
-        puts_applied,
-        puts_shed,
-        puts_aborted,
-        gaveup,
-        refused ) =
-    tallies
-  in
+let loadgen p ~(r : results) ~gaveup_per () =
   T.setconcurrency (max 1 p.clients);
   let one cid () =
     let rng =
       Rng.create ~seed:(Int64.add p.seed (Int64.of_int (7919 * cid)))
     in
     (* the op mix is drawn up front so an aborted remainder still knows
-       what it was — conservation must classify never-sent requests *)
+       what it was — conservation must classify never-sent requests —
+       and so the issued count of each class is known independently of
+       how its ops end *)
     let ops =
       Array.init p.requests_per_client (fun _ ->
           if Rng.int rng 100 < p.read_pct then Get (Rng.int rng p.keys)
           else Put (Rng.int rng p.keys))
     in
+    Array.iter
+      (function
+        | Get _ -> r.gets_issued <- r.gets_issued + 1
+        | Put _ -> r.puts_issued <- r.puts_issued + 1)
+      ops;
     let abort_from j =
-      for r = j to p.requests_per_client - 1 do
-        match ops.(r) with
-        | Get _ -> incr gets_aborted
-        | Put _ -> incr puts_aborted
+      for i = j to p.requests_per_client - 1 do
+        match ops.(i) with
+        | Get _ -> r.gets_aborted <- r.gets_aborted + 1
+        | Put _ -> r.puts_aborted <- r.puts_aborted + 1
       done
     in
     let target = (cid - 1) mod p.server_procs in
-    let rec connect_bounded attempt =
-      match Uctx.connect (svc target) with
-      | fd -> Some fd
-      | exception Errno.Unix_error (Errno.ECONNREFUSED, _) ->
-          incr refused;
-          if attempt >= connect_retry_limit then begin
-            incr gaveup;
-            gaveup_per.(target) <- gaveup_per.(target) + 1;
-            None
-          end
-          else begin
-            let backoff = retry_base_us * (1 lsl min attempt 6) in
-            Uctx.sleep (Time.us (backoff + Rng.int rng retry_base_us));
-            connect_bounded (attempt + 1)
-          end
-    in
-    match connect_bounded 0 with
-    | None -> abort_from 0
+    match
+      Wire.connect_backoff ~rng ~limit:connect_retry_limit
+        ~base_us:retry_base_us
+        ~refused:(fun () -> r.refused <- r.refused + 1)
+        (svc target)
+    with
+    | None ->
+        r.gaveup <- r.gaveup + 1;
+        gaveup_per.(target) <- gaveup_per.(target) + 1;
+        abort_from 0
     | Some fd -> (
         let done_reqs = ref 0 in
         try
           Array.iteri
-            (fun r op ->
-              ignore r;
+            (fun i op ->
               if p.think_time_us > 0 then
                 Uctx.sleep
                   (Time.us_f
@@ -506,33 +441,32 @@ let loadgen p ~latency ~tallies ~gaveup_per () =
                         ~mean:(float_of_int p.think_time_us)));
               let frame =
                 match op with
-                | Get key -> pad (Printf.sprintf "G %d" key) req_bytes
-                | Put key -> pad (Printf.sprintf "P %d %d" key r) req_bytes
+                | Get key -> Wire.pad (Printf.sprintf "G %d" key) req_bytes
+                | Put key -> Wire.pad (Printf.sprintf "P %d %d" key i) req_bytes
               in
               let t0 = Uctx.gettime () in
               Uctx.write_all fd frame;
+              (* a reply deadline: a client that waits forever on a
+                 killed server would turn one proc-kill into a hung
+                 fleet *)
               let reply =
-                deadline_read fd ~len:reply_bytes
-                  ~deadline:(Time.add t0 (Time.us p.request_deadline_us))
+                Wire.read_reply fd ~len:reply_bytes ~t0
+                  ~deadline_us:p.request_deadline_us
               in
-              if String.length reply < reply_bytes then raise Conn_dead;
-              (if is_reply "busy" reply then
+              (if Wire.is_busy reply then
                  match op with
-                 | Get _ -> incr gets_shed
-                 | Put _ -> incr puts_shed
+                 | Get _ -> r.gets_shed <- r.gets_shed + 1
+                 | Put _ -> r.puts_shed <- r.puts_shed + 1
                else begin
-                 Hist.add latency (Time.diff (Uctx.gettime ()) t0);
+                 Hist.add r.latency (Time.diff (Uctx.gettime ()) t0);
                  match op with
-                 | Get _ -> incr gets_ok
-                 | Put _ -> incr puts_applied
+                 | Get _ -> r.gets_ok <- r.gets_ok + 1
+                 | Put _ -> r.puts_applied <- r.puts_applied + 1
                end);
               incr done_reqs)
             ops;
           Uctx.close fd
-        with
-        | Conn_dead
-        | Errno.Unix_error ((Errno.ECONNRESET | Errno.EPIPE), _)
-        ->
+        with e when Wire.conn_dead e ->
           abort_from !done_reqs;
           Uctx.close fd)
   in
@@ -547,15 +481,8 @@ let loadgen p ~latency ~tallies ~gaveup_per () =
   Array.iteri
     (fun i n ->
       for _ = 1 to n do
-        let rec drain attempt =
-          if attempt < 25 then
-            match Uctx.connect (svc i) with
-            | fd -> Uctx.close fd
-            | exception Errno.Unix_error (Errno.ECONNREFUSED, _) ->
-                Uctx.sleep (Time.ms 2);
-                drain (attempt + 1)
-        in
-        drain 0
+        Option.iter Uctx.close
+          (Wire.connect_retry ~tries:25 ~refused:ignore (svc i))
       done)
     gaveup_per
 
@@ -566,119 +493,59 @@ let run ?(cpus = 2) ?cost ?chaos ?(trace = false) ?debrief p =
     invalid_arg "Kv_store.run: params";
   let k = Kernel.boot ~cpus ?cost ?chaos () in
   if not trace then Kernel.set_tracing k false;
-  (match Fs.create_file (Kernel.fs k) ~path:kv_path () with
-  | Ok f ->
-      ignore (Fs.write f ~pos:0 (String.make (p.shards * file_page) 'd'));
-      (* start cold so get-misses pay the disk *)
-      Shm.evict_all (Fs.segment f)
-  | Error _ -> invalid_arg "Kv_store.run: setup failed");
-  let latency = Hist.create "kv latency" in
-  let gets_ok = ref 0 and gets_shed = ref 0 and gets_aborted = ref 0 in
-  let puts_applied = ref 0 and puts_shed = ref 0 and puts_aborted = ref 0 in
-  let gaveup = ref 0 and refused = ref 0 in
-  let cache_hits = ref 0 and cache_misses = ref 0 in
-  let flushes = ref 0 and recoveries = ref 0 and torn_repaired = ref 0 in
-  let server_applied = ref 0 in
-  let killed = ref 0 in
-  let makespan = ref Time.zero in
-  let finishing body () =
-    body ();
-    let t = Uctx.gettime () in
-    if Time.(t > !makespan) then makespan := t
+  (* start cold so get-misses pay the disk *)
+  ignore (Wire.cold_file k ~path:kv_path ~size:(p.shards * file_page));
+  let r =
+    {
+      gets_ok = 0; gets_shed = 0; gets_aborted = 0; gets_issued = 0;
+      puts_applied = 0; puts_shed = 0; puts_aborted = 0; puts_issued = 0;
+      server_applied = 0; recoveries = 0; torn_repaired = 0; flushes = 0;
+      cache_hits = 0; cache_misses = 0; gaveup = 0; refused = 0; killed = 0;
+      makespan = Time.zero; throughput_rps = 0.;
+      latency = Hist.create "kv latency"; lwps_created = 0; syscalls = 0;
+    }
   in
+  let makespan = ref Time.zero in
   let gaveup_per = Array.make p.server_procs 0 in
   let assigned = Array.make p.server_procs 0 in
   for cid = 1 to p.clients do
-    let t = (cid - 1) mod p.server_procs in
-    assigned.(t) <- assigned.(t) + 1
+    let s = (cid - 1) mod p.server_procs in
+    assigned.(s) <- assigned.(s) + 1
   done;
-  let counters =
-    (cache_hits, cache_misses, flushes, recoveries, torn_repaired,
-     server_applied)
-  in
   let master () =
     let ctl = Uctx.mmap_anon ~size:(ctl_size p) ~shared:true in
     (* pre-create every lock word and record so the segment layout is
        fixed before any server races to look *)
-    for s = 0 to p.shards - 1 do
-      ignore
-        (Rwlock.create_shared ~robust:p.robust
-           (Syncvar.place ctl ~offset:(lock_off s)));
-      ignore (shard_at ctl s)
-    done;
-    ignore
-      (Mutex.create_shared ~robust:p.robust
-         (Syncvar.place ctl ~offset:(meta_lock_off p)));
-    ignore (meta_at p ctl);
+    ignore (open_store p ctl);
     for i = 0 to p.server_procs - 1 do
       ignore
         (Uctx.fork1
            ~child_main:
              (Libthread.boot
-                (finishing
-                   (server p ctl ~idx:i ~assigned:(assigned.(i) + gaveup_per.(i))
-                      ~counters))))
+                (Wire.finishing makespan
+                   (server p ctl ~idx:i
+                      ~assigned:(assigned.(i) + gaveup_per.(i))
+                      ~r))))
     done;
     (* reap the fleet; 137 = killed by chaos *)
     for _ = 1 to p.server_procs do
       let _, status = Uctx.waitpid () in
-      if status = 137 then incr killed
-    done;
-    let t = Uctx.gettime () in
-    if Time.(t > !makespan) then makespan := t
+      if status = 137 then r.killed <- r.killed + 1
+    done
   in
-  ignore (Kernel.spawn k ~name:"kv-master" ~main:master);
-  let tallies =
-    ( gets_ok,
-      gets_shed,
-      gets_aborted,
-      puts_applied,
-      puts_shed,
-      puts_aborted,
-      gaveup,
-      refused )
-  in
+  ignore
+    (Kernel.spawn k ~name:"kv-master" ~main:(Wire.finishing makespan master));
   ignore
     (Kernel.spawn k ~name:"kv-loadgen"
        ~main:
          (Libthread.boot
-            (finishing (loadgen p ~latency ~tallies ~gaveup_per))));
+            (Wire.finishing makespan (loadgen p ~r ~gaveup_per))));
   Kernel.run k;
   (match debrief with Some f -> f k | None -> ());
-  let gets_issued = !gets_ok + !gets_shed + !gets_aborted in
-  let puts_issued = !puts_applied + !puts_shed + !puts_aborted in
-  ignore gets_issued;
-  ignore puts_issued;
-  (* issued counts are reconstructed from the pre-drawn mix: every op of
-     every client is classified exactly once by construction; recompute
-     them from the client parameters as the independent side of the
-     conservation identity *)
-  let total_issued = p.clients * p.requests_per_client in
-  let served = !gets_ok + !puts_applied in
   {
-    gets_ok = !gets_ok;
-    gets_shed = !gets_shed;
-    gets_aborted = !gets_aborted;
-    gets_issued = total_issued - puts_issued;
-    puts_applied = !puts_applied;
-    puts_shed = !puts_shed;
-    puts_aborted = !puts_aborted;
-    puts_issued = total_issued - gets_issued;
-    server_applied = !server_applied;
-    recoveries = !recoveries;
-    torn_repaired = !torn_repaired;
-    flushes = !flushes;
-    cache_hits = !cache_hits;
-    cache_misses = !cache_misses;
-    gaveup = !gaveup;
-    refused = !refused;
-    killed = !killed;
+    r with
     makespan = !makespan;
-    throughput_rps =
-      (if Time.(!makespan > 0L) then
-         float_of_int served /. Time.to_s !makespan
-       else 0.);
-    latency;
+    throughput_rps = Wire.per_second (r.gets_ok + r.puts_applied) !makespan;
     lwps_created = Kernel.lwp_create_count k;
     syscalls = Kernel.syscall_count k;
   }

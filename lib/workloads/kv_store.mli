@@ -60,24 +60,26 @@ type params = {
 
 val default_params : params
 
-type results = {
-  gets_ok : int;
-  gets_shed : int;
-  gets_aborted : int;
-  gets_issued : int;
-  puts_applied : int;  (** puts acked to a client *)
-  puts_shed : int;
-  puts_aborted : int;
-  puts_issued : int;
-  server_applied : int;  (** puts the servers applied (ack may have died) *)
-  recoveries : int;  (** [OWNERDEAD] repairs performed *)
-  torn_repaired : int;  (** repairs that found a torn shard epoch *)
-  flushes : int;  (** batched writes to the backing file *)
-  cache_hits : int;
-  cache_misses : int;
-  gaveup : int;
-  refused : int;
-  killed : int;  (** servers lost to chaos proc-kill *)
+(** The run bumps its counters in place; callers only read them. *)
+type results = private {
+  mutable gets_ok : int;
+  mutable gets_shed : int;
+  mutable gets_aborted : int;
+  mutable gets_issued : int;  (** gets in the clients' drawn op mix *)
+  mutable puts_applied : int;  (** puts acked to a client *)
+  mutable puts_shed : int;
+  mutable puts_aborted : int;
+  mutable puts_issued : int;  (** puts in the clients' drawn op mix *)
+  mutable server_applied : int;
+      (** puts the servers applied (ack may have died) *)
+  mutable recoveries : int;  (** [OWNERDEAD] repairs performed *)
+  mutable torn_repaired : int;  (** repairs that found a torn shard epoch *)
+  mutable flushes : int;  (** batched writes to the backing file *)
+  mutable cache_hits : int;
+  mutable cache_misses : int;
+  mutable gaveup : int;
+  mutable refused : int;
+  mutable killed : int;  (** servers lost to chaos proc-kill *)
   makespan : Sunos_sim.Time.span;
   throughput_rps : float;
   latency : Sunos_sim.Stats.Hist.t;  (** client round trip, non-shed *)

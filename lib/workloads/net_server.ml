@@ -22,7 +22,6 @@ type params = {
   concurrency : int;
   client_concurrency : int;
   listen_backlog : int;
-  hardened : bool;
   connect_retry_limit : int;
   retry_base_us : int;
   request_deadline_us : int;
@@ -51,8 +50,7 @@ let default_params =
     concurrency = 4;
     client_concurrency = 0;
     listen_backlog = 16;
-    hardened = false;
-    connect_retry_limit = 10;
+    connect_retry_limit = 0;
     retry_base_us = 500;
     request_deadline_us = 0;
     shed_queue_limit = 0;
@@ -70,21 +68,25 @@ let default_params =
 let request_bytes = 64
 let reply_bytes = 512
 
+(* A run's counters live in its results, bumped by the server and
+   load-generator processes (they share one OCaml heap). *)
 type results = {
   issued : int;
-  served : int;
-  shed : int;
-  aborted : int;
-  gaveup : int;
-  refused : int;
-  max_concurrent : int;
+  mutable served : int;
+  mutable shed : int;
+  mutable aborted : int;
+  mutable gaveup : int;
+  mutable refused : int;
+  mutable max_concurrent : int;
   latency : Histo.t;
   makespan : Time.span;
   throughput_rps : float;
   lwps_created : int;
   syscalls : int;
-  epoll_stats : Procfs.epoll_info list;
+  mutable epoll_stats : Procfs.epoll_info list;
 }
+
+let note_conns r n = if n > r.max_concurrent then r.max_concurrent <- n
 
 let data_path = "/srv/data"
 let service_name = "svc"
@@ -93,17 +95,55 @@ let service_name = "svc"
    sides to O(min(ready, batch)), never O(connections) *)
 let poll_batch = 64
 
-let pad msg len =
-  if String.length msg >= len then String.sub msg 0 len
-  else msg ^ String.make (len - String.length msg) '.'
+(* replies are constant: build each once, not per request *)
+let reply_done = Wire.pad "done" reply_bytes
+let reply_busy = Wire.pad "busy" reply_bytes
 
-let is_busy reply = String.length reply >= 4 && String.sub reply 0 4 = "busy"
+(* Compute granularity: [compute_steps] = 1 charges each compute phase
+   as one span (the original behavior).  > 1 models a tokenizing
+   parser: per-chunk charges interleaved with a shared request-stats
+   counter bumped under a process mutex — the paper's cheap uncontended
+   user-level sync in its natural habitat.  The mutex only exists (and
+   the total span is only split) when requested, so default runs are
+   charge-for-charge identical. *)
+let compute_phase (module M : Sunos_baselines.Model.S) p =
+  if p.compute_steps <= 1 then Uctx.charge_us
+  else begin
+    let smu = M.Mu.create () in
+    let stats_ops = ref 0 in
+    fun us ->
+      let steps = p.compute_steps in
+      let chunk = us / steps in
+      for i = 1 to steps do
+        M.Mu.lock smu;
+        incr stats_ops;
+        M.Mu.unlock smu;
+        Uctx.charge_us
+          (if i = steps then us - (chunk * (steps - 1)) else chunk)
+      done
+  end
 
-(* A work item handed from the poller to the worker pool.  [Shed] is the
-   hardened server's overload answer: the request frame is drained and a
-   cheap "busy" reply sent with no parse/disk/reply work — rejection must
-   cost less than service or shedding cannot shed load. *)
-type job = Stop | Work of int | Shed of int
+(* One request's server-side work: parse CPU, a file read (cold every
+   [disk_every]-th request: the page is evicted so the disk path is
+   real), reply CPU.  A shed request gets none of it, only a cheap
+   "busy" recorded where /proc can see it — rejection must cost less
+   than service or shedding cannot shed load. *)
+let answer p ~compute ~file ~data_fd nreq ~shed =
+  if shed then begin
+    Uctx.note_shed ();
+    reply_busy
+  end
+  else begin
+    compute p.parse_compute_us;
+    incr nreq;
+    let off = !nreq * 512 mod 65536 in
+    if p.disk_every > 0 && !nreq mod p.disk_every = 0 then
+      Shm.evict (Fs.segment file) ~page:(Shm.page_of_offset ~offset:off);
+    Uctx.lseek data_fd off;
+    ignore (Uctx.read data_fd ~len:512);
+    compute p.reply_compute_us;
+    reply_done
+  end
 
 (* The legacy server process: an acceptor thread feeds connections into
    a polled set; a poller thread multiplexes the idle connections (plus
@@ -113,45 +153,16 @@ type job = Stop | Work of int | Shed of int
    its worker has written the reply.  Every wakeup rebuilds and rescans
    the whole polled set — O(connections) per event, which is what the
    epoll server below exists to avoid. *)
-let server (module M : Sunos_baselines.Model.S) k p
-    ~(note_conn : int -> unit) () =
+let server (module M : Sunos_baselines.Model.S) p ~file r () =
   M.set_concurrency p.concurrency;
   let lfd = Uctx.listen ~name:service_name ~backlog:p.listen_backlog in
   let self_r, self_w = Uctx.pipe () in
   let data_fd = Uctx.open_file data_path in
-  let file =
-    match Fs.lookup (Kernel.fs k) data_path with
-    | Some f -> f
-    | None -> assert false
-  in
   let mu = M.Mu.create () in
-  (* Compute granularity: [compute_steps] = 1 charges each compute
-     phase as one span (the original behavior).  > 1 models a
-     tokenizing parser: per-chunk charges interleaved with a shared
-     request-stats counter bumped under a process mutex — the paper's
-     cheap uncontended user-level sync in its natural habitat.  The
-     mutex only exists (and the total span is only split) when
-     requested, so default runs are charge-for-charge identical. *)
-  let stats_mu = if p.compute_steps > 1 then Some (M.Mu.create ()) else None in
-  let stats_ops = ref 0 in
-  let compute_phase us =
-    match stats_mu with
-    | None -> Uctx.charge_us us
-    | Some smu ->
-        let steps = p.compute_steps in
-        let chunk = us / steps in
-        for i = 1 to steps do
-          M.Mu.lock smu;
-          incr stats_ops;
-          M.Mu.unlock smu;
-          Uctx.charge_us
-            (if i = steps then us - (chunk * (steps - 1)) else chunk)
-        done
-  in
-  ignore (stats_ops : int ref);
+  let compute = compute_phase (module M) p in
   let qsem = M.Sem.create 0 in
   let asem = M.Sem.create 0 in
-  let workq : job Queue.t = Queue.create () in
+  let workq : Wire.job Queue.t = Queue.create () in
   let polled : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let active = ref 0 and closed = ref 0 in
   let accepting = ref true in
@@ -186,7 +197,7 @@ let server (module M : Sunos_baselines.Model.S) k p
               signal_change (fun () ->
                   if last then accepting := false;
                   incr active;
-                  note_conn !active;
+                  note_conns r !active;
                   Hashtbl.replace polled fd ());
               drain ()
           | `Again -> ()
@@ -211,60 +222,23 @@ let server (module M : Sunos_baselines.Model.S) k p
           decr active;
           incr closed)
     in
-    let read_frame fd =
-      let first = Uctx.read fd ~len:request_bytes in
-      if first = "" then None
-      else begin
-        (* delivery may have split the frame: finish it *)
-        let got = String.length first in
-        if got < request_bytes then
-          ignore (Uctx.read_exact fd ~len:(request_bytes - got));
-        Some ()
-      end
-    in
-    let serve fd =
-      match read_frame fd with
-      | None -> retire fd (* client closed: retire the connection *)
-      | Some () ->
-          compute_phase p.parse_compute_us;
-          incr nreq;
-          let off = !nreq * 512 mod 65536 in
-          if p.disk_every > 0 && !nreq mod p.disk_every = 0 then
-            (* cold read: evict the page so the disk path is real *)
-            Shm.evict (Fs.segment file)
-              ~page:(Shm.page_of_offset ~offset:off);
-          Uctx.lseek data_fd off;
-          ignore (Uctx.read data_fd ~len:512);
-          compute_phase p.reply_compute_us;
-          Uctx.write_all fd (pad "done" reply_bytes);
-          signal_change (fun () -> Hashtbl.replace polled fd ())
-    in
-    let shed fd =
-      match read_frame fd with
-      | None -> retire fd
-      | Some () ->
-          (* overload: drain the frame, record the shed where /proc can
-             see it, answer "busy" — no parse, no disk, no reply work *)
-          Uctx.note_shed ();
-          Uctx.write_all fd (pad "busy" reply_bytes);
-          signal_change (fun () -> Hashtbl.replace polled fd ())
-    in
     let rec loop () =
       M.Sem.p qsem;
       M.Mu.lock mu;
       let job = Queue.pop workq in
       M.Mu.unlock mu;
       match job with
-      | Stop -> ()
-      | Work fd ->
-          (try serve fd
-           with Errno.Unix_error ((Errno.ECONNRESET | Errno.EPIPE), _) ->
-             retire fd);
-          loop ()
-      | Shed fd ->
-          (try shed fd
-           with Errno.Unix_error ((Errno.ECONNRESET | Errno.EPIPE), _) ->
-             retire fd);
+      | Wire.Stop -> ()
+      | Wire.Work { fd; shed } ->
+          (try
+             let first = Uctx.read fd ~len:request_bytes in
+             if first = "" then retire fd (* client closed *)
+             else begin
+               Wire.finish_frame fd first ~len:request_bytes;
+               Uctx.write_all fd (answer p ~compute ~file ~data_fd nreq ~shed);
+               signal_change (fun () -> Hashtbl.replace polled fd ())
+             end
+           with e when Wire.conn_dead e -> retire fd);
           loop ()
     in
     loop ()
@@ -310,11 +284,11 @@ let server (module M : Sunos_baselines.Model.S) k p
                [shed_queue_limit] deep means the workers are behind by a
                full burst — adding real work would only grow the backlog
                the clients are already timing out on *)
-            if
-              p.hardened && p.shed_queue_limit > 0
+            let shed =
+              p.shed_queue_limit > 0
               && Queue.length workq >= p.shed_queue_limit
-            then Queue.add (Shed fd) workq
-            else Queue.add (Work fd) workq)
+            in
+            Queue.add (Wire.Work { fd; shed }) workq)
           dispatched;
         M.Mu.unlock mu;
         if do_accept then M.Sem.v asem;
@@ -329,7 +303,7 @@ let server (module M : Sunos_baselines.Model.S) k p
     loop ();
     M.Mu.lock mu;
     for _ = 1 to p.workers do
-      Queue.add Stop workq
+      Queue.add Wire.Stop workq
     done;
     M.Mu.unlock mu;
     for _ = 1 to p.workers do
@@ -365,39 +339,13 @@ let server (module M : Sunos_baselines.Model.S) k p
    lost.  Global accounting (accepted/closed) is touched once per
    connection lifetime, never per event. *)
 
-let server_epoll (module M : Sunos_baselines.Model.S) k p
-    ~(note_conn : int -> unit)
-    ~(epoll_stats : Procfs.epoll_info list ref) () =
+let server_epoll (module M : Sunos_baselines.Model.S) k p ~file r () =
   M.set_concurrency p.concurrency;
   let shards = max 1 p.pollers in
   let wps = max 1 (p.workers / shards) in
   let lfd = Uctx.listen ~name:service_name ~backlog:p.listen_backlog in
   let data_fd = Uctx.open_file data_path in
-  let file =
-    match Fs.lookup (Kernel.fs k) data_path with
-    | Some f -> f
-    | None -> assert false
-  in
-  (* replies are constant: build each once, not per request *)
-  let reply_done = pad "done" reply_bytes in
-  let reply_busy = pad "busy" reply_bytes in
-  let stats_mu = if p.compute_steps > 1 then Some (M.Mu.create ()) else None in
-  let stats_ops = ref 0 in
-  let compute_phase us =
-    match stats_mu with
-    | None -> Uctx.charge_us us
-    | Some smu ->
-        let steps = p.compute_steps in
-        let chunk = us / steps in
-        for i = 1 to steps do
-          M.Mu.lock smu;
-          incr stats_ops;
-          M.Mu.unlock smu;
-          Uctx.charge_us
-            (if i = steps then us - (chunk * (steps - 1)) else chunk)
-        done
-  in
-  ignore (stats_ops : int ref);
+  let compute = compute_phase (module M) p in
   (* global accounting: one lock, touched at accept and retire only *)
   let gmu = M.Mu.create () in
   let taken = ref 0 and closed = ref 0 in
@@ -414,17 +362,7 @@ let server_epoll (module M : Sunos_baselines.Model.S) k p
   let tails = Array.make shards 0 in
   let mus = Array.init shards (fun _ -> M.Mu.create ()) in
   let qsems = Array.init shards (fun _ -> M.Sem.create 0) in
-  let epfds = Array.init shards (fun _ -> Uctx.epoll_create ()) in
-  let self_r = Array.make shards (-1) in
-  let self_w = Array.make shards (-1) in
-  for s = 0 to shards - 1 do
-    let r, w = Uctx.pipe () in
-    self_r.(s) <- r;
-    self_w.(s) <- w;
-    Uctx.epoll_add epfds.(s) r ~want_in:true ();
-    Uctx.epoll_add epfds.(s) lfd ~want_in:true ()
-  done;
-  let kick_all () = Array.iter (fun w -> ignore (Uctx.write w "!")) self_w in
+  let sh = Wire.open_shards ~also:lfd shards in
   let finish_check () =
     M.Mu.lock gmu;
     let fin =
@@ -432,10 +370,10 @@ let server_epoll (module M : Sunos_baselines.Model.S) k p
     in
     if fin then all_done := true;
     M.Mu.unlock gmu;
-    if fin then kick_all ()
+    if fin then Wire.kick_all sh
   in
   let tolerant_del s fd =
-    try Uctx.epoll_del epfds.(s) fd
+    try Uctx.epoll_del (Wire.ep sh s) fd
     with Errno.Unix_error ((Errno.ENOENT | Errno.EBADF), _) -> ()
   in
   let retire s fd =
@@ -448,52 +386,23 @@ let server_epoll (module M : Sunos_baselines.Model.S) k p
   in
   let worker s () =
     let rearm fd =
-      try Uctx.epoll_mod epfds.(s) fd ~want_in:true ~oneshot:true ()
+      try Uctx.epoll_mod (Wire.ep sh s) fd ~want_in:true ~oneshot:true ()
       with Errno.Unix_error ((Errno.ENOENT | Errno.EBADF), _) -> ()
     in
     (* per-worker request counter: the disk cadence needs no shared
        state on the hot path *)
     let nreq = ref 0 in
-    let serve_frames fd =
-      (* edge-triggered contract: drain every complete frame behind this
-         edge, then re-arm.  Spurious readiness (chaos EAGAIN, a stale
-         edge) simply re-arms. *)
-      let rec go () =
-        match Uctx.try_read fd ~len:request_bytes with
-        | `Again -> rearm fd
-        | `Eof | `Reset -> retire s fd
-        | `Data first ->
-            let got = String.length first in
-            if got < request_bytes then
-              ignore (Uctx.read_exact fd ~len:(request_bytes - got));
-            compute_phase p.parse_compute_us;
-            incr nreq;
-            let off = !nreq * 512 mod 65536 in
-            if p.disk_every > 0 && !nreq mod p.disk_every = 0 then
-              Shm.evict (Fs.segment file)
-                ~page:(Shm.page_of_offset ~offset:off);
-            Uctx.lseek data_fd off;
-            ignore (Uctx.read data_fd ~len:512);
-            compute_phase p.reply_compute_us;
-            Uctx.write_all fd reply_done;
-            go ()
-      in
-      go ()
-    in
-    let shed_frames fd =
-      let rec go () =
-        match Uctx.try_read fd ~len:request_bytes with
-        | `Again -> rearm fd
-        | `Eof | `Reset -> retire s fd
-        | `Data first ->
-            let got = String.length first in
-            if got < request_bytes then
-              ignore (Uctx.read_exact fd ~len:(request_bytes - got));
-            Uctx.note_shed ();
-            Uctx.write_all fd reply_busy;
-            go ()
-      in
-      go ()
+    (* edge-triggered contract: drain every complete frame behind this
+       edge, then re-arm.  Spurious readiness (chaos EAGAIN, a stale
+       edge) simply re-arms. *)
+    let rec frames fd ~shed =
+      match Uctx.try_read fd ~len:request_bytes with
+      | `Again -> rearm fd
+      | `Eof | `Reset -> retire s fd
+      | `Data first ->
+          Wire.finish_frame fd first ~len:request_bytes;
+          Uctx.write_all fd (answer p ~compute ~file ~data_fd nreq ~shed);
+          frames fd ~shed
     in
     let rec loop () =
       M.Sem.p qsems.(s);
@@ -503,9 +412,8 @@ let server_epoll (module M : Sunos_baselines.Model.S) k p
       M.Mu.unlock mus.(s);
       if v <> 0 then begin
         let fd = abs v - 1 in
-        (try if v > 0 then serve_frames fd else shed_frames fd
-         with Errno.Unix_error ((Errno.ECONNRESET | Errno.EPIPE), _) ->
-           retire s fd);
+        (try frames fd ~shed:(v < 0)
+         with e when Wire.conn_dead e -> retire s fd);
         loop ()
       end
     in
@@ -518,14 +426,14 @@ let server_epoll (module M : Sunos_baselines.Model.S) k p
       while !continue do
         match Uctx.accept_nb lfd with
         | `Conn fd ->
-            Uctx.epoll_add epfds.(s) fd ~want_in:true ~oneshot:true ();
+            Uctx.epoll_add (Wire.ep sh s) fd ~want_in:true ~oneshot:true ();
             M.Mu.lock gmu;
             incr taken;
             let last = !taken >= p.connections in
             if last then accepting := false;
             let act = !taken - !closed in
             M.Mu.unlock gmu;
-            note_conn act;
+            note_conns r act;
             if last then begin
               accepting_here := false;
               (* the shard that takes the last slot closes the listener;
@@ -547,24 +455,18 @@ let server_epoll (module M : Sunos_baselines.Model.S) k p
     in
     let rec ploop () =
       if not !all_done then begin
-        let ready = Uctx.epoll_wait epfds.(s) ~max_events:poll_batch in
+        let ready = Uctx.epoll_wait (Wire.ep sh s) ~max_events:poll_batch in
         let dispatched = ref 0 in
         List.iter
           (fun fd ->
-            if fd = self_r.(s) then
-              (* a kick byte is guaranteed present behind the edge: only
-                 this poller drains its own self-pipe *)
-              ignore (Uctx.read self_r.(s) ~len:64)
-            else if fd = lfd then begin
+            if fd = lfd then begin
               if !accepting_here then accept_drain ()
             end
-            else begin
+            else if not (Wire.take_kick sh s fd) then begin
               M.Mu.lock mus.(s);
               let depth = tails.(s) - heads.(s) in
               let v =
-                if
-                  p.hardened && p.shed_queue_limit > 0
-                  && depth >= p.shed_queue_limit
+                if p.shed_queue_limit > 0 && depth >= p.shed_queue_limit
                 then -(fd + 1)
                 else fd + 1
               in
@@ -600,58 +502,37 @@ let server_epoll (module M : Sunos_baselines.Model.S) k p
   in
   List.iter M.join pollers_t;
   List.iter M.join workers_t;
-  (* debrief: snapshot this process's epoll counters before teardown
-     (process exit clears the fd table, so post-run /proc shows nothing) *)
-  let me = Uctx.getpid () in
-  epoll_stats :=
-    !epoll_stats
-    @ List.filter (fun e -> e.Procfs.ei_pid = me) (Procfs.epolls k);
-  Array.iter Uctx.close epfds;
-  Array.iter Uctx.close self_r;
-  Array.iter Uctx.close self_w
+  r.epoll_stats <- r.epoll_stats @ Wire.close_shards k sh
 
-exception Conn_dead
+(* A connection the way [p] asks for one: the bounded backoff when
+   [connect_retry_limit > 0], else the legacy SYN retransmit — a fixed
+   2 ms pause, retried until admitted.  Either way the arrival process
+   adapts to the server exactly the way a real client's does. *)
+let connect p r ~rng =
+  let refused () = r.refused <- r.refused + 1 in
+  if p.connect_retry_limit > 0 then
+    Wire.connect_backoff ~rng ~limit:p.connect_retry_limit
+      ~base_us:p.retry_base_us ~refused service_name
+  else Wire.connect_retry ~refused service_name
 
-(* Hardened reply read: poll with the remaining budget, then drain
-   non-blockingly.  Returning a short string signals the deadline (or
-   EOF) to the caller, which abandons the connection — a client that
-   waits forever on a struggling server is how one overload becomes a
-   whole-fleet overload. *)
-let deadline_read fd ~len ~deadline =
-  let buf = Buffer.create len in
-  let rec go () =
-    if Buffer.length buf >= len then Buffer.contents buf
-    else
-      let now = Uctx.gettime () in
-      if Time.(now >= deadline) then Buffer.contents buf
-      else
-        let ready =
-          Uctx.poll
-            ~timeout:(Time.diff deadline now)
-            [ { Sysdefs.pfd = fd; want_in = true; want_out = false } ]
-        in
-        if ready = [] then Buffer.contents buf (* timed out *)
-        else
-          match Uctx.try_read fd ~len:(len - Buffer.length buf) with
-          | `Data s ->
-              Buffer.add_string buf s;
-              go ()
-          | `Again -> go () (* spurious not-ready: re-poll *)
-          | `Eof -> Buffer.contents buf
-          | `Reset -> raise (Errno.Unix_error (Errno.ECONNRESET, "read"))
-  in
-  go ()
+(* Abandoned slots would strand the server: its accept loop expects
+   [connections] arrivals.  Drain them with bare connect/close pairs
+   (unbounded retry — the load is gone, admission is a matter of time)
+   so the server observes every slot and can terminate. *)
+let drain_gaveup r =
+  for _ = 1 to r.gaveup do
+    Option.iter Uctx.close
+      (Wire.connect_retry
+         ~refused:(fun () -> r.refused <- r.refused + 1)
+         service_name)
+  done
 
 (* The closed-loop load generator: one client thread per connection,
    each running a synchronous request/reply loop with exponential think
-   time.  A refused connect (no listener yet, or backlog full) backs off
-   and retries, so the arrival process adapts to the server exactly the
-   way a real client's SYN retransmit does.  In hardened mode the retry
-   is bounded with exponential backoff plus deterministic jitter,
-   replies carry a per-request deadline, and a dead connection aborts
-   its remaining requests instead of hanging the thread. *)
-let client (module M : Sunos_baselines.Model.S) p ~latency ~served ~shed
-    ~aborted ~gaveup ~refused () =
+   time.  A reply past [request_deadline_us] (when set), a short reply
+   and a dead connection abort the connection's remaining requests
+   instead of hanging the thread. *)
+let client (module M : Sunos_baselines.Model.S) p r () =
   (* every client thread holds an LWP while it sleeps or awaits a reply,
      so modelling [connections] independent clients needs a pool that
      size — otherwise the load generator, not the server, is the
@@ -659,15 +540,6 @@ let client (module M : Sunos_baselines.Model.S) p ~latency ~served ~shed
   M.set_concurrency
     (if p.client_concurrency > 0 then p.client_concurrency
      else p.concurrency);
-  (* legacy SYN-retransmit: fixed 2ms pause, retry forever *)
-  let rec connect_forever () =
-    match Uctx.connect service_name with
-    | fd -> fd
-    | exception Errno.Unix_error (Errno.ECONNREFUSED, _) ->
-        incr refused;
-        Uctx.sleep (Time.ms 2);
-        connect_forever ()
-  in
   let one cid () =
     let rng =
       Rng.create ~seed:(Int64.add p.seed (Int64.of_int (7919 * cid)))
@@ -676,38 +548,15 @@ let client (module M : Sunos_baselines.Model.S) p ~latency ~served ~shed
        retry traffic) from swamping admission at time zero *)
     if p.connect_stagger_us > 0 then
       Uctx.sleep (Time.us (p.connect_stagger_us * (cid - 1)));
-    let rec connect_bounded attempt =
-      match Uctx.connect service_name with
-      | fd -> Some fd
-      | exception Errno.Unix_error (Errno.ECONNREFUSED, _) ->
-          incr refused;
-          if p.connect_retry_limit > 0 && attempt >= p.connect_retry_limit
-          then begin
-            incr gaveup;
-            None
-          end
-          else begin
-            (* exponential backoff, capped at 64x the base, plus
-               deterministic jitter from the client's own stream so
-               synchronized refusals decorrelate without forking the
-               run's determinism *)
-            let base = max 1 p.retry_base_us in
-            let backoff = base * (1 lsl min attempt 6) in
-            Uctx.sleep (Time.us (backoff + Rng.int rng base));
-            connect_bounded (attempt + 1)
-          end
-    in
-    let conn =
-      if p.hardened then connect_bounded 0 else Some (connect_forever ())
-    in
-    match conn with
+    match connect p r ~rng with
     | None ->
         (* never admitted: every request of this connection is abandoned *)
-        aborted := !aborted + p.requests_per_conn
+        r.gaveup <- r.gaveup + 1;
+        r.aborted <- r.aborted + p.requests_per_conn
     | Some fd -> (
         let done_reqs = ref 0 in
         try
-          for r = 1 to p.requests_per_conn do
+          for i = 1 to p.requests_per_conn do
             if p.think_time_us > 0 then
               Uctx.sleep
                 (Time.us_f
@@ -715,42 +564,26 @@ let client (module M : Sunos_baselines.Model.S) p ~latency ~served ~shed
                       ~mean:(float_of_int p.think_time_us)));
             let t0 = Uctx.gettime () in
             Uctx.write_all fd
-              (pad (Printf.sprintf "r%d.%d" cid r) request_bytes);
+              (Wire.pad (Printf.sprintf "r%d.%d" cid i) request_bytes);
             let reply =
-              if p.hardened && p.request_deadline_us > 0 then
-                deadline_read fd ~len:reply_bytes
-                  ~deadline:(Time.add t0 (Time.us p.request_deadline_us))
-              else Uctx.read_exact fd ~len:reply_bytes
+              Wire.read_reply fd ~len:reply_bytes ~t0
+                ~deadline_us:p.request_deadline_us
             in
-            if String.length reply = reply_bytes then begin
-              if is_busy reply then incr shed
-              else begin
-                Histo.add latency (Time.diff (Uctx.gettime ()) t0);
-                incr served
-              end;
-              incr done_reqs
-            end
-            else if p.hardened then
-              (* deadline expired or EOF mid-frame: walk away *)
-              raise Conn_dead
+            if Wire.is_busy reply then r.shed <- r.shed + 1
+            else begin
+              Histo.add r.latency (Time.diff (Uctx.gettime ()) t0);
+              r.served <- r.served + 1
+            end;
+            incr done_reqs
           done;
           Uctx.close fd
-        with
-        | Conn_dead | Errno.Unix_error ((Errno.ECONNRESET | Errno.EPIPE), _)
-        ->
-          aborted := !aborted + (p.requests_per_conn - !done_reqs);
+        with e when Wire.conn_dead e ->
+          r.aborted <- r.aborted + (p.requests_per_conn - !done_reqs);
           Uctx.close fd)
   in
   let ts = List.init p.connections (fun cid -> M.spawn (one (cid + 1))) in
   List.iter M.join ts;
-  (* Abandoned slots would strand the server: its accept loop expects
-     [connections] arrivals.  Drain them with bare connect/close pairs
-     (unbounded retry — the load is gone, admission is a matter of time)
-     so the server observes every slot and can terminate. *)
-  for _ = 1 to !gaveup do
-    let fd = connect_forever () in
-    Uctx.close fd
-  done
+  drain_gaveup r
 
 (* --- the open-loop load generator ------------------------------------- *)
 
@@ -769,9 +602,7 @@ let client (module M : Sunos_baselines.Model.S) p ~latency ~served ~shed
    (no free slot at arrival, write to a dead connection, reset/EOF with
    replies outstanding, or still unanswered when the post-send drain
    grace expires).  served + shed + aborted = issued, always. *)
-let client_open_loop (module M : Sunos_baselines.Model.S) k p ~latency
-    ~served ~shed ~aborted ~gaveup ~refused
-    ~(epoll_stats : Procfs.epoll_info list ref) () =
+let client_open_loop (module M : Sunos_baselines.Model.S) k p r () =
   let shards = max 1 p.pollers in
   let connectors = max 1 p.connectors in
   M.set_concurrency
@@ -789,39 +620,8 @@ let client_open_loop (module M : Sunos_baselines.Model.S) k p ~latency
   let pending = Array.make shards 0 in
   let sending_done = ref false in
   let drain_over = ref false in
-  let epfds = Array.init shards (fun _ -> Uctx.epoll_create ()) in
-  let self_r = Array.make shards (-1) in
-  let self_w = Array.make shards (-1) in
-  for s = 0 to shards - 1 do
-    let r, w = Uctx.pipe () in
-    self_r.(s) <- r;
-    self_w.(s) <- w;
-    Uctx.epoll_add epfds.(s) r ~want_in:true ()
-  done;
+  let sh = Wire.open_shards shards in
   let fdmap = Array.init shards (fun _ -> Hashtbl.create 64) in
-  let kick_all () = Array.iter (fun w -> ignore (Uctx.write w "!")) self_w in
-  let rec connect_forever () =
-    match Uctx.connect service_name with
-    | fd -> fd
-    | exception Errno.Unix_error (Errno.ECONNREFUSED, _) ->
-        incr refused;
-        Uctx.sleep (Time.ms 2);
-        connect_forever ()
-  in
-  let rec connect_bounded rng attempt =
-    match Uctx.connect service_name with
-    | fd -> Some fd
-    | exception Errno.Unix_error (Errno.ECONNREFUSED, _) ->
-        incr refused;
-        if p.connect_retry_limit > 0 && attempt >= p.connect_retry_limit
-        then None
-        else begin
-          let base = max 1 p.retry_base_us in
-          let backoff = base * (1 lsl min attempt 6) in
-          Uctx.sleep (Time.us (backoff + Rng.int rng base));
-          connect_bounded rng (attempt + 1)
-        end
-  in
   (* connection establishment, striped across [connectors] threads;
      the stagger ramp is honored per slot index *)
   let connector j () =
@@ -838,18 +638,14 @@ let client_open_loop (module M : Sunos_baselines.Model.S) k p ~latency
         let now = Uctx.gettime () in
         if Time.(target > now) then Uctx.sleep (Time.diff target now)
       end;
-      let conn =
-        if p.hardened then connect_bounded rng 0
-        else Some (connect_forever ())
-      in
-      (match conn with
-      | None -> incr gaveup
+      (match connect p r ~rng with
+      | None -> r.gaveup <- r.gaveup + 1
       | Some fd ->
           let s = idx mod shards in
           fds.(idx) <- fd;
           alive.(idx) <- true;
           Hashtbl.replace fdmap.(s) fd idx;
-          Uctx.epoll_add epfds.(s) fd ~want_in:true ());
+          Uctx.epoll_add (Wire.ep sh s) fd ~want_in:true ());
       i := !i + connectors
     done
   in
@@ -876,10 +672,10 @@ let client_open_loop (module M : Sunos_baselines.Model.S) k p ~latency
             rhead.(i) <- (rhead.(i) + 1) mod cap;
             npend.(i) <- npend.(i) - 1;
             pending.(s) <- pending.(s) - 1;
-            if busy.(i) then incr shed
+            if busy.(i) then r.shed <- r.shed + 1
             else begin
               Histo.add shard_hist.(s) (Time.diff (Uctx.gettime ()) t0);
-              incr served
+              r.served <- r.served + 1
             end
           end
         end
@@ -889,7 +685,7 @@ let client_open_loop (module M : Sunos_baselines.Model.S) k p ~latency
       if alive.(i) then begin
         alive.(i) <- false;
         Hashtbl.remove fdmap.(s) fds.(i);
-        aborted := !aborted + npend.(i);
+        r.aborted <- r.aborted + npend.(i);
         pending.(s) <- pending.(s) - npend.(i);
         npend.(i) <- 0;
         have.(i) <- 0;
@@ -908,29 +704,19 @@ let client_open_loop (module M : Sunos_baselines.Model.S) k p ~latency
     in
     let finished = ref false in
     while not !finished do
-      let ready = Uctx.epoll_wait epfds.(s) ~max_events:poll_batch in
+      let ready = Uctx.epoll_wait (Wire.ep sh s) ~max_events:poll_batch in
       List.iter
         (fun fd ->
-          if fd = self_r.(s) then ignore (Uctx.read self_r.(s) ~len:64)
-          else
+          if not (Wire.take_kick sh s fd) then
             match Hashtbl.find_opt fdmap.(s) fd with
             | Some i -> drain_conn i
             | None -> ())
         ready;
-      if !drain_over then begin
-        (* grace expired: whatever is still outstanding is lost *)
+      if !drain_over || (!sending_done && pending.(s) = 0) then begin
+        (* every reply is in, or the grace expired and whatever is still
+           outstanding is lost *)
         for i = 0 to n - 1 do
-          if i mod shards = s && alive.(i) then kill_conn i
-        done;
-        finished := true
-      end
-      else if !sending_done && pending.(s) = 0 then begin
-        for i = 0 to n - 1 do
-          if i mod shards = s && alive.(i) then begin
-            alive.(i) <- false;
-            Hashtbl.remove fdmap.(s) fds.(i);
-            Uctx.close fds.(i)
-          end
+          if i mod shards = s then kill_conn i
         done;
         finished := true
       end
@@ -948,7 +734,7 @@ let client_open_loop (module M : Sunos_baselines.Model.S) k p ~latency
         float_of_int p.think_time_us /. float_of_int (max 1 n)
     in
     (* request content is never parsed, only counted: one constant frame *)
-    let frame = pad "r" request_bytes in
+    let frame = Wire.pad "r" request_bytes in
     let rr = ref 0 in
     (* arrivals live on an absolute schedule: the next arrival time
        advances by an exponential gap independent of how long the
@@ -988,14 +774,14 @@ let client_open_loop (module M : Sunos_baselines.Model.S) k p ~latency
               (* the connection died under the write (the reader may
                  even have closed it while we blocked): the arrival
                  happened and was lost *)
-              incr aborted;
+              r.aborted <- r.aborted + 1;
               placed := true
         end
       done;
-      if not !placed then incr aborted
+      if not !placed then r.aborted <- r.aborted + 1
     done;
     sending_done := true;
-    kick_all ();
+    Wire.kick_all sh;
     let deadline =
       Time.add (Uctx.gettime ()) (Time.us (max 0 p.drain_grace_us))
     in
@@ -1004,85 +790,56 @@ let client_open_loop (module M : Sunos_baselines.Model.S) k p ~latency
       Uctx.sleep (Time.ms 1)
     done;
     drain_over := true;
-    kick_all ()
+    Wire.kick_all sh
   in
   let readers_t = List.init shards (fun s -> M.spawn (reader s)) in
   let conns_t = List.init connectors (fun j -> M.spawn (connector j)) in
   List.iter M.join conns_t;
   sender ();
   List.iter M.join readers_t;
-  let me = Uctx.getpid () in
-  epoll_stats :=
-    !epoll_stats
-    @ List.filter (fun e -> e.Procfs.ei_pid = me) (Procfs.epolls k);
-  Array.iter Uctx.close epfds;
-  Array.iter Uctx.close self_r;
-  Array.iter Uctx.close self_w;
-  Array.iter (fun h -> Histo.merge ~into:latency h) shard_hist;
-  (* the server's accept loop still expects [connections] arrivals *)
-  for _ = 1 to !gaveup do
-    let fd = connect_forever () in
-    Uctx.close fd
-  done
+  r.epoll_stats <- r.epoll_stats @ Wire.close_shards k sh;
+  Array.iter (fun h -> Histo.merge ~into:r.latency h) shard_hist;
+  drain_gaveup r
 
 let run (module M : Sunos_baselines.Model.S) ?(cpus = 1) ?cost ?chaos
     ?(trace = false) ?debrief p =
   let k = Kernel.boot ~cpus ?cost ?chaos () in
   if not trace then Kernel.set_tracing k false;
-  (match Fs.create_file (Kernel.fs k) ~path:data_path () with
-  | Ok f ->
-      ignore (Fs.write f ~pos:0 (String.make 65536 's'));
-      Shm.evict_all (Fs.segment f)
-  | Error _ -> invalid_arg "Net_server.run: setup failed");
-  let latency = Histo.create "request latency" in
-  let served = ref 0 and refused = ref 0 in
-  let shed = ref 0 and aborted = ref 0 and gaveup = ref 0 in
-  let max_concurrent = ref 0 in
-  let makespan = ref Time.zero in
-  let epoll_stats = ref [] in
-  let note_conn n = if n > !max_concurrent then max_concurrent := n in
-  let finishing body () =
-    body ();
-    let t = Uctx.gettime () in
-    if Time.(t > !makespan) then makespan := t
+  let file = Wire.cold_file k ~path:data_path ~size:65536 in
+  let r =
+    {
+      issued = p.connections * p.requests_per_conn;
+      served = 0; shed = 0; aborted = 0; gaveup = 0; refused = 0;
+      max_concurrent = 0; latency = Histo.create "request latency";
+      makespan = Time.zero; throughput_rps = 0.; lwps_created = 0;
+      syscalls = 0; epoll_stats = [];
+    }
   in
+  let makespan = ref Time.zero in
   let server_fn =
-    if p.epoll then server_epoll (module M) k p ~note_conn ~epoll_stats
-    else server (module M) k p ~note_conn
+    if p.epoll then server_epoll (module M) k p ~file r
+    else server (module M) p ~file r
   in
   let client_fn =
-    if p.open_loop then
-      client_open_loop (module M) k p ~latency ~served ~shed ~aborted
-        ~gaveup ~refused ~epoll_stats
-    else
-      client (module M) p ~latency ~served ~shed ~aborted ~gaveup ~refused
+    if p.open_loop then client_open_loop (module M) k p r
+    else client (module M) p r
   in
   ignore
     (Kernel.spawn k ~name:"net-server"
-       ~main:(M.boot ?cost (finishing server_fn)));
+       ~main:(M.boot ?cost (Wire.finishing makespan server_fn)));
   ignore
-    (Kernel.spawn k ~name:"loadgen" ~main:(M.boot ?cost (finishing client_fn)));
+    (Kernel.spawn k ~name:"loadgen"
+       ~main:(M.boot ?cost (Wire.finishing makespan client_fn)));
   Kernel.run k;
   (* [debrief] runs against the still-live kernel: determinism tests read
      counters and the trace ring before the results are boxed up *)
   (match debrief with Some f -> f k | None -> ());
   {
-    issued = p.connections * p.requests_per_conn;
-    served = !served;
-    shed = !shed;
-    aborted = !aborted;
-    gaveup = !gaveup;
-    refused = !refused;
-    max_concurrent = !max_concurrent;
-    latency;
+    r with
     makespan = !makespan;
-    throughput_rps =
-      (if Time.(!makespan > 0L) then
-         float_of_int !served /. Time.to_s !makespan
-       else 0.);
+    throughput_rps = Wire.per_second r.served !makespan;
     lwps_created = Kernel.lwp_create_count k;
     syscalls = Kernel.syscall_count k;
-    epoll_stats = !epoll_stats;
   }
 
 let pp_results ppf r =

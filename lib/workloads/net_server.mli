@@ -30,16 +30,17 @@
     reply write — which can block on socket backpressure when the
     client is slow.
 
-    With [hardened] set, both sides degrade gracefully under fault
-    injection ({!Sunos_sim.Faultgen}): clients bound their connect
-    retries (exponential backoff with deterministic jitter), abandon a
-    request past [request_deadline_us] instead of waiting forever, and
-    walk away from reset connections; the server sheds load with cheap
-    "busy" replies once its work queue is [shed_queue_limit] deep
-    (recording each shed where /proc can see it) and retires
-    connections that die mid-request.  Every request is accounted for:
-    [served + shed + aborted = issued = connections * requests_per_conn]
-    in every mode.
+    Hardening, for runs under fault injection ({!Sunos_sim.Faultgen}),
+    is the values of three parameters, each 0 (the default) for the
+    legacy behaviour: [connect_retry_limit] bounds the clients' connect
+    retries (exponential backoff with deterministic jitter),
+    [request_deadline_us] abandons a request past its deadline instead
+    of waiting forever, and [shed_queue_limit] makes the server shed
+    load with cheap "busy" replies (recorded where /proc can see them).
+    In every configuration clients walk away from reset connections and
+    short replies, and the server retires connections that die
+    mid-request.  Every request is accounted for:
+    [served + shed + aborted = issued = connections * requests_per_conn].
 
     Runs on any {!Sunos_baselines.Model.S}: M:N serves cheap concurrency
     with a few LWPs; the user-level-only model stalls the whole server
@@ -71,21 +72,20 @@ type params = {
           awaiting a reply, so modelling [connections] truly
           independent clients needs a pool that size. *)
   listen_backlog : int;
-  hardened : bool;
-      (** enable bounded retry, deadlines, shedding and abort paths;
-          off (the default) reproduces the legacy workload exactly *)
   connect_retry_limit : int;
-      (** hardened: connect attempts before giving up (0 = unbounded) *)
+      (** > 0: a refused connect backs off and is retried at most this
+          many times before the client gives up; 0 (default): the legacy
+          retry, every 2 ms until admitted *)
   retry_base_us : int;
-      (** hardened: backoff base; attempt [n] sleeps
+      (** backoff base, in µs: refusal [n] sleeps
           [base * 2^min(n,6) + jitter(base)] *)
   request_deadline_us : int;
-      (** hardened closed loop: a client abandons its connection when a
-          reply misses this deadline (0 = wait forever) *)
+      (** closed loop, > 0: a client abandons its connection when a reply
+          misses this deadline; 0 (default): wait forever *)
   shed_queue_limit : int;
-      (** hardened: the server sheds new requests once its dispatch
-          queue (ring, per shard when [epoll]) is this deep (0 = never
-          shed) *)
+      (** > 0: the server sheds new requests once its dispatch queue
+          (ring, per shard when [epoll]) is this deep; 0 (default): never
+          shed *)
   epoll : bool;
       (** server uses sharded edge-triggered epoll readiness instead of
           the central poll scan; off (the default) is byte-identical to
@@ -111,15 +111,18 @@ type params = {
 
 val default_params : params
 
-type results = {
+(** The run bumps its counters in place; callers only read them. *)
+type results = private {
   issued : int;  (** total requests offered: connections * requests_per_conn *)
-  served : int;  (** complete replies received by clients *)
-  shed : int;  (** "busy" replies: server refused the work under load *)
-  aborted : int;  (** requests abandoned: reset, EOF, deadline, give-up,
-                      no free pipeline slot, or lost to the drain grace *)
-  gaveup : int;  (** connections never admitted within the retry bound *)
-  refused : int;  (** connect refusals (each may be retried) *)
-  max_concurrent : int;  (** peak simultaneously-accepted connections *)
+  mutable served : int;  (** complete replies received by clients *)
+  mutable shed : int;  (** "busy" replies: server refused the work under load *)
+  mutable aborted : int;
+      (** requests abandoned: reset, EOF, deadline, give-up, no free
+          pipeline slot, or lost to the drain grace *)
+  mutable gaveup : int;
+      (** connections never admitted within the retry bound *)
+  mutable refused : int;  (** connect refusals (each may be retried) *)
+  mutable max_concurrent : int;  (** peak simultaneously-accepted connections *)
   latency : Sunos_sim.Histogram.t;
       (** client-side request round trip (log-bucketed; per-shard
           histograms merged when [open_loop]) *)
@@ -127,7 +130,7 @@ type results = {
   throughput_rps : float;
   lwps_created : int;
   syscalls : int;
-  epoll_stats : Sunos_kernel.Procfs.epoll_info list;
+  mutable epoll_stats : Sunos_kernel.Procfs.epoll_info list;
       (** per-epoll readiness counters snapshotted at teardown (server
           shards first, then client readers); [[]] when neither side
           used epoll *)

@@ -39,10 +39,9 @@ type results = {
    after a dropped connection resends exactly the lost tail, and "F"
    (fin) once every event has arrived so the client can stop. *)
 let frame_len = 32
-let pad s = s ^ String.make (frame_len - String.length s) ' '
-let frame w stamp = pad (Printf.sprintf "%d %Ld" w stamp)
-let resume_frame n = pad (Printf.sprintf "R %d" n)
-let fin_frame = pad "F"
+let frame w stamp = Wire.pad (Printf.sprintf "%d %Ld" w stamp) frame_len
+let resume_frame n = Wire.pad (Printf.sprintf "R %d" n) frame_len
+let fin_frame = Wire.pad "F" frame_len
 
 (* One widget = an input handler and an output handler, coupled by a
    semaphore pair and a mailbox of pending event timestamps.  The X
@@ -108,13 +107,9 @@ let run (module M : Sunos_baselines.Model.S) ?(cpus = 1) ?cost ?chaos
        lost — merely re-sent. *)
     let received = ref 0 in
     let fd = ref (Uctx.accept lfd) in
-    let conn_dead = function
-      | Errno.Unix_error ((Errno.ECONNRESET | Errno.EPIPE), _) -> true
-      | _ -> false
-    in
     let rec greet () =
       try Uctx.write_all !fd (resume_frame !received)
-      with e when conn_dead e ->
+      with e when Wire.conn_dead e ->
         Uctx.close !fd;
         fd := Uctx.accept lfd;
         greet ()
@@ -140,7 +135,7 @@ let run (module M : Sunos_baselines.Model.S) ?(cpus = 1) ?cost ?chaos
                 | _ -> ())
             | _ -> ());
             serve ()
-        | exception e when conn_dead e ->
+        | exception e when Wire.conn_dead e ->
             Uctx.close !fd;
             fd := Uctx.accept lfd;
             greet ();
@@ -158,7 +153,7 @@ let run (module M : Sunos_baselines.Model.S) ?(cpus = 1) ?cost ?chaos
           Uctx.write_all !fd fin_frame;
           ignore (Uctx.read !fd ~len:1);
           true
-        with e when conn_dead e -> false
+        with e when Wire.conn_dead e -> false
       in
       if not ok then begin
         Uctx.close !fd;
@@ -198,22 +193,18 @@ let run (module M : Sunos_baselines.Model.S) ?(cpus = 1) ?cost ?chaos
        holds its post-fin accept window open only briefly — so give up
        after a bounded number of refusals instead of spinning against
        a closed listener forever. *)
-    let rec connect_retry attempts =
+    let rec reconnect attempts =
       match Uctx.connect "xwire" with
       | fd -> Some fd
       | exception Errno.Unix_error (Errno.ECONNREFUSED, _) ->
           if !wrote_all && attempts >= 100 then None
           else begin
             Uctx.sleep (Time.us 200);
-            connect_retry (attempts + 1)
+            reconnect (attempts + 1)
           end
     in
-    let conn_dead = function
-      | Errno.Unix_error ((Errno.ECONNRESET | Errno.EPIPE), _) -> true
-      | _ -> false
-    in
     let rec session () =
-      match connect_retry 0 with
+      match reconnect 0 with
       | None -> ()
       | Some fd -> (
           match
@@ -243,7 +234,7 @@ let run (module M : Sunos_baselines.Model.S) ?(cpus = 1) ?cost ?chaos
           | `Retry ->
               Uctx.close fd;
               session ()
-          | exception e when conn_dead e ->
+          | exception e when Wire.conn_dead e ->
               Uctx.close fd;
               session ())
     in

@@ -29,6 +29,7 @@ module S = Sunos_workloads.Net_server
 module Db = Sunos_workloads.Database
 module W = Sunos_workloads.Window_system
 module A = Sunos_workloads.Array_compute
+module KV = Sunos_workloads.Kv_store
 
 (* ------------------------------------------------------------------ *)
 (* Probes                                                              *)
@@ -151,7 +152,6 @@ let hardened_params =
     concurrency = 4;
     client_concurrency = 10;
     listen_backlog = 8;
-    hardened = true;
     connect_retry_limit = 12;
     retry_base_us = 300;
     request_deadline_us = 250_000;
@@ -229,6 +229,38 @@ let test_profiles_array () =
         true
         Time.(r.A.makespan > 0L))
     [ Faultgen.light; Faultgen.network_heavy; Faultgen.scheduler_heavy ]
+
+(* Proc-kill on the kv store: every get and every put ends served or
+   applied, shed or aborted, and each class's issued count comes from
+   the op mix the clients drew, so an op booked under the other class
+   breaks one of the two identities.  The rate is one that kills servers
+   with both gets and puts in flight. *)
+let test_profiles_kv () =
+  let kill =
+    { Faultgen.off with Faultgen.label = "proc-kill"; proc_kill = 5e-3 }
+  in
+  let p =
+    {
+      KV.default_params with
+      server_procs = 4;
+      clients = 8;
+      requests_per_client = 5;
+      workers_per_server = 2;
+      think_time_us = 500;
+      read_pct = 50;
+      batch = 1;
+      request_deadline_us = 150_000;
+    }
+  in
+  let r = KV.run ~cpus:2 ~chaos:kill p in
+  Alcotest.(check int) "issued = clients x requests"
+    (p.KV.clients * p.KV.requests_per_client)
+    (r.KV.gets_issued + r.KV.puts_issued);
+  Alcotest.(check bool) "gets conserved" true (KV.gets_conserved r);
+  Alcotest.(check bool) "puts conserved" true (KV.puts_conserved r);
+  Alcotest.(check bool) "servers were killed" true (r.KV.killed > 0);
+  Alcotest.(check bool) "gets and puts were aborted" true
+    (r.KV.gets_aborted > 0 && r.KV.puts_aborted > 0)
 
 (* Same (seed, profile) must replay the identical run: fault schedule,
    trace digest and request accounting all bit-equal. *)
@@ -534,6 +566,8 @@ let () =
               test_profiles_windows;
             Alcotest.test_case "array-compute completes" `Quick
               test_profiles_array;
+            Alcotest.test_case "kv-store conserves each op class" `Quick
+              test_profiles_kv;
             Alcotest.test_case "same (seed, profile) replays" `Quick
               test_chaos_deterministic;
             Alcotest.test_case "light-profile fault counts pinned" `Quick

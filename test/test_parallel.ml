@@ -144,7 +144,6 @@ let chaos_params =
     concurrency = 4;
     client_concurrency = 10;
     listen_backlog = 8;
-    hardened = true;
     connect_retry_limit = 12;
     retry_base_us = 300;
     request_deadline_us = 250_000;

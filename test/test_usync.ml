@@ -310,6 +310,39 @@ let test_chaos_prockill_mid_critical_section () =
   Alcotest.(check bool) "proc-kill site counted" true
     (List.mem_assoc "proc-kill" (Kernel.chaos_counts k))
 
+(* The robust registry outlives a kernel: a lock still held when its
+   run stops stays registered.  A second kernel booted afterwards in the
+   same domain reuses pid 1; its exit must not sweep the first run's
+   entry (the segment is not one it maps), so the first run's lock keeps
+   its owner and the second kernel traces no OWNERDEAD. *)
+let test_robust_entry_stays_with_its_kernel () =
+  let k1 = Kernel.boot ~cpus:1 () in
+  let lock = ref None in
+  ignore
+    (Kernel.spawn k1 ~name:"holder"
+       ~main:
+         (Libthread.boot (fun () ->
+              let seg = Uctx.mmap_anon ~size:4096 ~shared:true in
+              let m =
+                Mutex.create_shared ~robust:true (Syncvar.place seg ~offset:0)
+              in
+              Mutex.enter m;
+              lock := Some m;
+              Uctx.sleep (Time.s 1);
+              Mutex.exit m)));
+  Kernel.run ~until:(Time.add Time.zero (Time.ms 10)) k1;
+  let m = Option.get !lock in
+  let k2 = Kernel.boot ~cpus:1 () in
+  ignore (Kernel.spawn k2 ~name:"bystander" ~main:(fun () -> ()));
+  Kernel.run k2;
+  Alcotest.(check bool) "the first run's lock is not OWNERDEAD" false
+    (Mutex.owner_dead m);
+  Alcotest.(check int) "the second kernel traced no ownerdead" 0
+    (List.length
+       (List.filter
+          (fun r -> r.Sunos_sim.Tracebuf.kind = Sunos_sim.Tracebuf.Ownerdead)
+          (Kernel.trace_records k2)))
+
 (* ------------------------- observability ------------------------------ *)
 
 (* While a child blocks on a shared mutex, /proc names the wait channel
@@ -552,6 +585,8 @@ let () =
             test_plain_enter_raises_owner_dead;
           Alcotest.test_case "chaos proc-kill mid critical section" `Quick
             test_chaos_prockill_mid_critical_section;
+          Alcotest.test_case "entry stays with its kernel" `Quick
+            test_robust_entry_stays_with_its_kernel;
         ] );
       ( "observability",
         [

@@ -7,6 +7,11 @@ module W = Sunos_workloads.Window_system
 module S = Sunos_workloads.Net_server
 module D = Sunos_workloads.Database
 module A = Sunos_workloads.Array_compute
+module Wire = Sunos_workloads.Wire
+module Rng = Sunos_sim.Rng
+module Kernel = Sunos_kernel.Kernel
+module Uctx = Sunos_kernel.Uctx
+module Errno = Sunos_kernel.Errno
 
 let small_w = { W.default_params with widgets = 25; events = 80 }
 
@@ -122,6 +127,143 @@ let test_microtask_modes_agree () =
   let a = Time.to_ms raw.M.makespan and b = Time.to_ms thr.M.makespan in
   Alcotest.(check bool) "comparable makespans" true (a < 3. *. b && b < 3. *. a)
 
+(* --- the shared wire kit, on a zero-cost machine: every instant below
+   is exact, and a connect costs one network round trip --- *)
+
+let free_machine procs =
+  let k = Kernel.boot ~cost:Sunos_hw.Cost_model.free () in
+  List.iter (fun (name, main) -> ignore (Kernel.spawn k ~name ~main)) procs;
+  Kernel.run k
+
+(* A refused connect to a name nobody listens on: one round trip. *)
+let refusal_rtt () =
+  let t0 = Uctx.gettime () in
+  (try ignore (Uctx.connect "nobody")
+   with Errno.Unix_error (Errno.ECONNREFUSED, _) -> ());
+  Time.diff (Uctx.gettime ()) t0
+
+(* The peer sends half a frame and goes silent: the read hands back what
+   arrived, at the deadline to the nanosecond. *)
+let test_deadline_read_times_out () =
+  let got = ref ("", Time.zero, Time.zero) in
+  free_machine
+    [
+      ( "server",
+        fun () ->
+          let lfd = Uctx.listen ~name:"w" ~backlog:1 in
+          let fd = Uctx.accept lfd in
+          Uctx.write_all fd "0123456789";
+          Uctx.sleep (Time.ms 50);
+          Uctx.close fd;
+          Uctx.close lfd );
+      ( "client",
+        fun () ->
+          let fd = Option.get (Wire.connect_retry ~refused:ignore "w") in
+          let deadline = Time.add (Uctx.gettime ()) (Time.ms 5) in
+          let reply = Wire.deadline_read fd ~len:32 ~deadline in
+          got := (reply, Uctx.gettime (), deadline);
+          Uctx.close fd );
+    ];
+  let reply, t, deadline = !got in
+  Alcotest.(check string) "the short frame" "0123456789" reply;
+  Alcotest.(check int64) "returned at the deadline" deadline t
+
+(* The peer closes with the request unread, which resets the connection:
+   the read raises ECONNRESET rather than returning short. *)
+let test_deadline_read_reset () =
+  let raised = ref false in
+  free_machine
+    [
+      ( "server",
+        fun () ->
+          let lfd = Uctx.listen ~name:"w" ~backlog:1 in
+          let fd = Uctx.accept lfd in
+          Uctx.sleep (Time.ms 10);
+          Uctx.close fd;
+          Uctx.close lfd );
+      ( "client",
+        fun () ->
+          let fd = Option.get (Wire.connect_retry ~refused:ignore "w") in
+          Uctx.write_all fd "request";
+          (try
+             ignore
+               (Wire.deadline_read fd ~len:32
+                  ~deadline:(Time.add (Uctx.gettime ()) (Time.ms 50)))
+           with Errno.Unix_error (Errno.ECONNRESET, _) -> raised := true);
+          Uctx.close fd );
+    ];
+  Alcotest.(check bool) "ECONNRESET raised" true !raised
+
+(* Nobody listens: the backoff connect gives up at refusal [limit + 1],
+   after [limit + 1] round trips and the [limit] backoff-plus-jitter
+   sleeps, whose jitter replays from the same seed. *)
+let test_connect_backoff_gives_up () =
+  let limit = 4 and base_us = 300 in
+  let got = ref (Some 0, 0, Time.zero, Time.zero) in
+  free_machine
+    [
+      ( "client",
+        fun () ->
+          let rtt = refusal_rtt () in
+          let refusals = ref 0 in
+          let t0 = Uctx.gettime () in
+          let fd =
+            Wire.connect_backoff ~rng:(Rng.create ~seed:5L) ~limit ~base_us
+              ~refused:(fun () -> incr refusals)
+              "nobody"
+          in
+          got := (fd, !refusals, Time.diff (Uctx.gettime ()) t0, rtt) );
+    ];
+  let fd, refusals, took, rtt = !got in
+  let rng = Rng.create ~seed:5L in
+  let slept = ref 0 in
+  for n = 0 to limit - 1 do
+    slept := !slept + (base_us * (1 lsl min n 6)) + Rng.int rng base_us
+  done;
+  Alcotest.(check bool) "gave up" true (fd = None);
+  Alcotest.(check int) "limit + 1 refusals" (limit + 1) refusals;
+  Alcotest.(check int64) "gave up at the formula's instant"
+    (Int64.add (Int64.mul (Int64.of_int (limit + 1)) rtt) (Time.us !slept))
+    took
+
+(* The listener appears at 7 ms: the legacy connect is refused once per
+   round trip plus 2 ms until then, and the first attempt whose SYN
+   arrives after it connects. *)
+let test_connect_retry_until_listener () =
+  let got = ref (None, 0, Time.zero, Time.zero, Time.zero) in
+  free_machine
+    [
+      ( "server",
+        fun () ->
+          Uctx.sleep (Time.ms 7);
+          let lfd = Uctx.listen ~name:"late" ~backlog:1 in
+          Uctx.close (Uctx.accept lfd);
+          Uctx.close lfd );
+      ( "client",
+        fun () ->
+          let rtt = refusal_rtt () in
+          let refusals = ref 0 in
+          let t0 = Uctx.gettime () in
+          let fd =
+            Wire.connect_retry ~refused:(fun () -> incr refusals) "late"
+          in
+          got := (fd, !refusals, t0, Uctx.gettime (), rtt);
+          Option.iter Uctx.close fd );
+    ];
+  let fd, refusals, t0, t, rtt = !got in
+  (* attempt [n] starts at t0 + n * (rtt + 2 ms) and is decided one round
+     trip later *)
+  let decided n =
+    Int64.add t0
+      (Int64.add rtt (Int64.mul (Int64.of_int n) (Int64.add rtt (Time.ms 2))))
+  in
+  Alcotest.(check bool) "connected" true (fd <> None);
+  Alcotest.(check int64) "connected by the attempt after the last refusal"
+    (decided refusals) t;
+  Alcotest.(check bool) "the last refusal came before the listener" true
+    Time.(decided (refusals - 1) < ms 7);
+  Alcotest.(check bool) "the connect came after it" true Time.(t >= ms 7)
+
 let () =
   Alcotest.run "sunos_workloads"
     [
@@ -160,5 +302,16 @@ let () =
         [
           Alcotest.test_case "raw LWP runtime" `Quick test_microtask_raw_lwps;
           Alcotest.test_case "modes agree" `Quick test_microtask_modes_agree;
+        ] );
+      ( "wire",
+        [
+          Alcotest.test_case "deadline read times out short" `Quick
+            test_deadline_read_times_out;
+          Alcotest.test_case "deadline read raises on reset" `Quick
+            test_deadline_read_reset;
+          Alcotest.test_case "backoff connect gives up" `Quick
+            test_connect_backoff_gives_up;
+          Alcotest.test_case "legacy connect waits for the listener" `Quick
+            test_connect_retry_until_listener;
         ] );
     ]
