@@ -7,7 +7,6 @@ module Sysdefs = Sunos_kernel.Sysdefs
 let boot ?(cost = Sunos_hw.Cost_model.default) ?(concurrency = 0)
     ?(auto_grow = true) ?(activations = false) main () =
   let pool = Pool.make_pool ~pid:(Uctx.getpid ()) ~cost ~auto_grow in
-  pool.concurrency_target <- concurrency;
   (* publish the thread table for debuggers (the paper's /proc + library
      cooperation) and the sanitizer's hang diagnosis *)
   Current.publish pool;

@@ -1,6 +1,5 @@
 open Ttypes
 module Uctx = Sunos_kernel.Uctx
-module Robust = Sunos_kernel.Robust
 module Univ = Sunos_sim.Univ
 module Time = Sunos_sim.Time
 module Cost = Sunos_hw.Cost_model
@@ -15,10 +14,10 @@ type priv_state = {
   mutable san : san_obj option;  (* thrsan identity, allocated lazily *)
 }
 
-(* Cross-process state: identified by (pid, tid) numbers since TCBs are
-   meaningless in other processes. *)
+(* Cross-process state: the owner is named by (pid, tid) numbers, since
+   TCBs are meaningless in other processes; pid 0 means unlocked.  The
+   word is the only record of who holds it. *)
 type shared_state = {
-  mutable s_locked : bool;
   mutable s_owner_pid : int;
   mutable s_owner_tid : int;
   mutable s_robust : bool;
@@ -35,11 +34,38 @@ let shared_key : shared_state Univ.key = Univ.key ()
 let create ?(variant = Sleep) () =
   Private { variant; owner = None; waitq = Waitq.create (); san = None }
 
-let create_shared ?(robust = false) at =
+let locked st = st.s_owner_pid <> 0
+
+let take st self =
+  st.s_owner_pid <- self.pool.pid;
+  st.s_owner_tid <- self.tid
+
+let release st =
+  st.s_owner_pid <- 0;
+  st.s_owner_tid <- 0
+
+let held_by st self =
+  st.s_owner_pid = self.pool.pid && st.s_owner_tid = self.tid
+
+(* The robust check the segment runs at a death: a dead owner leaves the
+   word free but OWNERDEAD, for the next acquirer to repair what it
+   guarded. *)
+let check st ~pid ~proc_exit =
+  let dead =
+    locked st
+    && Syncvar.dead_holder ~pid ~proc_exit st.s_owner_pid st.s_owner_tid
+  in
+  if dead then begin
+    release st;
+    st.s_ownerdead <- true;
+    match st.s_san with Some o -> o.so_holders <- [] | None -> ()
+  end;
+  dead
+
+let create_shared ?(robust = false) (at : Syncvar.place) =
   let state =
     Syncvar.locate at ~key:shared_key ~make:(fun () ->
         {
-          s_locked = false;
           s_owner_pid = 0;
           s_owner_tid = 0;
           s_robust = false;
@@ -48,8 +74,12 @@ let create_shared ?(robust = false) at =
         })
   in
   (* robustness is a property of the lock word, not the handle: any
-     process asking for it turns it on for every mapper *)
-  if robust then state.s_robust <- true;
+     process asking for it turns it on for every mapper, and the word
+     registers its check in its segment once *)
+  if robust && not state.s_robust then begin
+    state.s_robust <- true;
+    Shm.register_robust at.seg ~offset:at.offset (check state)
+  end;
   Shared { state; at }
 
 let cost_of (tcb : tcb) = tcb.pool.cost
@@ -87,29 +117,6 @@ let () =
           "Mutex: robust lock's owner died; acquire with enter_robust and \
            repair"
     | _ -> None)
-
-(* --- robust-list bookkeeping ------------------------------------------ *)
-
-(* On every robust acquisition, register the (owner, repair closure)
-   with the kernel's robust registry; the kernel runs the closure if the
-   owner dies holding the lock, then wakes the wait channel, so the next
-   acquirer finds the lock free but flagged OWNERDEAD. *)
-let robust_register st (at : Syncvar.place) self =
-  if st.s_robust then
-    Robust.register ~seg_id:(Shm.id at.Syncvar.seg) ~offset:at.offset
-      ~pid:self.pool.pid ~tid:self.tid
-      ~owner_dead:(fun () -> self.exited || self.tstate = Tzombie)
-      ~on_death:(fun () ->
-        st.s_locked <- false;
-        st.s_owner_pid <- 0;
-        st.s_owner_tid <- 0;
-        st.s_ownerdead <- true;
-        match st.s_san with Some o -> o.so_holders <- [] | None -> ())
-
-let robust_unregister st (at : Syncvar.place) self =
-  if st.s_robust then
-    Robust.unregister ~seg_id:(Shm.id at.Syncvar.seg) ~offset:at.offset
-      ~pid:self.pool.pid ~tid:self.tid
 
 (* --- private (within-process) --------------------------------------- *)
 
@@ -211,32 +218,24 @@ let rec enter_shared st at self =
      BUG 13/14, which the try_* audit found here too *)
   Pool.thread_checkpoint ();
   if Thrsan.tracking () then Thrsan.acquiring self (mssan st at);
-  if not st.s_locked then begin
-    st.s_locked <- true;
-    st.s_owner_pid <- self.pool.pid;
-    st.s_owner_tid <- self.tid;
-    robust_register st at self;
+  if not (locked st) then begin
+    take st self;
     if Thrsan.tracking () then Thrsan.acquired self (mssan st at)
   end
   else begin
     if Thrsan.tracking () then Thrsan.blocked_on self (mssan st at);
     (* kwait's expect closes the check-then-sleep race *)
-    (match Syncvar.wait at ~expect:(fun () -> st.s_locked) () with
+    (match Syncvar.wait at ~expect:(fun () -> locked st) () with
     | `Woken | `Timeout -> ());
     if Thrsan.tracking () then Thrsan.clear_wait self;
     enter_shared st at self
   end
 
 let exit_shared st at self =
-  if not (st.s_locked && st.s_owner_pid = self.pool.pid
-          && st.s_owner_tid = self.tid)
-  then raise Not_owner;
+  if not (held_by st self) then raise Not_owner;
   let c = cost_of self in
   Uctx.charge c.Cost.sync_fast;
-  robust_unregister st at self;
-  st.s_locked <- false;
-  st.s_owner_pid <- 0;
-  st.s_owner_tid <- 0;
+  release st;
   if Thrsan.tracking () then Thrsan.released self (mssan st at);
   ignore (Syncvar.wake at ~count:1)
 
@@ -248,7 +247,7 @@ let enter m =
   | Private s -> enter_private s self
   | Shared { state; at } ->
       enter_shared state at self;
-      if state.s_robust && state.s_ownerdead then begin
+      if state.s_ownerdead then begin
         (* the plain entry point cannot return the recovery obligation;
            refuse the lock (use [enter_robust] to repair) *)
         exit_shared state at self;
@@ -263,7 +262,7 @@ let enter_robust m =
       `Locked
   | Shared { state; at } ->
       enter_shared state at self;
-      if state.s_robust && state.s_ownerdead then `Owner_dead else `Locked
+      if state.s_ownerdead then `Owner_dead else `Locked
 
 let exit m =
   let self = Current.get () in
@@ -276,9 +275,7 @@ let set_consistent m =
   match m with
   | Private _ -> ()
   | Shared { state; _ } ->
-      if not (state.s_locked && state.s_owner_pid = self.pool.pid
-              && state.s_owner_tid = self.tid)
-      then raise Not_owner;
+      if not (held_by state self) then raise Not_owner;
       state.s_ownerdead <- false
 
 let try_enter m =
@@ -296,13 +293,9 @@ let try_enter m =
       end
       else false
   | Shared { state; at } ->
-      if (not state.s_locked) && not (state.s_robust && state.s_ownerdead)
-      then begin
+      if not (locked state || state.s_ownerdead) then begin
         if Thrsan.tracking () then Thrsan.acquiring self (mssan state at);
-        state.s_locked <- true;
-        state.s_owner_pid <- self.pool.pid;
-        state.s_owner_tid <- self.tid;
-        robust_register state at self;
+        take state self;
         if Thrsan.tracking () then Thrsan.acquired self (mssan state at);
         true
       end
@@ -310,19 +303,17 @@ let try_enter m =
 
 let is_locked = function
   | Private s -> s.owner <> None
-  | Shared { state; _ } -> state.s_locked
+  | Shared { state; _ } -> locked state
 
 let owner_dead = function
   | Private _ -> false
-  | Shared { state; _ } -> state.s_robust && state.s_ownerdead
+  | Shared { state; _ } -> state.s_ownerdead
 
 let holding m =
   let self = Current.get () in
   match m with
   | Private s -> (match s.owner with Some o -> o == self | None -> false)
-  | Shared { state; _ } ->
-      state.s_locked && state.s_owner_pid = self.pool.pid
-      && state.s_owner_tid = self.tid
+  | Shared { state; _ } -> held_by state self
 
 (* internal: used by Condvar to release while parking (no Current) *)
 let release_from m tcb =

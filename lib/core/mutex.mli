@@ -34,7 +34,10 @@ val create_shared : ?robust:bool -> Syncvar.place -> t
     {!enter_robust} — gets [`Owner_dead] {e with the lock held} and must
     repair the protected state, then call {!set_consistent}.
     Robustness is sticky: once any mapper asks for it, the lock word
-    stays robust for everyone. *)
+    stays robust for everyone.  The word records its owner as (pid,
+    tid) numbers and is the only record of it: the first request
+    registers the word's check in its segment, which the kernel runs
+    when a process mapping the segment dies or loses an LWP. *)
 
 val enter : t -> unit
 val exit : t -> unit

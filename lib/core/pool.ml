@@ -38,7 +38,6 @@ let make_pool ~pid ~cost ~auto_grow =
     live_threads = 0;
     n_pool_lwps = 1;
     idle_lwps = [];
-    concurrency_target = 0;
     shrink_lwps = 0;
     stack_cached = 0;
     stack_hits = 0;

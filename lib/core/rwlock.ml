@@ -1,6 +1,5 @@
 open Ttypes
 module Uctx = Sunos_kernel.Uctx
-module Robust = Sunos_kernel.Robust
 module Univ = Sunos_sim.Univ
 module Cost = Sunos_hw.Cost_model
 module Shm = Sunos_hw.Shared_memory
@@ -18,9 +17,11 @@ type priv = {
   mutable san : san_obj option;
 }
 
+(* Cross-process state: holders are named by (pid, tid) numbers, as in
+   Mutex; writer pid 0 means no writer.  The word is the only record of
+   who holds it. *)
 type shared_state = {
-  mutable s_readers : int;
-  mutable s_writer : bool;
+  mutable s_readers : (int * int) list;  (* one entry per read hold *)
   mutable s_writer_pid : int;
   mutable s_writer_tid : int;
   mutable s_wwaiters : int;
@@ -39,15 +40,6 @@ let create () =
   Private
     { readers = []; writer = None; upgrader = None; rq = Waitq.create ();
       wq = Waitq.create (); uq = Waitq.create (); san = None }
-
-let create_shared ?(robust = false) at =
-  let state =
-    Syncvar.locate at ~key:shared_key ~make:(fun () ->
-        { s_readers = 0; s_writer = false; s_writer_pid = 0; s_writer_tid = 0;
-          s_wwaiters = 0; s_robust = false; s_ownerdead = false; s_san = None })
-  in
-  if robust then state.s_robust <- true;
-  Shared { state; at }
 
 let rsan s =
   match s.san with
@@ -78,39 +70,6 @@ let () =
           "Rwlock: robust lock's writer died; acquire with enter_robust and \
            repair"
     | _ -> None)
-
-(* --- robust-list bookkeeping (see Mutex for the protocol) ------------- *)
-
-let robust_reg st (at : Syncvar.place) self ~on_death =
-  if st.s_robust then
-    Robust.register ~seg_id:(Shm.id at.Syncvar.seg) ~offset:at.offset
-      ~pid:self.pool.pid ~tid:self.tid
-      ~owner_dead:(fun () -> self.exited || self.tstate = Tzombie)
-      ~on_death
-
-(* A dead writer may have left the protected state torn: flag OWNERDEAD
-   for the next acquirer to repair. *)
-let robust_reg_writer st at self =
-  robust_reg st at self ~on_death:(fun () ->
-      st.s_writer <- false;
-      st.s_writer_pid <- 0;
-      st.s_writer_tid <- 0;
-      st.s_ownerdead <- true;
-      match st.s_san with Some o -> o.so_holders <- [] | None -> ())
-
-(* A dead reader cannot have corrupted anything; just drop its hold so
-   writers stop waiting for a ghost. *)
-let robust_reg_reader st at self =
-  robust_reg st at self ~on_death:(fun () ->
-      st.s_readers <- max 0 (st.s_readers - 1);
-      match st.s_san with
-      | Some o -> o.so_holders <- List.filter (fun t -> t != self) o.so_holders
-      | None -> ())
-
-let robust_unreg st (at : Syncvar.place) self =
-  if st.s_robust then
-    Robust.unregister ~seg_id:(Shm.id at.Syncvar.seg) ~offset:at.offset
-      ~pid:self.pool.pid ~tid:self.tid
 
 (* Seeded-bug knob for the exploration suite (test-only, default off):
    revert the upgrader to its pre-fix BUG 14 shape — a bare park with no
@@ -238,92 +197,105 @@ let try_upgrade_priv s self =
 
 (* --- shared variant: loops over kwait with a broadcast wake ---------- *)
 
+let writer st = st.s_writer_pid <> 0
+
+let writer_is st self =
+  st.s_writer_pid = self.pool.pid && st.s_writer_tid = self.tid
+
+(* The one admission check per side: a reader needs no writer holding or
+   waiting, a writer needs no holder at all. *)
+let free st = function
+  | Reader -> (not (writer st)) && st.s_wwaiters = 0
+  | Writer -> (not (writer st)) && st.s_readers = []
+
+let take st self = function
+  | Reader -> st.s_readers <- (self.pool.pid, self.tid) :: st.s_readers
+  | Writer ->
+      st.s_writer_pid <- self.pool.pid;
+      st.s_writer_tid <- self.tid
+
+let release_writer st =
+  st.s_writer_pid <- 0;
+  st.s_writer_tid <- 0
+
+(* The read holds less one of [self]'s; fails when it holds none. *)
+let rec drop_hold self = function
+  | [] -> failwith "Rwlock.exit: lock not held"
+  | (pid, tid) :: rest when pid = self.pool.pid && tid = self.tid -> rest
+  | h :: rest -> h :: drop_hold self rest
+
+(* The robust check the segment runs at a death.  A dead writer may have
+   left the protected state torn: free the word but flag OWNERDEAD for
+   the next acquirer to repair.  A dead reader cannot have corrupted
+   anything; just drop its holds so writers stop waiting for a ghost. *)
+let check st ~pid ~proc_exit =
+  let dead (hpid, htid) = Syncvar.dead_holder ~pid ~proc_exit hpid htid in
+  if writer st && dead (st.s_writer_pid, st.s_writer_tid) then begin
+    release_writer st;
+    st.s_ownerdead <- true;
+    (match st.s_san with Some o -> o.so_holders <- [] | None -> ());
+    true
+  end
+  else if List.exists dead st.s_readers then begin
+    st.s_readers <- List.filter (fun h -> not (dead h)) st.s_readers;
+    (match st.s_san with
+    | Some o ->
+        o.so_holders <-
+          List.filter (fun t -> not (dead (t.pool.pid, t.tid))) o.so_holders
+    | None -> ());
+    true
+  end
+  else false
+
+let create_shared ?(robust = false) (at : Syncvar.place) =
+  let state =
+    Syncvar.locate at ~key:shared_key ~make:(fun () ->
+        { s_readers = []; s_writer_pid = 0; s_writer_tid = 0; s_wwaiters = 0;
+          s_robust = false; s_ownerdead = false; s_san = None })
+  in
+  (* sticky and registered once, as for Mutex *)
+  if robust && not state.s_robust then begin
+    state.s_robust <- true;
+    Shm.register_robust at.seg ~offset:at.offset (check state)
+  end;
+  Shared { state; at }
+
 (* Returns [`Owner_dead] when a robust lock's writer died: regardless of
    the requested side the acquirer is then admitted as the WRITER, since
    repairing the protected state needs exclusive access.  After
-   [set_consistent] it may [downgrade] back to reading. *)
+   [set_consistent] it may [downgrade] back to reading.  Only a writer
+   asking for the write side counts as waiting while it sleeps. *)
 let rec enter_shared st at self kind =
   if Thrsan.tracking () then Thrsan.acquiring self (rssan st at);
-  if st.s_robust && st.s_ownerdead then begin
-    if (not st.s_writer) && st.s_readers = 0 then begin
-      st.s_writer <- true;
-      st.s_writer_pid <- self.pool.pid;
-      st.s_writer_tid <- self.tid;
-      robust_reg_writer st at self;
-      if Thrsan.tracking () then Thrsan.acquired self (rssan st at);
-      `Owner_dead
-    end
-    else begin
-      if Thrsan.tracking () then Thrsan.blocked_on self (rssan st at);
-      (match
-         Syncvar.wait at ~expect:(fun () -> st.s_writer || st.s_readers > 0) ()
-       with
-      | `Woken | `Timeout -> ());
-      if Thrsan.tracking () then Thrsan.clear_wait self;
-      enter_shared st at self kind
-    end
+  let dead = st.s_ownerdead in
+  let side = if dead then Writer else kind in
+  if free st side then begin
+    take st self side;
+    if Thrsan.tracking () then Thrsan.acquired self (rssan st at);
+    if dead then `Owner_dead else `Locked
   end
-  else
-    match kind with
-    | Reader ->
-        if (not st.s_writer) && st.s_wwaiters = 0 then begin
-          st.s_readers <- st.s_readers + 1;
-          robust_reg_reader st at self;
-          if Thrsan.tracking () then Thrsan.acquired self (rssan st at);
-          `Locked
-        end
-        else begin
-          if Thrsan.tracking () then Thrsan.blocked_on self (rssan st at);
-          (match
-             Syncvar.wait at
-               ~expect:(fun () -> st.s_writer || st.s_wwaiters > 0)
-               ()
-           with
-          | `Woken | `Timeout -> ());
-          if Thrsan.tracking () then Thrsan.clear_wait self;
-          enter_shared st at self kind
-        end
-    | Writer ->
-        if (not st.s_writer) && st.s_readers = 0 then begin
-          st.s_writer <- true;
-          st.s_writer_pid <- self.pool.pid;
-          st.s_writer_tid <- self.tid;
-          robust_reg_writer st at self;
-          if Thrsan.tracking () then Thrsan.acquired self (rssan st at);
-          `Locked
-        end
-        else begin
-          st.s_wwaiters <- st.s_wwaiters + 1;
-          if Thrsan.tracking () then Thrsan.blocked_on self (rssan st at);
-          (match
-             Syncvar.wait at
-               ~expect:(fun () -> st.s_writer || st.s_readers > 0)
-               ()
-           with
-          | `Woken | `Timeout -> ());
-          if Thrsan.tracking () then Thrsan.clear_wait self;
-          st.s_wwaiters <- st.s_wwaiters - 1;
-          enter_shared st at self kind
-        end
+  else begin
+    let waiting = kind = Writer && not dead in
+    if waiting then st.s_wwaiters <- st.s_wwaiters + 1;
+    if Thrsan.tracking () then Thrsan.blocked_on self (rssan st at);
+    (match Syncvar.wait at ~expect:(fun () -> not (free st side)) () with
+    | `Woken | `Timeout -> ());
+    if Thrsan.tracking () then Thrsan.clear_wait self;
+    if waiting then st.s_wwaiters <- st.s_wwaiters - 1;
+    enter_shared st at self kind
+  end
 
 let exit_shared st at self =
-  if st.s_writer && st.s_writer_pid = self.pool.pid
-     && st.s_writer_tid = self.tid
-  then begin
-    robust_unreg st at self;
-    st.s_writer <- false;
-    st.s_writer_pid <- 0;
-    st.s_writer_tid <- 0;
+  if writer_is st self then begin
+    release_writer st;
     if Thrsan.tracking () then Thrsan.released self (rssan st at);
     ignore (Syncvar.wake_all at)
   end
-  else if st.s_readers > 0 then begin
-    robust_unreg st at self;
-    st.s_readers <- st.s_readers - 1;
+  else begin
+    st.s_readers <- drop_hold self st.s_readers;
     if Thrsan.tracking () then Thrsan.released self (rssan st at);
-    if st.s_readers = 0 then ignore (Syncvar.wake_all at)
+    if st.s_readers = [] then ignore (Syncvar.wake_all at)
   end
-  else failwith "Rwlock.exit: lock not held"
 
 (* --- public ---------------------------------------------------------- *)
 
@@ -360,9 +332,8 @@ let set_consistent l =
   match l with
   | Private _ -> ()
   | Shared { state; _ } ->
-      if not (state.s_writer && state.s_writer_pid = self.pool.pid
-              && state.s_writer_tid = self.tid)
-      then failwith "Rwlock.set_consistent: calling thread is not the writer";
+      if not (writer_is state self) then
+        failwith "Rwlock.set_consistent: calling thread is not the writer";
       state.s_ownerdead <- false
 
 let exit l =
@@ -401,35 +372,17 @@ let try_enter l kind =
             true
           end
           else false)
-  | Shared { state; at } -> (
-      if state.s_robust && state.s_ownerdead then false
-        (* un-repaired: only enter_robust hands the lock out *)
-      else
-        match kind with
-        | Reader ->
-            if (not state.s_writer) && state.s_wwaiters = 0 then begin
-              if Thrsan.tracking () then begin
-                Thrsan.acquiring self (rssan state at);
-                Thrsan.acquired self (rssan state at)
-              end;
-              state.s_readers <- state.s_readers + 1;
-              robust_reg_reader state at self;
-              true
-            end
-            else false
-        | Writer ->
-            if (not state.s_writer) && state.s_readers = 0 then begin
-              if Thrsan.tracking () then begin
-                Thrsan.acquiring self (rssan state at);
-                Thrsan.acquired self (rssan state at)
-              end;
-              state.s_writer <- true;
-              state.s_writer_pid <- self.pool.pid;
-              state.s_writer_tid <- self.tid;
-              robust_reg_writer state at self;
-              true
-            end
-            else false)
+  | Shared { state; at } ->
+      (* un-repaired: only enter_robust hands the lock out *)
+      if state.s_ownerdead || not (free state kind) then false
+      else begin
+        if Thrsan.tracking () then begin
+          Thrsan.acquiring self (rssan state at);
+          Thrsan.acquired self (rssan state at)
+        end;
+        take state self kind;
+        true
+      end
 
 let downgrade l =
   let self = Current.get () in
@@ -437,15 +390,10 @@ let downgrade l =
   match l with
   | Private s -> downgrade_priv s self
   | Shared { state; at } ->
-      if not (state.s_writer && state.s_writer_pid = self.pool.pid
-              && state.s_writer_tid = self.tid)
-      then failwith "Rwlock.downgrade: calling thread is not the writer";
-      robust_unreg state at self;
-      state.s_writer <- false;
-      state.s_writer_pid <- 0;
-      state.s_writer_tid <- 0;
-      state.s_readers <- 1;
-      robust_reg_reader state at self;
+      if not (writer_is state self) then
+        failwith "Rwlock.downgrade: calling thread is not the writer";
+      release_writer state;
+      take state self Reader;
       if state.s_wwaiters = 0 then ignore (Syncvar.wake_all at)
 
 let try_upgrade l =
@@ -454,30 +402,26 @@ let try_upgrade l =
   Pool.thread_checkpoint ();
   match l with
   | Private s -> try_upgrade_priv s self
-  | Shared { state; at } ->
+  | Shared { state; _ } -> (
       (* stricter than the private variant: succeeds only when we are
          the sole reader right now (no cross-process upgrade waiting) *)
-      if state.s_readers = 1 && (not state.s_writer) && state.s_wwaiters = 0
-         && not (state.s_robust && state.s_ownerdead)
-      then begin
-        robust_unreg state at self;
-        state.s_readers <- 0;
-        state.s_writer <- true;
-        state.s_writer_pid <- self.pool.pid;
-        state.s_writer_tid <- self.tid;
-        robust_reg_writer state at self;
-        true
-      end
-      else false
+      match state.s_readers with
+      | [ (pid, tid) ]
+        when pid = self.pool.pid && tid = self.tid && state.s_wwaiters = 0
+             && not state.s_ownerdead ->
+          state.s_readers <- [];
+          take state self Writer;
+          true
+      | _ -> false)
 
 let readers = function
   | Private s -> List.length s.readers
-  | Shared { state; _ } -> state.s_readers
+  | Shared { state; _ } -> List.length state.s_readers
 
 let has_writer = function
   | Private s -> s.writer <> None
-  | Shared { state; _ } -> state.s_writer
+  | Shared { state; _ } -> writer state
 
 let owner_dead = function
   | Private _ -> false
-  | Shared { state; _ } -> state.s_robust && state.s_ownerdead
+  | Shared { state; _ } -> state.s_ownerdead

@@ -19,7 +19,9 @@ val create_shared : ?robust:bool -> Syncvar.place -> t
     it asked for — is admitted as the {e writer} so it can repair the
     protected state, then {!set_consistent} (and possibly {!downgrade}).
     A dead {e reader}'s hold is simply dropped (readers cannot have
-    corrupted anything).  Sticky, as with [Mutex.create_shared]. *)
+    corrupted anything).  Sticky, and registered once in the segment,
+    as with [Mutex.create_shared]; the word lists every read hold by
+    (pid, tid). *)
 
 val enter : t -> rw -> unit
 val exit : t -> unit

@@ -35,3 +35,9 @@ val wake : place -> count:int -> int
 (** Wake up to [count] waiters across all processes ([kwake]). *)
 
 val wake_all : place -> int
+
+val dead_holder : pid:int -> proc_exit:bool -> int -> int -> bool
+(** [dead_holder ~pid ~proc_exit hpid htid]: does a death in process
+    [pid] take the robust-word holder [(hpid, htid)] with it?  A process
+    exit takes all its holders; an LWP exit only those whose thread has
+    exited, as the thread table the library publishes says. *)

@@ -181,7 +181,6 @@ let priority ?thread prio =
 let setconcurrency n =
   let pool = Current.pool () in
   if n < 0 then invalid_arg "Thread.setconcurrency: negative";
-  pool.concurrency_target <- n;
   if n = 0 then () (* automatic: SIGWAITING growth takes over *)
   else if n > pool.n_pool_lwps then
     for _ = pool.n_pool_lwps + 1 to n do

@@ -98,7 +98,6 @@ and pool = {
   mutable live_threads : int;
   mutable n_pool_lwps : int;  (* LWPs serving unbound threads *)
   mutable idle_lwps : int list;  (* parked pool LWPs (lwpids) *)
-  mutable concurrency_target : int;  (* thread_setconcurrency; 0 = auto *)
   mutable shrink_lwps : int;  (* LWPs asked to exit when they next idle *)
   mutable stack_cached : int;  (* default stacks in the cache *)
   mutable stack_hits : int;

@@ -1,12 +1,15 @@
 let page_size = 4096
 
+type check = pid:int -> proc_exit:bool -> bool
+
 type t = {
   id : int;
   name : string;
   size : int;
   mutable anon_private : bool;
-  clone_of : int option;
+  clone_of : t option;
   cells : (int, Sunos_sim.Univ.t) Hashtbl.t;
+  mutable robust : (int * check) list;  (* (offset, check) per robust word *)
   mutable resident : bool array;
   mutable next_offset : int;
   mutable map_count : int;
@@ -26,6 +29,7 @@ let create ~name ~size =
     anon_private = false;
     clone_of = None;
     cells = Hashtbl.create 16;
+    robust = [];
     resident = Array.make pages false;
     next_offset = 0;
     map_count = 0;
@@ -37,8 +41,9 @@ let clone t =
     name = t.name;
     size = t.size;
     anon_private = t.anon_private;
-    clone_of = Some t.id;
+    clone_of = Some t;
     cells = Hashtbl.copy t.cells;
+    robust = [];
     resident = Array.copy t.resident;
     next_offset = t.next_offset;
     map_count = 0;
@@ -67,6 +72,17 @@ let get t ~offset =
   Hashtbl.find_opt t.cells offset
 
 let remove t ~offset = Hashtbl.remove t.cells offset
+
+let register_robust t ~offset check = t.robust <- (offset, check) :: t.robust
+
+let rec run_checks id ~pid ~proc_exit hits = function
+  | [] -> hits
+  | (offset, check) :: rest ->
+      let hits = if check ~pid ~proc_exit then (id, offset) :: hits else hits in
+      run_checks id ~pid ~proc_exit hits rest
+
+let sweep_robust t ~pid ~proc_exit hits =
+  run_checks t.id ~pid ~proc_exit hits t.robust
 
 let alloc_offset t =
   let rec fresh () =

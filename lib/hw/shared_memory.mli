@@ -7,7 +7,8 @@
     segment) are seen by every mapping process, regardless of the virtual
     address each maps it at (cells are keyed by segment offset).
 
-    Page residency is tracked so the VM layer can charge page faults. *)
+    Page residency is tracked so the VM layer can charge page faults, and
+    each robust lock word is registered in the segment it lives in. *)
 
 type t
 
@@ -16,9 +17,10 @@ val create : name:string -> size:int -> t
 
 val clone : t -> t
 (** A copy-on-fork snapshot: fresh id, same name/size, cell table and
-    residency copied, map count zero.  {!clone_of} on the copy records
-    the source segment's id so the kernel can translate stale parent
-    handles held by forked children. *)
+    residency copied, map count zero, no robust word.  {!clone_of} on
+    the copy returns the source segment, so the kernel can translate
+    stale parent handles held by forked children, and sweep the robust
+    words those handles name. *)
 
 val id : t -> int
 (** Unique across all segments ever created; keys the kernel's wait table. *)
@@ -31,7 +33,7 @@ val mark_anon_private : t -> unit
     across the process boundary.  Named/file/shared segments stay
     system-wide objects and are never marked. *)
 
-val clone_of : t -> int option
+val clone_of : t -> t option
 
 val name : t -> string
 val size : t -> int
@@ -44,6 +46,19 @@ val put : t -> offset:int -> Sunos_sim.Univ.t -> unit
 val get : t -> offset:int -> Sunos_sim.Univ.t option
 
 val remove : t -> offset:int -> unit
+
+type check = pid:int -> proc_exit:bool -> bool
+(** A robust word's check, run when process [pid] dies ([~proc_exit:true])
+    or loses an LWP: it repairs the word if a holder died, and says so. *)
+
+val register_robust : t -> offset:int -> check -> unit
+(** Once per robust word, when robustness is turned on.  The word itself
+    records its holders, so acquire and release touch nothing here. *)
+
+val sweep_robust :
+  t -> pid:int -> proc_exit:bool -> (int * int) list -> (int * int) list
+(** Run every robust word's check, prepending [(id, offset)] for each
+    word repaired; allocates nothing when none is. *)
 
 val alloc_offset : t -> int
 (** A fresh, never-used offset for dynamically placed variables.  Offsets

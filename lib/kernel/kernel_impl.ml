@@ -20,6 +20,7 @@ module Cost = Sunos_hw.Cost_model
 module Prioq = Sunos_sim.Prioq
 module Schedctl = Sunos_sim.Schedctl
 module Tracebuf = Sunos_sim.Tracebuf
+module Shm = Sunos_hw.Shared_memory
 
 let cost k = k.machine.Machine.cost
 let now k = Machine.now k.machine
@@ -52,7 +53,7 @@ let chaos k = k.machine.Machine.chaos
    under the "chaos" tag so an injected fault is always observable in
    the record; with chaos off this never draws from the stream. *)
 let chaos_roll k ~site rate =
-  if Faultgen.fire (chaos k) ~now:(now k) ~site rate then begin
+  if Faultgen.fire (chaos k) ~site rate then begin
     trace k Tracebuf.Chaos ~cpu:(-1) ~pid:(-1) ~lwp:(-1) ~name:site ~arg:(-1);
     true
   end
@@ -173,6 +174,20 @@ let runnable_exists_for k cpu = runnable_below k cpu max_global_prio
 (* The dispatch / step machine                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The (segment id, offset) of each robust word repaired for a death in
+   process [pid], in the segments it maps and in each private clone's
+   source, which forked children name through inherited handles. *)
+let rec robust_hits ~pid ~proc_exit hits = function
+  | [] -> hits
+  | seg :: rest ->
+      let hits = Shm.sweep_robust seg ~pid ~proc_exit hits in
+      let hits =
+        match Shm.clone_of seg with
+        | Some src -> Shm.sweep_robust src ~pid ~proc_exit hits
+        | None -> hits
+      in
+      robust_hits ~pid ~proc_exit hits rest
+
 let quantum_for k lwp =
   match lwp.cls with
   | Sc_realtime _ ->
@@ -195,20 +210,19 @@ let quantum_for k lwp =
 
    Eligibility is conservative: any condition the per-charge regime
    would have re-examined at each boundary — pending deliverable
-   signals, an armed virtual/profiling timer, profil(2) ticks, a CPU
-   rlimit, a posted stop, a pending preemption, a stale CPU binding —
-   forces a zero budget, reproducing the old behavior bit-for-bit.
+   signals, an armed virtual/profiling timer, a CPU rlimit, a posted
+   stop, a pending preemption, a stale CPU binding — forces a zero
+   budget, reproducing the old behavior bit-for-bit.
    None of these can *appear* inside the window (only events create
    them), so checking at grant time covers the whole window.  For the
-   same reason [account]'s timer, limit and profil branches are off for
-   a prefix settled under a grant. *)
+   same reason [account]'s timer and limit branches are off for a
+   prefix settled under a grant. *)
 let grant_budget k cpu lwp =
   let c = cost k in
   let budget =
     if
       c.Cost.coalesce
       && lwp.quantum_left > 0
-      && (not lwp.prof_on)
       && (match (lwp.vtimer_left, lwp.ptimer_left, lwp.proc.cpu_limit) with
          | None, None, None -> true
          | _ -> false)
@@ -446,8 +460,8 @@ and deliver_sysret k cpu lwp kont ret =
       grant_budget k cpu lwp;
       step k cpu lwp (Effect.Deep.continue kont ret))
 
-(* CPU-time accounting of [ns]: drives virtual/profiling interval timers,
-   the profil(2) tick counter and the CPU resource limit. *)
+(* CPU-time accounting of [ns]: drives virtual/profiling interval timers
+   and the CPU resource limit. *)
 and account k lwp ns =
   if lwp.in_kernel then lwp.stime <- lwp.stime + ns
   else begin
@@ -471,9 +485,6 @@ and account k lwp ns =
       end
       else lwp.ptimer_left <- Some left
   | None -> ());
-  if lwp.prof_on && not lwp.in_kernel then
-    lwp.prof_ticks <-
-      lwp.prof_ticks + (ns / Int64.to_int (cost k).Cost.clock_tick);
   match lwp.proc.cpu_limit with
   | Some limit ->
       let u, s = cpu_times lwp.proc in
@@ -692,16 +703,21 @@ and futex_wake k ~seg_id ~offset ~count =
       done;
       !woken
 
-(* Robust USYNC_PROCESS sweep: repair locks whose owner just died and
-   wake their wait channels so the next acquirer sees OWNERDEAD instead
-   of blocking forever on a lock nobody will release. *)
-and robust_sweep k channels =
-  List.iter
-    (fun (seg_id, offset) ->
-      let woken = futex_wake k ~seg_id ~offset ~count:max_int in
-      Machine.trace k.machine Tracebuf.Ownerdead ~cpu:(-1) ~pid:(-1) ~lwp:(-1)
-        ~name:"" ~name2:"" ~arg:seg_id ~arg2:offset ~arg3:woken)
-    channels
+(* Robust USYNC_PROCESS sweep: a death in [proc] runs the checks of the
+   robust words in every segment it maps.  Each word a dead holder held
+   is repaired; wake its channel so the next acquirer sees OWNERDEAD
+   instead of blocking forever on a lock nobody will release. *)
+and robust_sweep k proc ~proc_exit =
+  match robust_hits ~pid:proc.pid ~proc_exit [] proc.mappings with
+  | [] -> ()
+  | hits ->
+      List.iter
+        (fun (seg_id, offset) ->
+          let woken = futex_wake k ~seg_id ~offset ~count:max_int in
+          Machine.trace k.machine Tracebuf.Ownerdead ~cpu:(-1) ~pid:(-1)
+            ~lwp:(-1) ~name:"" ~name2:"" ~arg:seg_id ~arg2:offset
+            ~arg3:woken)
+        (List.sort compare hits)
 
 (* ------------------------------------------------------------------ *)
 (* Syscall completion                                                  *)
@@ -756,9 +772,6 @@ and make_proc k ~name ~parent =
       next_lid = 1;
       fdtab = Hashtbl.create 8;
       next_fd = 3;
-      cwd = "/";
-      uid = 0;
-      gid = 0;
       handlers = Array.make (Signo.max_sig + 1) Sysdefs.Sig_default;
       proc_sig_pending = [];
       pstate = Palive;
@@ -810,8 +823,6 @@ and make_lwp k proc ~entry ~cls =
       quantum_left = 0;
       vtimer_left = None;
       ptimer_left = None;
-      prof_on = false;
-      prof_ticks = 0;
       runq_gen = 0;
     }
   in
@@ -862,11 +873,10 @@ and lwp_exit_internal k lwp =
   if live_lwps lwp.proc = [] && lwp.proc.pstate = Palive then
     proc_exit k lwp.proc ~status:lwp.proc.exit_status
   else begin
-    (* The process survives this LWP: robust locks whose registering
-       thread died with it (e.g. a chaos-reaped pool LWP holding a
-       shard lock) must still be repaired. *)
-    robust_sweep k
-      (Robust.sweep_dead_owners ~maps:lwp.proc.mappings lwp.proc.pid);
+    (* The process survives this LWP: robust locks whose holding thread
+       died with it (a bound thread that exited holding one) must still
+       be repaired. *)
+    robust_sweep k lwp.proc ~proc_exit:false;
     (* the remaining LWPs may now all be in indefinite waits *)
     if lwp.proc.pstate = Palive then check_sigwaiting k lwp.proc;
     kick k
@@ -912,10 +922,10 @@ and proc_exit k proc ~status =
     (* Robust USYNC_PROCESS cleanup — after the LWP teardown so the dead
        process's own futex waiters are already dead and only other
        processes' contenders get woken to observe OWNERDEAD. *)
-    robust_sweep k (Robust.sweep_pid ~maps:proc.mappings proc.pid);
+    robust_sweep k proc ~proc_exit:true;
     Hashtbl.iter (fun _ fdobj -> close_fdobj fdobj) proc.fdtab;
     Hashtbl.reset proc.fdtab;
-    List.iter Sunos_hw.Shared_memory.decr_map_count proc.mappings;
+    List.iter Shm.decr_map_count proc.mappings;
     proc.mappings <- [];
     (match proc.rtimer with
     | Some h -> Eventq.cancel h

@@ -65,8 +65,6 @@ type lwp = {
   mutable quantum_left : int;  (* ns *)
   mutable vtimer_left : Time.span option;
   mutable ptimer_left : Time.span option;
-  mutable prof_on : bool;
-  mutable prof_ticks : int;
   mutable runq_gen : int;
       (* incremented on every enqueue; stale run-queue entries (older
          generation) are skipped at pick time, which makes dequeue lazy *)
@@ -81,9 +79,6 @@ and proc = {
   mutable next_lid : int;
   fdtab : (int, fdobj) Hashtbl.t;
   mutable next_fd : int;
-  mutable cwd : string;
-  mutable uid : int;
-  mutable gid : int;
   handlers : Sysdefs.disposition array;  (* indexed by signal number *)
   mutable proc_sig_pending : Signo.t list;  (* process-directed, all masked *)
   mutable pstate : proc_state;

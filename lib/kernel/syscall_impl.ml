@@ -288,9 +288,6 @@ let do_fork k lwp ~child_main ~all_lwps =
      offsets, as in UNIX) and keeps shared mappings shared. *)
   Hashtbl.iter (fun fd o -> Hashtbl.replace child.fdtab fd o) proc.fdtab;
   child.next_fd <- proc.next_fd;
-  child.cwd <- proc.cwd;
-  child.uid <- proc.uid;
-  child.gid <- proc.gid;
   Array.blit proc.handlers 0 child.handlers 0 (Array.length proc.handlers);
   (* Shared mappings stay shared; private anonymous ones are snapshot-
      copied (the model's copy-on-write) so post-fork writes stop
@@ -371,12 +368,10 @@ let do_waitpid k lwp pid_filter =
 let resolve_seg proc seg =
   if List.memq seg proc.mappings then seg
   else
-    let sid = Shm.id seg in
-    match
-      List.find_opt (fun s -> Shm.clone_of s = Some sid) proc.mappings
-    with
-    | Some s -> s
-    | None -> seg
+    let cloned s =
+      match Shm.clone_of s with Some src -> src == seg | None -> false
+    in
+    match List.find_opt cloned proc.mappings with Some s -> s | None -> seg
 
 (* --- the table --------------------------------------------------------- *)
 
@@ -977,9 +972,6 @@ let execute k lwp req =
            })
   | Sys_setrlimit_cpu span ->
       proc.cpu_limit <- span;
-      K.complete k lwp R_ok
-  | Sys_profil enabled ->
-      lwp.prof_on <- enabled;
       K.complete k lwp R_ok
   | Sys_set_resume_hook hook ->
       lwp.on_resume <- hook;

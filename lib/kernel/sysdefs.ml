@@ -78,7 +78,6 @@ type sysreq =
   | Sys_processor_bind of int option
   | Sys_getrusage
   | Sys_setrlimit_cpu of Sunos_sim.Time.span option
-  | Sys_profil of bool
   | Sys_set_resume_hook of (unit -> unit)
   | Sys_upcall_on_block of { enabled : bool; activation_entry : (unit -> unit) option }
 
@@ -144,7 +143,6 @@ let sysreq_name = function
   | Sys_processor_bind _ -> "processor_bind"
   | Sys_getrusage -> "getrusage"
   | Sys_setrlimit_cpu _ -> "setrlimit_cpu"
-  | Sys_profil _ -> "profil"
   | Sys_set_resume_hook _ -> "set_resume_hook"
   | Sys_upcall_on_block _ -> "upcall_on_block"
 

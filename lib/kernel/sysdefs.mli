@@ -133,7 +133,6 @@ type sysreq =
   | Sys_processor_bind of int option
   | Sys_getrusage
   | Sys_setrlimit_cpu of Sunos_sim.Time.span option
-  | Sys_profil of bool
   | Sys_set_resume_hook of (unit -> unit)
       (** Install a per-LWP hook run whenever the kernel resumes this LWP
           — the simulation analogue of the current-thread register

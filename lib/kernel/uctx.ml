@@ -424,9 +424,6 @@ let setrlimit_cpu span =
   | R_ok -> ()
   | r -> fail "setrlimit_cpu" r
 
-let profil enabled =
-  match syscall (Sys_profil enabled) with R_ok -> () | r -> fail "profil" r
-
 let set_resume_hook hook =
   match syscall (Sys_set_resume_hook hook) with
   | R_ok -> ()

@@ -231,7 +231,6 @@ val priocntl : Sysdefs.sched_class_req -> unit
 val processor_bind : int option -> unit
 val getrusage : unit -> Sysdefs.rusage
 val setrlimit_cpu : Sunos_sim.Time.span option -> unit
-val profil : bool -> unit
 
 val set_resume_hook : (unit -> unit) -> unit
 (** Install this LWP's context-restore hook (see

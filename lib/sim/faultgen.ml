@@ -36,10 +36,6 @@ type profile = {
   spike_factor : int;    (* transfer-size multiplier during a spike *)
   timer_jitter : float;  (* late delivery of a real interval timer *)
   jitter_us : int;       (* ceiling on the added delay *)
-  (* burst gating: faults only fire inside the first [burst_len_us] of
-     every [burst_period_us] window; 0 period = always eligible *)
-  burst_period_us : int;
-  burst_len_us : int;
 }
 
 let off =
@@ -60,8 +56,6 @@ let off =
     spike_factor = 1;
     timer_jitter = 0.;
     jitter_us = 0;
-    burst_period_us = 0;
-    burst_len_us = 0;
   }
 
 let light =
@@ -160,19 +154,10 @@ let profile t = t.profile
 let label t = t.profile.label
 let enabled t = t.enabled
 
-let in_burst t (now : Time.t) =
-  let p = t.profile in
-  if p.burst_period_us <= 0 then true
-  else
-    let period = Int64.of_int (p.burst_period_us * 1000) in
-    let len = Int64.of_int (p.burst_len_us * 1000) in
-    Int64.unsigned_rem now period < len
-
-let fire t ~now ~site rate =
+let fire t ~site rate =
   (* Disabled or zero-rate sites never touch the stream: chaos=off runs
      are bit-identical to runs with no chaos plumbing at all. *)
   if (not t.enabled) || rate <= 0. then false
-  else if not (in_burst t now) then false
   else if Rng.float t.rng 1.0 < rate then begin
     (match Hashtbl.find_opt t.counts site with
     | Some r -> incr r

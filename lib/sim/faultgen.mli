@@ -28,8 +28,6 @@ type profile = {
   spike_factor : int;    (** transfer-size multiplier during a spike *)
   timer_jitter : float;  (** late delivery of a real interval timer *)
   jitter_us : int;       (** ceiling on the added delay, µs *)
-  burst_period_us : int; (** burst window period; 0 = always eligible *)
-  burst_len_us : int;    (** active prefix of each burst window *)
 }
 
 val off : profile
@@ -57,10 +55,9 @@ val profile : t -> profile
 val label : t -> string
 val enabled : t -> bool
 
-val fire : t -> now:Time.t -> site:string -> float -> bool
-(** [fire t ~now ~site rate] rolls the site's fault.  Counts the hit
-    under [site].  Never draws when disabled, when [rate <= 0], or
-    outside the profile's burst window. *)
+val fire : t -> site:string -> float -> bool
+(** [fire t ~site rate] rolls the site's fault.  Counts the hit under
+    [site].  Never draws when disabled or when [rate <= 0]. *)
 
 val draw_us : t -> lo:int -> hi:int -> int
 (** Uniform µs draw for fault parameters (stall length, jitter). *)

@@ -330,22 +330,6 @@ let test_orphaned_child_keeps_running () =
   Kernel.run k;
   Alcotest.(check bool) "orphan completed" true !child_finished
 
-let test_profil_counts_user_ticks () =
-  let k = Kernel.boot () in
-  let ticks = ref 0 in
-  ignore
-    (Kernel.spawn k ~name:"prof" ~main:(fun () ->
-         Uctx.profil true;
-         Uctx.charge (Time.ms 100);
-         Uctx.profil false;
-         ignore ticks));
-  Kernel.run k;
-  (* 100ms of user time at a 10ms clock tick = ~10 samples; verify
-     through /proc totals instead of internal state *)
-  let pi = List.hd (Sunos_kernel.Procfs.snapshot k) in
-  Alcotest.(check bool) "utime accumulated" true
-    Time.(pi.Sunos_kernel.Procfs.pi_utime >= Time.ms 100)
-
 let test_prof_timer_counts_system_time_too () =
   let k = Kernel.boot () in
   let fired = ref false in
@@ -766,7 +750,6 @@ let () =
         ] );
       ( "accounting",
         [
-          Alcotest.test_case "profil" `Quick test_profil_counts_user_ticks;
           Alcotest.test_case "prof timer" `Quick
             test_prof_timer_counts_system_time_too;
           Alcotest.test_case "rusage faults" `Quick test_rusage_counts_faults;

@@ -266,12 +266,12 @@ let test_plain_enter_raises_owner_dead () =
   Alcotest.(check bool) "plain enter raised Owner_dead" true !raised
 
 (* A chaos proc-kill must land while the child holds the lock: the
-   kernel sweeps the robust registry at proc_exit and leaves it
-   OWNERDEAD.  The child's critical section loops over [touch] syscalls
-   so in-section rolls vastly outnumber the few the thread library makes
-   at startup; the rate is tuned so the deterministic roll sequence
-   gets past those and kills mid-section (the simulation is seeded, so
-   this is a fixed outcome, asserted below). *)
+   kernel's sweep at proc_exit finds the dead owner in the lock word and
+   leaves it OWNERDEAD.  The child's critical section loops over [touch]
+   syscalls so in-section rolls vastly outnumber the few the thread
+   library makes at startup; the rate is tuned so the deterministic roll
+   sequence gets past those and kills mid-section (the simulation is
+   seeded, so this is a fixed outcome, asserted below). *)
 let test_chaos_prockill_mid_critical_section () =
   let profile =
     { Faultgen.off with Faultgen.label = "kill-child"; proc_kill = 0.05 }
@@ -310,11 +310,90 @@ let test_chaos_prockill_mid_critical_section () =
   Alcotest.(check bool) "proc-kill site counted" true
     (List.mem_assoc "proc-kill" (Kernel.chaos_counts k))
 
-(* The robust registry outlives a kernel: a lock still held when its
-   run stops stays registered.  A second kernel booted afterwards in the
-   same domain reuses pid 1; its exit must not sweep the first run's
-   entry (the segment is not one it maps), so the first run's lock keeps
-   its owner and the second kernel traces no OWNERDEAD. *)
+let ownerdead_records k =
+  List.length
+    (List.filter
+       (fun r -> r.Sunos_sim.Tracebuf.kind = Sunos_sim.Tracebuf.Ownerdead)
+       (Kernel.trace_records k))
+
+(* A holder can die without its process: a bound thread that exits
+   holding a robust mutex and a read hold takes its LWP with it, and
+   that LWP's exit repairs both words while the main thread lives on. *)
+let test_robust_lwp_exit_repairs () =
+  let k = Kernel.boot ~cpus:2 () in
+  let flagged = ref false and readers = ref (-1) and repaired = ref false in
+  ignore
+    (Kernel.spawn k ~name:"lx"
+       ~main:
+         (Libthread.boot (fun () ->
+              let seg = Uctx.mmap_anon ~size:4096 ~shared:true in
+              let m =
+                Mutex.create_shared ~robust:true (Syncvar.place seg ~offset:0)
+              in
+              let l =
+                Rwlock.create_shared ~robust:true
+                  (Syncvar.place seg ~offset:64)
+              in
+              let t =
+                T.create ~flags:[ T.THREAD_BIND_LWP; T.THREAD_WAIT ]
+                  (fun () ->
+                    Mutex.enter m;
+                    Rwlock.enter l Rwlock.Reader;
+                    T.exit ())
+              in
+              (* the bound thread runs, exits and takes its LWP along *)
+              Uctx.sleep (Time.ms 5);
+              flagged := Mutex.owner_dead m;
+              readers := Rwlock.readers l;
+              (match Mutex.enter_robust m with
+              | `Owner_dead ->
+                  repaired := true;
+                  Mutex.set_consistent m
+              | `Locked -> ());
+              Mutex.exit m;
+              ignore (T.wait ~thread:t ()))));
+  Kernel.run k;
+  Alcotest.(check bool) "the mutex is OWNERDEAD after the LWP exit" true
+    !flagged;
+  Alcotest.(check int) "the dead thread's read hold is dropped" 0 !readers;
+  Alcotest.(check bool) "enter_robust returned `Owner_dead" true !repaired;
+  Alcotest.(check int) "one ownerdead record per repaired word" 2
+    (ownerdead_records k)
+
+(* An LWP exit repairs only the words its dead threads held: a bound
+   thread's LWP exiting beside a live holder leaves that lock alone. *)
+let test_robust_lwp_exit_spares_live_holder () =
+  let k = Kernel.boot ~cpus:2 () in
+  let flagged = ref true and held = ref false in
+  ignore
+    (Kernel.spawn k ~name:"ls"
+       ~main:
+         (Libthread.boot (fun () ->
+              let seg = Uctx.mmap_anon ~size:4096 ~shared:true in
+              let m =
+                Mutex.create_shared ~robust:true (Syncvar.place seg ~offset:0)
+              in
+              Mutex.enter m;
+              let t =
+                T.create ~flags:[ T.THREAD_BIND_LWP; T.THREAD_WAIT ]
+                  (fun () -> ())
+              in
+              Uctx.sleep (Time.ms 5);
+              ignore (T.wait ~thread:t ());
+              flagged := Mutex.owner_dead m;
+              held := Mutex.holding m;
+              Mutex.exit m)));
+  Kernel.run k;
+  Alcotest.(check bool) "the live holder's mutex is not OWNERDEAD" false
+    !flagged;
+  Alcotest.(check bool) "main still holds it" true !held;
+  Alcotest.(check int) "no ownerdead record" 0 (ownerdead_records k)
+
+(* A lock still held when its run stops keeps its owner in its word.  A
+   second kernel booted afterwards in the same domain reuses pid 1; its
+   exit must not check the first run's lock (the segment is not one it
+   maps), so that lock keeps its owner and the second kernel traces no
+   OWNERDEAD. *)
 let test_robust_entry_stays_with_its_kernel () =
   let k1 = Kernel.boot ~cpus:1 () in
   let lock = ref None in
@@ -338,10 +417,7 @@ let test_robust_entry_stays_with_its_kernel () =
   Alcotest.(check bool) "the first run's lock is not OWNERDEAD" false
     (Mutex.owner_dead m);
   Alcotest.(check int) "the second kernel traced no ownerdead" 0
-    (List.length
-       (List.filter
-          (fun r -> r.Sunos_sim.Tracebuf.kind = Sunos_sim.Tracebuf.Ownerdead)
-          (Kernel.trace_records k2)))
+    (ownerdead_records k2)
 
 (* ------------------------- observability ------------------------------ *)
 
@@ -587,6 +663,10 @@ let () =
             test_chaos_prockill_mid_critical_section;
           Alcotest.test_case "entry stays with its kernel" `Quick
             test_robust_entry_stays_with_its_kernel;
+          Alcotest.test_case "LWP exit repairs a dead thread's locks" `Quick
+            test_robust_lwp_exit_repairs;
+          Alcotest.test_case "LWP exit spares a live holder" `Quick
+            test_robust_lwp_exit_spares_live_holder;
         ] );
       ( "observability",
         [
