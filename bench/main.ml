@@ -68,12 +68,19 @@ let targets : (string * string * (unit -> unit)) list =
   ]
 
 (* Run the selected targets on [jobs] worker domains.  Each simulated
-   machine is single-threaded and domain-confined (all cross-machine
-   state is DLS or atomic), so whole targets parallelize freely; output
-   stays readable because of Bout.capture — workers buffer their report
-   and the results print in target order.  Simulated figures are
-   identical to a `-j 1` run; only wall-clock and GC readings move, as
-   co-running domains share the machine. *)
+   machine is single-threaded and domain-confined: its state is
+   domain-local (DLS) or atomic, except five process-wide refs that
+   every domain shares — the schedule explorer's driver
+   ([Schedctl.driver_r]), Thrsan's two switches ([enabled] and
+   [order_mode]) and the two seeded-bug knobs
+   ([Kernel.bug_sigwaiting_no_rearm], [Rwlock.bug14_bare_upgrader]).
+   No target here sets the driver or a knob, and the one that turns
+   Thrsan on (ablation-sigwaiting) leaves every effect boundary where
+   it was, so whole targets parallelize freely; output stays readable
+   because of Bout.capture — workers buffer their report and the
+   results print in target order.  Simulated figures are identical to
+   a `-j 1` run; only wall-clock and GC readings move, as co-running
+   domains share the machine. *)
 let run_parallel jobs selected =
   let n = Array.length selected in
   let out = Array.make n "" in

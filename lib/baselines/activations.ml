@@ -14,7 +14,7 @@
 include Common
 
 let name = "activations"
-let boot ?cost main = Libthread.boot ?cost ~activations:true main
+let boot main = Libthread.boot ~activations:true main
 
 let spawn f = T.create ~flags:[ T.THREAD_WAIT ] f
 

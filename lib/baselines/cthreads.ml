@@ -10,7 +10,7 @@ include Common
 let name = "cthreads"
 
 (* growth is irrelevant: each thread brings its own LWP *)
-let boot ?cost main = Libthread.boot ?cost ~auto_grow:false main
+let boot main = Libthread.boot ~auto_grow:false main
 
 let spawn f = T.create ~flags:[ T.THREAD_BIND_LWP; T.THREAD_WAIT ] f
 

@@ -18,7 +18,7 @@ module Uctx = Sunos_kernel.Uctx
 module Time = Sunos_sim.Time
 
 let name = "liblwp"
-let boot ?cost main = Libthread.boot ?cost ~concurrency:1 ~auto_grow:false main
+let boot main = Libthread.boot ~concurrency:1 ~auto_grow:false main
 
 let spawn f = T.create ~flags:[ T.THREAD_WAIT ] f
 

@@ -1,6 +1,6 @@
 module type S = sig
   val name : string
-  val boot : ?cost:Sunos_hw.Cost_model.t -> (unit -> unit) -> unit -> unit
+  val boot : (unit -> unit) -> unit -> unit
 
   type thread
 

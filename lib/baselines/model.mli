@@ -16,8 +16,9 @@
 module type S = sig
   val name : string
 
-  val boot : ?cost:Sunos_hw.Cost_model.t -> (unit -> unit) -> unit -> unit
-  (** Process-main wrapper for this model (pass to [Kernel.spawn]). *)
+  val boot : (unit -> unit) -> unit -> unit
+  (** Process-main wrapper for this model (pass to [Kernel.spawn]).  The
+      library charges the machine's cost model, as every boot does. *)
 
   type thread
 

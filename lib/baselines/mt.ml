@@ -6,7 +6,7 @@
 include Common
 
 let name = "mt"
-let boot ?cost main = Libthread.boot ?cost ~auto_grow:true main
+let boot main = Libthread.boot ~auto_grow:true main
 
 let spawn f = T.create ~flags:[ T.THREAD_WAIT ] f
 let set_concurrency n = T.setconcurrency n

@@ -14,13 +14,3 @@ val set : Ttypes.tcb option -> unit
 
 val pool : unit -> Ttypes.pool
 (** The calling thread's pool. *)
-
-(** {1 Published thread table} *)
-
-val publish : Ttypes.pool -> unit
-(** Called by [Libthread.boot]: publish the pool under its pid for
-    readers outside the process ({!Debugger}, {!Thrsan}'s hang report),
-    replacing any earlier process with that pid. *)
-
-val published : int -> Ttypes.pool option
-(** The latest pool published under a pid. *)

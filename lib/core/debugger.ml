@@ -15,7 +15,8 @@ type snapshot = {
   d_threads : thread_view list;
 }
 
-(* Read the thread table the library published (Current.publish). *)
+(* Read the thread table the process's library registered with its
+   kernel (proc.lib). *)
 let thread_views pool =
   Hashtbl.fold
     (fun tid t acc ->
@@ -40,11 +41,11 @@ let detach k pid =
   with_proc k pid (fun proc -> Sunos_kernel.Signal_impl.cont_proc k proc)
 
 let snapshot k pid =
-  match Procfs.proc k pid with
-  | None -> Error (Printf.sprintf "no such process: %d" pid)
-  | Some pi ->
+  match (Kernel.find_proc k pid, Procfs.proc k pid) with
+  | None, _ | _, None -> Error (Printf.sprintf "no such process: %d" pid)
+  | Some proc, Some pi ->
       let threads =
-        match Current.published pid with
+        match pool_of_lib proc.Sunos_kernel.Ktypes.lib with
         | Some pool -> thread_views pool
         | None -> []
       in

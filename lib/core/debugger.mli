@@ -9,9 +9,10 @@
     The debugger runs {e outside} the simulated machine (like a real
     debugger in another process): it stops the target through the kernel
     (as /proc's PIOCSTOP would), reads LWP state from {!Sunos_kernel.Procfs},
-    and reads the thread table that the threads library publishes for it
-    ({!Current.publish}: the analogue of reading libthread's data
-    structures out of the inferior's address space). *)
+    and reads the thread table the threads library registered with the
+    process's kernel record (every library LWP names its pool with its
+    resume hook: the analogue of reading libthread's data structures
+    out of the inferior's address space). *)
 
 type thread_view = {
   dt_tid : int;

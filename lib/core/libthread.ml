@@ -4,17 +4,15 @@ module Sigset = Sunos_kernel.Sigset
 module Signo = Sunos_kernel.Signo
 module Sysdefs = Sunos_kernel.Sysdefs
 
-let boot ?(cost = Sunos_hw.Cost_model.default) ?(concurrency = 0)
-    ?(auto_grow = true) ?(activations = false) main () =
-  let pool = Pool.make_pool ~pid:(Uctx.getpid ()) ~cost ~auto_grow in
-  (* publish the thread table for debuggers (the paper's /proc + library
-     cooperation) and the sanitizer's hang diagnosis *)
-  Current.publish pool;
+let boot ?(concurrency = 0) ?(auto_grow = true) ?(activations = false) main
+    () =
+  (* the machine's path lengths, handed over by the kernel that runs us *)
+  let cost = Uctx.cost () in
+  let pool = Pool.make_pool ~pid:(Uctx.getpid ()) ~cost in
   if activations then
     (* scheduler-activations mode: on every application block the kernel
        hands us a context; fresh activations enter our LWP main loop *)
-    Uctx.upcall_on_block true
-      ~activation_entry:(fun () ->
+    Uctx.upcall_on_block (fun () ->
         pool.n_pool_lwps <- pool.n_pool_lwps + 1;
         pool.ctr_lwp_grown <- pool.ctr_lwp_grown + 1;
         Pool.lwp_main pool ());

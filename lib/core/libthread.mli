@@ -13,16 +13,16 @@
     ]} *)
 
 val boot :
-  ?cost:Sunos_hw.Cost_model.t ->
   ?concurrency:int ->
   ?auto_grow:bool ->
   ?activations:bool ->
   (unit -> unit) ->
   unit ->
   unit
-(** [cost] calibrates the library's charged path lengths (defaults to
-    {!Sunos_hw.Cost_model.default}; benchmarks pass the machine's).
-    [concurrency] pre-sizes the LWP pool (as thread_setconcurrency);
+(** The library charges the path lengths of the machine it runs on: it
+    reads the kernel's cost model ({!Sunos_kernel.Uctx.cost}) before
+    its first system call.  [concurrency] pre-sizes the LWP pool (as
+    thread_setconcurrency);
     [auto_grow] (default true) installs the SIGWAITING handler that adds
     an LWP when every LWP is blocked and runnable threads wait — the
     paper's deadlock-avoidance mechanism.  [activations] (default false)

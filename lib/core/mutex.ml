@@ -50,10 +50,11 @@ let held_by st self =
 (* The robust check the segment runs at a death: a dead owner leaves the
    word free but OWNERDEAD, for the next acquirer to repair what it
    guarded. *)
-let check st ~pid ~proc_exit =
+let check st ~pid ~lib ~proc_exit =
   let dead =
     locked st
-    && Syncvar.dead_holder ~pid ~proc_exit st.s_owner_pid st.s_owner_tid
+    && Syncvar.dead_holder ~pid ~lib ~proc_exit st.s_owner_pid
+         st.s_owner_tid
   in
   if dead then begin
     release st;

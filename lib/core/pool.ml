@@ -28,7 +28,7 @@ let charge = Uctx.charge
 (* Pool construction                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let make_pool ~pid ~cost ~auto_grow =
+let make_pool ~pid ~cost =
   {
     pid;
     cost;
@@ -45,7 +45,6 @@ let make_pool ~pid ~cost ~auto_grow =
     handlers = Array.make (Sunos_kernel.Signo.max_sig + 1) Sysdefs.Sig_default;
     proc_pending_tsigs = [];
     any_waiters = [];
-    auto_grow;
     timer_slot = None;
     ctr_creates_unbound = 0;
     ctr_creates_bound = 0;
@@ -206,7 +205,6 @@ let rec wake_any_waiter pool =
    the library cache; joinable (THREAD_WAIT) threads linger as zombies
    until waited for. *)
 let thread_finish pool tcb =
-  tcb.exited <- true;
   tcb.tstate <- Tzombie;
   pool.live_threads <- pool.live_threads - 1;
   (match tcb.stack_kind with
@@ -275,7 +273,9 @@ let run_thread pool my_cur tcb =
 (* Body of a pool LWP serving unbound threads. *)
 let lwp_main pool () =
   let my_cur = ref None in
-  Uctx.set_resume_hook (fun () -> Current.set !my_cur);
+  Uctx.set_resume_hook
+    ~lib:(Sunos_sim.Univ.pack pool_key pool)
+    (fun () -> Current.set !my_cur);
   let my_lid = Uctx.getlwpid () in
   let rec loop () =
     if pool.shrink_lwps > 0 && pool.n_pool_lwps > 1 then begin
@@ -312,7 +312,9 @@ let lwp_main pool () =
    round trips (Figure 6, row 3). *)
 let bound_main pool tcb () =
   let my_cur = ref None in
-  Uctx.set_resume_hook (fun () -> Current.set !my_cur);
+  Uctx.set_resume_hook
+    ~lib:(Sunos_sim.Univ.pack pool_key pool)
+    (fun () -> Current.set !my_cur);
   tcb.bound_lwp <- Uctx.getlwpid ();
   let rec loop () =
     match tcb.tstate with
@@ -408,7 +410,6 @@ let new_tcb pool ~entry ~prio ~sigmask ~bound ~wait_flag ~stack_kind ~stopped =
       wait_gen = 0;
       pending_tsigs = Queue.create ();
       stop_requested = false;
-      exited = false;
       san_waiting = None;
       san_held = [];
     }

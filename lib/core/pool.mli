@@ -16,8 +16,7 @@
 
 open Ttypes
 
-val make_pool :
-  pid:int -> cost:Sunos_hw.Cost_model.t -> auto_grow:bool -> pool
+val make_pool : pid:int -> cost:Sunos_hw.Cost_model.t -> pool
 
 (** {1 Run queue} *)
 
@@ -62,7 +61,8 @@ val thread_checkpoint : unit -> unit
 
 val lwp_main : pool -> unit -> unit
 (** Body of a pool LWP serving unbound threads (never returns normally;
-    may [lwp_exit] when the pool shrinks). *)
+    may [lwp_exit] when the pool shrinks).  Like a bound thread's LWP,
+    it names [pool] to the kernel with its resume hook. *)
 
 val grow_pool : pool -> unit
 (** Add one pool LWP ([thread_setconcurrency] / THREAD_NEW_LWP /

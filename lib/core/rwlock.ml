@@ -228,8 +228,8 @@ let rec drop_hold self = function
    left the protected state torn: free the word but flag OWNERDEAD for
    the next acquirer to repair.  A dead reader cannot have corrupted
    anything; just drop its holds so writers stop waiting for a ghost. *)
-let check st ~pid ~proc_exit =
-  let dead (hpid, htid) = Syncvar.dead_holder ~pid ~proc_exit hpid htid in
+let check st ~pid ~lib ~proc_exit =
+  let dead (hpid, htid) = Syncvar.dead_holder ~pid ~lib ~proc_exit hpid htid in
   if writer st && dead (st.s_writer_pid, st.s_writer_tid) then begin
     release_writer st;
     st.s_ownerdead <- true;

@@ -49,15 +49,15 @@ let wait p ?timeout ~expect () =
 let wake p ~count = Uctx.kwake ~seg:p.seg ~offset:p.offset ~count
 let wake_all p = wake p ~count:max_int
 
-(* A finished thread is gone from the published thread table, or lingers
-   there as a zombie until waited for. *)
-let dead_holder ~pid ~proc_exit hpid htid =
+(* A finished thread is gone from its process's thread table, or
+   lingers there as a zombie until waited for. *)
+let dead_holder ~pid ~lib ~proc_exit hpid htid =
   hpid = pid
   && (proc_exit
      ||
-     match Current.published hpid with
+     match Ttypes.pool_of_lib lib with
      | None -> false
      | Some pool -> (
          match Hashtbl.find_opt pool.Ttypes.threads htid with
          | None -> true
-         | Some t -> t.Ttypes.exited))
+         | Some t -> t.Ttypes.tstate = Ttypes.Tzombie))

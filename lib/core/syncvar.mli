@@ -36,8 +36,11 @@ val wake : place -> count:int -> int
 
 val wake_all : place -> int
 
-val dead_holder : pid:int -> proc_exit:bool -> int -> int -> bool
-(** [dead_holder ~pid ~proc_exit hpid htid]: does a death in process
-    [pid] take the robust-word holder [(hpid, htid)] with it?  A process
-    exit takes all its holders; an LWP exit only those whose thread has
-    exited, as the thread table the library publishes says. *)
+val dead_holder :
+  pid:int -> lib:Sunos_sim.Univ.t option -> proc_exit:bool -> int -> int ->
+  bool
+(** [dead_holder ~pid ~lib ~proc_exit hpid htid]: does a death in
+    process [pid] take the robust-word holder [(hpid, htid)] with it?  A
+    process exit takes all its holders; an LWP exit only those whose
+    thread has exited, as the dying process's own thread table says
+    ([lib], which its library's LWPs registered with the kernel). *)

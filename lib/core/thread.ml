@@ -55,7 +55,7 @@ let rec wait_any self pool =
       (fun _ t acc ->
         match acc with
         | Some _ -> acc
-        | None -> if t.wait_flag && t.exited then Some t else None)
+        | None -> if t.wait_flag && t.tstate = Tzombie then Some t else None)
       pool.threads None
   in
   match zombie with
@@ -77,7 +77,7 @@ let rec wait_any self pool =
       wait_any self pool
 
 let rec wait_for self pool target =
-  if target.exited then begin
+  if target.tstate = Tzombie then begin
     reap pool target;
     target.tid
   end

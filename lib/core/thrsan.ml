@@ -362,24 +362,19 @@ let hang_check (k : Ktypes.kernel) =
         List.iter
           (fun (l : Ktypes.lwp) ->
             match l.Ktypes.lstate with
-            | Ktypes.Lsleeping ->
-                let indef =
-                  match l.Ktypes.sleep with
-                  | Some s -> s.Ktypes.sl_indefinite
-                  | None -> true
-                in
+            | Ktypes.Lsleeping sl ->
                 lwps :=
                   {
                     hl_pid = p.Ktypes.pid;
                     hl_lid = l.Ktypes.lid;
-                    hl_wchan = l.Ktypes.wchan;
-                    hl_indefinite = indef;
+                    hl_wchan = sl.Ktypes.sl_wchan;
+                    hl_indefinite = sl.Ktypes.sl_indefinite;
                   }
                   :: !lwps
             | _ -> ())
           p.Ktypes.lwps;
-        (* the thread table the library published at boot *)
-        match Current.published p.Ktypes.pid with
+        (* the thread table the process's library registered *)
+        match pool_of_lib p.Ktypes.lib with
         | None -> ()
         | Some pool ->
             Hashtbl.iter

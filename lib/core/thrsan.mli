@@ -151,8 +151,9 @@ val watch : Sunos_kernel.Ktypes.kernel -> unit
 (** Install a drain hook on the kernel's event queue: when the queue
     empties while threads remain blocked (or runnable with every LWP
     asleep), build a {!hang_report}, store it for {!last_hang} and emit
-    it on the trace under tag ["thrsan"].  Threads are read from the
-    table the library published at boot ({!Current.published}). *)
+    it on the trace under tag ["thrsan"].  Threads are read from each
+    process's own table, the pool its library's LWPs named to the
+    kernel ([proc.lib]). *)
 
 val last_hang : unit -> hang_report option
 

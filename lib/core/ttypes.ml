@@ -60,7 +60,6 @@ and tcb = {
          thread's registrations at once, wherever they are queued *)
   pending_tsigs : Signo.t Queue.t;  (* thread-directed, not yet handled *)
   mutable stop_requested : bool;
-  mutable exited : bool;
   (* thrsan bookkeeping (see Thrsan): pure-mutation fields, written only
      when the sanitizer is enabled (except the [None] clear in
      make_ready, a single store) *)
@@ -88,8 +87,7 @@ and san_obj = {
 
 and pool = {
   pid : int;
-  cost : Cost.t;
-      (* the library's own path-length calibration; see DESIGN.md *)
+  cost : Cost.t;  (* the machine's, read at boot (Uctx.cost) *)
   runq : tcb Sunos_sim.Prioq.t;
       (* runnable threads by priority, [0 .. max_prio]; stopped threads
          leave dead entries, dropped at the next pick that meets them *)
@@ -110,7 +108,6 @@ and pool = {
   mutable any_waiters : (tcb * int) list;
       (* thread_wait(NULL) sleepers' registrations, oldest first; dead
          ones are dropped when a thread exit meets them *)
-  mutable auto_grow : bool;  (* create an LWP on SIGWAITING *)
   mutable timer_slot : Sunos_sim.Univ.t option;
       (* per-pool state of the Timers module (per-thread timers
          multiplexed over the process real timer) *)
@@ -153,3 +150,12 @@ let live (tcb, gen) = tcb.wait_gen = gen
 
 (* counts dead entries not yet dropped, as a pick would meet them *)
 let live_runnable pool = Sunos_sim.Prioq.length pool.runq > 0
+
+(* The pool as its process's kernel record holds it ([proc.lib]): every
+   LWP of the pool names it with its resume hook, and readers outside
+   the process (debugger, hang report, robust check) unpack it there. *)
+let pool_key : pool Sunos_sim.Univ.key = Sunos_sim.Univ.key ()
+
+let pool_of_lib = function
+  | Some u -> Sunos_sim.Univ.unpack pool_key u
+  | None -> None

@@ -1,6 +1,6 @@
 let page_size = 4096
 
-type check = pid:int -> proc_exit:bool -> bool
+type check = pid:int -> lib:Sunos_sim.Univ.t option -> proc_exit:bool -> bool
 
 type t = {
   id : int;
@@ -11,8 +11,6 @@ type t = {
   cells : (int, Sunos_sim.Univ.t) Hashtbl.t;
   mutable robust : (int * check) list;  (* (offset, check) per robust word *)
   mutable resident : bool array;
-  mutable next_offset : int;
-  mutable map_count : int;
 }
 
 (* segment ids only need uniqueness; Atomic keeps them unique across
@@ -31,8 +29,6 @@ let create ~name ~size =
     cells = Hashtbl.create 16;
     robust = [];
     resident = Array.make pages false;
-    next_offset = 0;
-    map_count = 0;
   }
 
 let clone t =
@@ -45,8 +41,6 @@ let clone t =
     cells = Hashtbl.copy t.cells;
     robust = [];
     resident = Array.copy t.resident;
-    next_offset = t.next_offset;
-    map_count = 0;
   }
 
 let id t = t.id
@@ -75,30 +69,19 @@ let remove t ~offset = Hashtbl.remove t.cells offset
 
 let register_robust t ~offset check = t.robust <- (offset, check) :: t.robust
 
-let rec run_checks id ~pid ~proc_exit hits = function
+let rec run_checks id ~pid ~lib ~proc_exit hits = function
   | [] -> hits
   | (offset, check) :: rest ->
-      let hits = if check ~pid ~proc_exit then (id, offset) :: hits else hits in
-      run_checks id ~pid ~proc_exit hits rest
+      let hits =
+        if check ~pid ~lib ~proc_exit then (id, offset) :: hits else hits
+      in
+      run_checks id ~pid ~lib ~proc_exit hits rest
 
-let sweep_robust t ~pid ~proc_exit hits =
-  run_checks t.id ~pid ~proc_exit hits t.robust
-
-let alloc_offset t =
-  let rec fresh () =
-    let o = t.next_offset in
-    t.next_offset <- t.next_offset + 64;
-    if t.next_offset > t.size then
-      invalid_arg "Shared_memory.alloc_offset: segment full";
-    if Hashtbl.mem t.cells o then fresh () else o
-  in
-  fresh ()
+let sweep_robust t ~pid ~lib ~proc_exit hits =
+  run_checks t.id ~pid ~lib ~proc_exit hits t.robust
 
 let resident t ~page = t.resident.(page)
 let make_resident t ~page = t.resident.(page) <- true
 let evict t ~page = t.resident.(page) <- false
 let evict_all t = Array.fill t.resident 0 (Array.length t.resident) false
 let page_of_offset ~offset = offset / page_size
-let map_count t = t.map_count
-let incr_map_count t = t.map_count <- t.map_count + 1
-let decr_map_count t = t.map_count <- max 0 (t.map_count - 1)

@@ -75,7 +75,6 @@ let create ~machine =
     runq = Prioq.create ~levels:(max_global_prio + 1);
     gangs = Hashtbl.create 8;
     futex = Hashtbl.create 64;
-    futex_names = Hashtbl.create 16;
     ctr_syscalls = 0;
     ctr_dispatches = 0;
     ctr_preemptions = 0;
@@ -175,18 +174,19 @@ let runnable_exists_for k cpu = runnable_below k cpu max_global_prio
 (* ------------------------------------------------------------------ *)
 
 (* The (segment id, offset) of each robust word repaired for a death in
-   process [pid], in the segments it maps and in each private clone's
-   source, which forked children name through inherited handles. *)
-let rec robust_hits ~pid ~proc_exit hits = function
+   process [pid] (whose library, if any, is [lib]), in the segments it
+   maps and in each private clone's source, which forked children name
+   through inherited handles. *)
+let rec robust_hits ~pid ~lib ~proc_exit hits = function
   | [] -> hits
   | seg :: rest ->
-      let hits = Shm.sweep_robust seg ~pid ~proc_exit hits in
+      let hits = Shm.sweep_robust seg ~pid ~lib ~proc_exit hits in
       let hits =
         match Shm.clone_of seg with
-        | Some src -> Shm.sweep_robust src ~pid ~proc_exit hits
+        | Some src -> Shm.sweep_robust src ~pid ~lib ~proc_exit hits
         | None -> hits
       in
-      robust_hits ~pid ~proc_exit hits rest
+      robust_hits ~pid ~lib ~proc_exit hits rest
 
 let quantum_for k lwp =
   match lwp.cls with
@@ -239,7 +239,7 @@ let grant_budget k cpu lwp =
       | None -> lwp.quantum_left
     else 0
   in
-  Uctx.grant ~budget:(Int64.of_int budget)
+  Uctx.grant ~cost:c ~budget:(Int64.of_int budget)
 
 let rec kick k =
   gang_place k;
@@ -373,7 +373,6 @@ and dispatch_step k cpu lwp lead (s : Uctx.step) =
       proc_exit k lwp.proc ~status:139
   | Uctx.Step_charge (span, kont) -> charge_slice k cpu lwp lead span kont
   | Uctx.Step_sys (req, kont) ->
-      lwp.in_kernel <- true;
       lwp.pending <- P_syswait kont;
       k.ctr_syscalls <- k.ctr_syscalls + 1;
       let c = cost k in
@@ -455,27 +454,28 @@ and charge_slice k cpu lwp lead span kont =
 
 and deliver_sysret k cpu lwp kont ret =
   busy k cpu lwp 0 (cost k).Cost.trap_exit (fun () ->
-      lwp.in_kernel <- false;
       lwp.pending <- P_dead;
       grant_budget k cpu lwp;
       step k cpu lwp (Effect.Deep.continue kont ret))
 
 (* CPU-time accounting of [ns]: drives virtual/profiling interval timers
-   and the CPU resource limit. *)
+   and the CPU resource limit.  The LWP is in the kernel exactly while
+   its pending step is a syscall's, from the trap until the return to
+   user mode completes. *)
 and account k lwp ns =
-  if lwp.in_kernel then lwp.stime <- lwp.stime + ns
-  else begin
-    lwp.utime <- lwp.utime + ns;
-    match lwp.vtimer_left with
-    | Some left ->
-        let left = Time.diff left (Int64.of_int ns) in
-        if Time.(left <= 0L) then begin
-          lwp.vtimer_left <- None;
-          k.hook_post_lwp lwp Signo.sigvtalrm
-        end
-        else lwp.vtimer_left <- Some left
-    | None -> ()
-  end;
+  (match lwp.pending with
+  | P_syswait _ | P_sysret _ -> lwp.stime <- lwp.stime + ns
+  | P_start _ | P_charge _ | P_dead -> (
+      lwp.utime <- lwp.utime + ns;
+      match lwp.vtimer_left with
+      | Some left ->
+          let left = Time.diff left (Int64.of_int ns) in
+          if Time.(left <= 0L) then begin
+            lwp.vtimer_left <- None;
+            k.hook_post_lwp lwp Signo.sigvtalrm
+          end
+          else lwp.vtimer_left <- Some left
+      | None -> ()));
   (match lwp.ptimer_left with
   | Some left ->
       let left = Time.diff left (Int64.of_int ns) in
@@ -557,12 +557,10 @@ and find_lwp_by_lid k _hint lid =
 and block k lwp ~wchan ~interruptible ~indefinite =
   let cpu = cpu_of k lwp in
   let sl =
-    { sl_interruptible = interruptible; sl_indefinite = indefinite;
-      sl_timeout = None }
+    { sl_wchan = wchan; sl_interruptible = interruptible;
+      sl_indefinite = indefinite; sl_timeout = None }
   in
-  lwp.sleep <- Some sl;
-  lwp.wchan <- wchan;
-  lwp.lstate <- Lsleeping;
+  lwp.lstate <- Lsleeping sl;
   trace_lwp k Tracebuf.Sleep lwp ~name:wchan ~arg:(Bool.to_int indefinite);
   release_cpu k cpu;
   if interruptible && sig_flag lwp then
@@ -570,55 +568,36 @@ and block k lwp ~wchan ~interruptible ~indefinite =
        interruptible sleep must not begin — fail it with EINTR right
        away, as a real kernel checks pending signals on sleep entry *)
     interrupt_sleep k lwp;
-  if lwp.proc.upcall_on_block && wchan <> "lwp_park" then
-    (* Scheduler-activations mode: an application thread just lost its
-       virtual processor to a kernel wait.  Give the library a context
-       to keep running threads on: unpark an idle LWP if one exists,
-       otherwise create a fresh activation running the library's
-       registered entry.  (lwp_park itself is the library going idle,
-       not an application block, so it never triggers an upcall.) *)
-    upcall_block k lwp.proc
-  else if indefinite then check_sigwaiting k lwp.proc;
+  (match lwp.proc.activations with
+  | Some entry when wchan <> "lwp_park" ->
+      (* Scheduler-activations mode: an application thread just lost its
+         virtual processor to a kernel wait.  Give the library a context
+         to keep running threads on: unpark an idle LWP if one exists,
+         otherwise create a fresh activation running the library's
+         registered entry.  (lwp_park itself is the library going idle,
+         not an application block, so it never triggers an upcall.) *)
+      upcall_block k lwp.proc entry
+  | Some _ | None -> if indefinite then check_sigwaiting k lwp.proc);
   try_dispatch k cpu;
   kick k;
   sl
 
-and upcall_block k proc =
+and upcall_block k proc entry =
   k.ctr_sigwaiting <- k.ctr_sigwaiting + 1;
-  let parked =
-    List.find_opt
-      (fun l ->
-        l.parked && match l.lstate with Lsleeping -> true | _ -> false)
-      proc.lwps
-  in
-  match parked with
+  match List.find_opt parked proc.lwps with
   | Some l -> wake k l Sysdefs.R_ok
   | None ->
-      (* an LWP that is runnable (or mid-way into a park) will look at
-         the run queue soon anyway — creating another activation would
-         only inflate the pool *)
-      let spare_exists =
-        List.exists
-          (fun l ->
-            match l.lstate with
-            | Lrunnable -> true
-            | Lrunning _ -> l.parked (* unwinding from a cancelled park *)
-            | Lsleeping | Lstopped | Lzombie -> false)
-          proc.lwps
-      in
-      if not spare_exists then
-        match proc.activation_entry with
-        | Some entry ->
-            ignore
-              (spawn_lwp k proc ~entry ~cls:(Sc_timeshare { ts_pri = 29 }))
-        | None -> ()
+      (* a runnable LWP will look at the run queue soon anyway —
+         creating another activation would only inflate the pool *)
+      if not (List.exists (fun l -> l.lstate = Lrunnable) proc.lwps) then
+        ignore (spawn_lwp k proc ~entry ~cls:(Sc_timeshare { ts_pri = 29 }))
 
 and check_sigwaiting k proc =
   (* scheduler-activations processes get a blocking upcall instead;
      posting SIGWAITING too would interrupt their indefinite waits
      (poll, accept) in a storm: the upcall unparks an idle LWP, the
      unpark re-arms the edge, the LWP re-parks, SIGWAITING fires ... *)
-  if proc.sigwaiting_armed && (not proc.upcall_on_block)
+  if proc.sigwaiting_armed && Option.is_none proc.activations
      && all_indefinite proc
   then begin
     proc.sigwaiting_armed <- false;
@@ -630,25 +609,24 @@ and check_sigwaiting k proc =
 
 (* Arm a wakeup-with-[ret] after [span] unless the sleep ends first. *)
 and set_sleep_timeout k lwp span ret =
-  match lwp.sleep with
-  | None -> ()
-  | Some sl ->
+  match lwp.lstate with
+  | Lsleeping sl ->
       let h =
         Eventq.after (eventq k) span (fun () ->
             if sleep_live lwp sl then wake k lwp ret)
       in
       sl.sl_timeout <- Some h
+  | Lrunnable | Lrunning _ | Lstopped | Lzombie -> ()
 
+(* End [lwp]'s sleep: making it runnable (or stopped) is what retires
+   the sleep. *)
 and wake ?(sig_eintr = false) k lwp ret =
-  match lwp.sleep with
-  | None -> ()
-  | Some sl ->
+  match lwp.lstate with
+  | Lrunnable | Lrunning _ | Lstopped | Lzombie -> ()
+  | Lsleeping sl ->
       (match sl.sl_timeout with
       | Some h -> Eventq.cancel h
       | None -> ());
-      lwp.sleep <- None;
-      lwp.parked <- false;
-      lwp.wchan <- "";
       (match lwp.pending with
       | P_syswait kont -> lwp.pending <- P_sysret (kont, ret)
       | _ -> assert false);
@@ -670,15 +648,13 @@ and wake ?(sig_eintr = false) k lwp ret =
       (match lwp.cls with
       | Sc_timeshare ts -> ts.ts_pri <- min 59 (ts.ts_pri + 12)
       | Sc_realtime _ | Sc_gang _ -> ());
-      match lwp.lstate with
-      | Lsleeping -> make_runnable k lwp
-      | Lrunnable | Lrunning _ | Lstopped | Lzombie -> ()
+      make_runnable k lwp
 
 and interrupt_sleep k lwp =
-  match lwp.sleep with
-  | Some sl when sl.sl_interruptible ->
+  match lwp.lstate with
+  | Lsleeping sl when sl.sl_interruptible ->
       wake ~sig_eintr:true k lwp (Sysdefs.R_err Errno.EINTR)
-  | Some _ | None -> ()
+  | Lsleeping _ | Lrunnable | Lrunning _ | Lstopped | Lzombie -> ()
 
 (* Wake up to [count] live waiters of a shared-object wait channel,
    oldest first unless the schedule driver chooses; returns how many
@@ -688,7 +664,7 @@ and interrupt_sleep k lwp =
 and futex_wake k ~seg_id ~offset ~count =
   match Hashtbl.find_opt k.futex (seg_id, offset) with
   | None -> 0
-  | Some q ->
+  | Some { fc_waiters = q; _ } ->
       let woken = ref 0 and draining = ref true in
       while !draining && !woken < count do
         match
@@ -708,7 +684,7 @@ and futex_wake k ~seg_id ~offset ~count =
    is repaired; wake its channel so the next acquirer sees OWNERDEAD
    instead of blocking forever on a lock nobody will release. *)
 and robust_sweep k proc ~proc_exit =
-  match robust_hits ~pid:proc.pid ~proc_exit [] proc.mappings with
+  match robust_hits ~pid:proc.pid ~lib:proc.lib ~proc_exit [] proc.mappings with
   | [] -> ()
   | hits ->
       List.iter
@@ -728,7 +704,7 @@ and robust_sweep k proc ~proc_exit =
    result). *)
 and complete k lwp ?(op_cost = 0L) ret =
   match lwp.lstate with
-  | Lrunnable | Lsleeping | Lstopped | Lzombie ->
+  | Lrunnable | Lsleeping _ | Lstopped | Lzombie ->
       () (* the syscall killed / blocked the caller; nothing to deliver *)
   | Lrunning _ ->
   let cpu = cpu_of k lwp in
@@ -786,8 +762,8 @@ and make_proc k ~name ~parent =
       shed_count = 0;
       stopped = false;
       exit_status = 0;
-      upcall_on_block = false;
-      activation_entry = None;
+      activations = None;
+      lib = None;
       sigwaiting_armed = true;
     }
   in
@@ -808,18 +784,13 @@ and make_lwp k proc ~entry ~cls =
       cls;
       bound_cpu = None;
       sigmask = Sigset.empty;
-      altstack = false;
       deliverable = Queue.create ();
       lwp_sig_pending = [];
       pending = P_start entry;
       on_resume = ignore;
-      wchan = "";
-      sleep = None;
       park_token = false;
-      parked = false;
       utime = 0;
       stime = 0;
-      in_kernel = false;
       quantum_left = 0;
       vtimer_left = None;
       ptimer_left = None;
@@ -886,13 +857,8 @@ and lwp_exit_internal k lwp =
 and destroy_lwp k l =
   (match l.lstate with
   | Lrunning c -> release_cpu k k.machine.Machine.cpus.(c)
-  | Lsleeping ->
-      (match l.sleep with
-      | Some { sl_timeout = Some h; _ } -> Eventq.cancel h
-      | Some _ | None -> ());
-      l.sleep <- None;
-      l.parked <- false
-  | Lrunnable | Lstopped | Lzombie -> ());
+  | Lsleeping { sl_timeout = Some h; _ } -> Eventq.cancel h
+  | Lsleeping _ | Lrunnable | Lstopped | Lzombie -> ());
   l.proc.dead_utime <- l.proc.dead_utime + l.utime;
   l.proc.dead_stime <- l.proc.dead_stime + l.stime;
   gang_remove k l;
@@ -925,7 +891,6 @@ and proc_exit k proc ~status =
     robust_sweep k proc ~proc_exit:true;
     Hashtbl.iter (fun _ fdobj -> close_fdobj fdobj) proc.fdtab;
     Hashtbl.reset proc.fdtab;
-    List.iter Shm.decr_map_count proc.mappings;
     proc.mappings <- [];
     (match proc.rtimer with
     | Some h -> Eventq.cancel h

@@ -7,10 +7,22 @@
 module Time = Sunos_sim.Time
 module Shm = Sunos_hw.Shared_memory
 
+(* One sleep of one LWP, created by [Kernel_impl.block].  It is also
+   the liveness token of every wakeup path registered for it: the sleep
+   is live while its LWP's state is [Lsleeping] of this very record, and
+   every way out of a sleep (wakeup, timeout, signal, death) changes that
+   state, so a stale registration needs no cancelling. *)
+type sleep = {
+  sl_wchan : string;  (* the wait channel /proc shows *)
+  sl_interruptible : bool;
+  sl_indefinite : bool;
+  mutable sl_timeout : Sunos_sim.Eventq.handle option;
+}
+
 type lwp_state =
   | Lrunnable
   | Lrunning of int  (* cpu id *)
-  | Lsleeping
+  | Lsleeping of sleep
   | Lstopped
   | Lzombie
 
@@ -32,17 +44,6 @@ type ts_state = { mutable ts_pri : int }
 
 type sched_class = Sc_timeshare of ts_state | Sc_realtime of int | Sc_gang of int
 
-(* One sleep of one LWP, created by [Kernel_impl.block].  It is also
-   the liveness token of every wakeup path registered for it: the sleep
-   is live while its LWP's [sleep] field holds this very record, and
-   every way out of a sleep (wakeup, timeout, signal, death) clears that
-   field, so a stale registration needs no cancelling. *)
-type sleep = {
-  sl_interruptible : bool;
-  sl_indefinite : bool;
-  mutable sl_timeout : Sunos_sim.Eventq.handle option;
-}
-
 type lwp = {
   lid : int;
   proc : proc;
@@ -50,18 +51,13 @@ type lwp = {
   mutable cls : sched_class;
   mutable bound_cpu : int option;
   mutable sigmask : Sigset.t;
-  mutable altstack : bool;
   deliverable : Signo.t Queue.t;  (* picked for this LWP, not yet run *)
   mutable lwp_sig_pending : Signo.t list;  (* LWP-directed but masked *)
   mutable pending : pending;
   mutable on_resume : unit -> unit;
-  mutable wchan : string;
-  mutable sleep : sleep option;
   mutable park_token : bool;
-  mutable parked : bool;
   mutable utime : int;  (* ns; the CPU accumulators hold immediates *)
   mutable stime : int;
-  mutable in_kernel : bool;
   mutable quantum_left : int;  (* ns *)
   mutable vtimer_left : Time.span option;
   mutable ptimer_left : Time.span option;
@@ -96,13 +92,16 @@ and proc = {
          surfaced via /proc so operators can see graceful degradation *)
   mutable stopped : bool;
   mutable exit_status : int;
-  mutable upcall_on_block : bool;
-      (* scheduler-activations mode: on every application block, hand
-         the library a running context (unpark an idle LWP or create a
-         fresh activation) — the paper's "faster events" future work *)
-  mutable activation_entry : (unit -> unit) option;
-      (* what a fresh scheduler activation runs (registered by the
-         threads library: its LWP main loop) *)
+  mutable activations : (unit -> unit) option;
+      (* scheduler-activations mode, with what a fresh activation runs
+         (the threads library's LWP main loop): on every application
+         block, hand the library a running context (unpark an idle LWP
+         or create a fresh activation) — the paper's "faster events"
+         future work *)
+  mutable lib : Sunos_sim.Univ.t option;
+      (* the threads library's pool, as its LWPs name it with their
+         resume hooks: where readers outside the process (the debugger,
+         the hang report, the robust check) find the thread table *)
   mutable sigwaiting_armed : bool;
       (* SIGWAITING fires on the transition into "all LWPs blocked
          indefinitely" and re-arms when an LWP becomes runnable again;
@@ -124,6 +123,11 @@ and fdobj =
    sleeps [fw_sleep]. *)
 type futex_waiter = { fw_lwp : lwp; fw_sleep : sleep }
 
+(* A shared-object wait channel: its segment's name, recorded when the
+   channel is created so /proc can label it without holding the
+   segment, and its waiters, oldest first. *)
+type futex_chan = { fc_name : string; fc_waiters : futex_waiter Queue.t }
+
 (* A run-queue entry: the LWP and its enqueue generation (stale entries —
    older generation — are pruned lazily at pick time). *)
 type runq_entry = lwp * int
@@ -139,11 +143,7 @@ type kernel = {
          occupancy bitmask and FIFO within a priority; an LWP bound to a
          CPU waits here too, and only that CPU takes it *)
   gangs : (int, lwp list ref) Hashtbl.t;
-  futex : (int * int, futex_waiter Queue.t) Hashtbl.t;
-      (* (segment id, offset) -> waiters *)
-  futex_names : (int, string) Hashtbl.t;
-      (* segment id -> segment name, recorded at kwait so /proc can
-         label wait channels without holding segment handles *)
+  futex : (int * int, futex_chan) Hashtbl.t;  (* (segment id, offset) *)
   (* counters for /proc and tests *)
   mutable ctr_syscalls : int;
   mutable ctr_dispatches : int;
@@ -187,9 +187,9 @@ let all_indefinite proc =
   let rec go seen = function
     | [] -> seen
     | l :: rest -> (
-        match (l.lstate, l.sleep) with
-        | Lzombie, _ -> go seen rest
-        | Lsleeping, Some sl when sl.sl_indefinite -> go true rest
+        match l.lstate with
+        | Lzombie -> go seen rest
+        | Lsleeping sl when sl.sl_indefinite -> go true rest
         | _ -> false)
   in
   go false proc.lwps
@@ -204,6 +204,13 @@ let cpu_times p =
 
 (* Does [lwp] still sleep [sl]?  The liveness test of every wakeup path
    registered for a sleep. *)
-let sleep_live lwp sl = match lwp.sleep with Some s -> s == sl | None -> false
+let sleep_live lwp sl =
+  match lwp.lstate with Lsleeping s -> s == sl | _ -> false
+
+(* Is [lwp] parked: asleep in lwp_park? *)
+let parked lwp =
+  match lwp.lstate with
+  | Lsleeping { sl_wchan = "lwp_park"; _ } -> true
+  | _ -> false
 
 let futex_live w = sleep_live w.fw_lwp w.fw_sleep

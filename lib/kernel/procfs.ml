@@ -35,7 +35,7 @@ let lwp_state_string l =
   match l.lstate with
   | Lrunning c -> Printf.sprintf "running(cpu%d)" c
   | Lrunnable -> "runnable"
-  | Lsleeping -> "sleeping"
+  | Lsleeping _ -> "sleeping"
   | Lstopped -> "stopped"
   | Lzombie -> "zombie"
 
@@ -46,17 +46,20 @@ let class_string l =
   | Sc_gang g -> Printf.sprintf "GANG%d" g
 
 let lwp_info l =
+  let wchan, indefinite, interruptible =
+    match l.lstate with
+    | Lsleeping sl -> (sl.sl_wchan, sl.sl_indefinite, sl.sl_interruptible)
+    | Lrunnable | Lrunning _ | Lstopped | Lzombie -> ("", false, false)
+  in
   {
     li_lwpid = l.lid;
     li_state = lwp_state_string l;
     li_class = class_string l;
     li_prio = global_prio l;
-    li_wchan = l.wchan;
-    li_parked = l.parked;
-    li_sleep_indefinite =
-      (match l.sleep with Some s -> s.sl_indefinite | None -> false);
-    li_sleep_interruptible =
-      (match l.sleep with Some s -> s.sl_interruptible | None -> false);
+    li_wchan = wchan;
+    li_parked = parked l;
+    li_sleep_indefinite = indefinite;
+    li_sleep_interruptible = interruptible;
     li_utime = Int64.of_int l.utime;
     li_stime = Int64.of_int l.stime;
     li_bound_cpu = l.bound_cpu;
@@ -132,22 +135,19 @@ type wchan_info = {
 
 let wait_channels k =
   Hashtbl.fold
-    (fun (seg_id, offset) q acc ->
+    (fun (seg_id, offset) ch acc ->
       let waiters =
         Queue.fold
           (fun ws w ->
             if futex_live w then (w.fw_lwp.proc.pid, w.fw_lwp.lid) :: ws
             else ws)
-          [] q
+          [] ch.fc_waiters
       in
       if waiters = [] then acc
       else
         {
           wc_seg_id = seg_id;
-          wc_seg_name =
-            (match Hashtbl.find_opt k.futex_names seg_id with
-            | Some n -> n
-            | None -> "?");
+          wc_seg_name = ch.fc_name;
           wc_offset = offset;
           wc_waiters = List.sort compare waiters;
         }

@@ -35,7 +35,7 @@ and stop_proc k proc =
         | Lrunning c ->
             Sunos_hw.Cpu.set_need_resched k.machine.Sunos_hw.Machine.cpus.(c)
               true
-        | Lsleeping | Lstopped | Lzombie -> ())
+        | Lsleeping _ | Lstopped | Lzombie -> ())
       proc.lwps;
     K.kick k
   end
@@ -67,8 +67,8 @@ let pick_recipient proc signo =
   let sleeping_interruptible =
     List.find_opt
       (fun l ->
-        match (l.lstate, l.sleep) with
-        | Lsleeping, Some sl -> sl.sl_interruptible
+        match l.lstate with
+        | Lsleeping sl -> sl.sl_interruptible
         | _ -> false)
       eligible
   in
@@ -80,7 +80,7 @@ let pick_recipient proc signo =
           (fun l ->
             match l.lstate with
             | Lrunnable | Lrunning _ -> true
-            | Lsleeping | Lstopped | Lzombie -> false)
+            | Lsleeping _ | Lstopped | Lzombie -> false)
           eligible
       with
       | Some l -> Some l

@@ -297,7 +297,6 @@ let do_fork k lwp ~child_main ~all_lwps =
     List.map
       (fun seg -> if Shm.anon_private seg then Shm.clone seg else seg)
       proc.mappings;
-  List.iter Shm.incr_map_count child.mappings;
   let clwp =
     K.make_lwp k child ~entry:child_main ~cls:(Sc_timeshare { ts_pri = 29 })
   in
@@ -326,11 +325,11 @@ let do_exec k lwp ~name ~main =
   Queue.clear lwp.deliverable;
   lwp.lwp_sig_pending <- [];
   lwp.on_resume <- ignore;
+  proc.lib <- None;
   proc.pname <- name;
   K.trace_proc k Tracebuf.Exec proc ~name ~arg:(-1);
   let cpu = K.cpu_of k lwp in
   K.busy k cpu lwp 0 c.Cost.exec_cost (fun () ->
-      lwp.in_kernel <- false;
       lwp.pending <- P_start main;
       K.resume k cpu lwp)
 
@@ -549,7 +548,6 @@ let execute k lwp req =
       | Some (Fd_file f) ->
           let seg = Fs.segment f.file in
           proc.mappings <- seg :: proc.mappings;
-          Shm.incr_map_count seg;
           K.complete k lwp ~op_cost:c.Cost.fs_op (R_seg seg)
       | Some
           (Fd_pipe_r _ | Fd_pipe_w _ | Fd_sock _ | Fd_sock_listen _
@@ -562,7 +560,6 @@ let execute k lwp req =
       let seg = Shm.create ~name:"[anon]" ~size in
       if not shared then Shm.mark_anon_private seg;
       proc.mappings <- seg :: proc.mappings;
-      Shm.incr_map_count seg;
       K.complete k lwp ~op_cost:c.Cost.fs_op (R_seg seg)
   | Sys_munmap seg ->
       let seg = resolve_seg proc seg in
@@ -576,7 +573,6 @@ let execute k lwp req =
             end
             else true)
           proc.mappings;
-      if !removed then Shm.decr_map_count seg;
       K.complete k lwp (if !removed then R_ok else R_err Errno.EINVAL)
   | Sys_touch (seg, offset) ->
       let seg = resolve_seg proc seg in
@@ -786,9 +782,7 @@ let execute k lwp req =
       lwp.sigmask <- Sigset.apply how set ~old:lwp.sigmask;
       Sig.mask_changed k lwp;
       K.complete k lwp R_ok
-  | Sys_sigaltstack enabled ->
-      lwp.altstack <- enabled;
-      K.complete k lwp R_ok
+  | Sys_sigaltstack _ -> K.complete k lwp R_ok
   | Sys_sig_pickup ->
       let sigs = Sig.pickup k lwp in
       let op_cost =
@@ -851,13 +845,10 @@ let execute k lwp req =
               other_live lwp
               && K.chaos_roll k ~site:"lwp-reap" (chp k).lwp_reap
             then begin
-              lwp.parked <- false;
               K.trace_lwp k Tracebuf.Lwp_reap lwp ~name:"" ~arg:(-1);
               K.lwp_exit_internal k lwp
             end
             else begin
-              (* every end of this sleep clears [parked] (K.wake) *)
-              lwp.parked <- true;
               ignore
                 (K.block k lwp ~wchan:"lwp_park" ~interruptible:true
                    ~indefinite:(timeout = None)
@@ -872,7 +863,7 @@ let execute k lwp req =
       match K.find_lwp proc lid with
       | None -> K.complete k lwp (R_err Errno.ESRCH)
       | Some target ->
-          if target.parked then K.wake k target R_ok
+          if parked target then K.wake k target R_ok
           else target.park_token <- true;
           (* unpark = dequeue from the park sleep queue + generic wakeup *)
           K.complete k lwp
@@ -885,20 +876,21 @@ let execute k lwp req =
           K.complete k lwp ~op_cost:c.Cost.kwait_fixed R_ok
       | Some _ | None ->
           let seg = resolve_seg proc seg in
-          Hashtbl.replace k.futex_names (Shm.id seg) (Shm.name seg);
           let key = (Shm.id seg, offset) in
-          let q =
+          let ch =
             match Hashtbl.find_opt k.futex key with
-            | Some q -> q
+            | Some ch -> ch
             | None ->
-                let q = Queue.create () in
-                Hashtbl.replace k.futex key q;
-                q
+                let ch =
+                  { fc_name = Shm.name seg; fc_waiters = Queue.create () }
+                in
+                Hashtbl.replace k.futex key ch;
+                ch
           in
           let sl =
             K.block k lwp ~wchan:"kwait" ~interruptible:true ~indefinite:true
           in
-          Queue.add { fw_lwp = lwp; fw_sleep = sl } q;
+          Queue.add { fw_lwp = lwp; fw_sleep = sl } ch.fc_waiters;
           (match timeout with
           | Some t -> K.set_sleep_timeout k lwp t (R_err Errno.ETIMEDOUT)
           | None -> ()))
@@ -973,12 +965,12 @@ let execute k lwp req =
   | Sys_setrlimit_cpu span ->
       proc.cpu_limit <- span;
       K.complete k lwp R_ok
-  | Sys_set_resume_hook hook ->
+  | Sys_set_resume_hook { hook; lib } ->
       lwp.on_resume <- hook;
+      proc.lib <- Some lib;
       K.complete k lwp R_ok
-  | Sys_upcall_on_block { enabled; activation_entry } ->
-      proc.upcall_on_block <- enabled;
-      proc.activation_entry <- activation_entry;
+  | Sys_upcall_on_block entry ->
+      proc.activations <- Some entry;
       K.complete k lwp R_ok
 
 let install k = k.syscall_exec <- execute k

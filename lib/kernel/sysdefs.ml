@@ -78,8 +78,8 @@ type sysreq =
   | Sys_processor_bind of int option
   | Sys_getrusage
   | Sys_setrlimit_cpu of Sunos_sim.Time.span option
-  | Sys_set_resume_hook of (unit -> unit)
-  | Sys_upcall_on_block of { enabled : bool; activation_entry : (unit -> unit) option }
+  | Sys_set_resume_hook of { hook : unit -> unit; lib : Sunos_sim.Univ.t }
+  | Sys_upcall_on_block of (unit -> unit)
 
 type sysret =
   | R_ok

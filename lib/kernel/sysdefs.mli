@@ -105,6 +105,8 @@ type sysreq =
   | Sys_sigaction of Signo.t * disposition
   | Sys_sigprocmask of Sigset.how * Sigset.t
   | Sys_sigaltstack of bool
+      (** Charged as a trap; the simulation runs handlers on the fiber's
+          own stack and records nothing. *)
   | Sys_sig_pickup
       (** Collect deliverable signals for the current LWP (the
           return-to-user-mode delivery point). *)
@@ -133,19 +135,20 @@ type sysreq =
   | Sys_processor_bind of int option
   | Sys_getrusage
   | Sys_setrlimit_cpu of Sunos_sim.Time.span option
-  | Sys_set_resume_hook of (unit -> unit)
+  | Sys_set_resume_hook of { hook : unit -> unit; lib : Sunos_sim.Univ.t }
       (** Install a per-LWP hook run whenever the kernel resumes this LWP
           — the simulation analogue of the current-thread register
-          (SPARC %g7) being part of the restored context.  Free. *)
-  | Sys_upcall_on_block of {
-      enabled : bool;
-      activation_entry : (unit -> unit) option;
-    }
-      (** Scheduler-activations mode: on every application block the
-          kernel hands the library a running context — an unparked idle
-          LWP, or a fresh "activation" LWP executing [activation_entry]
-          (the paper's "faster events" future work / the University of
-          Washington comparison). *)
+          (SPARC %g7) being part of the restored context — and name the
+          threads library's pool the LWP serves.  The process keeps
+          [lib] (until exec) for readers outside it: the debugger, the
+          hang report and the robust check read the thread table there.
+          Free. *)
+  | Sys_upcall_on_block of (unit -> unit)
+      (** Turn on scheduler-activations mode: from now on, on every
+          application block the kernel hands the library a running
+          context — an unparked idle LWP, or a fresh "activation" LWP
+          executing the given entry (the paper's "faster events" future
+          work / the University of Washington comparison). *)
 
 type sysret =
   | R_ok

@@ -42,23 +42,30 @@ let run_fiber f =
    simulated observer — can fire inside the window).  [charge] then
    accumulates spans here instead of performing an effect per call; the
    kernel collects the balance with [unsettled] at the next step and
-   accounts it (see [Kernel_impl.step]).  One ledger per domain: only
-   one fiber runs per domain at a time (the whole simulated machine is
-   single-threaded), and domain-local state keeps the [-j N] bench
-   runner's machines independent.  The amounts are int nanoseconds, so
-   an update stores an immediate: no boxed int64, no write barrier. *)
+   accounts it (see [Kernel_impl.step]).  Every grant also hands over
+   the machine's cost model, which [cost] returns to user code.  One
+   ledger per domain: only one fiber runs per domain at a time (the
+   whole simulated machine is single-threaded), and domain-local state
+   keeps the [-j N] bench runner's machines independent.  The amounts
+   are int nanoseconds, so an update stores an immediate: no boxed
+   int64, no write barrier. *)
 type ledger = {
   mutable lg_active : bool;  (* a grant is open *)
   mutable lg_budget : int;  (* size of the open grant, ns *)
   mutable lg_acc : int;  (* coalesced-but-unsettled charge total, ns *)
+  mutable lg_cost : Sunos_hw.Cost_model.t;  (* the granting machine's *)
 }
 
 let ledger_key =
   Domain.DLS.new_key (fun () ->
-      { lg_active = false; lg_budget = 0; lg_acc = 0 })
+      { lg_active = false; lg_budget = 0; lg_acc = 0;
+        lg_cost = Sunos_hw.Cost_model.default })
 
-let grant ~budget =
+(* The cost model changes only when another machine runs in this
+   domain: compare first, so the common grant stores no pointer. *)
+let grant ~cost ~budget =
   let l = Domain.DLS.get ledger_key in
+  if l.lg_cost != cost then l.lg_cost <- cost;
   if Time.(budget > 0L) then begin
     l.lg_active <- true;
     l.lg_budget <- Int64.to_int budget;
@@ -70,6 +77,8 @@ let grant ~budget =
     l.lg_active <- false;
     l.lg_acc <- 0
   end
+
+let cost () = (Domain.DLS.get ledger_key).lg_cost
 
 let unsettled () =
   let l = Domain.DLS.get ledger_key in
@@ -424,12 +433,12 @@ let setrlimit_cpu span =
   | R_ok -> ()
   | r -> fail "setrlimit_cpu" r
 
-let set_resume_hook hook =
-  match syscall (Sys_set_resume_hook hook) with
+let set_resume_hook ~lib hook =
+  match syscall (Sys_set_resume_hook { hook; lib }) with
   | R_ok -> ()
   | r -> fail "set_resume_hook" r
 
-let upcall_on_block ?activation_entry enabled =
-  match syscall (Sys_upcall_on_block { enabled; activation_entry }) with
+let upcall_on_block entry =
+  match syscall (Sys_upcall_on_block entry) with
   | R_ok -> ()
   | r -> fail "upcall_on_block" r

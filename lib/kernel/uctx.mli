@@ -34,14 +34,15 @@ exception Process_killed
 
 (** {1 Run-ahead accounting (kernel-internal)} *)
 
-val grant : budget:Sunos_sim.Time.span -> unit
+val grant : cost:Sunos_hw.Cost_model.t -> budget:Sunos_sim.Time.span -> unit
 (** Open a run-ahead window: subsequent {!charge}s accumulate in a
     domain-local ledger instead of performing effects, until the
     running total would reach [budget] (that charge performs).  A zero
     or negative budget closes any open window — every charge then
     performs directly.  Called by the kernel just before continuing a
     fiber; the budget never exceeds the time to the event queue's next
-    pending event, which is what makes coalescing unobservable. *)
+    pending event, which is what makes coalescing unobservable.  [cost]
+    is the machine's cost model, which {!cost} then returns. *)
 
 val unsettled : unit -> Sunos_sim.Time.span
 (** Collect and reset the coalesced-but-unaccounted charge total, and
@@ -49,6 +50,12 @@ val unsettled : unit -> Sunos_sim.Time.span
     perform, syscall, completion) before acting on it. *)
 
 (** {1 Core} *)
+
+val cost : unit -> Sunos_hw.Cost_model.t
+(** The cost model of the machine running the calling code: the one
+    its kernel handed over with the last grant.  The threads library
+    reads it at boot, so user-level path lengths are the machine's
+    too. *)
 
 val charge : Sunos_sim.Time.span -> unit
 (** Consume CPU; runs any deliverable signal handlers before returning. *)
@@ -232,11 +239,11 @@ val processor_bind : int option -> unit
 val getrusage : unit -> Sysdefs.rusage
 val setrlimit_cpu : Sunos_sim.Time.span option -> unit
 
-val set_resume_hook : (unit -> unit) -> unit
-(** Install this LWP's context-restore hook (see
-    {!Sysdefs.sysreq.Sys_set_resume_hook}). *)
+val set_resume_hook : lib:Sunos_sim.Univ.t -> (unit -> unit) -> unit
+(** Install this LWP's context-restore hook and name the library pool
+    it serves (see {!Sysdefs.sysreq.Sys_set_resume_hook}). *)
 
-val upcall_on_block : ?activation_entry:(unit -> unit) -> bool -> unit
-(** Toggle scheduler-activations mode: on every application block, the
+val upcall_on_block : (unit -> unit) -> unit
+(** Turn on scheduler-activations mode: on every application block, the
     kernel unparks an idle LWP or creates a fresh activation running
-    [activation_entry]. *)
+    the given entry. *)

@@ -19,7 +19,7 @@ let creation ?cost () =
   ignore
     (Kernel.spawn k ~name:"fig5"
        ~main:
-         (Libthread.boot ?cost (fun () ->
+         (Libthread.boot (fun () ->
               let n = 200 in
               (* warm the default-stack cache, as the paper measures *)
               let warm =
@@ -66,7 +66,7 @@ let sync_unbound ?cost () =
   ignore
     (Kernel.spawn k ~name:"sync-unbound"
        ~main:
-         (Libthread.boot ?cost (fun () ->
+         (Libthread.boot (fun () ->
               let s1 = Semaphore.create () and s2 = Semaphore.create () in
               let rounds = 400 in
               let t2 =
@@ -95,7 +95,7 @@ let sync_bound ?cost () =
   ignore
     (Kernel.spawn k ~name:"sync-bound"
        ~main:
-         (Libthread.boot ?cost (fun () ->
+         (Libthread.boot (fun () ->
               let s1 = Semaphore.create () and s2 = Semaphore.create () in
               let rounds = 200 in
               let t2 =
@@ -135,7 +135,7 @@ let sync_cross ?cost () =
   ignore
     (Kernel.spawn k ~name:"peer"
        ~main:
-         (Libthread.boot ?cost (fun () ->
+         (Libthread.boot (fun () ->
               let fd = Uctx.open_file "/sem" in
               let seg = Uctx.mmap fd in
               let s1 = Semaphore.create_shared (Syncvar.place seg ~offset:0) in
@@ -147,7 +147,7 @@ let sync_cross ?cost () =
   ignore
     (Kernel.spawn k ~name:"timer"
        ~main:
-         (Libthread.boot ?cost (fun () ->
+         (Libthread.boot (fun () ->
               let fd = Uctx.open_file "/sem" in
               let seg = Uctx.mmap fd in
               let s1 = Semaphore.create_shared (Syncvar.place seg ~offset:0) in
@@ -183,7 +183,7 @@ let mutex_contention ?cost variant ~cs_us =
   ignore
     (Kernel.spawn k ~name:"mtx"
        ~main:
-         (Libthread.boot ?cost (fun () ->
+         (Libthread.boot (fun () ->
               let m = Mutex.create ~variant () in
               let worker i () =
                 (* stagger the start so the threads collide *)

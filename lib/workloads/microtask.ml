@@ -128,7 +128,7 @@ let run ?(cpus = 4) ?cost p =
   | Bound_threads ->
       ignore
         (Kernel.spawn k ~name:"microtask-threads"
-           ~main:(Libthread.boot ?cost (threads_main p done_count makespan))));
+           ~main:(Libthread.boot (threads_main p done_count makespan))));
   Kernel.run k;
   {
     makespan = !makespan;

@@ -826,10 +826,10 @@ let run (module M : Sunos_baselines.Model.S) ?(cpus = 1) ?cost ?chaos
   in
   ignore
     (Kernel.spawn k ~name:"net-server"
-       ~main:(M.boot ?cost (Wire.finishing makespan server_fn)));
+       ~main:(M.boot (Wire.finishing makespan server_fn)));
   ignore
     (Kernel.spawn k ~name:"loadgen"
-       ~main:(M.boot ?cost (Wire.finishing makespan client_fn)));
+       ~main:(M.boot (Wire.finishing makespan client_fn)));
   Kernel.run k;
   (* [debrief] runs against the still-live kernel: determinism tests read
      counters and the trace ring before the results are boxed up *)

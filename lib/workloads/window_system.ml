@@ -240,8 +240,8 @@ let run (module M : Sunos_baselines.Model.S) ?(cpus = 1) ?cost ?chaos
     in
     session ()
   in
-  ignore (Kernel.spawn k ~name:"windows" ~main:(M.boot ?cost app));
-  ignore (Kernel.spawn k ~name:"xclient" ~main:(M.boot ?cost injector));
+  ignore (Kernel.spawn k ~name:"windows" ~main:(M.boot app));
+  ignore (Kernel.spawn k ~name:"xclient" ~main:(M.boot injector));
   Kernel.run k;
   (match debrief with Some f -> f k | None -> ());
   {

@@ -77,13 +77,6 @@ let test_shm_cells () =
   Shm.remove seg ~offset:64;
   Alcotest.(check bool) "removed" true (Shm.get seg ~offset:64 = None)
 
-let test_shm_alloc_offsets_distinct () =
-  let seg = Shm.create ~name:"seg" ~size:8192 in
-  let a = Shm.alloc_offset seg in
-  let b = Shm.alloc_offset seg in
-  Alcotest.(check bool) "distinct" true (a <> b);
-  Alcotest.(check bool) "cache-line apart" true (abs (a - b) >= 64)
-
 let test_shm_residency () =
   let seg = Shm.create ~name:"seg" ~size:(3 * 4096) in
   Alcotest.(check int) "pages" 3 (Shm.page_count seg);
@@ -215,8 +208,6 @@ let () =
       ( "shared_memory",
         [
           Alcotest.test_case "cells" `Quick test_shm_cells;
-          Alcotest.test_case "alloc offsets" `Quick
-            test_shm_alloc_offsets_distinct;
           Alcotest.test_case "residency" `Quick test_shm_residency;
           Alcotest.test_case "unique ids" `Quick test_shm_unique_ids;
           Alcotest.test_case "bounds" `Quick test_shm_bounds;

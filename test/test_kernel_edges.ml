@@ -594,6 +594,68 @@ let test_timed_out_park_leaves_token () =
         Time.(dt < Time.ms 1)
   | None -> Alcotest.fail "the second park never returned"
 
+(* /proc's view of a sleep.  P parks with no timeout and F faults a page
+   of a file in from disk; /proc shows P parked in "lwp_park", in an
+   indefinite, interruptible sleep, and F in "pagefault", in a bounded,
+   uninterruptible one.  Once P is unparked and F's page arrives, both
+   show no wait channel and neither is parked. *)
+let test_procfs_shows_sleeps () =
+  let k = Kernel.boot ~cpus:2 () in
+  let p = ref 0 and f = ref 0 in
+  let pid =
+    Kernel.spawn k ~name:"sleeps" ~main:(fun () ->
+        let seg = Uctx.mmap (Uctx.open_file "/paged") in
+        p :=
+          Uctx.lwp_create
+            ~entry:(fun () ->
+              ignore (Uctx.lwp_park ());
+              Uctx.charge (Time.ms 200))
+            ();
+        f :=
+          Uctx.lwp_create
+            ~entry:(fun () ->
+              Uctx.touch seg ~offset:0;
+              Uctx.charge (Time.ms 200))
+            ();
+        Uctx.sleep (Time.ms 10);
+        Uctx.lwp_unpark !p;
+        Uctx.sleep (Time.s 1))
+  in
+  let lwp id =
+    match Sunos_kernel.Procfs.proc k pid with
+    | Some pi -> (
+        match
+          List.find_opt
+            (fun li -> li.Sunos_kernel.Procfs.li_lwpid = id)
+            pi.Sunos_kernel.Procfs.pi_lwps
+        with
+        | Some li -> li
+        | None -> Alcotest.failf "lwp %d not in /proc" id)
+    | None -> Alcotest.fail "process not in /proc"
+  in
+  let check_sleep name id ~wchan ~parked ~indefinite ~interruptible =
+    let li = lwp id in
+    Alcotest.(check string) (name ^ ": wchan") wchan
+      li.Sunos_kernel.Procfs.li_wchan;
+    Alcotest.(check bool) (name ^ ": parked") parked
+      li.Sunos_kernel.Procfs.li_parked;
+    Alcotest.(check bool) (name ^ ": indefinite") indefinite
+      li.Sunos_kernel.Procfs.li_sleep_indefinite;
+    Alcotest.(check bool) (name ^ ": interruptible") interruptible
+      li.Sunos_kernel.Procfs.li_sleep_interruptible
+  in
+  Kernel.run ~until:(Time.ms 8) k;
+  check_sleep "parked P" !p ~wchan:"lwp_park" ~parked:true ~indefinite:true
+    ~interruptible:true;
+  check_sleep "faulting F" !f ~wchan:"pagefault" ~parked:false
+    ~indefinite:false ~interruptible:false;
+  Kernel.run ~until:(Time.ms 60) k;
+  check_sleep "unparked P" !p ~wchan:"" ~parked:false ~indefinite:false
+    ~interruptible:false;
+  check_sleep "F after the fault" !f ~wchan:"" ~parked:false
+    ~indefinite:false ~interruptible:false;
+  Kernel.run k
+
 (* R's read of pipe 1 is interrupted; R then blocks reading pipe 2.  A
    write to pipe 1 must stay in pipe 1, not complete the read of pipe 2. *)
 let test_stale_pipe_read_not_completed () =
@@ -730,6 +792,8 @@ let () =
             test_timed_out_park_leaves_token;
           Alcotest.test_case "pipe read interrupted, write leaves it" `Quick
             test_stale_pipe_read_not_completed;
+          Alcotest.test_case "/proc shows park and page-fault sleeps" `Quick
+            test_procfs_shows_sleeps;
         ] );
       ("zero_length", zero_length_cases);
       ( "signals_misc",

@@ -51,6 +51,34 @@ let test_thousand_threads_one_lwp () =
   (* the whole point: thousands of threads, almost no LWPs *)
   Alcotest.(check bool) "few LWPs" true (Kernel.lwp_create_count k <= 3)
 
+(* The library charges the path lengths of the machine it runs on: a
+   process booted with plain [Libthread.boot] on a machine twice as slow
+   in every path takes exactly twice as long to create its threads. *)
+let test_library_charges_machine_cost () =
+  let create_span cost =
+    let span = ref Time.zero in
+    let k = Kernel.boot ~cost () in
+    ignore
+      (Kernel.spawn k ~name:"app"
+         ~main:
+           (Libthread.boot (fun () ->
+                let t0 = Uctx.gettime () in
+                let tids =
+                  List.init 10 (fun _ ->
+                      T.create ~flags:[ T.THREAD_WAIT ] (fun () -> ()))
+                in
+                span := Time.diff (Uctx.gettime ()) t0;
+                List.iter (fun tid -> ignore (T.wait ~thread:tid ())) tids)));
+    Kernel.run k;
+    !span
+  in
+  let default = Sunos_hw.Cost_model.default in
+  let base = create_span default in
+  Alcotest.(check bool) "creating took time" true Time.(base > 0L);
+  Alcotest.(check int64) "a 2x machine creates in exactly 2x the time"
+    (Int64.mul 2L base)
+    (create_span (Sunos_hw.Cost_model.scale 2.0 default))
+
 let test_thread_ids_and_self () =
   let ids = ref [] in
   ignore
@@ -1089,6 +1117,8 @@ let () =
           Alcotest.test_case "priorities" `Quick test_priority_scheduling;
           Alcotest.test_case "stale entry skipped" `Quick
             test_stale_runq_entry_skipped;
+          Alcotest.test_case "charges the machine's cost model" `Quick
+            test_library_charges_machine_cost;
         ] );
       ( "mutex",
         [

@@ -397,6 +397,40 @@ let test_debugger_bad_pid () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "snapshot of nonsense pid must fail"
 
+(* The debugger reads the thread table of the process it looks at.
+   Kernel 1's pid 1 pauses with 4 threads; kernel 2, booted in the same
+   domain, runs a pid 1 of its own to the end.  The snapshot of kernel
+   1's pid 1 must still list kernel 1's threads. *)
+let test_debugger_reads_its_own_kernel () =
+  let module Debugger = Sunos_threads.Debugger in
+  let k1 = Kernel.boot ~cpus:2 () in
+  let pid =
+    Kernel.spawn k1 ~name:"inferior"
+      ~main:
+        (Libthread.boot (fun () ->
+             let tids =
+               List.init 3 (fun _ ->
+                   T.create ~flags:[ T.THREAD_WAIT ] (fun () ->
+                       Uctx.sleep (Time.ms 10)))
+             in
+             List.iter (fun t -> ignore (T.wait ~thread:t ())) tids))
+  in
+  Kernel.run ~until:(Time.ms 5) k1;
+  let k2 = Kernel.boot ~cpus:1 () in
+  ignore
+    (Kernel.spawn k2 ~name:"other"
+       ~main:
+         (Libthread.boot (fun () ->
+              let t = T.create ~flags:[ T.THREAD_WAIT ] (fun () -> ()) in
+              ignore (T.wait ~thread:t ()))));
+  Kernel.run k2;
+  (match Debugger.snapshot k1 pid with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+      Alcotest.(check (list int)) "kernel 1's threads" [ 1; 2; 3; 4 ]
+        (List.map (fun t -> t.Debugger.dt_tid) s.Debugger.d_threads));
+  Kernel.run k1
+
 (* ------------------------- per-thread timers ------------------------- *)
 
 let test_timers_many_sleepers_one_lwp () =
@@ -507,6 +541,8 @@ let () =
           Alcotest.test_case "attach/snapshot/detach" `Quick
             test_debugger_attach_snapshot_detach;
           Alcotest.test_case "bad pid" `Quick test_debugger_bad_pid;
+          Alcotest.test_case "reads its own kernel's table" `Quick
+            test_debugger_reads_its_own_kernel;
         ] );
       ( "timers",
         [

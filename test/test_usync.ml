@@ -419,6 +419,54 @@ let test_robust_entry_stays_with_its_kernel () =
   Alcotest.(check int) "the second kernel traced no ownerdead" 0
     (ownerdead_records k2)
 
+(* Each process's thread table is its own.  Kernel 1 pauses at 5 ms
+   while tid 2 of its pid 1 holds a robust mutex.  Kernel 2 boots in the
+   same domain, and its pid 1 reaps a THREAD_WAIT thread with tid 2.
+   When kernel 1 resumes, a bound thread's LWP exit sweeps pid 1's
+   robust words; it must read kernel 1's table, where tid 2 still lives,
+   and leave the holder's mutex alone. *)
+let test_robust_other_kernel_tid_spares_holder () =
+  let k1 = Kernel.boot ~cpus:2 () in
+  let flagged = ref true and held = ref false in
+  ignore
+    (Kernel.spawn k1 ~name:"holder"
+       ~main:
+         (Libthread.boot (fun () ->
+              let seg = Uctx.mmap_anon ~size:4096 ~shared:true in
+              let m =
+                Mutex.create_shared ~robust:true (Syncvar.place seg ~offset:0)
+              in
+              let holder =
+                T.create ~flags:[ T.THREAD_WAIT ] (fun () ->
+                    Mutex.enter m;
+                    Uctx.sleep (Time.ms 10);
+                    flagged := Mutex.owner_dead m;
+                    held := Mutex.holding m;
+                    if !held then Mutex.exit m)
+              in
+              let bound =
+                T.create ~flags:[ T.THREAD_BIND_LWP; T.THREAD_WAIT ]
+                  (fun () -> Uctx.sleep (Time.ms 8))
+              in
+              ignore (T.wait ~thread:holder ());
+              ignore (T.wait ~thread:bound ()))));
+  Kernel.run ~until:(Time.ms 5) k1;
+  let k2 = Kernel.boot ~cpus:1 () in
+  let reaped = ref 0 in
+  ignore
+    (Kernel.spawn k2 ~name:"reaper"
+       ~main:
+         (Libthread.boot (fun () ->
+              let t = T.create ~flags:[ T.THREAD_WAIT ] (fun () -> ()) in
+              reaped := T.wait ~thread:t ())));
+  Kernel.run k2;
+  Alcotest.(check int) "kernel 2's pid 1 reaped its tid 2" 2 !reaped;
+  Kernel.run k1;
+  Alcotest.(check bool) "the live holder's mutex is not OWNERDEAD" false
+    !flagged;
+  Alcotest.(check bool) "the holder still holds it" true !held;
+  Alcotest.(check int) "kernel 1 traced no ownerdead" 0 (ownerdead_records k1)
+
 (* ------------------------- observability ------------------------------ *)
 
 (* While a child blocks on a shared mutex, /proc names the wait channel
@@ -667,6 +715,8 @@ let () =
             test_robust_lwp_exit_repairs;
           Alcotest.test_case "LWP exit spares a live holder" `Quick
             test_robust_lwp_exit_spares_live_holder;
+          Alcotest.test_case "another kernel's tid spares a live holder"
+            `Quick test_robust_other_kernel_tid_spares_holder;
         ] );
       ( "observability",
         [
