@@ -6,12 +6,13 @@ module Cost = Sunos_hw.Cost_model
 type shared_state = { mutable s_seq : int }
 
 type t =
-  | Private of { waitq : Waitq.t; mutable san : san_obj option }
+  | Private of { waitq : Waitq.t; san : san_obj }
   | Shared of { state : shared_state; at : Syncvar.place }
 
 let shared_key : shared_state Univ.key = Univ.key ()
 
-let create () = Private { waitq = Waitq.create (); san = None }
+let create () =
+  Private { waitq = Waitq.create (); san = Thrsan.new_obj ~kind:"condvar" () }
 
 let create_shared at =
   let state =
@@ -26,17 +27,7 @@ let wait cv m =
   Pool.thread_checkpoint ();
   (match cv with
   | Private p ->
-      if Thrsan.tracking () then begin
-        let o =
-          match p.san with
-          | Some o -> o
-          | None ->
-              let o = Thrsan.new_obj ~kind:"condvar" () in
-              p.san <- Some o;
-              o
-        in
-        Thrsan.blocked_on self o
-      end;
+      Thrsan.blocked_on self p.san;
       let waitq = p.waitq in
       (* the park function enqueues us on the condvar and only THEN
          releases the mutex — a signaller that sneaks in after the

@@ -11,7 +11,7 @@ type priv_state = {
   variant : variant;
   mutable owner : tcb option;
   waitq : Waitq.t;
-  mutable san : san_obj option;  (* thrsan identity, allocated lazily *)
+  san : san_obj;
 }
 
 (* Cross-process state: the owner is named by (pid, tid) numbers, since
@@ -22,7 +22,7 @@ type shared_state = {
   mutable s_owner_tid : int;
   mutable s_robust : bool;
   mutable s_ownerdead : bool;
-  mutable s_san : san_obj option;
+  s_san : san_obj;  (* named after the word's home: "seg+offset" *)
 }
 
 type t =
@@ -32,7 +32,9 @@ type t =
 let shared_key : shared_state Univ.key = Univ.key ()
 
 let create ?(variant = Sleep) () =
-  Private { variant; owner = None; waitq = Waitq.create (); san = None }
+  Private
+    { variant; owner = None; waitq = Waitq.create ();
+      san = Thrsan.new_obj ~kind:"mutex" () }
 
 let locked st = st.s_owner_pid <> 0
 
@@ -59,7 +61,7 @@ let check st ~pid ~lib ~proc_exit =
   if dead then begin
     release st;
     st.s_ownerdead <- true;
-    match st.s_san with Some o -> o.so_holders <- [] | None -> ()
+    st.s_san.so_holders <- []
   end;
   dead
 
@@ -71,7 +73,9 @@ let create_shared ?(robust = false) (at : Syncvar.place) =
           s_owner_tid = 0;
           s_robust = false;
           s_ownerdead = false;
-          s_san = None;
+          s_san =
+            Thrsan.new_obj ~kind:"mutex(shared)"
+              ~name:(Thrsan.place_name at.seg ~offset:at.offset) ();
         })
   in
   (* robustness is a property of the lock word, not the handle: any
@@ -84,28 +88,6 @@ let create_shared ?(robust = false) (at : Syncvar.place) =
   Shared { state; at }
 
 let cost_of (tcb : tcb) = tcb.pool.cost
-
-let msan s =
-  match s.san with
-  | Some o -> o
-  | None ->
-      let o = Thrsan.new_obj ~kind:"mutex" () in
-      s.san <- Some o;
-      o
-
-(* Shared lock identity for the sanitizer: named after the home address
-   so a report from any process points at the same lock word. *)
-let mssan st (at : Syncvar.place) =
-  match st.s_san with
-  | Some o -> o
-  | None ->
-      let o =
-        Thrsan.new_obj ~kind:"mutex(shared)"
-          ~name:(Printf.sprintf "%s+%d" (Shm.name at.Syncvar.seg) at.offset)
-          ()
-      in
-      st.s_san <- Some o;
-      o
 
 exception Not_owner
 exception Owner_dead
@@ -130,19 +112,13 @@ let rec spin_until_free c s =
     spin_until_free c s
   end
 
-(* Record an uncontended (or post-spin) acquisition with the sanitizer.
-   Handoff acquisitions are recorded by the releaser in [exit_private],
-   so the holder set is correct the instant ownership changes. *)
-let san_take s self =
-  if Thrsan.tracking () then Thrsan.acquired self (msan s)
-
 let rec sleep_until_owned s self =
   if s.owner = None then begin
     s.owner <- Some self;
-    san_take s self
+    Thrsan.acquired self s.san
   end
   else begin
-    if Thrsan.tracking () then Thrsan.blocked_on self (msan s);
+    Thrsan.blocked_on self s.san;
     (* commit rule: no effect between this check and the Suspend *)
     match Waitq.sleep s.waitq with
     | Wake_normal ->
@@ -155,10 +131,10 @@ let enter_private s self =
   let c = cost_of self in
   Uctx.charge c.Cost.sync_fast;
   Pool.thread_checkpoint ();
-  if Thrsan.tracking () then Thrsan.acquiring self (msan s);
+  Thrsan.acquiring self s.san;
   if s.owner = None then begin
     s.owner <- Some self;
-    san_take s self
+    Thrsan.acquired self s.san
   end
   else begin
     Uctx.charge c.Cost.sync_slow_extra;
@@ -166,7 +142,7 @@ let enter_private s self =
     | Spin ->
         spin_until_free c s;
         s.owner <- Some self;
-        san_take s self
+        Thrsan.acquired self s.san
     | Adaptive ->
         (* spin briefly while the owner is on a CPU, else sleep; the
            budget lives in the cost model so ablations can sweep it *)
@@ -183,7 +159,7 @@ let enter_private s self =
         done;
         if s.owner = None then begin
           s.owner <- Some self;
-          san_take s self
+          Thrsan.acquired self s.san
         end
         else sleep_until_owned s self
     | Sleep -> sleep_until_owned s self
@@ -197,16 +173,16 @@ let exit_private s self =
   Uctx.charge c.Cost.sync_fast;
   match Waitq.pop s.waitq with
   | Some next ->
-      (* direct handoff keeps the bracketing invariant simple *)
+      (* direct handoff keeps the bracketing invariant simple; the
+         releaser records the new holder, so the holder set is right the
+         instant ownership changes *)
       s.owner <- Some next;
-      if Thrsan.tracking () then begin
-        Thrsan.released self (msan s);
-        Thrsan.acquired next (msan s)
-      end;
+      Thrsan.released self s.san;
+      Thrsan.acquired next s.san;
       Pool.make_ready next Wake_normal
   | None ->
       s.owner <- None;
-      if Thrsan.tracking () then Thrsan.released self (msan s)
+      Thrsan.released self s.san
 
 (* --- shared (between processes) -------------------------------------- *)
 
@@ -218,17 +194,17 @@ let rec enter_shared st at self =
      thread-directed signals — the missing-checkpoint class of
      BUG 13/14, which the try_* audit found here too *)
   Pool.thread_checkpoint ();
-  if Thrsan.tracking () then Thrsan.acquiring self (mssan st at);
+  Thrsan.acquiring self st.s_san;
   if not (locked st) then begin
     take st self;
-    if Thrsan.tracking () then Thrsan.acquired self (mssan st at)
+    Thrsan.acquired self st.s_san
   end
   else begin
-    if Thrsan.tracking () then Thrsan.blocked_on self (mssan st at);
+    Thrsan.blocked_on self st.s_san;
     (* kwait's expect closes the check-then-sleep race *)
     (match Syncvar.wait at ~expect:(fun () -> locked st) () with
     | `Woken | `Timeout -> ());
-    if Thrsan.tracking () then Thrsan.clear_wait self;
+    Thrsan.clear_wait self;
     enter_shared st at self
   end
 
@@ -237,7 +213,7 @@ let exit_shared st at self =
   let c = cost_of self in
   Uctx.charge c.Cost.sync_fast;
   release st;
-  if Thrsan.tracking () then Thrsan.released self (mssan st at);
+  Thrsan.released self st.s_san;
   ignore (Syncvar.wake at ~count:1)
 
 (* --- public ----------------------------------------------------------- *)
@@ -287,17 +263,17 @@ let try_enter m =
   match m with
   | Private s ->
       if s.owner = None then begin
-        if Thrsan.tracking () then Thrsan.acquiring self (msan s);
+        Thrsan.acquiring self s.san;
         s.owner <- Some self;
-        san_take s self;
+        Thrsan.acquired self s.san;
         true
       end
       else false
-  | Shared { state; at } ->
+  | Shared { state; _ } ->
       if not (locked state || state.s_ownerdead) then begin
-        if Thrsan.tracking () then Thrsan.acquiring self (mssan state at);
+        Thrsan.acquiring self state.s_san;
         take state self;
-        if Thrsan.tracking () then Thrsan.acquired self (mssan state at);
+        Thrsan.acquired self state.s_san;
         true
       end
       else false

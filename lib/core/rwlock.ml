@@ -14,7 +14,7 @@ type priv = {
   wq : Waitq.t;
   uq : Waitq.t;  (* the (single) pending upgrader parks here so signal
                     routing and the promotion wake can find it *)
-  mutable san : san_obj option;
+  san : san_obj;
 }
 
 (* Cross-process state: holders are named by (pid, tid) numbers, as in
@@ -27,7 +27,7 @@ type shared_state = {
   mutable s_wwaiters : int;
   mutable s_robust : bool;
   mutable s_ownerdead : bool;
-  mutable s_san : san_obj option;
+  s_san : san_obj;  (* named after the word's home, as in Mutex *)
 }
 
 type t =
@@ -39,27 +39,8 @@ let shared_key : shared_state Univ.key = Univ.key ()
 let create () =
   Private
     { readers = []; writer = None; upgrader = None; rq = Waitq.create ();
-      wq = Waitq.create (); uq = Waitq.create (); san = None }
-
-let rsan s =
-  match s.san with
-  | Some o -> o
-  | None ->
-      let o = Thrsan.new_obj ~kind:"rwlock" () in
-      s.san <- Some o;
-      o
-
-let rssan st (at : Syncvar.place) =
-  match st.s_san with
-  | Some o -> o
-  | None ->
-      let o =
-        Thrsan.new_obj ~kind:"rwlock(shared)"
-          ~name:(Printf.sprintf "%s+%d" (Shm.name at.Syncvar.seg) at.offset)
-          ()
-      in
-      st.s_san <- Some o;
-      o
+      wq = Waitq.create (); uq = Waitq.create ();
+      san = Thrsan.new_obj ~kind:"rwlock" () }
 
 exception Owner_dead
 
@@ -88,10 +69,10 @@ let can_write s = s.writer = None && s.readers = [] && s.upgrader = None
 let rec block_on ~self ~san ~waitq ~can ~admit =
   if can () then begin
     admit ();
-    if Thrsan.tracking () then Thrsan.acquired self (san ())
+    Thrsan.acquired self san
   end
   else begin
-    if Thrsan.tracking () then Thrsan.blocked_on self (san ());
+    Thrsan.blocked_on self san;
     ignore (Waitq.sleep waitq);
     block_on ~self ~san ~waitq ~can ~admit
   end
@@ -107,14 +88,14 @@ let wake_next s =
         (Waitq.pop_all s.rq)
 
 let enter_priv s self kind =
-  if Thrsan.tracking () then Thrsan.acquiring self (rsan s);
+  Thrsan.acquiring self s.san;
   match kind with
   | Reader ->
-      block_on ~self ~san:(fun () -> rsan s) ~waitq:s.rq
+      block_on ~self ~san:s.san ~waitq:s.rq
         ~can:(fun () -> can_read s)
         ~admit:(fun () -> s.readers <- self :: s.readers)
   | Writer ->
-      block_on ~self ~san:(fun () -> rsan s) ~waitq:s.wq
+      block_on ~self ~san:s.san ~waitq:s.wq
         ~can:(fun () -> can_write s)
         ~admit:(fun () -> s.writer <- Some self)
 
@@ -122,12 +103,12 @@ let exit_priv s self =
   let is_writer = match s.writer with Some w -> w == self | None -> false in
   if is_writer then begin
     s.writer <- None;
-    if Thrsan.tracking () then Thrsan.released self (rsan s);
+    Thrsan.released self s.san;
     wake_next s
   end
   else if List.memq self s.readers then begin
     s.readers <- List.filter (fun t -> t != self) s.readers;
-    if Thrsan.tracking () then Thrsan.released self (rsan s);
+    Thrsan.released self s.san;
     match (s.readers, s.upgrader) with
     | [ last ], Some up when last == up ->
         if !bug14_bare_upgrader then Pool.make_ready up Wake_normal
@@ -183,8 +164,7 @@ let try_upgrade_priv s self =
           else begin
             (* we still hold the lock as a reader, so exempt our own
                hold at the root of the cycle check *)
-            if Thrsan.tracking () then
-              Thrsan.blocked_on ~skip_self_hold:true self (rsan s);
+            Thrsan.blocked_on ~skip_self_hold:true self s.san;
             if !bug14_bare_upgrader then
               ignore (Pool.suspend ~park:(fun tcb -> tcb.tstate <- Tblocked))
             else ignore (Waitq.sleep s.uq);
@@ -233,16 +213,14 @@ let check st ~pid ~lib ~proc_exit =
   if writer st && dead (st.s_writer_pid, st.s_writer_tid) then begin
     release_writer st;
     st.s_ownerdead <- true;
-    (match st.s_san with Some o -> o.so_holders <- [] | None -> ());
+    st.s_san.so_holders <- [];
     true
   end
   else if List.exists dead st.s_readers then begin
     st.s_readers <- List.filter (fun h -> not (dead h)) st.s_readers;
-    (match st.s_san with
-    | Some o ->
-        o.so_holders <-
-          List.filter (fun t -> not (dead (t.pool.pid, t.tid))) o.so_holders
-    | None -> ());
+    let o = st.s_san in
+    o.so_holders <-
+      List.filter (fun t -> not (dead (t.pool.pid, t.tid))) o.so_holders;
     true
   end
   else false
@@ -251,7 +229,10 @@ let create_shared ?(robust = false) (at : Syncvar.place) =
   let state =
     Syncvar.locate at ~key:shared_key ~make:(fun () ->
         { s_readers = []; s_writer_pid = 0; s_writer_tid = 0; s_wwaiters = 0;
-          s_robust = false; s_ownerdead = false; s_san = None })
+          s_robust = false; s_ownerdead = false;
+          s_san =
+            Thrsan.new_obj ~kind:"rwlock(shared)"
+              ~name:(Thrsan.place_name at.seg ~offset:at.offset) () })
   in
   (* sticky and registered once, as for Mutex *)
   if robust && not state.s_robust then begin
@@ -266,21 +247,21 @@ let create_shared ?(robust = false) (at : Syncvar.place) =
    [set_consistent] it may [downgrade] back to reading.  Only a writer
    asking for the write side counts as waiting while it sleeps. *)
 let rec enter_shared st at self kind =
-  if Thrsan.tracking () then Thrsan.acquiring self (rssan st at);
+  Thrsan.acquiring self st.s_san;
   let dead = st.s_ownerdead in
   let side = if dead then Writer else kind in
   if free st side then begin
     take st self side;
-    if Thrsan.tracking () then Thrsan.acquired self (rssan st at);
+    Thrsan.acquired self st.s_san;
     if dead then `Owner_dead else `Locked
   end
   else begin
     let waiting = kind = Writer && not dead in
     if waiting then st.s_wwaiters <- st.s_wwaiters + 1;
-    if Thrsan.tracking () then Thrsan.blocked_on self (rssan st at);
+    Thrsan.blocked_on self st.s_san;
     (match Syncvar.wait at ~expect:(fun () -> not (free st side)) () with
     | `Woken | `Timeout -> ());
-    if Thrsan.tracking () then Thrsan.clear_wait self;
+    Thrsan.clear_wait self;
     if waiting then st.s_wwaiters <- st.s_wwaiters - 1;
     enter_shared st at self kind
   end
@@ -288,12 +269,12 @@ let rec enter_shared st at self kind =
 let exit_shared st at self =
   if writer_is st self then begin
     release_writer st;
-    if Thrsan.tracking () then Thrsan.released self (rssan st at);
+    Thrsan.released self st.s_san;
     ignore (Syncvar.wake_all at)
   end
   else begin
     st.s_readers <- drop_hold self st.s_readers;
-    if Thrsan.tracking () then Thrsan.released self (rssan st at);
+    Thrsan.released self st.s_san;
     if st.s_readers = [] then ignore (Syncvar.wake_all at)
   end
 
@@ -354,32 +335,26 @@ let try_enter l kind =
       match kind with
       | Reader ->
           if can_read s then begin
-            if Thrsan.tracking () then begin
-              Thrsan.acquiring self (rsan s);
-              Thrsan.acquired self (rsan s)
-            end;
+            Thrsan.acquiring self s.san;
+            Thrsan.acquired self s.san;
             s.readers <- self :: s.readers;
             true
           end
           else false
       | Writer ->
           if can_write s then begin
-            if Thrsan.tracking () then begin
-              Thrsan.acquiring self (rsan s);
-              Thrsan.acquired self (rsan s)
-            end;
+            Thrsan.acquiring self s.san;
+            Thrsan.acquired self s.san;
             s.writer <- Some self;
             true
           end
           else false)
-  | Shared { state; at } ->
+  | Shared { state; _ } ->
       (* un-repaired: only enter_robust hands the lock out *)
       if state.s_ownerdead || not (free state kind) then false
       else begin
-        if Thrsan.tracking () then begin
-          Thrsan.acquiring self (rssan state at);
-          Thrsan.acquired self (rssan state at)
-        end;
+        Thrsan.acquiring self state.s_san;
+        Thrsan.acquired self state.s_san;
         take state self kind;
         true
       end

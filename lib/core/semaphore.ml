@@ -6,14 +6,15 @@ module Cost = Sunos_hw.Cost_model
 type shared_state = { mutable s_count : int }
 
 type t =
-  | Private of { mutable count : int; waitq : Waitq.t;
-                 mutable san : san_obj option }
+  | Private of { mutable count : int; waitq : Waitq.t; san : san_obj }
   | Shared of { state : shared_state; at : Syncvar.place }
 
 let shared_key : shared_state Univ.key = Univ.key ()
 
 let create ?(count = 0) () =
-  Private { count; waitq = Waitq.create (); san = None }
+  Private
+    { count; waitq = Waitq.create ();
+      san = Thrsan.new_obj ~kind:"semaphore" () }
 
 let create_shared ?(count = 0) at =
   let state =
@@ -31,22 +32,14 @@ let p sem =
       (* order edges only: a semaphore's unit is often produced by
          another thread, so treating p() as a held lock would flood the
          waits-for graph with false positives *)
-      let san () =
-        match s.san with
-        | Some o -> o
-        | None ->
-            let o = Thrsan.new_obj ~kind:"semaphore" () in
-            s.san <- Some o;
-            o
-      in
-      if Thrsan.tracking () then Thrsan.acquiring self (san ());
+      Thrsan.acquiring self s.san;
       if s.count > 0 then s.count <- s.count - 1
       else begin
         Uctx.charge c.Cost.sync_slow_extra;
         let rec block () =
           if s.count > 0 then s.count <- s.count - 1
           else begin
-            if Thrsan.tracking () then Thrsan.blocked_on self (san ());
+            Thrsan.blocked_on self s.san;
             match Waitq.sleep s.waitq with
             | Wake_normal -> () (* v() handed its unit directly to us *)
             | Wake_signal -> block ()

@@ -24,12 +24,14 @@
       LWP asleep), {!watch}'s drain hook dumps who is blocked on what
       and who last held it — turning a silent deadlock into a report.
 
-   The two switches are process-wide; every table is domain-local, so
-   machines run side by side on several domains (bench -j N) keep their
-   own objects, graphs and reports.
+   The two switches are process-wide; the sanitizer's state is one
+   record per domain, so machines run side by side on several domains
+   (bench -j N) keep their own objects, graphs and reports.
 
-   Cost when disabled: one [bool ref] load and branch per hook site; no
-   allocation, no formatting (the PR 2 [Tracebuf.interested] pattern). *)
+   Every sync object makes its identity when it is created; the hooks
+   test the switch themselves, so a primitive calls them unconditionally
+   and, when disabled, pays one [bool ref] load and branch per hook: no
+   allocation, no formatting. *)
 
 open Ttypes
 module Machine = Sunos_hw.Machine
@@ -58,23 +60,81 @@ let order_mode = ref false
 let set_lock_order_mode b = order_mode := b
 
 (* ------------------------------------------------------------------ *)
-(* Sanitizer objects                                                   *)
+(* Reports                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let next_obj_id = Domain.DLS.new_key (fun () -> ref 0)
+type wait_link = {
+  wl_pid : int;
+  wl_tid : int;
+  wl_obj_id : int;
+  wl_obj_kind : string;
+  wl_obj_name : string;
+  wl_acq_seq : int;  (* acquisition stamp of the object's current hold *)
+  wl_holders : (int * int) list;  (* (pid, tid) of each holder *)
+}
 
-(* Acquisition sequence: a deterministic "site" stamp.  (Not simulated
-   time — reading the clock is a syscall and would perturb the
-   schedule.) *)
-let acq_seq = Domain.DLS.new_key (fun () -> ref 0)
+type deadlock_report = { dl_links : wait_link list; dl_text : string }
+
+exception Deadlock of deadlock_report
+
+type hung_thread = {
+  ht_pid : int;
+  ht_tid : int;
+  ht_state : string;  (* "blocked" | "runnable" *)
+  ht_on : string;  (* object description, or "" when unknown *)
+  ht_holders : (int * int) list;
+  ht_last_holder : string;
+}
+
+type sleeping_lwp = {
+  hl_pid : int;
+  hl_lid : int;
+  hl_wchan : string;
+  hl_indefinite : bool;
+}
+
+type hang_report = {
+  hr_threads : hung_thread list;
+  hr_lwps : sleeping_lwp list;
+  hr_text : string;
+}
+
+(* ------------------------------------------------------------------ *)
+(* State: one record per domain                                        *)
+(* ------------------------------------------------------------------ *)
+
+type state = {
+  mutable next_id : int;
+  mutable acq_seq : int;
+      (* acquisition sequence: a deterministic "site" stamp.  (Not
+         simulated time — reading the clock is a syscall and would
+         perturb the schedule.) *)
+  shared_objs : (string * int * int, san_obj) Hashtbl.t;
+  order_edges : (int, int list ref) Hashtbl.t;
+  mutable last_deadlock : deadlock_report option;
+  mutable last_hang : hang_report option;
+  mutable bare_parks : (int * int) list;  (* newest first *)
+}
+
+let state_key =
+  Domain.DLS.new_key (fun () ->
+      { next_id = 0; acq_seq = 0; shared_objs = Hashtbl.create 32;
+        order_edges = Hashtbl.create 64; last_deadlock = None;
+        last_hang = None; bare_parks = [] })
+
+let state () = Domain.DLS.get state_key
+
+(* ------------------------------------------------------------------ *)
+(* Sanitizer objects                                                   *)
+(* ------------------------------------------------------------------ *)
 
 (* An object is named only when a report is built: most objects never
    appear in one, so a default name is not even formatted. *)
 let new_obj ~kind ?name () =
-  let id = Domain.DLS.get next_obj_id in
-  incr id;
+  let s = state () in
+  s.next_id <- s.next_id + 1;
   {
-    so_id = !id;
+    so_id = s.next_id;
     so_kind = kind;
     so_name = name;
     so_holders = [];
@@ -88,23 +148,18 @@ let obj_name o =
   | Some n -> n
   | None -> Printf.sprintf "%s#%d" o.so_kind o.so_id
 
+let place_name seg ~offset = Printf.sprintf "%s+%d" (Shm.name seg) offset
+
 (* Objects at a shared-memory location, keyed by (kind, segment id,
    offset) so the same location resolves to the same object from every
    process.  Not by segment name: every anonymous segment is "[anon]". *)
-let shared_objs : (string * int * int, san_obj) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
 let shared_obj ~kind ?name ~seg ~offset () =
-  let objs = Domain.DLS.get shared_objs in
+  let objs = (state ()).shared_objs in
   let key = (kind, Shm.id seg, offset) in
   match Hashtbl.find_opt objs key with
   | Some o -> o
   | None ->
-      let name =
-        match name with
-        | Some n -> n
-        | None -> Printf.sprintf "%s+%d" (Shm.name seg) offset
-      in
+      let name = match name with Some n -> n | None -> place_name seg ~offset in
       let o = new_obj ~kind ~name () in
       Hashtbl.add objs key o;
       o
@@ -115,10 +170,7 @@ let shared_obj ~kind ?name ~seg ~offset () =
 
 exception Lock_order_violation of string * string
 
-let order_edges : (int, int list ref) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let reset_order_graph () = Hashtbl.reset (Domain.DLS.get order_edges)
+let reset_order_graph () = Hashtbl.reset (state ()).order_edges
 
 let add_edge edges a b =
   match Hashtbl.find_opt edges a with
@@ -144,7 +196,7 @@ let reachable edges src dst =
    order already puts [obj] (transitively) before [held]; otherwise the
    new edge held -> obj is recorded. *)
 let check_order self obj =
-  let edges = Domain.DLS.get order_edges in
+  let edges = (state ()).order_edges in
   List.iter
     (fun held ->
       if held.so_id <> obj.so_id then begin
@@ -167,24 +219,7 @@ let held_pop self obj =
 (* Waits-for graph and deadlock reports                                *)
 (* ------------------------------------------------------------------ *)
 
-type wait_link = {
-  wl_pid : int;
-  wl_tid : int;
-  wl_obj_id : int;
-  wl_obj_kind : string;
-  wl_obj_name : string;
-  wl_acq_seq : int;  (* acquisition stamp of the object's current hold *)
-  wl_holders : (int * int) list;  (* (pid, tid) of each holder *)
-}
-
-type deadlock_report = { dl_links : wait_link list; dl_text : string }
-
-exception Deadlock of deadlock_report
-
-let last_deadlock_r : deadlock_report option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let last_deadlock () = !(Domain.DLS.get last_deadlock_r)
+let last_deadlock () = (state ()).last_deadlock
 
 (* Search the waits-for graph for a cycle through [self]: self waits on
    [root]; a holder of [root] may wait on another object, whose holder
@@ -245,15 +280,10 @@ let render_deadlock links =
     links;
   Buffer.contents b
 
-(* Hooks called by the sync primitives.  All are gated at the call site
-   on [tracking ()], so the disabled cost is the caller's branch. *)
-
-let acquiring self obj = if !order_mode then check_order self obj
-
-let acquired self obj =
-  let seq = Domain.DLS.get acq_seq in
-  incr seq;
-  obj.so_acq_seq <- !seq;
+let add_holder self obj =
+  let s = state () in
+  s.acq_seq <- s.acq_seq + 1;
+  obj.so_acq_seq <- s.acq_seq;
   obj.so_holders <- self :: obj.so_holders;
   obj.so_last_pid <- self.pool.pid;
   obj.so_last_tid <- self.tid;
@@ -262,7 +292,7 @@ let acquired self obj =
      lock footprints for its partial-order reduction) *)
   held_push self obj
 
-let released self obj =
+let remove_holder self obj =
   let rec drop = function
     | [] -> []
     | h :: rest -> if h == self then rest else h :: drop rest
@@ -270,19 +300,32 @@ let released self obj =
   obj.so_holders <- drop obj.so_holders;
   held_pop self obj
 
-let blocked_on ?(skip_self_hold = false) self obj =
+let record_wait ~skip_self_hold self obj =
   self.san_waiting <- Some obj;
   match find_cycle ~skip_self_hold self obj with
   | None -> ()
   | Some chain ->
       let links = List.map link_of chain in
       let r = { dl_links = links; dl_text = render_deadlock links } in
-      Domain.DLS.get last_deadlock_r := Some r;
+      (state ()).last_deadlock <- Some r;
       (* we raise instead of parking, so we are not actually waiting *)
       self.san_waiting <- None;
       raise (Deadlock r)
 
-let clear_wait self = self.san_waiting <- None
+(* Hooks called by the sync primitives on every path.  Each tests the
+   switch itself, so the disabled cost is one load and branch, inlined
+   at the call site. *)
+
+let[@inline] acquiring self obj =
+  if !enabled && !order_mode then check_order self obj
+
+let[@inline] acquired self obj = if !enabled then add_holder self obj
+let[@inline] released self obj = if !enabled then remove_holder self obj
+
+let[@inline] blocked_on ?(skip_self_hold = false) self obj =
+  if !enabled then record_wait ~skip_self_hold self obj
+
+let[@inline] clear_wait self = if !enabled then self.san_waiting <- None
 
 (* ------------------------------------------------------------------ *)
 (* Bare-park audit                                                     *)
@@ -293,45 +336,17 @@ let clear_wait self = self.san_waiting <- None
    the rwlock upgrader bug (BUG 14).  The scheduler calls this right
    after the park function runs. *)
 
-let bare_parks_r : (int * int) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
 let note_bare_park self =
-  let parks = Domain.DLS.get bare_parks_r and key = (self.pool.pid, self.tid) in
-  if not (List.mem key !parks) then parks := key :: !parks
+  let s = state () and key = (self.pool.pid, self.tid) in
+  if not (List.mem key s.bare_parks) then s.bare_parks <- key :: s.bare_parks
 
-let bare_parks () = List.rev !(Domain.DLS.get bare_parks_r)
+let bare_parks () = List.rev (state ()).bare_parks
 
 (* ------------------------------------------------------------------ *)
 (* Hang diagnosis at event-queue drain                                 *)
 (* ------------------------------------------------------------------ *)
 
-type hung_thread = {
-  ht_pid : int;
-  ht_tid : int;
-  ht_state : string;  (* "blocked" | "runnable" *)
-  ht_on : string;  (* object description, or "" when unknown *)
-  ht_holders : (int * int) list;
-  ht_last_holder : string;
-}
-
-type sleeping_lwp = {
-  hl_pid : int;
-  hl_lid : int;
-  hl_wchan : string;
-  hl_indefinite : bool;
-}
-
-type hang_report = {
-  hr_threads : hung_thread list;
-  hr_lwps : sleeping_lwp list;
-  hr_text : string;
-}
-
-let last_hang_r : hang_report option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let last_hang () = !(Domain.DLS.get last_hang_r)
+let last_hang () = (state ()).last_hang
 
 let render_hang threads lwps =
   let b = Buffer.create 256 in
@@ -437,7 +452,7 @@ let watch (k : Ktypes.kernel) =
       match hang_check k with
       | None -> ()
       | Some r ->
-          Domain.DLS.get last_hang_r := Some r;
+          (state ()).last_hang <- Some r;
           Machine.trace m Sunos_sim.Tracebuf.Thrsan ~cpu:(-1) ~pid:(-1)
             ~lwp:(-1) ~name:r.hr_text ~name2:"" ~arg:(-1) ~arg2:(-1) ~arg3:(-1))
 
@@ -445,21 +460,23 @@ let watch (k : Ktypes.kernel) =
 (* Housekeeping                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* This domain's tables start over, object ids and acquisition stamps
-   included, so a scenario run after a reset renders the same reports on
-   any domain. *)
+(* This domain's state starts over in place, object ids and acquisition
+   stamps included, so a scenario run after a reset renders the same
+   reports on any domain.  In place: every explored schedule resets, and
+   a fresh record each time would cost its tables' allocation too. *)
 let reset () =
-  Domain.DLS.get next_obj_id := 0;
-  Domain.DLS.get acq_seq := 0;
-  Domain.DLS.get last_deadlock_r := None;
-  Domain.DLS.get last_hang_r := None;
-  Domain.DLS.get bare_parks_r := [];
-  reset_order_graph ();
+  let s = state () in
+  s.next_id <- 0;
+  s.acq_seq <- 0;
+  s.last_deadlock <- None;
+  s.last_hang <- None;
+  s.bare_parks <- [];
+  Hashtbl.reset s.order_edges;
   (* drop cached shared objects: the exploration driver boots many
      machines in one process, and a stale object's holder list, or its
      id that a fresh object may reuse, would let a dead run leak into a
      fresh run's graphs *)
-  Hashtbl.reset (Domain.DLS.get shared_objs)
+  Hashtbl.reset s.shared_objs
 
 let () =
   Printexc.register_printer (function

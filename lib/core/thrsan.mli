@@ -16,15 +16,20 @@
 
     Enable with the [THRSAN] environment variable (the [@sanitize] dune
     alias does this) or programmatically with {!enable}.  The switches
-    are process-wide; objects, graphs and reports are kept per domain,
-    so machines may run sanitized on several domains at once.  When
-    disabled, every hook site costs one [bool] load and branch — no
+    are process-wide; the sanitizer's state (object ids, acquisition
+    stamps, graphs, reports) is one record per domain, so machines may
+    run sanitized on several domains at once.  Every sync object makes
+    its identity when it is created, and every hook tests the switch
+    itself: primitives call the hooks unconditionally, and when the
+    sanitizer is off each costs one [bool] load and branch — no
     allocation, no formatting. *)
 
 (** {1 Switches} *)
 
 val tracking : unit -> bool
-(** Whether the sanitizer is on ([THRSAN] env var, {!enable}). *)
+(** Whether the sanitizer is on ([THRSAN] env var, {!enable}).  Only
+    callers that compute something for the sanitizer alone need it; the
+    hooks below test it themselves. *)
 
 val enable : unit -> unit
 val disable : unit -> unit
@@ -38,10 +43,16 @@ val set_lock_order_mode : bool -> unit
 (** {1 Sanitizer objects} *)
 
 val new_obj : kind:string -> ?name:string -> unit -> Ttypes.san_obj
-(** Allocate a sanitizer identity for one sync object.  Primitives do
-    this lazily, on the first tracked operation.  Without [name], reports
-    call the object ["kind#id"]; that name and the last acquirer's
-    ["pid/tid"] are formatted only when a report is built. *)
+(** A sanitizer identity for one sync object, made with the object
+    whether or not the sanitizer is on, so ids count objects in creation
+    order.  Without [name], reports call the object ["kind#id"]; that
+    name and the last acquirer's ["pid/tid"] are formatted only when a
+    report is built. *)
+
+val place_name : Sunos_hw.Shared_memory.t -> offset:int -> string
+(** How reports name an object at a shared-memory location:
+    ["seg+offset"], after the segment's name.  A shared mutex's or
+    rwlock's lock word names its identity so when it is first located. *)
 
 val shared_obj :
   kind:string ->
@@ -50,12 +61,12 @@ val shared_obj :
   offset:int ->
   unit ->
   Ttypes.san_obj
-(** The identity of an object at a shared-memory location (a kernel
-    sync variable, a {!Lockdebug} shared lock), keyed by ([kind],
-    segment id, offset) so every process resolves the same location to
-    the same object, and two segments of one name (every anonymous
-    segment is ["[anon]"]) stay apart.  Named ["seg+offset"] after the
-    segment's name without [name]. *)
+(** The registered identity of an object at a shared-memory location
+    that has no state record to keep it (a bare {!Syncvar.wait}, a
+    {!Lockdebug} shared lock), keyed by ([kind], segment id, offset) so
+    every process resolves the same location to the same object, and
+    two segments of one name (every anonymous segment is ["[anon]"])
+    stay apart.  Named by {!place_name} without [name]. *)
 
 (** {1 Waits-for graph} *)
 
@@ -77,8 +88,11 @@ val last_deadlock : unit -> deadlock_report option
 (** The most recent deadlock report (also carried by the exception; the
     process dies of it like any uncaught error, so tests read it here). *)
 
+(** The hooks below do nothing while the sanitizer is off. *)
+
 val acquiring : Ttypes.tcb -> Ttypes.san_obj -> unit
-(** About to acquire: runs the lock-order check when order mode is on.
+(** About to acquire: runs the lock-order check when order mode is on
+    too.
     @raise Lock_order_violation on a recorded-order inversion. *)
 
 val acquired : Ttypes.tcb -> Ttypes.san_obj -> unit
@@ -160,8 +174,8 @@ val last_hang : unit -> hang_report option
 (** {1 Housekeeping} *)
 
 val reset : unit -> unit
-(** Start this domain's sanitizer over: clear its reports, bare-park
-    list, order graph and shared-object registry, and restart object ids
-    and acquisition stamps, so a scenario run after a reset renders the
-    same reports on any domain.  An object made before a reset must not
-    be used after it (tests; each explored schedule). *)
+(** Start this domain's sanitizer over, in place: clear its reports,
+    bare-park list, order graph and shared-object registry, and restart
+    object ids and acquisition stamps, so a scenario run after a reset
+    renders the same reports on any domain.  An object made before a
+    reset must not be used after it (tests; each explored schedule). *)

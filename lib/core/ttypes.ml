@@ -60,9 +60,9 @@ and tcb = {
          thread's registrations at once, wherever they are queued *)
   pending_tsigs : Signo.t Queue.t;  (* thread-directed, not yet handled *)
   mutable stop_requested : bool;
-  (* thrsan bookkeeping (see Thrsan): pure-mutation fields, written only
-     when the sanitizer is enabled (except the [None] clear in
-     make_ready, a single store) *)
+  (* thrsan bookkeeping (see Thrsan): pure-mutation fields, written by
+     the sanitizer's hooks only when it is enabled (and by the [None]
+     clear in make_ready and Lockdebug's held locks) *)
   mutable san_waiting : san_obj option;
       (* the sync object this thread is blocked on right now; edge of
          the waits-for graph *)
@@ -71,8 +71,9 @@ and tcb = {
 }
 
 (* A sanitizer's view of one synchronization object (mutex, condvar,
-   semaphore, rwlock, syncvar, lockdebug lock).  Allocated lazily, only
-   when the sanitizer first sees the object while enabled. *)
+   semaphore, rwlock, syncvar, lockdebug lock).  Made with the object
+   (Thrsan.new_obj), whether or not the sanitizer is on; a shared lock's
+   when its word is first located. *)
 and san_obj = {
   so_id : int;
   so_kind : string;

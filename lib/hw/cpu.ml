@@ -46,7 +46,3 @@ let utilization t ~now =
   let b = Int64.to_float (busy_time t ~now)
   and i = Int64.to_float (idle_time t ~now) in
   if b +. i <= 0. then 0. else b /. (b +. i)
-
-let pp ppf t =
-  Format.fprintf ppf "cpu%d[%s]" t.id
-    (match t.occupant with None -> "idle" | Some l -> "lwp" ^ string_of_int l)

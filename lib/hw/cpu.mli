@@ -26,5 +26,3 @@ val idle_time : t -> now:Sunos_sim.Time.t -> Sunos_sim.Time.span
 
 val utilization : t -> now:Sunos_sim.Time.t -> float
 (** Busy fraction since boot, in [0,1]; 0 when no time has passed. *)
-
-val pp : Format.formatter -> t -> unit

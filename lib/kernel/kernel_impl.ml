@@ -603,7 +603,7 @@ and check_sigwaiting k proc =
     proc.sigwaiting_armed <- false;
     k.ctr_sigwaiting <- k.ctr_sigwaiting + 1;
     trace_proc k Tracebuf.Sigwaiting proc ~name:""
-      ~arg:(List.length (live_lwps proc));
+      ~arg:(List.length proc.lwps);
     k.hook_post_proc proc Signo.sigwaiting
   end
 
@@ -830,18 +830,10 @@ and gang_remove k lwp =
   | Sc_timeshare _ | Sc_realtime _ -> ()
 
 and lwp_exit_internal k lwp =
-  let cpu = try Some (cpu_of k lwp) with Invalid_argument _ -> None in
-  lwp.proc.dead_utime <- lwp.proc.dead_utime + lwp.utime;
-  lwp.proc.dead_stime <- lwp.proc.dead_stime + lwp.stime;
-  lwp.lstate <- Lzombie;
-  lwp.pending <- P_dead;
-  gang_remove k lwp;
+  destroy_lwp k lwp;
   lwp.proc.lwps <- List.filter (fun l -> l != lwp) lwp.proc.lwps;
   trace_lwp k Tracebuf.Lwp_exit lwp ~name:"" ~arg:(-1);
-  (match cpu with
-  | Some c -> release_cpu k c
-  | None -> ());
-  if live_lwps lwp.proc = [] && lwp.proc.pstate = Palive then
+  if lwp.proc.lwps = [] && lwp.proc.pstate = Palive then
     proc_exit k lwp.proc ~status:lwp.proc.exit_status
   else begin
     (* The process survives this LWP: robust locks whose holding thread
@@ -853,7 +845,8 @@ and lwp_exit_internal k lwp =
     kick k
   end
 
-(* Tear one LWP down (exec path and proc_exit share this). *)
+(* Tear one LWP down, making it a zombie.  Every caller then takes it
+   off [proc.lwps], which so holds live LWPs only. *)
 and destroy_lwp k l =
   (match l.lstate with
   | Lrunning c -> release_cpu k k.machine.Machine.cpus.(c)

@@ -71,7 +71,7 @@ and proc = {
   mutable pname : string;
   mutable parent : proc option;
   mutable children : proc list;
-  mutable lwps : lwp list;
+  mutable lwps : lwp list;  (* live only: see Kernel_impl.destroy_lwp *)
   mutable next_lid : int;
   fdtab : (int, fdobj) Hashtbl.t;
   mutable next_fd : int;
@@ -168,31 +168,21 @@ let global_prio lwp =
 
 let is_zombie l = match l.lstate with Lzombie -> true | _ -> false
 
-let live_lwps proc = List.filter (fun l -> not (is_zombie l)) proc.lwps
-
+(* A run-queue entry, a sleep or a busy event may still name an LWP
+   that has exited, though [proc.lwps] no longer does. *)
 let lwp_alive l =
   (not (is_zombie l)) && match l.proc.pstate with Palive -> true | _ -> false
 
-(* Has [lwp]'s process a live LWP other than [lwp]?  One walk, no list
-   or closure built. *)
-let rec other_live_in lwp = function
-  | [] -> false
-  | l :: rest -> (l != lwp && not (is_zombie l)) || other_live_in lwp rest
+(* Has [lwp]'s process an LWP other than [lwp]? *)
+let other_live lwp =
+  match lwp.proc.lwps with [] -> false | [ l ] -> l != lwp | _ -> true
 
-let other_live lwp = other_live_in lwp lwp.proc.lwps
+let indefinite l =
+  match l.lstate with Lsleeping sl -> sl.sl_indefinite | _ -> false
 
-(* Is every live LWP of [proc] asleep in an indefinite wait, with at
-   least one live?  One walk, no list built. *)
-let all_indefinite proc =
-  let rec go seen = function
-    | [] -> seen
-    | l :: rest -> (
-        match l.lstate with
-        | Lzombie -> go seen rest
-        | Lsleeping sl when sl.sl_indefinite -> go true rest
-        | _ -> false)
-  in
-  go false proc.lwps
+(* Is every LWP of [proc] asleep in an indefinite wait, with at least
+   one?  One walk, no list built. *)
+let all_indefinite proc = proc.lwps <> [] && List.for_all indefinite proc.lwps
 
 (* A process's CPU time in ns, (user, system): its LWPs' and the dead
    ones'. *)

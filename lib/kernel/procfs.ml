@@ -76,7 +76,7 @@ let proc_info p =
       | Pzombie -> "zombie"
       | Preaped -> "reaped");
     pi_parent = Option.map (fun pp -> pp.pid) p.parent;
-    pi_nlwps = List.length (live_lwps p);
+    pi_nlwps = List.length p.lwps;
     pi_lwps = List.map lwp_info p.lwps;
     pi_utime = Int64.of_int utime;
     pi_stime = Int64.of_int stime;
@@ -209,5 +209,3 @@ let pp_epoll ppf ei =
      delivered=%d@."
     ei.ei_pid ei.ei_fd ei.ei_interest ei.ei_ready ei.ei_edges ei.ei_coalesced
     ei.ei_wakeups ei.ei_delivered
-
-let pp_epolls ppf k = List.iter (pp_epoll ppf) (epolls k)

@@ -85,4 +85,3 @@ val epolls : Ktypes.kernel -> epoll_info list
 (** Every open epoll fd, ordered by (pid, fd). *)
 
 val pp_epoll : Format.formatter -> epoll_info -> unit
-val pp_epolls : Format.formatter -> Ktypes.kernel -> unit

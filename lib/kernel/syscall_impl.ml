@@ -282,7 +282,7 @@ let epoll_attempt k proc ep ~maxev =
 let do_fork k lwp ~child_main ~all_lwps =
   let c = K.cost k in
   let proc = lwp.proc in
-  let n_lwps = List.length (live_lwps proc) in
+  let n_lwps = List.length proc.lwps in
   let child = K.make_proc k ~name:proc.pname ~parent:(Some proc) in
   (* The child shares open file descriptions (same fdobj records: shared
      offsets, as in UNIX) and keeps shared mappings shared. *)
@@ -326,6 +326,7 @@ let do_exec k lwp ~name ~main =
   lwp.lwp_sig_pending <- [];
   lwp.on_resume <- ignore;
   proc.lib <- None;
+  proc.activations <- None;
   proc.pname <- name;
   K.trace_proc k Tracebuf.Exec proc ~name ~arg:(-1);
   let cpu = K.cpu_of k lwp in
@@ -958,7 +959,7 @@ let execute k lwp req =
            {
              ru_utime = Int64.of_int utime;
              ru_stime = Int64.of_int stime;
-             ru_nlwps = List.length (live_lwps proc);
+             ru_nlwps = List.length proc.lwps;
              ru_minflt = proc.minflt;
              ru_majflt = proc.majflt;
            })

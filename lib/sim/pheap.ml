@@ -54,16 +54,3 @@ let pop_min h =
       h.root <- merge_pairs h.cmp children;
       h.size <- h.size - 1;
       Some x
-
-let of_list ~cmp xs =
-  let h = create ~cmp in
-  List.iter (insert h) xs;
-  h
-
-let to_list_unordered h =
-  let rec go acc = function
-    | [] -> acc
-    | Empty :: rest -> go acc rest
-    | Node (x, children) :: rest -> go (x :: acc) (children @ rest)
-  in
-  go [] [ h.root ]

@@ -23,9 +23,3 @@ val top : 'a t -> 'a
 val drop_min : 'a t -> unit
 (** Remove the minimum, without returning it; no-op on an empty heap.
     [top] then [drop_min] is {!pop_min} minus the option. *)
-
-val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
-(** Build a heap from the elements; O(n) (n O(1) inserts). *)
-
-val to_list_unordered : 'a t -> 'a list
-(** All elements, in unspecified order; O(n). For tests and introspection. *)

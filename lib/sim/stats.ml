@@ -84,18 +84,6 @@ module Hist = struct
     let idx = int_of_float (Float.round (p *. float_of_int (t.len - 1))) in
     t.samples.(idx)
 
-  let name t = t.name
-
-  let reset t =
-    t.len <- 0;
-    t.stride <- 1;
-    t.skip <- 0;
-    t.count <- 0;
-    t.sum <- 0.;
-    t.min_v <- Int64.max_int;
-    t.max_v <- Int64.min_int;
-    t.sorted <- true
-
   let pp_summary ppf t =
     if t.count = 0 then Format.fprintf ppf "%s: (no samples)" t.name
     else

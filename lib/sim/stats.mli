@@ -22,9 +22,6 @@ module Hist : sig
   (** [percentile h 0.99] etc.; raises [Invalid_argument] when empty or
       when the fraction lies outside [0,1]. *)
 
-  val name : t -> string
-  val reset : t -> unit
-
   val pp_summary : Format.formatter -> t -> unit
   (** One line: name, n, mean, p50, p90, p99, max. *)
 end

@@ -160,11 +160,5 @@ let clear t =
 
 let dropped t = t.dropped
 
-let pp ppf t =
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "[%a] %-12s %s@." Time.pp r.time (tag r) (message r))
-    (records t)
-
 let enabled t = t.enabled
 let set_enabled t b = t.enabled <- b

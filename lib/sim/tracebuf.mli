@@ -96,9 +96,6 @@ val clear : t -> unit
 val dropped : t -> int
 (** Records overwritten since creation or the last {!clear}. *)
 
-val pp : Format.formatter -> t -> unit
-(** One line per record: time, tag and message. *)
-
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 (** Disabling makes [emit] a no-op; benchmarks disable tracing. *)

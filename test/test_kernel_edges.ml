@@ -119,6 +119,33 @@ let test_exec_keeps_fds_resets_handlers () =
     (Some (128 + Signo.sigusr1))
     (Kernel.exit_status k pid)
 
+(* Exec leaves scheduler-activations mode: the new image has no library
+   to take upcalls, so its blocking sleeps create no LWP (before, an
+   upcall at its first sleep made one, which parked for good and kept
+   the process alive after its main returned). *)
+let test_exec_leaves_activations () =
+  let k = Kernel.boot () in
+  let pid =
+    Kernel.spawn k ~name:"sa"
+      ~main:
+        (Sunos_threads.Libthread.boot ~activations:true (fun () ->
+             ignore
+               (Uctx.exec ~name:"plain" ~main:(fun () ->
+                    Uctx.sleep (Time.ms 5);
+                    Uctx.sleep (Time.ms 5)))))
+  in
+  Kernel.run ~until:(Time.ms 12) k;
+  let lwps =
+    match Sunos_kernel.Procfs.proc k pid with
+    | Some pi -> List.length pi.Sunos_kernel.Procfs.pi_lwps
+    | None -> 0
+  in
+  Alcotest.(check int) "one LWP in /proc" 1 lwps;
+  Alcotest.(check int) "no LWP created since boot" 1
+    (Kernel.lwp_create_count k);
+  Kernel.run k;
+  Alcotest.(check (option int)) "exits 0" (Some 0) (Kernel.exit_status k pid)
+
 (* ------------------------- poll over many fds ------------------------- *)
 
 let test_poll_multiple_sources () =
@@ -759,6 +786,8 @@ let () =
         [
           Alcotest.test_case "fds kept, handlers reset" `Quick
             test_exec_keeps_fds_resets_handlers;
+          Alcotest.test_case "leaves activations mode" `Quick
+            test_exec_leaves_activations;
         ] );
       ( "poll",
         [

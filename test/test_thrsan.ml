@@ -13,6 +13,7 @@ module Condvar = Sunos_threads.Condvar
 module Rwlock = Sunos_threads.Rwlock
 module Pool = Sunos_threads.Pool
 module Ttypes = Sunos_threads.Ttypes
+module Current = Sunos_threads.Current
 module Thrsan = Sunos_threads.Thrsan
 
 let with_san f =
@@ -29,14 +30,15 @@ let with_san f =
 let next_obj_id () = (Thrsan.new_obj ~kind:"probe" ()).Ttypes.so_id + 1
 
 (* Two threads take two mutexes in opposite orders, yielding between
-   the two acquisitions. *)
-let abba_run () =
+   the two acquisitions.  [made] runs once both mutexes exist. *)
+let abba_run ?(made = ignore) () =
   let k = Kernel.boot ~cpus:1 () in
   ignore
     (Kernel.spawn k ~name:"abba"
        ~main:
          (Libthread.boot (fun () ->
               let ma = Mutex.create () and mb = Mutex.create () in
+              made ();
               let t1 =
                 T.create ~flags:[ T.THREAD_WAIT ] (fun () ->
                     Mutex.enter ma;
@@ -200,8 +202,8 @@ let test_hang_report_names_condvar () =
                  && String.length t.Thrsan.ht_on >= 7
                  && String.sub t.Thrsan.ht_on 0 7 = "condvar")
                h.Thrsan.hr_threads);
-          (* outer (id [base]) and m were taken first, cv (id [base + 2])
-             named at its wait *)
+          (* ids count objects in creation order: m is [base], cv
+             [base + 1] and outer [base + 2] *)
           Alcotest.(check string) "report text"
             (Printf.sprintf
                "thrsan: event queue drained with threads still waiting:\n\
@@ -209,8 +211,27 @@ let test_hang_report_names_condvar () =
                \  thread 1/3 blocked on mutex mutex#%d (last held by 1/2)\n\
                \  thread 1/1 blocked\n\
                \  lwp 1/1 asleep in kernel on \"lwp_park\" (indefinite)\n"
-               (base + 2) base)
+               (base + 1) (base + 2))
             h.Thrsan.hr_text)
+
+(* An object's identity is made with the object, not at its first
+   tracked use: two mutexes made while the sanitizer is off are named in
+   the report of the ABBA deadlock they meet once it is on. *)
+let test_made_while_off () =
+  Thrsan.reset ();
+  Thrsan.disable ();
+  let base = next_obj_id () in
+  Fun.protect ~finally:Thrsan.disable (fun () ->
+      let k = abba_run ~made:Thrsan.enable () in
+      Alcotest.(check (option int)) "process died of the deadlock"
+        (Some 139) (Kernel.exit_status k 1);
+      match Thrsan.last_deadlock () with
+      | None -> Alcotest.fail "no deadlock report"
+      | Some r ->
+          Alcotest.(check (list string)) "both mutexes named"
+            [ Printf.sprintf "mutex#%d" base;
+              Printf.sprintf "mutex#%d" (base + 1) ]
+            (List.map (fun l -> l.Thrsan.wl_obj_name) r.Thrsan.dl_links))
 
 (* The bare-park audit: a thread whose park sets Tblocked without
    registering a wait anywhere is invisible to wakers; the scheduler
@@ -297,19 +318,30 @@ let test_tables_per_domain () =
       Alcotest.(check (option string)) "second concurrent domain" here t2;
       Alcotest.(check (option string)) "the earlier domain" here there)
 
-(* Zero-cost-off sanity: with tracking off, the hooks record nothing. *)
+(* Zero-cost-off sanity: with tracking off, the hooks record nothing.
+   Primitives call them unconditionally, so each hook must test the
+   switch itself: a thread holding a mutex and a read hold holds no lock
+   in the sanitizer's eyes. *)
 let test_disabled_records_nothing () =
   Thrsan.reset ();
   Thrsan.disable ();
+  let held = ref [ -1 ] in
   let k = Kernel.boot ~cpus:1 () in
   ignore
     (Kernel.spawn k ~name:"quiet"
        ~main:
          (Libthread.boot (fun () ->
-              let m = Mutex.create () in
+              let m = Mutex.create () and rw = Rwlock.create () in
               Mutex.enter m;
+              Rwlock.enter rw Rwlock.Reader;
+              held :=
+                List.map
+                  (fun o -> o.Ttypes.so_id)
+                  (Current.get ()).Ttypes.san_held;
+              Rwlock.exit rw;
               Mutex.exit m)));
   Kernel.run k;
+  Alcotest.(check (list int)) "no held locks recorded when off" [] !held;
   Alcotest.(check bool) "no reports when off" true
     (Thrsan.last_deadlock () = None
     && Thrsan.last_hang () = None
@@ -344,6 +376,8 @@ let () =
             test_legit_waits_not_bare;
           Alcotest.test_case "off records nothing" `Quick
             test_disabled_records_nothing;
+          Alcotest.test_case "made while off, tracked once on" `Quick
+            test_made_while_off;
         ] );
       ( "domains",
         [
