@@ -73,5 +73,3 @@ let pages_touched ~pos ~len =
     let last = Shm.page_of_offset ~offset:(pos + len - 1) in
     List.init (last - first + 1) (fun i -> first + i)
   end
-
-let paths t = Hashtbl.fold (fun p _ acc -> p :: acc) t.files []

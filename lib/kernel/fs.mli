@@ -35,5 +35,3 @@ val write : file -> pos:int -> string -> int
 
 val pages_touched : pos:int -> len:int -> int list
 (** Page indexes covered by a byte range (for residency charging). *)
-
-val paths : t -> string list

@@ -41,7 +41,6 @@ val snapshot : Ktypes.kernel -> proc_info list
 (** All processes, ordered by pid. *)
 
 val proc : Ktypes.kernel -> int -> proc_info option
-val pp_proc : Format.formatter -> proc_info -> unit
 val pp : Format.formatter -> Ktypes.kernel -> unit
 (** A ps(1)-style table of every process and LWP. *)
 

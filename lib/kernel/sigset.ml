@@ -16,7 +16,6 @@ let to_list t =
   List.filter (fun s -> Int64.logand t (bit s) <> 0L) Signo.all
 
 let union = Int64.logor
-let inter = Int64.logand
 let diff a b = Int64.logand a (Int64.lognot b)
 let equal = Int64.equal
 
@@ -27,10 +26,3 @@ let apply how set ~old =
   | Sig_block -> union old set
   | Sig_unblock -> diff old set
   | Sig_setmask -> set
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Signo.pp)
-    (to_list t)

@@ -12,12 +12,9 @@ val remove : Signo.t -> t -> t
 val mem : Signo.t -> t -> bool
 val of_list : Signo.t list -> t
 val to_list : t -> Signo.t list
-val union : t -> t -> t
-val inter : t -> t -> t
 val diff : t -> t -> t
 val equal : t -> t -> bool
 
 type how = Sig_block | Sig_unblock | Sig_setmask
 
 val apply : how -> t -> old:t -> t
-val pp : Format.formatter -> t -> unit

@@ -210,7 +210,6 @@ let listen registry ~name ~backlog ?(capacity = default_capacity) () =
 let lookup registry name : listener option = Hashtbl.find_opt registry name
 let listener_closed l = l.lclosed
 let listener_name l = l.lname
-let pending_count l = Queue.length l.pending
 let acceptable l = l.lclosed || not (Queue.is_empty l.pending)
 let accept_readiness l = l.on_accept
 

@@ -58,7 +58,6 @@ val close_listener : listener -> unit
 
 val listener_closed : listener -> bool
 val listener_name : listener -> string
-val pending_count : listener -> int
 
 (** {1 Endpoints} *)
 

@@ -373,12 +373,41 @@ let resolve_seg proc seg =
     in
     match List.find_opt cloned proc.mappings with Some s -> s | None -> seg
 
+(* --- arguments no call can act on ---------------------------------------- *)
+
+(* The last instant the event queue can hold. *)
+let end_of_time = Int64.of_int max_int
+
+let past_end k span = Time.(span > Time.diff end_of_time (K.now k))
+let bad_span k span = Time.(span < 0L) || past_end k span
+let bad_timeout k = function Some t -> bad_span k t | None -> false
+let bad_signo s = s < 1 || s > Signo.max_sig
+
+(* A call the table cannot act on: a signal number outside 1..max_sig, a
+   span below zero or past the end of simulated time (a poll's timeout
+   may be negative: it returns at once), a negative file or mapping
+   offset, a mapping of no size.  It completes with EINVAL instead of
+   raising inside an event callback, which would end every process's
+   run. *)
+let invalid_args k = function
+  | Sys_nanosleep span -> bad_span k span
+  | Sys_lwp_park t | Sys_setitimer (_, t) | Sys_kwait { timeout = t; _ } ->
+      bad_timeout k t
+  | Sys_poll (_, Some t) | Sys_epoll_wait (_, _, Some t) -> past_end k t
+  | Sys_kill (_, s) | Sys_lwp_kill (_, s) | Sys_sigaction (s, _) | Sys_trap s
+    ->
+      bad_signo s
+  | Sys_lseek (_, offset) | Sys_touch (_, offset) -> offset < 0
+  | Sys_mmap_anon { size; _ } -> size <= 0
+  | _ -> false
+
 (* --- the table --------------------------------------------------------- *)
 
 let execute k lwp req =
   let c = K.cost k in
   let proc = lwp.proc in
   match req with
+  | _ when invalid_args k req -> K.complete k lwp (R_err Errno.EINVAL)
   (* chaos: kill a forked process outright at a syscall boundary — the
      simulated analogue of a server child segfaulting or being OOM-killed
      mid-request.  Only forked children are eligible (the workload's root

@@ -138,7 +138,6 @@ let charge span =
   end
   else if Effect.perform (Charge span) then checkpoint ()
 let charge_us n = charge (Time.us n)
-let compute = charge
 
 let getpid () =
   match syscall Sys_getpid with R_int p -> p | r -> fail "getpid" r

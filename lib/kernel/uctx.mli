@@ -61,8 +61,6 @@ val charge : Sunos_sim.Time.span -> unit
 (** Consume CPU; runs any deliverable signal handlers before returning. *)
 
 val charge_us : int -> unit
-val compute : Sunos_sim.Time.span -> unit
-(** Alias of {!charge} for application compute phases. *)
 
 val syscall : Sysdefs.sysreq -> Sysdefs.sysret
 (** Raw system call; no signal pickup, no error decoding. *)

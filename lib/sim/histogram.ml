@@ -99,15 +99,6 @@ let merge ~into src =
     if src.max_v > into.max_v then into.max_v <- src.max_v
   end
 
-let name t = t.name
-
-let reset t =
-  Array.fill t.buckets 0 nbuckets 0;
-  t.count <- 0;
-  t.sum <- 0.;
-  t.min_v <- max_int;
-  t.max_v <- min_int
-
 let pp_summary ppf t =
   if t.count = 0 then Format.fprintf ppf "%s: (no samples)" t.name
   else

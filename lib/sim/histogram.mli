@@ -42,9 +42,6 @@ val merge : into:t -> t -> unit
 (** Elementwise-add [src] into [into]; equivalent to having recorded
     every sample of both into [into]. *)
 
-val name : t -> string
-val reset : t -> unit
-
 val pp_summary : Format.formatter -> t -> unit
 (** One line: n, mean, p50/p95/p99, max — the server-scaling figure
     row format. *)

@@ -19,7 +19,6 @@ let next t =
 
 let int64 = next
 let split t = create ~seed:(next t)
-let bits t = Int64.to_int (Int64.shift_right_logical (next t) 34)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

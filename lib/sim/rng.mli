@@ -13,8 +13,6 @@ val split : t -> t
     stream never perturbs the other. *)
 
 val int64 : t -> int64
-val bits : t -> int
-(** 30 uniform bits, like [Random.bits]. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound).  [bound] must be positive. *)

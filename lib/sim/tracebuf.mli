@@ -76,7 +76,8 @@ val emit :
   arg2:int ->
   arg3:int ->
   unit
-(** Record an event if {!interested}; otherwise do nothing and allocate
+(** Record an event if tracing is enabled and (when an interest set is
+    installed) the kind's tag is in it; otherwise do nothing and allocate
     nothing. *)
 
 val tag : record -> string
@@ -99,10 +100,6 @@ val dropped : t -> int
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 (** Disabling makes [emit] a no-op; benchmarks disable tracing. *)
-
-val interested : t -> kind -> bool
-(** [enabled] and (when an interest set is installed) the kind's tag is
-    in it. *)
 
 val set_interest : t -> string list option -> unit
 (** [Some tags] records only kinds filed under those tags; [None] (the

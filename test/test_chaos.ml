@@ -1,21 +1,20 @@
 (* Chaos suite: deterministic fault injection end to end.
 
-   Four claims are pinned here:
-   1. Chaos off is inert — the determinism goldens (recorded before the
-      fault injector existed) still hold bit-for-bit when a run is
-      booted with the explicit [off] profile.
-   2. Chaos on is deterministic — same (seed, profile) replays the same
-      fault schedule, trace digest and request accounting.
-   3. Hardened workloads degrade, never lose — under every canned
+   Three claims are pinned here:
+   1. Chaos on is deterministic — same (seed, profile) replays the same
+      fault schedule, trace and request accounting.
+   2. Hardened workloads degrade, never lose — under every canned
       profile each request is accounted for (served + shed + aborted)
       and each transaction commits.
-   4. The kernel/runtime fixes that hardening exposed stay fixed —
+   3. The kernel/runtime fixes that hardening exposed stay fixed —
       EINTR'd sleeps still sleep their full span, a timeout-EINTR
       re-arms the SIGWAITING edge, non-blocking socket outcomes are
       distinguishable, and the LWP pool replenishes itself when the
       injector kills its members.
 
-   Fault-count goldens re-record with SUNOS_PRINT_GOLDENS=1. *)
+   That chaos off is inert is pinned in test_determinism.expected: every
+   run there boots with the explicit [off] profile.  Its last section
+   pins the light profile's fault schedule on the hardened server. *)
 
 module Kernel = Sunos_kernel.Kernel
 module Uctx = Sunos_kernel.Uctx
@@ -32,151 +31,24 @@ module A = Sunos_workloads.Array_compute
 module KV = Sunos_workloads.Kv_store
 
 (* ------------------------------------------------------------------ *)
-(* Probes                                                              *)
+(* 1 + 2. Hardened workloads under the canned profiles                 *)
 (* ------------------------------------------------------------------ *)
 
-type probe = {
-  tag_digest : string;
-  tag_count : int;
-  dispatches : int;
-  preemptions : int;
-}
-
-let probe_of_kernel k =
-  let tags =
-    List.map Sunos_sim.Tracebuf.tag (Kernel.trace_records k)
-  in
-  {
-    tag_digest = Digest.to_hex (Digest.string (String.concat "," tags));
-    tag_count = List.length tags;
-    dispatches = Kernel.dispatch_count k;
-    preemptions = Kernel.preemption_count k;
-  }
-
-let check_probe name golden actual =
-  Alcotest.(check string)
-    (name ^ " trace tag digest") golden.tag_digest actual.tag_digest;
-  Alcotest.(check int) (name ^ " trace tag count") golden.tag_count
-    actual.tag_count;
-  Alcotest.(check int) (name ^ " dispatches") golden.dispatches
-    actual.dispatches;
-  Alcotest.(check int) (name ^ " preemptions") golden.preemptions
-    actual.preemptions
-
-(* ------------------------------------------------------------------ *)
-(* 1. Chaos off is inert                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The exact configurations and goldens of test_determinism: booting
-   with the explicit [off] profile must reproduce them bit-for-bit.
-   If these fail while test_determinism passes, the chaos plumbing
-   perturbs disabled runs — the one thing it must never do. *)
-
-let det_net_params =
-  {
-    S.default_params with
-    connections = 12;
-    requests_per_conn = 2;
-    think_time_us = 20_000;
-    connect_stagger_us = 500;
-    disk_every = 8;
-    workers = 4;
-    concurrency = 4;
-    client_concurrency = 12;
-    listen_backlog = 32;
-  }
-
-let det_db_params =
-  {
-    Db.default_params with
-    processes = 2;
-    threads_per_process = 4;
-    records = 16;
-    transactions_per_thread = 10;
-  }
-
-let golden_net =
-  {
-    tag_digest = "8fffe7b5bfb695c486aa300e034e1cb7";
-    tag_count = 544;
-    dispatches = 223;
-    preemptions = 31;
-  }
-
-let golden_db =
-  {
-    tag_digest = "ce1dad7ea79bac69892ce0bd4b57df7a";
-    tag_count = 128;
-    dispatches = 64;
-    preemptions = 0;
-  }
-
-let net_probe_off () =
-  let out = ref None in
-  ignore
-    (S.run
-       (module Sunos_baselines.Mt)
-       ~cpus:2 ~chaos:Faultgen.off ~trace:true
-       ~debrief:(fun k ->
-         Alcotest.(check int) "off injects nothing" 0 (Kernel.chaos_total k);
-         out := Some (probe_of_kernel k))
-       det_net_params);
-  Option.get !out
-
-let db_probe_off () =
-  let out = ref None in
-  ignore
-    (Db.run ~cpus:2 ~chaos:Faultgen.off ~trace:true
-       ~debrief:(fun k -> out := Some (probe_of_kernel k))
-       det_db_params);
-  Option.get !out
-
-let test_off_inert_net () =
-  check_probe "chaos-off net-server" golden_net (net_probe_off ())
-
-let test_off_inert_db () =
-  check_probe "chaos-off database" golden_db (db_probe_off ())
-
-(* ------------------------------------------------------------------ *)
-(* 2 + 3. Hardened workloads under the canned profiles                 *)
-(* ------------------------------------------------------------------ *)
-
-let hardened_params =
-  {
-    S.default_params with
-    connections = 10;
-    requests_per_conn = 3;
-    think_time_us = 1_000;
-    connect_stagger_us = 500;
-    workers = 4;
-    concurrency = 4;
-    client_concurrency = 10;
-    listen_backlog = 8;
-    connect_retry_limit = 12;
-    retry_base_us = 300;
-    request_deadline_us = 250_000;
-    shed_queue_limit = 6;
-  }
-
+(* The hardened server under [profile]: its results, fault counts and
+   Golden.lines. *)
 let run_net profile =
-  let counts = ref [] and pr = ref None in
+  let counts = ref [] and lines = ref [] in
   let r =
-    S.run
-      (module Sunos_baselines.Mt)
-      ~cpus:2 ~chaos:profile ~trace:true
-      ~debrief:(fun k ->
+    Golden.server ~chaos:profile Golden.hardened (fun k ->
         counts := Kernel.chaos_counts k;
-        pr := Some (probe_of_kernel k))
-      hardened_params
+        lines := Golden.lines k)
   in
-  (r, !counts, Option.get !pr)
-
-let total_requests p = p.S.connections * p.S.requests_per_conn
+  (r, !counts, !lines)
 
 let check_conservation name (r : S.results) =
   Alcotest.(check int)
     (name ^ ": served+shed+aborted accounts for every request")
-    (total_requests hardened_params)
+    (Golden.hardened.S.connections * Golden.hardened.S.requests_per_conn)
     (r.S.served + r.S.shed + r.S.aborted);
   Alcotest.(check bool) (name ^ ": some requests served") true (r.S.served > 0)
 
@@ -263,60 +135,18 @@ let test_profiles_kv () =
     (r.KV.gets_aborted > 0 && r.KV.puts_aborted > 0)
 
 (* Same (seed, profile) must replay the identical run: fault schedule,
-   trace digest and request accounting all bit-equal. *)
+   trace and request accounting all bit-equal. *)
 let test_chaos_deterministic () =
-  let r1, c1, p1 = run_net Faultgen.network_heavy in
-  let r2, c2, p2 = run_net Faultgen.network_heavy in
-  check_probe "chaos replay" p1 p2;
+  let r1, c1, l1 = run_net Faultgen.network_heavy in
+  let r2, c2, l2 = run_net Faultgen.network_heavy in
+  Golden.check_same "chaos replay" l1 l2;
   Alcotest.(check (list (pair string int))) "fault schedule replays" c1 c2;
   Alcotest.(check (list int)) "request accounting replays"
     [ r1.S.served; r1.S.shed; r1.S.aborted; r1.S.gaveup; r1.S.refused ]
     [ r2.S.served; r2.S.shed; r2.S.aborted; r2.S.gaveup; r2.S.refused ]
 
 (* ------------------------------------------------------------------ *)
-(* Pinned fault-count goldens                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The light-profile fault schedule for the fixed hardened config: a
-   change here means the chaos stream or an injection site moved —
-   legitimate only with an intentional Faultgen/kernel change
-   (re-record with SUNOS_PRINT_GOLDENS=1). *)
-let golden_light_counts =
-  [
-    ("conn-refuse", 1);
-    ("conn-rst", 1);
-    ("eintr-sleep", 3);
-    ("enomem-lwp", 2);
-    ("fault-spike", 1);
-    ("peer-stall", 1);
-    ("preempt-storm", 9);
-  ]
-
-let golden_light_accounting = (27, 0, 3)
-
-let light_run () =
-  let r, counts, _ = run_net Faultgen.light in
-  (r, counts)
-
-let test_fault_count_golden () =
-  let r, counts = light_run () in
-  Alcotest.(check (list (pair string int)))
-    "light-profile fault counts" golden_light_counts counts;
-  let served, shed, aborted = golden_light_accounting in
-  Alcotest.(check (list int)) "light-profile accounting"
-    [ served; shed; aborted ]
-    [ r.S.served; r.S.shed; r.S.aborted ]
-
-let print_goldens () =
-  let r, counts = light_run () in
-  Printf.printf "let golden_light_counts =\n  [ %s ]\n"
-    (String.concat "; "
-       (List.map (fun (s, n) -> Printf.sprintf "(%S, %d)" s n) counts));
-  Printf.printf "let golden_light_accounting = (%d, %d, %d)\n" r.S.served
-    r.S.shed r.S.aborted
-
-(* ------------------------------------------------------------------ *)
-(* 4. Kernel semantics under injected faults                           *)
+(* 3. Kernel semantics under injected faults                           *)
 (* ------------------------------------------------------------------ *)
 
 let eintr_all =
@@ -513,50 +343,39 @@ let test_schedule_pure_in_seed () =
     (sweep 7L <> sweep 8L)
 
 let () =
-  if Sys.getenv_opt "SUNOS_PRINT_GOLDENS" <> None then print_goldens ()
-  else
-    Alcotest.run "chaos"
-      [
-        ( "inert-off",
-          [
-            Alcotest.test_case "net-server matches determinism golden"
-              `Quick test_off_inert_net;
-            Alcotest.test_case "database matches determinism golden" `Quick
-              test_off_inert_db;
-          ] );
-        ( "profiles",
-          [
-            Alcotest.test_case "net-server conserves requests" `Quick
-              test_profiles_net;
-            Alcotest.test_case "database commits everything" `Quick
-              test_profiles_db;
-            Alcotest.test_case "window-system handles everything" `Quick
-              test_profiles_windows;
-            Alcotest.test_case "array-compute completes" `Quick
-              test_profiles_array;
-            Alcotest.test_case "kv-store conserves each op class" `Quick
-              test_profiles_kv;
-            Alcotest.test_case "same (seed, profile) replays" `Quick
-              test_chaos_deterministic;
-            Alcotest.test_case "light-profile fault counts pinned" `Quick
-              test_fault_count_golden;
-          ] );
-        ( "semantics",
-          [
-            Alcotest.test_case "EINTR'd sleep keeps its span" `Quick
-              test_eintr_sleep_full_span;
-            Alcotest.test_case "timeout-EINTR re-arms SIGWAITING" `Quick
-              test_timeout_eintr_rearms_sigwaiting;
-            Alcotest.test_case "non-blocking socket variants" `Quick
-              test_nb_socket_variants;
-            Alcotest.test_case "injected EAGAIN is spurious" `Quick
-              test_injected_eagain_is_spurious;
-            Alcotest.test_case "pool replenishes reaped LWPs" `Quick
-              test_pool_replenishment;
-          ] );
-        ( "faultgen",
-          [
-            Alcotest.test_case "schedule pure in (seed, profile)" `Quick
-              test_schedule_pure_in_seed;
-          ] );
-      ]
+  Alcotest.run "chaos"
+    [
+      ( "profiles",
+        [
+          Alcotest.test_case "net-server conserves requests" `Quick
+            test_profiles_net;
+          Alcotest.test_case "database commits everything" `Quick
+            test_profiles_db;
+          Alcotest.test_case "window-system handles everything" `Quick
+            test_profiles_windows;
+          Alcotest.test_case "array-compute completes" `Quick
+            test_profiles_array;
+          Alcotest.test_case "kv-store conserves each op class" `Quick
+            test_profiles_kv;
+          Alcotest.test_case "same (seed, profile) replays" `Quick
+            test_chaos_deterministic;
+        ] );
+      ( "semantics",
+        [
+          Alcotest.test_case "EINTR'd sleep keeps its span" `Quick
+            test_eintr_sleep_full_span;
+          Alcotest.test_case "timeout-EINTR re-arms SIGWAITING" `Quick
+            test_timeout_eintr_rearms_sigwaiting;
+          Alcotest.test_case "non-blocking socket variants" `Quick
+            test_nb_socket_variants;
+          Alcotest.test_case "injected EAGAIN is spurious" `Quick
+            test_injected_eagain_is_spurious;
+          Alcotest.test_case "pool replenishes reaped LWPs" `Quick
+            test_pool_replenishment;
+        ] );
+      ( "faultgen",
+        [
+          Alcotest.test_case "schedule pure in (seed, profile)" `Quick
+            test_schedule_pure_in_seed;
+        ] );
+    ]

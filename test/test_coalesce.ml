@@ -4,7 +4,7 @@
    window, and settles the accumulated slice in one event — so with the
    budget capped strictly below every observable horizon, a coalesced
    run and a charge-by-charge run must produce byte-identical traces and
-   identical per-LWP accounted CPU.
+   identical per-process accounted CPU.
 
    This suite pins that equivalence on the three paper workloads and on
    targeted budget edges: quantum expiry mid-ledger, a signal landing
@@ -16,169 +16,52 @@ module Eventq = Sunos_sim.Eventq
 module Cost = Sunos_hw.Cost_model
 module Kernel = Sunos_kernel.Kernel
 module Uctx = Sunos_kernel.Uctx
-module Procfs = Sunos_kernel.Procfs
 module Sysdefs = Sunos_kernel.Sysdefs
 module Signo = Sunos_kernel.Signo
 module Libthread = Sunos_threads.Libthread
 module T = Sunos_threads.Thread
-module S = Sunos_workloads.Net_server
-module Db = Sunos_workloads.Database
 module W = Sunos_workloads.Window_system
 
 let cost_off = { Cost.default with coalesce = false }
-let cost_of ~coalesce = if coalesce then Cost.default else cost_off
 
-(* Everything the optimization could plausibly disturb: the trace tag
-   stream, scheduling counters, the clock, and each LWP's accounted
-   user/system CPU as /proc reports it. *)
-type probe = {
-  tag_digest : string;
-  tag_count : int;
-  dispatches : int;
-  preemptions : int;
-  end_time : Time.t;
-  cpu : (int * string * (int * Time.span * Time.span) list) list;
-      (* pid, "utime/stime", per-LWP (lwpid, utime, stime) *)
-}
-
-let probe_of_kernel k =
-  let tags =
-    List.map Sunos_sim.Tracebuf.tag (Kernel.trace_records k)
-  in
-  {
-    tag_digest = Digest.to_hex (Digest.string (String.concat "," tags));
-    tag_count = List.length tags;
-    dispatches = Kernel.dispatch_count k;
-    preemptions = Kernel.preemption_count k;
-    end_time = Kernel.now k;
-    cpu =
-      List.map
-        (fun pi ->
-          ( pi.Procfs.pi_pid,
-            Printf.sprintf "%Ld/%Ld" pi.Procfs.pi_utime pi.Procfs.pi_stime,
-            List.map
-              (fun li ->
-                ( li.Procfs.li_lwpid,
-                  li.Procfs.li_utime,
-                  li.Procfs.li_stime ))
-              pi.Procfs.pi_lwps ))
-        (Procfs.snapshot k);
-  }
-
-let check_equal name (off : probe) (on : probe) =
-  Alcotest.(check string) (name ^ " trace digest") off.tag_digest on.tag_digest;
-  Alcotest.(check int) (name ^ " trace count") off.tag_count on.tag_count;
-  Alcotest.(check int) (name ^ " dispatches") off.dispatches on.dispatches;
-  Alcotest.(check int) (name ^ " preemptions") off.preemptions on.preemptions;
-  Alcotest.(check int64) (name ^ " end time") off.end_time on.end_time;
-  Alcotest.(check int)
-    (name ^ " process count")
-    (List.length off.cpu) (List.length on.cpu);
-  List.iter2
-    (fun (pid0, t0, lwps0) (pid1, t1, lwps1) ->
-      Alcotest.(check int) (name ^ " pid") pid0 pid1;
-      Alcotest.(check string)
-        (Printf.sprintf "%s pid %d proc cpu" name pid0)
-        t0 t1;
-      List.iter2
-        (fun (id0, u0, s0) (id1, u1, s1) ->
-          Alcotest.(check int) (name ^ " lwpid") id0 id1;
-          Alcotest.(check int64)
-            (Printf.sprintf "%s pid %d lwp %d utime" name pid0 id0)
-            u0 u1;
-          Alcotest.(check int64)
-            (Printf.sprintf "%s pid %d lwp %d stime" name pid0 id0)
-            s0 s1)
-        lwps0 lwps1)
-    off.cpu on.cpu
+(* Everything the optimization could plausibly disturb is in
+   Golden.lines: the trace, the scheduling counters, the clock, each
+   CPU's busy time and each process's accounted user/system CPU as /proc
+   reports it. *)
+let check_equal name run =
+  Golden.check_same name
+    (Golden.read (run ~cost:cost_off) Golden.lines)
+    (Golden.read (run ~cost:Cost.default) Golden.lines)
 
 (* --- the three pinned workloads, coalescing off vs on ---------------- *)
 
-let net_probe ~coalesce =
-  let p =
-    {
-      S.default_params with
-      connections = 12;
-      requests_per_conn = 2;
-      think_time_us = 20_000;
-      connect_stagger_us = 500;
-      compute_steps = 4;
-      disk_every = 8;
-      workers = 4;
-      concurrency = 4;
-      client_concurrency = 12;
-      listen_backlog = 32;
-    }
-  in
-  let out = ref None in
-  ignore
-    (S.run
-       (module Sunos_baselines.Mt)
-       ~cpus:2 ~cost:(cost_of ~coalesce) ~trace:true
-       ~debrief:(fun k -> out := Some (probe_of_kernel k))
-       p);
-  Option.get !out
-
-let db_probe ~mmap ~coalesce =
-  let p =
-    {
-      Db.default_params with
-      processes = 2;
-      threads_per_process = 4;
-      records = 16;
-      transactions_per_thread = 10;
-      mmap_io = mmap;
-    }
-  in
-  let out = ref None in
-  ignore
-    (Db.run ~cpus:2 ~cost:(cost_of ~coalesce) ~trace:true
-       ~debrief:(fun k -> out := Some (probe_of_kernel k))
-       p);
-  Option.get !out
-
-let window_probe ~coalesce =
-  let p = { W.default_params with widgets = 30; events = 120 } in
-  let out = ref None in
-  ignore
-    (W.run
-       (module Sunos_baselines.Mt)
-       ~cpus:2 ~cost:(cost_of ~coalesce) ~trace:true
-       ~debrief:(fun k -> out := Some (probe_of_kernel k))
-       p);
-  Option.get !out
-
 let test_net () =
-  check_equal "net-server" (net_probe ~coalesce:false) (net_probe ~coalesce:true)
+  check_equal "net-server" (fun ~cost ->
+      Golden.server ~cost { Golden.net with compute_steps = 4 })
 
 let test_db () =
-  check_equal "database"
-    (db_probe ~mmap:false ~coalesce:false)
-    (db_probe ~mmap:false ~coalesce:true)
+  check_equal "database" (fun ~cost -> Golden.database ~cost Golden.db)
 
 let test_db_mmap () =
-  check_equal "database-mmap"
-    (db_probe ~mmap:true ~coalesce:false)
-    (db_probe ~mmap:true ~coalesce:true)
+  check_equal "database-mmap" (fun ~cost ->
+      Golden.database ~cost { Golden.db with mmap_io = true })
 
 let test_window () =
-  check_equal "window-system"
-    (window_probe ~coalesce:false)
-    (window_probe ~coalesce:true)
+  check_equal "window-system" (fun ~cost debrief ->
+      W.run
+        (module Sunos_baselines.Mt)
+        ~cpus:2 ~cost ~trace:true ~debrief
+        { W.default_params with widgets = 30; events = 120 })
 
 (* --- budget edges ---------------------------------------------------- *)
 
-(* Run a program under both modes and compare probes. *)
-let edge_probe ~cpus prog ~coalesce =
-  let k = Kernel.boot ~cpus ~cost:(cost_of ~coalesce) () in
-  prog k;
-  Kernel.run k;
-  probe_of_kernel k
-
+(* Run a program under both modes and compare. *)
 let check_edge ?(cpus = 1) name prog =
-  check_equal name
-    (edge_probe ~cpus prog ~coalesce:false)
-    (edge_probe ~cpus prog ~coalesce:true)
+  check_equal name (fun ~cost debrief ->
+      let k = Kernel.boot ~cpus ~cost () in
+      prog k;
+      Kernel.run k;
+      debrief k)
 
 (* Quantum expiry mid-ledger: two competing CPU hogs on one CPU charge
    in 1ms slices, far past the timeshare quantum, so run-ahead windows

@@ -769,6 +769,112 @@ let zero_length_cases =
         ])
     [ ("pipe", `Pipe); ("socket", `Sock) ]
 
+(* A call made with [req ()] by a process's only LWP completes with
+   [expected], and the caller runs on and the run drains. *)
+let args_case expected req () =
+  let k = Kernel.boot ~cpus:1 () in
+  let got = ref None and after = ref false in
+  ignore
+    (Kernel.spawn k ~name:"args" ~main:(fun () ->
+         got := Some (Uctx.syscall (req ()));
+         after := true));
+  Kernel.run ~max_events:100_000 k;
+  check_ret "returned" expected !got;
+  Alcotest.(check bool) "the caller ran on" true !after
+
+let args_file () = Uctx.open_file ~flags:[ Sysdefs.O_CREAT ] "/args"
+let args_seg () = Uctx.mmap_anon ~size:4096 ~shared:false
+
+(* An argument the call cannot act on completes it with EINVAL: a signal
+   number outside 1..max_sig, a negative span or offset, a span or
+   timeout past the end of simulated time, a mapping of no size. *)
+let bad_args_cases =
+  List.map
+    (fun (name, req) ->
+      Alcotest.test_case name `Quick
+        (args_case (Sysdefs.R_err Errno.EINVAL) req))
+    Sysdefs.
+      [
+        ("lseek -3", fun () -> Sys_lseek (args_file (), -3));
+        ("touch -1", fun () -> Sys_touch (args_seg (), -1));
+        ("touch -5000", fun () -> Sys_touch (args_seg (), -5000));
+        ("mmap_anon 0", fun () -> Sys_mmap_anon { size = 0; shared = false });
+        ( "mmap_anon -4096",
+          fun () -> Sys_mmap_anon { size = -4096; shared = true } );
+        ("nanosleep -1", fun () -> Sys_nanosleep (-1L));
+        ("nanosleep past the end", fun () -> Sys_nanosleep Int64.max_int);
+        ("lwp_park -1", fun () -> Sys_lwp_park (Some (-1L)));
+        ("lwp_park past the end", fun () -> Sys_lwp_park (Some Int64.max_int));
+        ("setitimer -1", fun () -> Sys_setitimer (Timer_real, Some (-1L)));
+        ( "setitimer past the end",
+          fun () -> Sys_setitimer (Timer_real, Some Int64.max_int) );
+        ( "kwait -1",
+          fun () ->
+            Sys_kwait
+              {
+                seg = args_seg ();
+                offset = 0;
+                timeout = Some (-1L);
+                expect = None;
+              } );
+        ( "kwait past the end",
+          fun () ->
+            Sys_kwait
+              {
+                seg = args_seg ();
+                offset = 0;
+                timeout = Some Int64.max_int;
+                expect = None;
+              } );
+        ("kill 0", fun () -> Sys_kill (Uctx.getpid (), 0));
+        ("kill 99", fun () -> Sys_kill (Uctx.getpid (), 99));
+        ("lwp_kill -1", fun () -> Sys_lwp_kill (Uctx.getlwpid (), -1));
+        ("sigaction 0", fun () -> Sys_sigaction (0, Sig_ignore));
+        ( "sigaction max_sig+1",
+          fun () -> Sys_sigaction (Signo.max_sig + 1, Sig_ignore) );
+        ("trap 99", fun () -> Sys_trap 99);
+        ("poll past the end", fun () -> Sys_poll ([], Some Int64.max_int));
+        ( "epoll_wait past the end",
+          fun () -> Sys_epoll_wait (Uctx.epoll_create (), 1, Some Int64.max_int)
+        );
+      ]
+
+(* The same calls at the edge of what they accept act as before: the
+   highest signal number, a zero span or offset, a poll that returns at
+   once on a negative timeout.  A refused lseek leaves the offset where
+   it was, so the read or write after it works there. *)
+let edge_args_cases =
+  List.map
+    (fun (name, req, expected) ->
+      Alcotest.test_case name `Quick (args_case expected req))
+    Sysdefs.
+      [
+        ( "read after lseek -3",
+          (fun () ->
+            let fd = args_file () in
+            Uctx.write_all fd "abcdef";
+            Uctx.lseek fd 2;
+            ignore (Uctx.syscall (Sys_lseek (fd, -3)));
+            Sys_read (fd, 2)),
+          R_bytes "cd" );
+        ( "write after lseek -3",
+          (fun () ->
+            let fd = args_file () in
+            Uctx.write_all fd "abcdef";
+            Uctx.lseek fd 2;
+            ignore (Uctx.syscall (Sys_lseek (fd, -3)));
+            Uctx.write_all fd "XY";
+            Uctx.lseek fd 0;
+            Sys_read (fd, 6)),
+          R_bytes "abXYef" );
+        ("touch 0", (fun () -> Sys_touch (args_seg (), 0)), R_ok);
+        ("nanosleep 0", (fun () -> Sys_nanosleep 0L), R_ok);
+        ("poll -1", (fun () -> Sys_poll ([], Some (-1L))), R_poll []);
+        ( "sigaction max_sig",
+          (fun () -> Sys_sigaction (Signo.max_sig, Sig_ignore)),
+          R_disp Sig_default );
+      ]
+
 let () =
   Alcotest.run "sunos_kernel_edges"
     [
@@ -825,6 +931,8 @@ let () =
             test_procfs_shows_sleeps;
         ] );
       ("zero_length", zero_length_cases);
+      ("bad_args", bad_args_cases);
+      ("edge_args", edge_args_cases);
       ( "signals_misc",
         [
           Alcotest.test_case "KILL/STOP uncatchable" `Quick

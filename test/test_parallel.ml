@@ -7,62 +7,28 @@
    `bench -j N` does.  That is safe only if every piece of state shared
    between machines is domain-local or atomic.  Each workload here is
    run once on the main domain, then on 1, 2 and 4 domains at once, all
-   running the same seed; every copy must match the sequential run bit
-   for bit: trace tag digest, dispatch/preemption counters, events fired,
-   makespan and each CPU's busy time.  A chaos (network-heavy)
-   run is held to the same standard: fault injection draws from its own
-   per-machine stream.  Finally the single event heap is checked at
-   quiescence: a drained run leaves neither live nor cancelled entries.
+   running the same seed; every copy must match the sequential run line
+   for line: the events fired and Golden.lines (every trace record, the
+   scheduler counters, the makespan, each CPU's busy time and each
+   process's accounted CPU).  A chaos (network-heavy) run is held to the
+   same standard: fault injection draws from its own per-machine stream.
+   The kv store is also run twice at two process counts.  Finally the
+   single event heap is checked at quiescence: a drained run leaves
+   neither live nor cancelled entries.
 
    The sanitizer keeps its tables per domain (lib/core/thrsan.ml), so
    @sanitize runs this suite under THRSAN=1 too. *)
 
 module Kernel = Sunos_kernel.Kernel
 module Machine = Sunos_hw.Machine
-module Cpu = Sunos_hw.Cpu
 module Eventq = Sunos_sim.Eventq
 module Faultgen = Sunos_sim.Faultgen
-module S = Sunos_workloads.Net_server
-module Db = Sunos_workloads.Database
-module KV = Sunos_workloads.Kv_store
 
 let domain_counts = [ 1; 2; 4 ]
 
-type probe = {
-  tag_digest : string;
-  tag_count : int;
-  dispatches : int;
-  preemptions : int;
-  events_fired : int;
-  makespan : int64;
-  cpu_busy : int64 list;
-}
-
-let probe_of_kernel k =
-  let tags =
-    List.map Sunos_sim.Tracebuf.tag (Kernel.trace_records k)
-  in
-  let m = Kernel.machine k in
-  let now = Machine.now m in
-  {
-    tag_digest = Digest.to_hex (Digest.string (String.concat "," tags));
-    tag_count = List.length tags;
-    dispatches = Kernel.dispatch_count k;
-    preemptions = Kernel.preemption_count k;
-    events_fired = Eventq.events_fired m.Machine.eventq;
-    makespan = now;
-    cpu_busy =
-      Array.to_list (Array.map (fun c -> Cpu.busy_time c ~now) m.Machine.cpus);
-  }
-
-let check name (a : probe) (b : probe) =
-  Alcotest.(check string) (name ^ " trace tag digest") a.tag_digest b.tag_digest;
-  Alcotest.(check int) (name ^ " trace tag count") a.tag_count b.tag_count;
-  Alcotest.(check int) (name ^ " dispatches") a.dispatches b.dispatches;
-  Alcotest.(check int) (name ^ " preemptions") a.preemptions b.preemptions;
-  Alcotest.(check int) (name ^ " events fired") a.events_fired b.events_fired;
-  Alcotest.(check int64) (name ^ " makespan") a.makespan b.makespan;
-  Alcotest.(check (list int64)) (name ^ " CPU busy time") a.cpu_busy b.cpu_busy
+(* The events fired and Golden.lines of the run [run] makes. *)
+let probe run () =
+  Golden.read run (fun k -> Golden.events k :: Golden.lines k)
 
 (* [n] copies of [run] on [n] domains at once, in domain order. *)
 let on_domains n run =
@@ -73,89 +39,49 @@ let across_domains name run =
   List.iter
     (fun d ->
       List.iteri
-        (fun i p -> check (Printf.sprintf "%s domains=%d copy %d" name d i) base p)
+        (fun i p ->
+          Golden.check_same
+            (Printf.sprintf "%s domains=%d copy %d" name d i)
+            base p)
         (on_domains d run))
     domain_counts
 
 (* --- workload probes ---------------------------------------------------- *)
 
-let net_params =
-  {
-    S.default_params with
-    connections = 12;
-    requests_per_conn = 2;
-    think_time_us = 20_000;
-    connect_stagger_us = 500;
-    disk_every = 8;
-    workers = 4;
-    concurrency = 4;
-    client_concurrency = 12;
-    listen_backlog = 32;
-  }
+let net = Golden.server Golden.net
+let net_epoll = Golden.server Golden.net_epoll
+let db = Golden.database Golden.db
+let kv procs = Golden.kv_store (Golden.kv ~procs)
 
-let net_run ?chaos p ~debrief =
-  ignore (S.run (module Sunos_baselines.Mt) ~cpus:2 ?chaos ~trace:true ~debrief p)
+let test_net () = across_domains "net-server" (probe net)
+let test_net_epoll () = across_domains "net-server-epoll" (probe net_epoll)
+let test_db () = across_domains "database" (probe db)
+let test_kv () = across_domains "kv-store" (probe (kv 2))
 
-let db_run ~debrief =
-  let p =
-    {
-      Db.default_params with
-      processes = 2;
-      threads_per_process = 4;
-      records = 16;
-      transactions_per_thread = 10;
-    }
-  in
-  ignore (Db.run ~cpus:2 ~trace:true ~debrief p)
-
-let kv_run ~debrief =
-  let p =
-    {
-      KV.default_params with
-      server_procs = 2;
-      shards = 4;
-      clients = 6;
-      requests_per_client = 4;
-      workers_per_server = 3;
-      think_time_us = 500;
-    }
-  in
-  ignore (KV.run ~cpus:2 ~trace:true ~debrief p)
-
-let probe run () =
-  let out = ref None in
-  run ~debrief:(fun k -> out := Some (probe_of_kernel k));
-  Option.get !out
-
-let test_net () = across_domains "net-server" (probe (net_run net_params))
-let test_db () = across_domains "database" (probe db_run)
-let test_kv () = across_domains "kv-store" (probe kv_run)
+(* The kv store forks server processes and synchronizes them through a
+   shared segment; same-seed runs must stay bit-identical at any process
+   count — more processes change the schedule, never make it random. *)
+let test_kv_procs () =
+  List.iter
+    (fun procs ->
+      let run = probe (kv procs) in
+      Golden.check_same
+        (Printf.sprintf "kv procs=%d run-to-run" procs)
+        (run ()) (run ()))
+    [ 2; 3 ]
 
 (* Network-heavy fault injection on the hardened server, two machines
    on two domains against the sequential run. *)
-let chaos_params =
-  {
-    S.default_params with
-    connections = 10;
-    requests_per_conn = 3;
-    think_time_us = 1_000;
-    connect_stagger_us = 500;
-    workers = 4;
-    concurrency = 4;
-    client_concurrency = 10;
-    listen_backlog = 8;
-    connect_retry_limit = 12;
-    retry_base_us = 300;
-    request_deadline_us = 250_000;
-    shed_queue_limit = 6;
-  }
-
 let test_chaos () =
-  let run = probe (net_run ~chaos:Faultgen.network_heavy chaos_params) in
+  let run =
+    probe (Golden.server ~chaos:Faultgen.network_heavy Golden.hardened)
+  in
   let base = run () in
   List.iteri
     (fun i p ->
-      check (Printf.sprintf "net-server chaos network-heavy copy %d" i) base p)
+      Golden.check_same
+        (Printf.sprintf "net-server chaos network-heavy copy %d" i)
+        base p)
     (on_domains 2 run)
 
 (* --- engine ------------------------------------------------------------- *)
@@ -166,18 +92,20 @@ let test_chaos () =
 let test_heap_drained () =
   let drained name run =
     let fired = ref 0 and live = ref (-1) and population = ref (-1) in
-    run ~debrief:(fun k ->
-        let q = (Kernel.machine k).Machine.eventq in
-        fired := Eventq.events_fired q;
-        live := Eventq.pending_count q;
-        population := Eventq.heap_population q);
+    ignore
+      (run (fun k ->
+           let q = (Kernel.machine k).Machine.eventq in
+           fired := Eventq.events_fired q;
+           live := Eventq.pending_count q;
+           population := Eventq.heap_population q));
     Alcotest.(check bool) (name ^ " fired events") true (!fired > 0);
     Alcotest.(check int) (name ^ " no live events") 0 !live;
     Alcotest.(check int) (name ^ " no cancelled leftovers") 0 !population
   in
-  drained "net-server" (net_run net_params);
-  drained "database" db_run;
-  drained "kv-store" kv_run
+  drained "net-server" net;
+  drained "net-server-epoll" net_epoll;
+  drained "database" db;
+  drained "kv-store" (kv 2)
 
 let () =
   Alcotest.run "parallel"
@@ -186,8 +114,12 @@ let () =
         [
           Alcotest.test_case "net-server bit-identical x domains" `Quick
             test_net;
+          Alcotest.test_case "net-server epoll bit-identical x domains" `Quick
+            test_net_epoll;
           Alcotest.test_case "database bit-identical x domains" `Quick test_db;
           Alcotest.test_case "kv-store bit-identical x domains" `Quick test_kv;
+          Alcotest.test_case "kv-store run-to-run x procs" `Quick
+            test_kv_procs;
           Alcotest.test_case "chaos network-heavy domains=2" `Quick test_chaos;
         ] );
       ( "engine",
