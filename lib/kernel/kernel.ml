@@ -47,6 +47,22 @@ let preemption_count (k : t) = k.Ktypes.ctr_preemptions
 let sigwaiting_count (k : t) = k.Ktypes.ctr_sigwaiting
 let lwp_create_count (k : t) = k.Ktypes.ctr_lwp_creates
 
+(* In [Ktypes.busy_slot] order, then the stale slot.  A kernel that
+   never dispatched has no counts yet. *)
+let event_counts (k : t) =
+  let fired = k.Ktypes.fired in
+  let busy =
+    List.mapi
+      (fun i name -> (name, if i < Array.length fired then fired.(i) else 0))
+      [ "trap"; "complete"; "sysret"; "charge"; "dispatch"; "settle"; "call";
+        "stale" ]
+  in
+  let other =
+    Sunos_sim.Eventq.events_fired (machine k).Machine.eventq
+    - Array.fold_left ( + ) 0 fired
+  in
+  busy @ [ ("other", other) ]
+
 let bug_sigwaiting_no_rearm = Kernel_impl.bug_sigwaiting_no_rearm
 let chaos k = (machine k).Machine.chaos
 let chaos_label k = Sunos_sim.Faultgen.label (chaos k)

@@ -68,6 +68,19 @@ val preemption_count : t -> int
 val sigwaiting_count : t -> int
 val lwp_create_count : t -> int
 
+val event_counts : t -> (string * int) list
+(** Events fired, by kind.  First each kind of busy interval that
+    acted: "trap" (trap entry), "complete" (a call's operation),
+    "sysret" (return to user mode), "charge" (a charge slice),
+    "dispatch" (the dispatcher's context switch), "settle" (an exiting
+    fiber's unsettled prefix) and "call" (an interval a syscall holds
+    the CPU for: exec, connect, lwp_exit, the park enqueue).  Then
+    "stale": busy entries that found a newer interval on their CPU, or
+    their LWP gone from it, and did nothing.  Then "other": every other
+    event (devices, timers, sleep timeouts).  The counts sum to the
+    events the machine's queue fired; a kernel that never dispatched
+    has only "other" events. *)
+
 (** {1 Chaos introspection} *)
 
 val chaos : t -> Sunos_sim.Faultgen.t

@@ -7,9 +7,12 @@
    - an LWP's fiber runs only while its [lstate] is [Lrunning cpu];
    - all state transitions happen inside event callbacks, so they are
      totally ordered by simulated time;
-   - a [busy] interval models the CPU being held; completion callbacks
-     check the LWP is still running on that CPU (kills and stops may have
-     intervened) before acting. *)
+   - a busy interval models the CPU being held.  Each CPU has one busy
+     record and each interval one armed heap entry ([arm]); an interval
+     acts when it ends only while it is still its CPU's newest and its
+     LWP still runs there (a kill or exec may have taken the CPU, or
+     charging the span may have ended the process), and any other entry
+     fires as a no-op. *)
 
 open Ktypes
 module Time = Sunos_sim.Time
@@ -25,7 +28,7 @@ module Shm = Sunos_hw.Shared_memory
 let cost k = k.machine.Machine.cost
 let now k = Machine.now k.machine
 let eventq k = k.machine.Machine.eventq
-let schedule k span f = ignore (Eventq.after (eventq k) span f)
+let ns = Eventq.span_ns
 let is_idle cpu = match Cpu.occupant cpu with None -> true | Some _ -> false
 
 (* Typed trace records ({!Tracebuf.kind} says which fields a kind uses;
@@ -80,6 +83,8 @@ let create ~machine =
     ctr_preemptions = 0;
     ctr_sigwaiting = 0;
     ctr_lwp_creates = 0;
+    busy = [||];
+    fired = [||];
     hook_post_proc = (fun _ _ -> ());
     hook_post_lwp = (fun _ _ -> ());
     syscall_exec = (fun _ _ -> failwith "no syscall table installed");
@@ -89,6 +94,13 @@ let sig_flag lwp = not (Queue.is_empty lwp.deliverable)
 
 let is_running_on lwp cpu =
   match lwp.lstate with Lrunning c -> c = Cpu.id cpu | _ -> false
+
+(* Is the busy interval with heap entry [seq] still [cpu]'s newest,
+   held by [lwp]?  [r] is [cpu]'s busy record. *)
+let holds r seq lwp cpu = seq = r.b_seq && is_running_on lwp cpu
+
+(* One more busy entry fired, counted in [slot] (see [busy_slot]). *)
+let count k slot = k.fired.(slot) <- k.fired.(slot) + 1
 
 let cpu_of k lwp =
   match lwp.lstate with
@@ -198,10 +210,11 @@ let quantum_for k lwp =
    far may it charge before settling with the kernel?
 
    The budget is min(remaining quantum, time to the event queue's next
-   pending event).  The horizon cap is the exactness
-   argument: no event fires strictly before [next_time], so nothing in
-   the simulated machine can observe the fiber between the grant and its
-   settle — coalescing N charge events into one is invisible.  The
+   pending event, [Eventq.time_to_next]).  The horizon cap is the
+   exactness argument: no event fires strictly before that instant, so
+   nothing in the simulated machine can observe the fiber between the
+   grant and its settle — coalescing N charge events into one is
+   invisible.  The
    budget comparison in [Uctx.charge] is strict (acc < budget), so the
    quantum can never expire inside the window and an event lying exactly
    on the window's edge still fires before the settle event (smaller
@@ -230,13 +243,7 @@ let grant_budget k cpu lwp =
       && (not (sig_flag lwp))
       && (not (Cpu.need_resched cpu))
       && runs_on cpu lwp
-    then
-      match Eventq.next_time (eventq k) with
-      | Some t ->
-          let gap = Time.diff t (now k) in
-          if Time.(gap < Int64.of_int lwp.quantum_left) then Int64.to_int gap
-          else lwp.quantum_left
-      | None -> lwp.quantum_left
+    then Eventq.time_to_next (eventq k) ~cap:lwp.quantum_left
     else 0
   in
   Uctx.grant ~cost:c ~budget:(Int64.of_int budget)
@@ -254,6 +261,7 @@ and try_dispatch k cpu =
     | Some lwp -> place k cpu lwp
 
 and place k cpu lwp =
+  if Array.length k.busy = 0 then start_busy k lwp;
   Cpu.set_occupant cpu ~now:(now k) (Some lwp.lid);
   Cpu.set_need_resched cpu false;
   lwp.lstate <- Lrunning (Cpu.id cpu);
@@ -276,8 +284,28 @@ and place k cpu lwp =
   trace k Tracebuf.Dispatch ~cpu:(Cpu.id cpu) ~pid:lwp.proc.pid ~lwp:lwp.lid
     ~name:"" ~arg:(-1);
   (* Going through the dispatcher costs a kernel context switch. *)
-  schedule k (cost k).Cost.kernel_dispatch (fun () ->
-      if is_running_on lwp cpu then resume k cpu lwp)
+  arm k cpu lwp 0 (ns (cost k).Cost.kernel_dispatch) B_dispatch
+
+(* The CPUs' busy records, their counts and the queue's target that
+   ends their intervals are made at the first dispatch: a machine that
+   never runs anything, such as a boot timed on its own, pays for none
+   of them.  A record names [lwp] until its CPU's first interval; no
+   entry has its seq before then. *)
+and start_busy k lwp =
+  k.fired <- Array.make (stale_slot + 1) 0;
+  k.busy <-
+    Array.map
+      (fun cpu ->
+        {
+          b_cpu = cpu;
+          b_lwp = lwp;
+          b_span = 0;
+          b_seq = -1;
+          b_kind = B_call;
+          b_fin = ignore;
+        })
+      k.machine.Machine.cpus;
+  Eventq.set_target (eventq k) (fun i seq -> busy_end k i seq)
 
 (* Best-effort gang scheduling: the RUNNABLE members of a gang are placed
    all-or-nothing, so a barrier-released burst starts simultaneously on
@@ -323,10 +351,10 @@ and resume k cpu lwp =
         lwp.pending <- P_dead;
         grant_budget k cpu lwp;
         step k cpu lwp (Uctx.run_fiber f)
-    | P_charge (remaining, kont) ->
-        if Time.(remaining > 0L) then charge_slice k cpu lwp 0 remaining kont
+    | P_charge { left; kont } as charge ->
+        if left > 0 then charge_slice k cpu lwp 0 charge left
         else continue_charge k cpu lwp kont
-    | P_sysret (kont, ret) -> deliver_sysret k cpu lwp kont ret
+    | P_sysret _ -> deliver_sysret k cpu lwp
     | P_syswait _ | P_dead ->
         (* nothing to run: stale dispatch *)
         release_cpu k cpu;
@@ -353,7 +381,7 @@ and step k cpu lwp (s : Uctx.step) =
         lwp.quantum_left <- lwp.quantum_left - prefix;
         dispatch_step k cpu lwp prefix s
     | Uctx.Step_done | Uctx.Step_raised _ ->
-        busy k cpu lwp 0 (Int64.of_int prefix) (fun () ->
+        arm_fin k cpu lwp 0 prefix B_settle (fun () ->
             lwp.quantum_left <- lwp.quantum_left - prefix;
             dispatch_step k cpu lwp 0 s)
 
@@ -371,14 +399,16 @@ and dispatch_step k cpu lwp lead (s : Uctx.step) =
       trace_lwp k Tracebuf.Panic lwp ~name:(Printexc.to_string e) ~arg:(-1);
       ignore bt;
       proc_exit k lwp.proc ~status:139
-  | Uctx.Step_charge (span, kont) -> charge_slice k cpu lwp lead span kont
+  | Uctx.Step_charge (span, kont) ->
+      let left = ns span in
+      let charge = P_charge { left; kont } in
+      lwp.pending <- charge;
+      charge_slice k cpu lwp lead charge left
   | Uctx.Step_sys (req, kont) ->
-      lwp.pending <- P_syswait kont;
+      lwp.pending <- P_syswait (req, kont);
       k.ctr_syscalls <- k.ctr_syscalls + 1;
       let c = cost k in
-      busy k cpu lwp lead
-        (Int64.add c.Cost.trap_entry c.Cost.syscall_fixed)
-        (fun () -> k.syscall_exec lwp req)
+      arm k cpu lwp lead (ns c.Cost.trap_entry + ns c.Cost.syscall_fixed) B_trap
 
 (* Resume a charge continuation whose span is fully accounted. *)
 and continue_charge k cpu lwp kont =
@@ -386,77 +416,127 @@ and continue_charge k cpu lwp kont =
   grant_budget k cpu lwp;
   step k cpu lwp (Effect.Deep.continue kont (sig_flag lwp))
 
-(* Hold the CPU for [span] from [lead] ns on, accounting it to the LWP,
-   then run [fin].  If the LWP lost the CPU meanwhile (kill, stop at a
-   boundary), the completion is dropped — whoever took the CPU away owns
-   the next move. *)
-and busy k cpu lwp lead span fin =
-  let due = Int64.add (now k) (Int64.add (Int64.of_int lead) span) in
-  ignore
-    (Eventq.at (eventq k) due (fun () ->
-         if is_running_on lwp cpu then begin
-           account k lwp (Int64.to_int span);
-           (* other LWPs may have run during this interval: restore this
-              LWP's register context (current-thread pointer) before any
-              of its code continues *)
-           lwp.on_resume ();
-           fin ()
-         end))
+(* Hold [cpu] for [span] ns from [lead] ns on, accounting it to [lwp],
+   then do what [kind] says ([busy_end]).  The CPU's busy record gets
+   immediates only, bar the LWP when another took the CPU.  [lead] > 0
+   only under a grant, where the span is a trap or a slice of at most
+   the quantum left, so the sum cannot wrap. *)
+and arm k cpu lwp lead span kind =
+  let i = Cpu.id cpu in
+  let r = k.busy.(i) in
+  let seq = Eventq.arm (eventq k) ~tag:i (lead + span) in
+  r.b_seq <- seq;
+  r.b_span <- span;
+  r.b_kind <- kind;
+  if r.b_lwp != lwp then r.b_lwp <- lwp
 
-(* [lead] > 0 only under a grant, which requires [runs_on]. *)
-and charge_slice k cpu lwp lead span kont =
+(* An interval that runs [fin] when it ends. *)
+and arm_fin k cpu lwp lead span kind fin =
+  arm k cpu lwp lead span kind;
+  k.busy.(Cpu.id cpu).b_fin <- fin
+
+and busy k cpu lwp lead span fin = arm_fin k cpu lwp lead (ns span) B_call fin
+
+(* CPU [i]'s interval with heap entry [seq] ended: the queue's target.
+   It acts only while it is its CPU's newest interval and its LWP still
+   runs there: whoever took the CPU away owns the next move.  An older
+   entry is not cancelled but fires here as a no-op, so [events=] and
+   the run-ahead grants count it like any other entry.  Charging the
+   span may end the LWP's process by a CPU-time signal ([account]), and
+   the exit may place another LWP on this CPU; the interval then stops
+   there, as it would have had the kill come first. *)
+and busy_end k i seq =
+  let r = k.busy.(i) in
+  let lwp = r.b_lwp and cpu = r.b_cpu in
+  if not (holds r seq lwp cpu) then count k stale_slot
+  else begin
+    let kind = r.b_kind and span = r.b_span in
+    count k (busy_slot kind);
+    match kind with
+    | B_dispatch -> resume k cpu lwp
+    | B_settle | B_call ->
+        let fin = r.b_fin in
+        r.b_fin <- ignore;
+        account k lwp span;
+        if holds r seq lwp cpu then begin
+          lwp.on_resume ();
+          fin ()
+        end
+    | B_trap | B_complete | B_sysret | B_charge ->
+        account k lwp span;
+        if holds r seq lwp cpu then begin
+          (* other LWPs may have run during this interval: restore this
+             LWP's register context (current-thread pointer) before any
+             of its code continues *)
+          lwp.on_resume ();
+          match (kind, lwp.pending) with
+          | B_trap, P_syswait (req, _) -> k.syscall_exec lwp req
+          | B_complete, _ -> op_done k cpu lwp
+          | B_sysret, P_sysret (kont, ret) ->
+              lwp.pending <- P_dead;
+              grant_budget k cpu lwp;
+              step k cpu lwp (Effect.Deep.continue kont ret)
+          | B_charge, (P_charge c as charge) ->
+              c.left <- c.left - span;
+              slice_done k cpu lwp span charge c.left c.kont
+          | _ -> ()
+        end
+  end
+
+(* Run the next slice of [charge], the LWP's [P_charge] with [left] ns
+   owed, from [lead] ns on.  [lead] > 0 only under a grant, which
+   requires [runs_on]. *)
+and charge_slice k cpu lwp lead charge left =
   if not (runs_on cpu lwp) then begin
     (* newly bound elsewhere: migrate before burning any time here *)
-    lwp.pending <- P_charge (span, kont);
+    lwp.pending <- charge;
     lwp.lstate <- Lrunnable;
     enqueue k lwp;
     release_cpu k cpu;
     kick k
   end
   else
-  let q = lwp.quantum_left in
-  let slice =
-    if q > 0 && Time.(span > Int64.of_int q) then Int64.of_int q else span
-  in
-  busy k cpu lwp lead slice (fun () ->
-      let remaining = Time.diff span slice in
-      lwp.quantum_left <- lwp.quantum_left - Int64.to_int slice;
-      if lwp.proc.stopped then begin
-        (* stop takes effect at the charge boundary *)
-        lwp.pending <- P_charge (remaining, kont);
-        lwp.lstate <- Lstopped;
-        release_cpu k cpu;
-        try_dispatch k cpu
-      end
-      else
-        let quantum_expired = lwp.quantum_left <= 0 in
-        let should_preempt =
-          (not (runs_on cpu lwp))
-          || (Cpu.need_resched cpu || quantum_expired)
-             && runnable_exists_for k cpu
-        in
-        if should_preempt then begin
-          k.ctr_preemptions <- k.ctr_preemptions + 1;
-          if quantum_expired then ts_penalty lwp;
-          trace k Tracebuf.Preempt ~cpu:(Cpu.id cpu) ~pid:lwp.proc.pid
-            ~lwp:lwp.lid ~name:"" ~arg:(-1);
-          lwp.pending <- P_charge (remaining, kont);
-          lwp.lstate <- Lrunnable;
-          enqueue k lwp;
-          release_cpu k cpu;
-          kick k
-        end
-        else begin
-          if quantum_expired then lwp.quantum_left <- quantum_for k lwp;
-          if Time.(remaining > 0L) then charge_slice k cpu lwp 0 remaining kont
-          else continue_charge k cpu lwp kont
-        end)
+    let q = lwp.quantum_left in
+    arm k cpu lwp lead (if q > 0 && left > q then q else left) B_charge
 
-and deliver_sysret k cpu lwp kont ret =
-  busy k cpu lwp 0 (cost k).Cost.trap_exit (fun () ->
-      lwp.pending <- P_dead;
-      grant_budget k cpu lwp;
-      step k cpu lwp (Effect.Deep.continue kont ret))
+(* A [slice] of [charge] ended with [left] ns still owed: stop or yield
+   at the boundary, or go on. *)
+and slice_done k cpu lwp slice charge left kont =
+  lwp.quantum_left <- lwp.quantum_left - slice;
+  if lwp.proc.stopped then begin
+    (* stop takes effect at the charge boundary *)
+    lwp.pending <- charge;
+    lwp.lstate <- Lstopped;
+    release_cpu k cpu;
+    try_dispatch k cpu
+  end
+  else
+    let quantum_expired = lwp.quantum_left <= 0 in
+    let should_preempt =
+      (not (runs_on cpu lwp))
+      || (Cpu.need_resched cpu || quantum_expired)
+         && runnable_exists_for k cpu
+    in
+    if should_preempt then begin
+      k.ctr_preemptions <- k.ctr_preemptions + 1;
+      if quantum_expired then ts_penalty lwp;
+      trace k Tracebuf.Preempt ~cpu:(Cpu.id cpu) ~pid:lwp.proc.pid
+        ~lwp:lwp.lid ~name:"" ~arg:(-1);
+      lwp.pending <- charge;
+      lwp.lstate <- Lrunnable;
+      enqueue k lwp;
+      release_cpu k cpu;
+      kick k
+    end
+    else begin
+      if quantum_expired then lwp.quantum_left <- quantum_for k lwp;
+      if left > 0 then charge_slice k cpu lwp 0 charge left
+      else continue_charge k cpu lwp kont
+    end
+
+(* Return to user mode with the result in [P_sysret]. *)
+and deliver_sysret k cpu lwp =
+  arm k cpu lwp 0 (ns (cost k).Cost.trap_exit) B_sysret
 
 (* CPU-time accounting of [ns]: drives virtual/profiling interval timers
    and the CPU resource limit.  The LWP is in the kernel exactly while
@@ -628,7 +708,7 @@ and wake ?(sig_eintr = false) k lwp ret =
       | Some h -> Eventq.cancel h
       | None -> ());
       (match lwp.pending with
-      | P_syswait kont -> lwp.pending <- P_sysret (kont, ret)
+      | P_syswait (_, kont) -> lwp.pending <- P_sysret (kont, ret)
       | _ -> assert false);
       (* a real wakeup re-arms the SIGWAITING edge trigger; the EINTR
          that signal delivery itself causes must not, or a process whose
@@ -706,27 +786,31 @@ and complete k lwp ?(op_cost = 0L) ret =
   match lwp.lstate with
   | Lrunnable | Lsleeping _ | Lstopped | Lzombie ->
       () (* the syscall killed / blocked the caller; nothing to deliver *)
-  | Lrunning _ ->
-  let cpu = cpu_of k lwp in
-  busy k cpu lwp 0 op_cost (fun () ->
-      match lwp.pending with
-      | P_syswait kont ->
-          if lwp.proc.stopped then begin
-            lwp.pending <- P_sysret (kont, ret);
-            lwp.lstate <- Lstopped;
-            release_cpu k cpu;
-            try_dispatch k cpu
-          end
-          else if Cpu.need_resched cpu && runnable_exists_for k cpu then begin
-            k.ctr_preemptions <- k.ctr_preemptions + 1;
-            lwp.pending <- P_sysret (kont, ret);
-            lwp.lstate <- Lrunnable;
-            enqueue k lwp;
-            release_cpu k cpu;
-            try_dispatch k cpu
-          end
-          else deliver_sysret k cpu lwp kont ret
-      | P_dead | P_start _ | P_charge _ | P_sysret _ -> ())
+  | Lrunning c ->
+      (match lwp.pending with
+      | P_syswait (_, kont) -> lwp.pending <- P_sysret (kont, ret)
+      | P_dead | P_start _ | P_charge _ | P_sysret _ -> ());
+      arm k k.machine.Machine.cpus.(c) lwp 0 (ns op_cost) B_complete
+
+(* The operation's cost is paid, with the result in [P_sysret] unless
+   the LWP died meanwhile. *)
+and op_done k cpu lwp =
+  match lwp.pending with
+  | P_sysret _ ->
+      if lwp.proc.stopped then begin
+        lwp.lstate <- Lstopped;
+        release_cpu k cpu;
+        try_dispatch k cpu
+      end
+      else if Cpu.need_resched cpu && runnable_exists_for k cpu then begin
+        k.ctr_preemptions <- k.ctr_preemptions + 1;
+        lwp.lstate <- Lrunnable;
+        enqueue k lwp;
+        release_cpu k cpu;
+        try_dispatch k cpu
+      end
+      else deliver_sysret k cpu lwp
+  | P_dead | P_start _ | P_charge _ | P_syswait _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)

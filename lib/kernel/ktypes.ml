@@ -26,18 +26,24 @@ type lwp_state =
   | Lstopped
   | Lzombie
 
-(* What resuming this LWP's fiber means right now. *)
+(* What resuming this LWP's fiber means right now.  A busy interval
+   finds here what it works on (see [busy]). *)
 type pending =
   | P_start of (unit -> unit)  (* entry point not yet run *)
-  | P_charge of Time.span * (bool, Uctx.step) Effect.Deep.continuation
-      (* [span] of CPU time still owed before the charge completes; when
-         it reaches zero the continuation is resumed with the
-         signals-pending flag *)
+  | P_charge of {
+      mutable left : int;
+      kont : (bool, Uctx.step) Effect.Deep.continuation;
+    }
+      (* a charge with [left] ns of CPU time still owed, the slice
+         running now included; when it reaches zero the continuation is
+         resumed with the signals-pending flag *)
   | P_sysret of
       (Sysdefs.sysret, Uctx.step) Effect.Deep.continuation * Sysdefs.sysret
       (* syscall finished; result ready to deliver *)
-  | P_syswait of (Sysdefs.sysret, Uctx.step) Effect.Deep.continuation
-      (* blocked in a syscall; a waker will supply the result *)
+  | P_syswait of
+      Sysdefs.sysreq * (Sysdefs.sysret, Uctx.step) Effect.Deep.continuation
+      (* in a syscall: its request, trapping or blocked; a waker will
+         supply the result *)
   | P_dead
 
 type ts_state = { mutable ts_pri : int }
@@ -119,6 +125,43 @@ and fdobj =
   | Fd_sock of Socket.endpoint
   | Fd_epoll of Epoll.t
 
+(* What a CPU's busy interval does when it ends. *)
+type busy_kind =
+  | B_trap  (* trap entry: run the call's body *)
+  | B_complete  (* the call's operation: return, or yield holding the result *)
+  | B_sysret  (* return to user mode: continue the fiber *)
+  | B_charge  (* one slice of a charge *)
+  | B_dispatch  (* the dispatcher's context switch: resume the LWP *)
+  | B_settle  (* an exiting fiber's unsettled prefix: run [b_fin] *)
+  | B_call  (* any other interval a syscall holds the CPU for: run [b_fin] *)
+
+(* A kind's slot in [kernel.fired]; slot [stale_slot] counts the entries
+   that found their interval superseded and did nothing. *)
+let busy_slot = function
+  | B_trap -> 0
+  | B_complete -> 1
+  | B_sysret -> 2
+  | B_charge -> 3
+  | B_dispatch -> 4
+  | B_settle -> 5
+  | B_call -> 6
+
+let stale_slot = 7
+
+(* A CPU's busy record: the newest interval the CPU was held for, one
+   armed heap entry each (Kernel_impl.arm).  Arming one writes
+   immediates only; what the interval works on stays in its LWP's
+   [pending], and [b_lwp] changes only when another LWP takes the
+   CPU. *)
+type busy = {
+  b_cpu : Sunos_hw.Cpu.t;
+  mutable b_lwp : lwp;
+  mutable b_span : int;  (* ns, accounted to [b_lwp] unless a dispatch *)
+  mutable b_seq : int;  (* the newest interval's heap entry *)
+  mutable b_kind : busy_kind;
+  mutable b_fin : unit -> unit;  (* [B_settle] and [B_call] only *)
+}
+
 (* A futex-queue entry: dead (and dropped lazily) once its LWP no longer
    sleeps [fw_sleep]. *)
 type futex_waiter = { fw_lwp : lwp; fw_sleep : sleep }
@@ -150,6 +193,10 @@ type kernel = {
   mutable ctr_preemptions : int;
   mutable ctr_sigwaiting : int;
   mutable ctr_lwp_creates : int;
+  mutable busy : busy array;
+      (* one per CPU, made at the first dispatch (Kernel_impl.place) *)
+  mutable fired : int array;
+      (* busy entries fired, by [busy_slot]; made with [busy] *)
   (* service vector: policy layers install themselves at boot *)
   mutable hook_post_proc : proc -> Signo.t -> unit;
   mutable hook_post_lwp : lwp -> Signo.t -> unit;
@@ -168,7 +215,7 @@ let global_prio lwp =
 
 let is_zombie l = match l.lstate with Lzombie -> true | _ -> false
 
-(* A run-queue entry, a sleep or a busy event may still name an LWP
+(* A run-queue entry, a sleep or a busy record may still name an LWP
    that has exited, though [proc.lwps] no longer does. *)
 let lwp_alive l =
   (not (is_zombie l)) && match l.proc.pstate with Palive -> true | _ -> false

@@ -6,7 +6,13 @@
    and a slot number, kept in three parallel int arrays.  Handles live in
    a slot table and never move.  So a sift writes ints alone: it
    allocates nothing and runs no write barrier, where moving a pointer
-   into a long-lived array pays [caml_modify] on every step. *)
+   into a long-lived array pays [caml_modify] on every step.
+
+   An armed entry owns no slot: its slot number is [lnot tag], negative
+   for the small tag its owner gave it, and firing it calls the queue's
+   one target function with the tag and the entry's seq.  Arming one
+   writes the three ints and nothing else.  An armed entry cannot be
+   cancelled; the target tells a stale firing by the seq. *)
 
 type handle = {
   time : Time.t;
@@ -23,8 +29,12 @@ and t = {
   mutable seqs : int array;
   mutable slot_of : int array;  (* heap entry -> slot *)
   mutable slots : handle array;  (* slot -> handle; [nil] when free *)
+  mutable nslots : int;
+      (* slots made so far: [0, nslots) are each held by a heap entry or
+         free.  Armed entries hold none, so this is not [size + nfree] *)
   mutable free : int array;  (* stack of free slots *)
   mutable nfree : int;
+  mutable target : int -> int -> unit;  (* what an armed entry calls *)
   mutable next_seq : int;
   mutable live : int;
   mutable dead : int;  (* cancelled handles still in the heap *)
@@ -36,9 +46,13 @@ and t = {
          reversed once at fire time *)
   mutable run_horizon : Time.t option;
       (* the [until] of the [run] currently draining this queue, if
-         any: [next_time] clamps to it so run-ahead accounting never
+         any: [time_to_next] clamps to it so run-ahead accounting never
          outruns a horizon-limited run *)
 }
+
+(* The target until [set_target]: a queue that arms before it has one is
+   wired wrongly, and dropping its entries would lose their work. *)
+let no_target _ _ = invalid_arg "Eventq: armed entry with no target"
 
 (* What a free slot holds, so the table keeps no fired or dropped action
    alive. *)
@@ -49,8 +63,9 @@ let rec nil =
 and nil_queue =
   {
     now = Time.zero; size = 0; times = [||]; seqs = [||]; slot_of = [||];
-    slots = [||]; free = [||]; nfree = 0; next_seq = 0; live = 0; dead = 0;
-    fired_count = 0; drain_hooks = []; run_horizon = None;
+    slots = [||]; nslots = 0; free = [||]; nfree = 0; target = no_target;
+    next_seq = 0; live = 0; dead = 0; fired_count = 0; drain_hooks = [];
+    run_horizon = None;
   }
 
 let create () =
@@ -61,8 +76,10 @@ let create () =
     seqs = Array.make 2 0;
     slot_of = Array.make 2 0;
     slots = Array.make 2 nil;
+    nslots = 0;
     free = Array.make 2 0;
     nfree = 0;
+    target = no_target;
     next_seq = 0;
     live = 0;
     dead = 0;
@@ -79,12 +96,15 @@ let now q = q.now
 (* The heap                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let grow q =
-  let n = Array.length q.times in
-  let extend a fill = Array.append a (Array.make n fill) in
+(* Double an array, filling the new half with [fill]. *)
+let extend a fill = Array.append a (Array.make (Array.length a) fill)
+
+let grow_heap q =
   q.times <- extend q.times 0;
   q.seqs <- extend q.seqs 0;
-  q.slot_of <- extend q.slot_of 0;
+  q.slot_of <- extend q.slot_of 0
+
+let grow_slots q =
   q.slots <- extend q.slots nil;
   q.free <- extend q.free 0
 
@@ -132,53 +152,84 @@ let rec hole_to_leaf q i =
     move q ~src:c ~dst:i;
     hole_to_leaf q c
 
-(* Remove the top entry and free its slot.  The last entry refills the
-   hole bottom-up: it belongs near the leaves, so taking the hole to a
-   leaf first and sifting up from there costs one comparison a level
-   instead of two. *)
-let drop_top q =
-  let slot = q.slot_of.(0) in
+let free_slot q slot =
   q.slots.(slot) <- nil;
   q.free.(q.nfree) <- slot;
-  q.nfree <- q.nfree + 1;
+  q.nfree <- q.nfree + 1
+
+(* Remove the top entry and free its slot, if it has one.  The last
+   entry refills the hole bottom-up: it belongs near the leaves, so
+   taking the hole to a leaf first and sifting up from there costs one
+   comparison a level instead of two. *)
+let drop_top q =
+  let slot = q.slot_of.(0) in
+  if slot >= 0 then free_slot q slot;
   let n = q.size - 1 in
   q.size <- n;
   if n > 0 then
     sift_up q (hole_to_leaf q 0) q.times.(n) q.seqs.(n) q.slot_of.(n)
 
-let[@inline] top q = q.slots.(q.slot_of.(0))
+(* Is entry [i] a cancelled handle?  Armed entries never are. *)
+let[@inline] cancelled q i =
+  let slot = q.slot_of.(i) in
+  slot >= 0 && q.slots.(slot).cancelled
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling and cancelling                                           *)
 (* ------------------------------------------------------------------ *)
 
 let max_time = Int64.of_int max_int
+let past () = invalid_arg "Eventq.at: scheduling in the past"
+let beyond () = invalid_arg "Eventq.at: time beyond max_int ns"
+
+(* Push key (t, next seq, slot) and return its seq. *)
+let push q t slot =
+  if q.size = Array.length q.times then grow_heap q;
+  let i = q.size and seq = q.next_seq in
+  q.size <- i + 1;
+  sift_up q i t seq slot;
+  q.next_seq <- seq + 1;
+  q.live <- q.live + 1;
+  seq
 
 let at q time action =
-  if Time.(time < q.now) then
-    invalid_arg "Eventq.at: scheduling in the past";
-  if Time.(time > max_time) then
-    invalid_arg "Eventq.at: time beyond max_int ns";
+  if Time.(time < q.now) then past ();
+  if Time.(time > max_time) then beyond ();
   let h = { time; action; cancelled = false; fired = false; owner = q } in
-  if q.size = Array.length q.times then grow q;
-  (* slots [0, size + nfree) are each held by a heap entry or free, so
-     with none free, slot [size] is fresh *)
   let slot =
     if q.nfree > 0 then begin
       q.nfree <- q.nfree - 1;
       q.free.(q.nfree)
     end
-    else q.size
+    else begin
+      if q.nslots = Array.length q.slots then grow_slots q;
+      q.nslots <- q.nslots + 1;
+      q.nslots - 1
+    end
   in
   q.slots.(slot) <- h;
-  let i = q.size in
-  q.size <- i + 1;
-  sift_up q i (Int64.to_int time) q.next_seq slot;
-  q.next_seq <- q.next_seq + 1;
-  q.live <- q.live + 1;
+  ignore (push q (Int64.to_int time) slot : int);
   h
 
 let after q d action = at q (Time.add q.now d) action
+
+let set_target q f = q.target <- f
+
+let span_ns d =
+  if d > max_time then beyond ()
+  else if d < Int64.of_int min_int then past ()
+  else Int64.to_int d
+
+(* [now + d] is checked in ints: the clock is never negative, so a sum
+   past [max_int] wraps negative, and so does a clock that a horizon
+   left past it. *)
+let arm q ~tag d =
+  if tag < 0 then invalid_arg "Eventq.arm: negative tag";
+  if d < 0 then past ();
+  let now = Int64.to_int q.now in
+  let t = now + d in
+  if now < 0 || t < 0 then beyond ();
+  push q t (lnot tag)
 
 (* Rebuild the heap from its live population.  Cancellation is lazy (the
    heap keeps cancelled handles until they surface), so a cancel-heavy
@@ -195,11 +246,7 @@ let compact q =
   q.size <- 0;
   for i = 0 to n - 1 do
     let slot = q.slot_of.(i) in
-    if q.slots.(slot).cancelled then begin
-      q.slots.(slot) <- nil;
-      q.free.(q.nfree) <- slot;
-      q.nfree <- q.nfree + 1
-    end
+    if cancelled q i then free_slot q slot
     else begin
       sift_up q q.size q.times.(i) q.seqs.(i) slot;
       q.size <- q.size + 1
@@ -227,41 +274,58 @@ let is_pending h = (not h.cancelled) && not h.fired
    empty exactly when [q.live = 0], and otherwise its top is the live
    head.  [dead > 0] implies a non-empty heap. *)
 let rec skim q =
-  if q.dead > 0 && (top q).cancelled then begin
+  if q.dead > 0 && cancelled q 0 then begin
     drop_top q;
     q.dead <- q.dead - 1;
     skim q
   end
 
-(* Fire [h], the live head at the top of the heap. *)
-let fire q h =
-  drop_top q;
-  q.now <- h.time;
-  h.fired <- true;
+(* Fire the live head at the top of the heap. *)
+let fire q =
+  let slot = q.slot_of.(0) in
   q.live <- q.live - 1;
   q.fired_count <- q.fired_count + 1;
-  h.action ()
+  if slot >= 0 then begin
+    let h = q.slots.(slot) in
+    drop_top q;
+    q.now <- h.time;
+    h.fired <- true;
+    h.action ()
+  end
+  else begin
+    let t = q.times.(0) and seq = q.seqs.(0) in
+    drop_top q;
+    if t <> Int64.to_int q.now then q.now <- Int64.of_int t;
+    q.target (lnot slot) seq
+  end
 
 let run_one q =
   skim q;
   if q.live = 0 then false
   else begin
-    fire q (top q);
+    fire q;
     true
   end
 
-(* Earliest instant at which anything can happen: the first live event,
-   clamped to the horizon of the [run] currently draining us.  [None]
-   means nothing is pending and no horizon binds — the caller may run
-   ahead arbitrarily far. *)
-let next_time q =
+(* The time to the earliest instant at which anything can happen — the
+   first live event, clamped to the horizon of the [run] currently
+   draining us — capped at [cap], which is all that binds when nothing
+   is pending and no horizon is set.  The horizon is an [int64] and may
+   lie anywhere, so its gap is taken in [int64]; a live entry's time
+   is an int no earlier than the clock.  Nothing is boxed. *)
+let time_to_next q ~cap =
   skim q;
-  if q.live = 0 then q.run_horizon
-  else
-    let t = (top q).time in
+  let cap =
     match q.run_horizon with
-    | None -> Some t
-    | Some h -> Some (Time.min t h)
+    | None -> cap
+    | Some h ->
+        let gap = Int64.sub h q.now in
+        if gap < Int64.of_int cap then Int64.to_int gap else cap
+  in
+  if q.live = 0 then cap
+  else
+    let gap = q.times.(0) - Int64.to_int q.now in
+    if gap < cap then gap else cap
 
 let run ?until ?max_events q =
   let saved_horizon = q.run_horizon in
@@ -273,11 +337,11 @@ let run ?until ?max_events q =
     if fired < budget then begin
       skim q;
       if q.live > 0 then begin
-        let h = top q in
         match until with
-        | Some horizon when Time.(h.time > horizon) -> q.now <- horizon
+        | Some horizon when Int64.of_int q.times.(0) > horizon ->
+            q.now <- horizon
         | _ ->
-            fire q h;
+            fire q;
             loop (fired + 1)
       end
     end

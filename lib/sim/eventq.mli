@@ -25,6 +25,29 @@ val at : t -> Time.t -> (unit -> unit) -> handle
 val after : t -> Time.span -> (unit -> unit) -> handle
 (** [after q d f] = [at q (now q + d) f]. *)
 
+val set_target : t -> (int -> int -> unit) -> unit
+(** [set_target q f] makes [f] the queue's target: the function each
+    entry {!arm} makes calls when it fires, with that entry's tag and
+    seq.  A queue has one; the kernel sets it to end its CPUs' busy
+    intervals, with a CPU's index as the tag.  Until it is set, firing
+    an armed entry raises [Invalid_argument]. *)
+
+val arm : t -> tag:int -> int -> int
+(** [arm q ~tag d] schedules a call of [q]'s target with [tag] at
+    [now q + d] ns and returns the entry's seq, which the call also
+    receives.  Its place in the firing order is the one {!after} would
+    give it.  Arming writes three ints into the heap and allocates
+    nothing: no handle, no closure, no boxed time.  The entry cannot be
+    cancelled, so the target tells a stale firing by the seq.  A
+    negative [tag] raises [Invalid_argument]; so do a negative [d] and
+    a time beyond [max_int] ns, with the errors {!at} raises. *)
+
+val span_ns : Time.span -> int
+(** A span as {!arm} takes it, in int ns.  A span past [max_int] ns,
+    which no entry could end by the last instant, raises as {!at} does
+    for a time beyond [max_int], and one below [min_int] as for a time
+    in the past, rather than wrap. *)
+
 val cancel : handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)
 
@@ -44,14 +67,15 @@ val on_drain : t -> (unit -> unit) -> unit
     machine here.  Hooks run in registration order; events a hook
     schedules are left queued, not run. *)
 
-val next_time : t -> Time.t option
-(** Earliest instant at which anything can happen: the time of the first
-    live event, clamped to the [until] horizon of the {!run} currently
-    draining this queue (if any).  [None] when nothing is pending and no
-    horizon binds.  Used by run-ahead accounting to bound how far a
-    fiber may execute without settling: no event can fire strictly
-    before this instant, so no simulated observer exists inside the
-    window. *)
+val time_to_next : t -> cap:int -> int
+(** Nanoseconds from now to the earliest instant at which anything can
+    happen: the time of the first live event, clamped to the [until]
+    horizon of the {!run} currently draining this queue (if any), or
+    [cap] if that is sooner or nothing is pending and no horizon binds.
+    Used by run-ahead accounting to bound how far a fiber may execute
+    without settling: no event can fire strictly before this instant,
+    so no simulated observer exists inside the window.  Allocates
+    nothing. *)
 
 val pending_count : t -> int
 (** Number of live (non-cancelled, unfired) events still queued.  Exact:

@@ -151,13 +151,17 @@ let lines k =
   @ List.map proc_line (Procfs.snapshot k)
   @ List.map render (Kernel.trace_records k)
 
-(* How many events the engine fired.  The figures in [lines] do not see
-   the engine's own cost, so a change to it shows up here; it stays out
-   of [lines] because coalescing run-ahead charges changes it by
-   design. *)
+(* How many events the engine fired, then the same events by kind
+   ([Kernel.event_counts]).  The figures in [lines] do not see the
+   engine's own cost, so a change to it shows up here; it stays out of
+   [lines] because coalescing run-ahead charges changes it by design. *)
 let events k =
-  Printf.sprintf "events=%d"
+  Printf.sprintf "events=%d\nevents by kind: %s"
     (Eventq.events_fired (Kernel.machine k).Machine.eventq)
+    (String.concat " "
+       (List.map
+          (fun (kind, n) -> Printf.sprintf "%s=%d" kind n)
+          (Kernel.event_counts k)))
 
 let check_same name a b =
   let rec go i = function

@@ -1,8 +1,8 @@
 (* Same-seed determinism: each golden configuration's run as text, the
-   events the engine fired and then Golden.lines.  dune diffs this output
-   against test_determinism.expected, and @sanitize diffs it again with
-   THRSAN=1, so a moved figure shows up as a diff line that names the
-   record.
+   events the engine fired (in all, then by kind) and then Golden.lines.
+   dune diffs this output against test_determinism.expected, and
+   @sanitize diffs it again with THRSAN=1, so a moved figure shows up as
+   a diff line that names the record.
 
    Every run boots with the fault injector explicitly off, so the file
    also pins that chaos off is inert, whatever SUNOS_CHAOS says.  The

@@ -1004,6 +1004,35 @@ let test_boot_allocation () =
   if used >= 1024. then
     Alcotest.failf "Kernel.boot ~cpus:4 allocated %.0f words (bound 1024)" used
 
+(* A system call's busy intervals (trap entry, the call's completion,
+   the return to user mode) allocate nothing: each CPU's busy record
+   takes immediates, and its heap entry is three ints.  So one getpid
+   round trip on a 1-CPU boot allocates 34 words, read as (3,000 calls
+   - 1,000 calls) / 2,000 with [Gc.minor_words] as the boot gate reads
+   its words: the effect, its continuation and the handler's closure,
+   the request's records ([Step_sys], [P_syswait], the result and
+   [P_sysret]), the ledger's two boxed spans and the clock's two new
+   times (the completion ends at the trap's instant).  The bound sits
+   just above, so that a closure or a boxed time on the busy path fails
+   it. *)
+let test_getpid_allocation () =
+  let words n =
+    let w0 = Gc.minor_words () in
+    let k = Kernel.boot () in
+    ignore
+      (Kernel.spawn k ~name:"getpid" ~main:(fun () ->
+           for _ = 1 to n do
+             ignore (Sys.opaque_identity (Uctx.getpid ()))
+           done));
+    Kernel.run k;
+    Gc.minor_words () -. w0
+  in
+  ignore (words 1000);
+  let per_call = (words 3000 -. words 1000) /. 2000. in
+  if per_call >= 36. then
+    Alcotest.failf "a getpid round trip allocated %.1f words (bound 36)"
+      per_call
+
 (* ------------------------- procfs ------------------------- *)
 
 let test_procfs_snapshot () =
@@ -1037,6 +1066,8 @@ let () =
           Alcotest.test_case "shutdown is a no-op" `Quick test_shutdown_is_noop;
           Alcotest.test_case "boot allocates under 1024 words" `Quick
             test_boot_allocation;
+          Alcotest.test_case "getpid allocates under 36 words" `Quick
+            test_getpid_allocation;
         ] );
       ( "scheduling",
         [

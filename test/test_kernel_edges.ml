@@ -875,6 +875,83 @@ let edge_args_cases =
           R_disp Sig_default );
       ]
 
+(* ------------------------- busy intervals ------------------------- *)
+
+(* A busy interval that outlives its LWP's hold on the CPU is dropped
+   when it fires.  On 2 CPUs, A starts a 10 ms charge slice on CPU 0 at
+   75 us (the dispatch) and B, on CPU 1, SIGKILLs A 1 ms into its own
+   run; the kill's trap ends at 1,107 us.  C, queued behind them, takes
+   CPU 0 and starts its own 20 ms slice at 1,182 us, while A's interval
+   is still due at 10,075 us.  When that fires it must not act: C's
+   time is its own charge, and it exits when that charge ends. *)
+let test_stale_interval_dropped () =
+  let k = Kernel.boot ~cpus:2 () in
+  let a =
+    Kernel.spawn k ~name:"a" ~main:(fun () -> Uctx.charge (Time.ms 10))
+  in
+  ignore
+    (Kernel.spawn k ~name:"b" ~main:(fun () ->
+         Uctx.charge (Time.ms 1);
+         Uctx.kill ~pid:a Signo.sigkill;
+         Uctx.charge (Time.ms 30)));
+  let c =
+    Kernel.spawn k ~name:"c" ~main:(fun () -> Uctx.charge (Time.ms 20))
+  in
+  Kernel.set_tracing k true;
+  Kernel.run k;
+  Alcotest.(check (option int)) "A killed" (Some 137) (Kernel.exit_status k a);
+  let cp = Option.get (Kernel.find_proc k c) in
+  Alcotest.(check (pair int int))
+    "C's utime/stime: its own charge" (20_000_000, 0)
+    (Sunos_kernel.Ktypes.cpu_times cp);
+  let exit_time =
+    List.find_map
+      (fun r ->
+        if r.Sunos_sim.Tracebuf.kind = Sunos_sim.Tracebuf.Exit
+           && r.Sunos_sim.Tracebuf.pid = c
+        then Some r.Sunos_sim.Tracebuf.time
+        else None)
+      (Kernel.trace_records k)
+  in
+  Alcotest.(check (option int64)) "C exits as its charge ends"
+    (Some (Time.us 21_182)) exit_time
+
+(* An interval whose accounting ends its process acts no further.  On 1
+   CPU, A arms a 1 ms virtual timer and leaves SIGVTALRM at its default,
+   so the end of its 5 ms slice kills it, and the exit places B on the
+   CPU and arms B's dispatch in the CPU's busy record.  A's code after
+   that charge must not run, nor arm an interval over B's: B runs its
+   1 ms and exits at 6,198 us, and nothing runs after it. *)
+let test_fatal_account_ends_interval () =
+  let k = Kernel.boot ~cpus:1 () in
+  let a_went_on = ref false in
+  let a =
+    Kernel.spawn k ~name:"a" ~main:(fun () ->
+        Uctx.setitimer Sysdefs.Timer_virtual (Some (Time.ms 1));
+        Uctx.charge (Time.ms 5);
+        a_went_on := true;
+        Uctx.charge (Time.ms 3))
+  in
+  let b = Kernel.spawn k ~name:"b" ~main:(fun () -> Uctx.charge (Time.ms 1)) in
+  Kernel.set_tracing k true;
+  Kernel.run k;
+  Alcotest.(check (option int)) "A ended by SIGVTALRM"
+    (Some (128 + Signo.sigvtalrm)) (Kernel.exit_status k a);
+  Alcotest.(check bool) "A's code after the slice never runs" false !a_went_on;
+  Alcotest.(check (option int)) "B exits" (Some 0) (Kernel.exit_status k b);
+  let exit_time =
+    List.find_map
+      (fun r ->
+        if r.Sunos_sim.Tracebuf.kind = Sunos_sim.Tracebuf.Exit
+           && r.Sunos_sim.Tracebuf.pid = b
+        then Some r.Sunos_sim.Tracebuf.time
+        else None)
+      (Kernel.trace_records k)
+  in
+  Alcotest.(check (option int64)) "B exits after its 1 ms"
+    (Some (Time.us 6_198)) exit_time;
+  Alcotest.(check int64) "the run ends with B" (Time.us 6_198) (Kernel.now k)
+
 let () =
   Alcotest.run "sunos_kernel_edges"
     [
@@ -954,5 +1031,12 @@ let () =
           Alcotest.test_case "prof timer" `Quick
             test_prof_timer_counts_system_time_too;
           Alcotest.test_case "rusage faults" `Quick test_rusage_counts_faults;
+        ] );
+      ( "busy_intervals",
+        [
+          Alcotest.test_case "an interval outlived by its LWP is dropped"
+            `Quick test_stale_interval_dropped;
+          Alcotest.test_case "an interval whose accounting kills ends there"
+            `Quick test_fatal_account_ends_interval;
         ] );
     ]

@@ -246,23 +246,25 @@ let test_eventq_max_events () =
   Alcotest.(check (list int64)) "rest runs" [ 10L; 20L; 30L ] (List.rev !log);
   Alcotest.(check int) "drain hook once" 1 !drained
 
-let test_eventq_next_time () =
+let test_eventq_time_to_next () =
   let q = Eventq.create () in
-  Alcotest.(check (option span)) "empty, no horizon" None (Eventq.next_time q);
+  let next () = Eventq.time_to_next q ~cap:100 in
+  Alcotest.(check int) "empty, no horizon: the cap" 100 (next ());
   let head = Eventq.at q 10L ignore in
   ignore (Eventq.at q 40L ignore);
-  Alcotest.(check (option span)) "live head" (Some 10L) (Eventq.next_time q);
+  Alcotest.(check int) "live head" 10 (next ());
+  Alcotest.(check int) "capped" 5 (Eventq.time_to_next q ~cap:5);
   Eventq.cancel head;
-  Alcotest.(check (option span)) "skips the cancelled head" (Some 40L)
-    (Eventq.next_time q);
+  Alcotest.(check int) "skips the cancelled head" 40 (next ());
+  ignore (Eventq.arm q ~tag:0 35);
+  Alcotest.(check int) "an armed entry counts" 35 (next ());
   (* inside a horizon-limited run the answer is clamped to the horizon,
      and restored once the run returns *)
-  let seen = ref None in
-  ignore (Eventq.at q 20L (fun () -> seen := Eventq.next_time q));
+  let seen = ref (-1) in
+  ignore (Eventq.at q 20L (fun () -> seen := next ()));
   Eventq.run ~until:30L q;
-  Alcotest.(check (option span)) "clamped to until" (Some 30L) !seen;
-  Alcotest.(check (option span)) "horizon released" (Some 40L)
-    (Eventq.next_time q)
+  Alcotest.(check int) "clamped to until" 10 !seen;
+  Alcotest.(check int) "horizon released" 5 (next ())
 
 let test_eventq_same_instant_from_callback () =
   (* an event scheduled for the current instant by a callback runs after
@@ -427,7 +429,112 @@ let test_eventq_time_range () =
   ignore (Eventq.at q last (fun () -> fired := true));
   Eventq.run q;
   Alcotest.(check bool) "max_int itself fires" true !fired;
-  Alcotest.check span "clock at max_int" last (Eventq.now q)
+  Alcotest.check span "clock at max_int" last (Eventq.now q);
+  (* An armed entry takes its time as an int delay, and rejects the
+     same range with the same errors.  Firing one before the queue has a
+     target raises. *)
+  let q = Eventq.create () in
+  ignore (Eventq.arm q ~tag:0 1);
+  Alcotest.check_raises "armed: no target"
+    (Invalid_argument "Eventq: armed entry with no target") (fun () ->
+      Eventq.run q);
+  let calls = ref [] in
+  Eventq.set_target q (fun _ seq -> calls := seq :: !calls);
+  ignore (Eventq.at q 10L ignore);
+  Eventq.run q;
+  Alcotest.check_raises "armed: in the past"
+    (Invalid_argument "Eventq.at: scheduling in the past") (fun () ->
+      ignore (Eventq.arm q ~tag:0 (-1)));
+  Alcotest.check_raises "handle: in the past"
+    (Invalid_argument "Eventq.at: scheduling in the past") (fun () ->
+      ignore (Eventq.at q 9L ignore));
+  Alcotest.check_raises "armed: beyond max_int"
+    (Invalid_argument "Eventq.at: time beyond max_int ns") (fun () ->
+      ignore (Eventq.arm q ~tag:0 (max_int - 9)));
+  Alcotest.check_raises "armed: negative tag"
+    (Invalid_argument "Eventq.arm: negative tag") (fun () ->
+      ignore (Eventq.arm q ~tag:(-1) 1));
+  Alcotest.(check int) "nothing queued" 0 (Eventq.pending_count q);
+  let seq = Eventq.arm q ~tag:0 (max_int - 10) in
+  Eventq.run q;
+  Alcotest.(check (list int)) "max_int itself fires, with its seq" [ seq ]
+    !calls;
+  Alcotest.check span "clock at max_int" last (Eventq.now q);
+  (* A span past the int range raises as a time past it does. *)
+  Alcotest.(check int) "span max_int" max_int (Eventq.span_ns last);
+  Alcotest.check_raises "span beyond max_int"
+    (Invalid_argument "Eventq.at: time beyond max_int ns") (fun () ->
+      ignore (Eventq.span_ns (Int64.succ last)));
+  Alcotest.check_raises "span below min_int"
+    (Invalid_argument "Eventq.at: scheduling in the past") (fun () ->
+      ignore (Eventq.span_ns (Int64.pred (Int64.of_int min_int))))
+
+(* Armed entries own no slot, so a handle's slot cannot be taken from
+   the heap's size: with armed entries in the heap, slot [size] may be a
+   live handle's.  Mix the two, cancel some handles, and fire
+   everything: each live handle runs exactly once, no cancelled one
+   runs, each armed entry calls the target with its own tag and seq,
+   and all of it in time order.  The last round cancels enough handles
+   to compact the heap around the armed entries. *)
+let test_eventq_armed_and_handles () =
+  let q = Eventq.create () in
+  let st = Random.State.make [| 27 |] in
+  let log = ref [] in
+  Eventq.set_target q (fun tag seq ->
+      log := (Eventq.now q, `Armed (tag, seq)) :: !log);
+  let armed = ref [] and handles = ref [] and cancelled = ref [] in
+  for i = 0 to 599 do
+    let d = Random.State.int st 40 in
+    match Random.State.int st 6 with
+    | 0 | 1 ->
+        let tag = Random.State.int st 4 in
+        armed := (tag, Eventq.arm q ~tag d) :: !armed
+    | 2 -> (
+        match List.filter (fun (_, h) -> Eventq.is_pending h) !handles with
+        | [] -> ()
+        | live ->
+            let j, h = List.nth live (Random.State.int st (List.length live)) in
+            Eventq.cancel h;
+            cancelled := j :: !cancelled)
+    | 3 -> ignore (Eventq.run_one q)
+    | _ ->
+        let h =
+          Eventq.after q (Int64.of_int d) (fun () ->
+              log := (Eventq.now q, `Handle i) :: !log)
+        in
+        handles := (i, h) :: !handles
+  done;
+  let doomed =
+    List.init 200 (fun j ->
+        let h = Eventq.after q (Int64.of_int j) ignore in
+        if j mod 10 = 0 then armed := (j, Eventq.arm q ~tag:j j) :: !armed;
+        h)
+  in
+  List.iter Eventq.cancel doomed;
+  Alcotest.(check bool) "compacted" true
+    (Eventq.heap_population q < Eventq.pending_count q + 200);
+  Eventq.run q;
+  let log = List.rev !log in
+  let ran i = List.length (List.filter (fun (_, e) -> e = `Handle i) log) in
+  List.iter
+    (fun (i, _) ->
+      Alcotest.(check int)
+        (Printf.sprintf "handle %d runs %s" i
+           (if List.mem i !cancelled then "never" else "once"))
+        (if List.mem i !cancelled then 0 else 1)
+        (ran i))
+    !handles;
+  Alcotest.(check (list (pair int int)))
+    "each armed entry calls once, with its tag and seq"
+    (List.sort compare !armed)
+    (List.sort compare
+       (List.filter_map
+          (function _, `Armed e -> Some e | _, `Handle _ -> None)
+          log));
+  let times = List.map fst log in
+  Alcotest.(check bool) "in time order" true
+    (List.sort Int64.compare times = times);
+  Alcotest.(check int) "drained" 0 (Eventq.heap_population q)
 
 let prop_eventq_monotonic =
   QCheck.Test.make ~name:"eventq fires in nondecreasing time order" ~count:100
@@ -916,7 +1023,7 @@ let () =
           qt prop_eventq_monotonic;
           Alcotest.test_case "run_one" `Quick test_eventq_run_one;
           Alcotest.test_case "max_events" `Quick test_eventq_max_events;
-          Alcotest.test_case "next_time" `Quick test_eventq_next_time;
+          Alcotest.test_case "time to next" `Quick test_eventq_time_to_next;
           Alcotest.test_case "same instant from a callback" `Quick
             test_eventq_same_instant_from_callback;
           Alcotest.test_case "drain skims cancelled" `Quick
@@ -926,6 +1033,8 @@ let () =
           Alcotest.test_case "fired and cancelled actions are released" `Quick
             test_eventq_releases_actions;
           Alcotest.test_case "time range" `Quick test_eventq_time_range;
+          Alcotest.test_case "armed entries beside handles" `Quick
+            test_eventq_armed_and_handles;
           Alcotest.test_case "cancel the next head from a callback" `Quick
             test_eventq_cancel_next_from_callback;
         ] );
