@@ -316,15 +316,14 @@ let broadcast () =
    response and checks the invariant the design rests on: coalescing is
    invisible to the simulation, so every simulated figure must be
    bit-identical either way. *)
-let coalesce ?(smoke = false) () =
+let coalesce () =
   section "A9: run-ahead charge coalescing, off vs on";
-  let txns = if smoke then 40 else 400 in
   let db_p =
     {
       Db.default_params with
       processes = 2;
       threads_per_process = 8;
-      transactions_per_thread = txns;
+      transactions_per_thread = 400;
       records = 2048;
       io_every = 25;
       mmap_io = true;

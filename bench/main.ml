@@ -4,7 +4,6 @@
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- fig5         # one figure
      dune exec bench/main.exe -- -j 4         # everything, 4 worker domains
-     dune exec bench/main.exe -- --label=pr9 wallclock-scaling
      dune exec bench/main.exe -- list         # available targets *)
 
 let targets : (string * string * (unit -> unit)) list =
@@ -41,12 +40,7 @@ let targets : (string * string * (unit -> unit)) list =
     ("ablation-sched", "timeshare quantum responsiveness", Ablations.sched);
     ("ablation-microtask", "raw-LWP language runtime vs bound threads", Ablations.microtask);
     ("ablation-broadcast", "single signal delivery vs Chorus broadcast", Ablations.broadcast);
-    ( "ablation-coalesce",
-      "run-ahead charge coalescing, off vs on",
-      fun () -> Ablations.coalesce () );
-    ( "ablation-coalesce-smoke",
-      "fast coalescing off vs on: checks simulated results are unchanged",
-      fun () -> Ablations.coalesce ~smoke:true () );
+    ("ablation-coalesce", "run-ahead charge coalescing, off vs on", Ablations.coalesce);
     ( "ablation-chaos",
       "fault-rate sweep: hardened server degradation under chaos",
       fun () -> Ablations.chaos () );
@@ -59,12 +53,6 @@ let targets : (string * string * (unit -> unit)) list =
     ( "ablation-kv-chaos-smoke",
       "fast proc-kill sweep: checks put/get conservation and recovery",
       fun () -> Ablations.kv_chaos ~smoke:true () );
-    ( "wallclock-scaling",
-      "wall-clock of engine-stressing workloads; appends to BENCH_wallclock.json",
-      Wallclock.scaling );
-    ( "wallclock-smoke",
-      "reduced-scale wallclock sections with time and allocation gates",
-      Wallclock.smoke );
   ]
 
 (* Run the selected targets on [jobs] worker domains.  Each simulated
@@ -79,8 +67,8 @@ let targets : (string * string * (unit -> unit)) list =
    it was, so whole targets parallelize freely; output stays readable
    because of Bout.capture — workers buffer their report and the
    results print in target order.  Simulated figures are identical to
-   a `-j 1` run; only wall-clock and GC readings move, as co-running
-   domains share the machine. *)
+   a `-j 1` run; only ablation-coalesce's wall-clock column moves, as
+   co-running domains share the machine. *)
 let run_parallel jobs selected =
   let n = Array.length selected in
   let out = Array.make n "" in
@@ -115,9 +103,6 @@ let () =
     | [] -> ()
     | "-j" :: n :: rest ->
         jobs := max 1 (int_of_string n);
-        parse rest
-    | arg :: rest when String.length arg > 8 && String.sub arg 0 8 = "--label=" ->
-        Wallclock.label := String.sub arg 8 (String.length arg - 8);
         parse rest
     | "list" :: rest ->
         list_only := true;

@@ -246,7 +246,7 @@ let grant_budget k cpu lwp =
     then Eventq.time_to_next (eventq k) ~cap:lwp.quantum_left
     else 0
   in
-  Uctx.grant ~cost:c ~budget:(Int64.of_int budget)
+  Uctx.grant ~cost:c ~budget
 
 let rec kick k =
   gang_place k;
@@ -372,7 +372,7 @@ and resume k cpu lwp =
    as it would behind a settle event of its own.  Exit and panic keep
    the settle event, since they must happen at the settled instant. *)
 and step k cpu lwp (s : Uctx.step) =
-  let prefix = Int64.to_int (Uctx.unsettled ()) in
+  let prefix = Uctx.unsettled () in
   if prefix = 0 then dispatch_step k cpu lwp 0 s
   else
     match s with

@@ -66,9 +66,9 @@ let ledger_key =
 let grant ~cost ~budget =
   let l = Domain.DLS.get ledger_key in
   if l.lg_cost != cost then l.lg_cost <- cost;
-  if Time.(budget > 0L) then begin
+  if budget > 0 then begin
     l.lg_active <- true;
-    l.lg_budget <- Int64.to_int budget;
+    l.lg_budget <- budget;
     l.lg_acc <- 0
   end
   else begin
@@ -85,7 +85,7 @@ let unsettled () =
   let acc = l.lg_acc in
   l.lg_active <- false;
   l.lg_acc <- 0;
-  Int64.of_int acc
+  acc
 
 (* ------------------------------------------------------------------ *)
 (* Typed wrappers                                                      *)

@@ -34,18 +34,18 @@ exception Process_killed
 
 (** {1 Run-ahead accounting (kernel-internal)} *)
 
-val grant : cost:Sunos_hw.Cost_model.t -> budget:Sunos_sim.Time.span -> unit
+val grant : cost:Sunos_hw.Cost_model.t -> budget:int -> unit
 (** Open a run-ahead window: subsequent {!charge}s accumulate in a
     domain-local ledger instead of performing effects, until the
-    running total would reach [budget] (that charge performs).  A zero
+    running total would reach [budget] ns (that charge performs).  A zero
     or negative budget closes any open window — every charge then
     performs directly.  Called by the kernel just before continuing a
     fiber; the budget never exceeds the time to the event queue's next
     pending event, which is what makes coalescing unobservable.  [cost]
     is the machine's cost model, which {!cost} then returns. *)
 
-val unsettled : unit -> Sunos_sim.Time.span
-(** Collect and reset the coalesced-but-unaccounted charge total, and
+val unsettled : unit -> int
+(** Collect and reset the coalesced-but-unaccounted charge total (ns), and
     close the window.  Called by the kernel at every fiber step (charge
     perform, syscall, completion) before acting on it. *)
 

@@ -1,5 +1,5 @@
-(* Golden runs: the determinism configurations, stated once, and the one
-   text that pins a run or compares two.
+(* Golden runs: the determinism configurations and the dispatch storm,
+   stated once, and the one text that pins a run or compares two.
 
    [lines] renders a finished run: its scheduler counters, where the CPU
    time went, each process's accounted CPU and every trace record.
@@ -11,10 +11,12 @@
    first line that differs. *)
 
 module Kernel = Sunos_kernel.Kernel
+module Uctx = Sunos_kernel.Uctx
 module Procfs = Sunos_kernel.Procfs
 module Machine = Sunos_hw.Machine
 module Cpu = Sunos_hw.Cpu
 module Eventq = Sunos_sim.Eventq
+module Time = Sunos_sim.Time
 module Tracebuf = Sunos_sim.Tracebuf
 module S = Sunos_workloads.Net_server
 module Db = Sunos_workloads.Database
@@ -97,16 +99,40 @@ let kv ~procs =
     think_time_us = 500;
   }
 
-(* Each runner boots a traced 2-CPU machine with [chaos] (default:
-   SUNOS_CHAOS, else off) and [cost], runs the workload to the end and
-   hands the live kernel to [debrief].  The server runs the MT model. *)
-let server ?chaos ?cost p debrief =
-  S.run (module Sunos_baselines.Mt) ~cpus:2 ?chaos ?cost ~trace:true ~debrief p
+(* Each runner boots a 2-CPU machine with [chaos] (default: SUNOS_CHAOS,
+   else off), [cost] and [trace] (default on), runs the workload to the
+   end and hands the live kernel to [debrief].  The server runs the MT
+   model. *)
+let server ?chaos ?cost ?(trace = true) p debrief =
+  S.run (module Sunos_baselines.Mt) ~cpus:2 ?chaos ?cost ~trace ~debrief p
 
-let database ?chaos ?cost p debrief =
-  Db.run ~cpus:2 ?chaos ?cost ~trace:true ~debrief p
+let database ?chaos ?cost ?(trace = true) p debrief =
+  Db.run ~cpus:2 ?chaos ?cost ~trace ~debrief p
 
-let kv_store ?chaos p debrief = KV.run ~cpus:2 ?chaos ~trace:true ~debrief p
+let kv_store ?chaos ?(trace = true) p debrief =
+  KV.run ~cpus:2 ?chaos ~trace ~debrief p
+
+(* The dispatch storm, on one CPU: 60 LWPs each charge 50 us and sleep
+   200 us twenty times, so the run queue stays deep and dispatching,
+   sleeping and waking do most of the work. *)
+let storm ?chaos ?cost ?(trace = true) debrief =
+  let k = Kernel.boot ~cpus:1 ?chaos ?cost () in
+  if not trace then Kernel.set_tracing k false;
+  ignore
+    (Kernel.spawn k ~name:"storm" ~main:(fun () ->
+         for _ = 1 to 60 do
+           ignore
+             (Uctx.lwp_create
+                ~entry:(fun () ->
+                  for _ = 1 to 20 do
+                    Uctx.charge_us 50;
+                    Uctx.sleep (Time.us 200)
+                  done;
+                  Uctx.lwp_exit ())
+                ())
+         done));
+  Kernel.run k;
+  debrief k
 
 (* [f] of the live kernel [run] hands its debrief. *)
 let read run f =

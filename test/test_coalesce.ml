@@ -6,10 +6,11 @@
    run and a charge-by-charge run must produce byte-identical traces and
    identical per-process accounted CPU.
 
-   This suite pins that equivalence on the three paper workloads and on
-   targeted budget edges: quantum expiry mid-ledger, a signal landing
-   during the run-ahead window, parking with an unsettled ledger, and
-   the edges of a prefix settled without an event of its own. *)
+   This suite pins that equivalence on the three paper workloads, on
+   Figure 6's synchronization runs and on targeted budget edges: quantum
+   expiry mid-ledger, a signal landing during the run-ahead window,
+   parking with an unsettled ledger, the dispatch storm, and the edges
+   of a prefix settled without an event of its own. *)
 
 module Time = Sunos_sim.Time
 module Eventq = Sunos_sim.Eventq
@@ -21,6 +22,7 @@ module Signo = Sunos_kernel.Signo
 module Libthread = Sunos_threads.Libthread
 module T = Sunos_threads.Thread
 module W = Sunos_workloads.Window_system
+module Microbench = Sunos_workloads.Microbench
 
 let cost_off = { Cost.default with coalesce = false }
 
@@ -52,6 +54,23 @@ let test_window () =
         (module Sunos_baselines.Mt)
         ~cpus:2 ~cost ~trace:true ~debrief
         { W.default_params with widgets = 30; events = 120 })
+
+(* Figure 6's runs: the semaphore ping-pong between unbound threads,
+   bound threads and two processes, per synchronization. *)
+let test_microbench_sync () =
+  let lines ~cost =
+    let s = Microbench.sync ~cost () in
+    List.map
+      (fun (name, us) -> Printf.sprintf "%s %.17g us" name us)
+      [
+        ("setjmp", s.Microbench.setjmp_us);
+        ("unbound", s.unbound_us);
+        ("bound", s.bound_us);
+        ("cross-process", s.cross_process_us);
+      ]
+  in
+  Golden.check_same "microbench-sync" (lines ~cost:cost_off)
+    (lines ~cost:Cost.default)
 
 (* --- budget edges ---------------------------------------------------- *)
 
@@ -117,6 +136,13 @@ let test_park_unsettled () =
                             done))
                   in
                   List.iter (fun t -> ignore (T.wait ~thread:t ())) ts))))
+
+(* The dispatch storm (test/golden.ml): sixty LWPs on one CPU charge
+   and sleep in turn behind a deep run queue.  Coalescing folds 1,078
+   of its 1,200 charge slices into grants. *)
+let test_storm () =
+  check_equal "dispatch-storm" (fun ~cost debrief ->
+      Golden.storm ~cost debrief)
 
 (* --- the folded prefix ------------------------------------------------ *)
 
@@ -218,6 +244,8 @@ let () =
           Alcotest.test_case "database off=on" `Quick test_db;
           Alcotest.test_case "database-mmap off=on" `Quick test_db_mmap;
           Alcotest.test_case "window-system off=on" `Quick test_window;
+          Alcotest.test_case "microbench sync off=on" `Quick
+            test_microbench_sync;
         ] );
       ( "budget-edges",
         [
@@ -227,6 +255,7 @@ let () =
             test_signal_during_runahead;
           Alcotest.test_case "park with unsettled ledger" `Quick
             test_park_unsettled;
+          Alcotest.test_case "dispatch storm" `Quick test_storm;
         ] );
       ( "folded-prefix",
         [

@@ -2,6 +2,8 @@
    dispatcher, blocking syscalls, signals, fork/exec, faults, timers. *)
 
 module Time = Sunos_sim.Time
+module Eventq = Sunos_sim.Eventq
+module Machine = Sunos_hw.Machine
 module Cost = Sunos_hw.Cost_model
 module Kernel = Sunos_kernel.Kernel
 module Uctx = Sunos_kernel.Uctx
@@ -1007,14 +1009,13 @@ let test_boot_allocation () =
 (* A system call's busy intervals (trap entry, the call's completion,
    the return to user mode) allocate nothing: each CPU's busy record
    takes immediates, and its heap entry is three ints.  So one getpid
-   round trip on a 1-CPU boot allocates 34 words, read as (3,000 calls
+   round trip on a 1-CPU boot allocates 28 words, read as (3,000 calls
    - 1,000 calls) / 2,000 with [Gc.minor_words] as the boot gate reads
    its words: the effect, its continuation and the handler's closure,
    the request's records ([Step_sys], [P_syswait], the result and
-   [P_sysret]), the ledger's two boxed spans and the clock's two new
-   times (the completion ends at the trap's instant).  The bound sits
-   just above, so that a closure or a boxed time on the busy path fails
-   it. *)
+   [P_sysret]) and the clock's two new times (the completion ends at
+   the trap's instant).  The bound sits just above, so that a closure
+   or a boxed time on the busy path fails it. *)
 let test_getpid_allocation () =
   let words n =
     let w0 = Gc.minor_words () in
@@ -1029,9 +1030,51 @@ let test_getpid_allocation () =
   in
   ignore (words 1000);
   let per_call = (words 3000 -. words 1000) /. 2000. in
-  if per_call >= 36. then
-    Alcotest.failf "a getpid round trip allocated %.1f words (bound 36)"
+  if per_call >= 30. then
+    Alcotest.failf "a getpid round trip allocated %.1f words (bound 30)"
       per_call
+
+(* Words per event over whole runs, untraced and without chaos: the
+   four golden configurations and the dispatch storm (test/golden.ml).
+   The runs are deterministic, so each figure is exact on one build:
+   net 32.8, net-epoll 28.6, db 22.6, kv 32.5 and the storm 23.1 words
+   per event, read with [Gc.minor_words] as the boot gate reads its
+   words.  Each bound sits 8-9% above its figure, so that three more
+   words on every event fail any of them.  Each run must also finish
+   within 0.05 s of processor time ([Sys.time]); on a 2-core host they
+   take 0.4-4 ms. *)
+let test_words_per_event () =
+  let chaos = Sunos_sim.Faultgen.off and trace = false in
+  let runs =
+    [
+      ("net", 35.5, fun d -> ignore (Golden.server ~chaos ~trace Golden.net d));
+      ( "net-epoll", 31.,
+        fun d -> ignore (Golden.server ~chaos ~trace Golden.net_epoll d) );
+      ("db", 24.5, fun d -> ignore (Golden.database ~chaos ~trace Golden.db d));
+      ( "kv", 35.,
+        fun d -> ignore (Golden.kv_store ~chaos ~trace (Golden.kv ~procs:2) d) );
+      ("storm", 25., fun d -> Golden.storm ~chaos ~trace d);
+    ]
+  in
+  let over =
+    List.filter_map
+      (fun (name, bound, run) ->
+        let events = ref 0 in
+        let t0 = Sys.time () in
+        let w0 = Gc.minor_words () in
+        run (fun k ->
+            events := Eventq.events_fired (Kernel.machine k).Machine.eventq);
+        let per_event = (Gc.minor_words () -. w0) /. float_of_int !events in
+        let cpu = Sys.time () -. t0 in
+        if per_event >= bound || cpu >= 0.05 then
+          Some
+            (Printf.sprintf
+               "%s: %.1f words per event (bound %.1f) in %.3f s (bound 0.05)"
+               name per_event bound cpu)
+        else None)
+      runs
+  in
+  if over <> [] then Alcotest.fail (String.concat "; " over)
 
 (* ------------------------- procfs ------------------------- *)
 
@@ -1066,8 +1109,10 @@ let () =
           Alcotest.test_case "shutdown is a no-op" `Quick test_shutdown_is_noop;
           Alcotest.test_case "boot allocates under 1024 words" `Quick
             test_boot_allocation;
-          Alcotest.test_case "getpid allocates under 36 words" `Quick
+          Alcotest.test_case "getpid allocates under 30 words" `Quick
             test_getpid_allocation;
+          Alcotest.test_case "words per event and processor time" `Quick
+            test_words_per_event;
         ] );
       ( "scheduling",
         [
