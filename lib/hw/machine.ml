@@ -31,8 +31,11 @@ let create ?(cpus = 1) ?(cost = Cost_model.default) ?(seed = 1L) ?chaos () =
 let now t = Sim.Eventq.now t.eventq
 let ncpus t = Array.length t.cpus
 
+(* The time is read only for a record the ring keeps: reading the clock
+   boxes it when it has moved. *)
 let trace t kind ~cpu ~pid ~lwp ~name ~name2 ~arg ~arg2 ~arg3 =
-  Sim.Tracebuf.emit t.trace ~time:(now t) kind ~cpu ~pid ~lwp ~name ~name2 ~arg
-    ~arg2 ~arg3
+  if Sim.Tracebuf.interested t.trace kind then
+    Sim.Tracebuf.emit t.trace ~time:(now t) kind ~cpu ~pid ~lwp ~name ~name2
+      ~arg ~arg2 ~arg3
 
 let run ?until ?max_events t = Sim.Eventq.run ?until ?max_events t.eventq

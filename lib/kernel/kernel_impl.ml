@@ -250,9 +250,10 @@ let grant_budget k cpu lwp =
 
 let rec kick k =
   gang_place k;
-  Array.iter
-    (fun cpu -> if is_idle cpu then try_dispatch k cpu)
-    k.machine.Machine.cpus
+  let cpus = k.machine.Machine.cpus in
+  for i = 0 to Array.length cpus - 1 do
+    if is_idle cpus.(i) then try_dispatch k cpus.(i)
+  done
 
 and try_dispatch k cpu =
   if is_idle cpu then

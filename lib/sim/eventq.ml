@@ -1,6 +1,6 @@
-(* The event queue: one binary min-heap ordered by (time, seq).  [seq] is
-   unique, so the order is total and any correct heap pops the same
-   sequence.
+(* The event queue: one binary min-heap ordered by (time, seq), and a
+   one-entry register beside it.  [seq] is unique, so the order is total
+   and any correct heap pops the same sequence.
 
    The heap holds only ints: each entry is a time in nanoseconds, a seq
    and a slot number, kept in three parallel int arrays.  Handles live in
@@ -12,10 +12,24 @@
    for the small tag its owner gave it, and firing it calls the queue's
    one target function with the tag and the entry's seq.  Arming one
    writes the three ints and nothing else.  An armed entry cannot be
-   cancelled; the target tells a stale firing by the seq. *)
+   cancelled; the target tells a stale firing by the seq.
+
+   The register holds one armed entry out of the heap.  [arm] fills it
+   when it is empty; an arm that ends strictly earlier than the held
+   entry moves that entry into the heap, under its own seq, and takes
+   its place; any other arm goes to the heap.  Firing takes the earlier
+   of the held entry and the heap's top by (time, seq).  An entry's key
+   never changes wherever it waits, so the firing order is the one the
+   heap alone would give; an entry that ends before everything queued
+   when it is armed just skips the push and the pop.
+
+   The clock is an int, which firing stores with no box and no write
+   barrier.  [now] boxes it when it is read after it moved, and keeps
+   that box until it moves again.  A [run] that stops on a horizon keeps
+   the horizon's own box, so a horizon past [max_int] ns reads back
+   exactly; the int clock then wraps negative, and [arm] refuses it. *)
 
 type handle = {
-  time : Time.t;
   action : unit -> unit;
   mutable cancelled : bool;
   mutable fired : bool;
@@ -23,7 +37,14 @@ type handle = {
 }
 
 and t = {
-  mutable now : Time.t;
+  mutable clock : int;
+      (* now, in ns; negative only after a horizon past [max_int] *)
+  mutable boxed : Time.t;  (* the clock when [now] last boxed it *)
+  mutable boxed_at : int;  (* the int clock [boxed] stands for *)
+  mutable held_time : int;  (* the register: its entry's key and tag *)
+  mutable held_seq : int;  (* -1 when the register is empty *)
+  mutable held_tag : int;
+  mutable held_fired : int;  (* entries fired from the register *)
   mutable size : int;  (* heap entries, cancelled ones included *)
   mutable times : int array;
   mutable seqs : int array;
@@ -57,20 +78,26 @@ let no_target _ _ = invalid_arg "Eventq: armed entry with no target"
 (* What a free slot holds, so the table keeps no fired or dropped action
    alive. *)
 let rec nil =
-  { time = Time.zero; action = ignore; cancelled = true; fired = true;
-    owner = nil_queue }
+  { action = ignore; cancelled = true; fired = true; owner = nil_queue }
 
 and nil_queue =
   {
-    now = Time.zero; size = 0; times = [||]; seqs = [||]; slot_of = [||];
-    slots = [||]; nslots = 0; free = [||]; nfree = 0; target = no_target;
-    next_seq = 0; live = 0; dead = 0; fired_count = 0; drain_hooks = [];
-    run_horizon = None;
+    clock = 0; boxed = Time.zero; boxed_at = 0; held_time = 0;
+    held_seq = -1; held_tag = 0; held_fired = 0; size = 0; times = [||];
+    seqs = [||]; slot_of = [||]; slots = [||]; nslots = 0; free = [||];
+    nfree = 0; target = no_target; next_seq = 0; live = 0; dead = 0;
+    fired_count = 0; drain_hooks = []; run_horizon = None;
   }
 
 let create () =
   {
-    now = Time.zero;
+    clock = 0;
+    boxed = Time.zero;
+    boxed_at = 0;
+    held_time = 0;
+    held_seq = -1;
+    held_tag = 0;
+    held_fired = 0;
     size = 0;
     times = Array.make 2 0;
     seqs = Array.make 2 0;
@@ -90,7 +117,24 @@ let create () =
 
 let on_drain q f = q.drain_hooks <- f :: q.drain_hooks
 
-let now q = q.now
+let now q =
+  if q.boxed_at <> q.clock then begin
+    q.boxed <- Int64.of_int q.clock;
+    q.boxed_at <- q.clock
+  end;
+  q.boxed
+
+(* The clock as an [int64] for arithmetic and comparison, where the
+   compiler keeps it unboxed: the box [now] keeps, while it stands for
+   the clock, else the int clock widened. *)
+let[@inline] clock64 q =
+  if q.boxed_at = q.clock then q.boxed else Int64.of_int q.clock
+
+(* Leave the clock at horizon [h], keeping [h]'s own box. *)
+let stop_at q h =
+  q.clock <- Int64.to_int h;
+  q.boxed <- h;
+  q.boxed_at <- q.clock
 
 (* ------------------------------------------------------------------ *)
 (* The heap                                                            *)
@@ -182,20 +226,27 @@ let max_time = Int64.of_int max_int
 let past () = invalid_arg "Eventq.at: scheduling in the past"
 let beyond () = invalid_arg "Eventq.at: time beyond max_int ns"
 
-(* Push key (t, next seq, slot) and return its seq. *)
-let push q t slot =
+(* Put key (t, seq, slot) in the heap. *)
+let insert q t seq slot =
   if q.size = Array.length q.times then grow_heap q;
-  let i = q.size and seq = q.next_seq in
+  let i = q.size in
   q.size <- i + 1;
-  sift_up q i t seq slot;
+  sift_up q i t seq slot
+
+(* The seq of a new live entry. *)
+let take_seq q =
+  let seq = q.next_seq in
   q.next_seq <- seq + 1;
   q.live <- q.live + 1;
   seq
 
-let at q time action =
-  if Time.(time < q.now) then past ();
-  if Time.(time > max_time) then beyond ();
-  let h = { time; action; cancelled = false; fired = false; owner = q } in
+(* Queue a handle for [action] at [time].  The checks compare [int64]s
+   with the primitives, which keep them unboxed, so neither the clock
+   nor [after]'s sum is boxed. *)
+let[@inline] schedule q time action =
+  if time < clock64 q then past ();
+  if time > max_time then beyond ();
+  let h = { action; cancelled = false; fired = false; owner = q } in
   let slot =
     if q.nfree > 0 then begin
       q.nfree <- q.nfree - 1;
@@ -208,10 +259,11 @@ let at q time action =
     end
   in
   q.slots.(slot) <- h;
-  ignore (push q (Int64.to_int time) slot : int);
+  insert q (Int64.to_int time) (take_seq q) slot;
   h
 
-let after q d action = at q (Time.add q.now d) action
+let at q time action = schedule q time action
+let after q d action = schedule q (Int64.add (clock64 q) d) action
 
 let set_target q f = q.target <- f
 
@@ -220,16 +272,29 @@ let span_ns d =
   else if d < Int64.of_int min_int then past ()
   else Int64.to_int d
 
+let hold q t seq tag =
+  q.held_time <- t;
+  q.held_seq <- seq;
+  q.held_tag <- tag
+
 (* [now + d] is checked in ints: the clock is never negative, so a sum
    past [max_int] wraps negative, and so does a clock that a horizon
-   left past it. *)
+   left past it.  The new entry's seq is above every queued one, so it
+   comes before the held entry exactly when it ends strictly earlier. *)
 let arm q ~tag d =
   if tag < 0 then invalid_arg "Eventq.arm: negative tag";
   if d < 0 then past ();
-  let now = Int64.to_int q.now in
+  let now = q.clock in
   let t = now + d in
   if now < 0 || t < 0 then beyond ();
-  push q t (lnot tag)
+  let seq = take_seq q in
+  if q.held_seq < 0 then hold q t seq tag
+  else if t < q.held_time then begin
+    insert q q.held_time q.held_seq (lnot q.held_tag);
+    hold q t seq tag
+  end
+  else insert q t seq (lnot tag);
+  seq
 
 (* Rebuild the heap from its live population.  Cancellation is lazy (the
    heap keeps cancelled handles until they surface), so a cancel-heavy
@@ -271,32 +336,53 @@ let is_pending h = (not h.cancelled) && not h.fired
 
 (* Drop the cancelled handles at the top of the heap (lazy deletion;
    compaction bounds how many can be in flight).  Afterwards the heap is
-   empty exactly when [q.live = 0], and otherwise its top is the live
-   head.  [dead > 0] implies a non-empty heap. *)
-let rec skim q =
-  if q.dead > 0 && cancelled q 0 then begin
+   empty or its top is live, and [q.live = 0] exactly when it is empty
+   and so is the register.  [dead > 0] implies a non-empty heap. *)
+let rec skim_dead q =
+  if cancelled q 0 then begin
     drop_top q;
     q.dead <- q.dead - 1;
-    skim q
+    if q.dead > 0 then skim_dead q
   end
 
-(* Fire the live head at the top of the heap. *)
+let[@inline] skim q = if q.dead > 0 then skim_dead q
+
+(* After [skim], with an entry live: does the held one come first? *)
+let[@inline] held_first q =
+  q.held_seq >= 0 && (q.size = 0 || not (before q 0 q.held_time q.held_seq))
+
+(* After [skim], with an entry live: the time of the first. *)
+let[@inline] next_time q =
+  if q.held_seq < 0 then q.times.(0)
+  else if q.size = 0 || q.held_time < q.times.(0) then q.held_time
+  else q.times.(0)
+
+(* Fire the live head: the held entry or the top of the heap. *)
 let fire q =
-  let slot = q.slot_of.(0) in
   q.live <- q.live - 1;
   q.fired_count <- q.fired_count + 1;
-  if slot >= 0 then begin
-    let h = q.slots.(slot) in
-    drop_top q;
-    q.now <- h.time;
-    h.fired <- true;
-    h.action ()
+  if held_first q then begin
+    let tag = q.held_tag and seq = q.held_seq in
+    q.held_seq <- -1;
+    q.held_fired <- q.held_fired + 1;
+    q.clock <- q.held_time;
+    q.target tag seq
   end
   else begin
-    let t = q.times.(0) and seq = q.seqs.(0) in
-    drop_top q;
-    if t <> Int64.to_int q.now then q.now <- Int64.of_int t;
-    q.target (lnot slot) seq
+    let slot = q.slot_of.(0) and t = q.times.(0) in
+    if slot >= 0 then begin
+      let h = q.slots.(slot) in
+      drop_top q;
+      q.clock <- t;
+      h.fired <- true;
+      h.action ()
+    end
+    else begin
+      let seq = q.seqs.(0) in
+      drop_top q;
+      q.clock <- t;
+      q.target (lnot slot) seq
+    end
   end
 
 let run_one q =
@@ -319,12 +405,12 @@ let time_to_next q ~cap =
     match q.run_horizon with
     | None -> cap
     | Some h ->
-        let gap = Int64.sub h q.now in
+        let gap = Int64.sub h (clock64 q) in
         if gap < Int64.of_int cap then Int64.to_int gap else cap
   in
   if q.live = 0 then cap
   else
-    let gap = q.times.(0) - Int64.to_int q.now in
+    let gap = next_time q - q.clock in
     if gap < cap then gap else cap
 
 let run ?until ?max_events q =
@@ -338,8 +424,8 @@ let run ?until ?max_events q =
       skim q;
       if q.live > 0 then begin
         match until with
-        | Some horizon when Int64.of_int q.times.(0) > horizon ->
-            q.now <- horizon
+        | Some horizon when Int64.of_int (next_time q) > horizon ->
+            stop_at q horizon
         | _ ->
             fire q;
             loop (fired + 1)
@@ -349,7 +435,8 @@ let run ?until ?max_events q =
   loop 0;
   (* If we stopped on the horizon with an empty queue, still advance. *)
   (match until with
-  | Some horizon when q.live = 0 && Time.(q.now < horizon) -> q.now <- horizon
+  | Some horizon when q.live = 0 && clock64 q < horizon ->
+      stop_at q horizon
   | _ -> ());
   (* Queue drained (not horizon- or budget-limited): let observers look
      at the stalled machine.  A hook may schedule new events; we do not
@@ -361,3 +448,4 @@ let run ?until ?max_events q =
 let pending_count q = q.live
 let heap_population q = q.size
 let events_fired q = q.fired_count
+let register_fired q = q.held_fired

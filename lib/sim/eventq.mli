@@ -12,10 +12,12 @@ type handle
 
 val create : unit -> t
 (** An empty queue at time zero: one binary heap that every CPU and
-    device of a machine schedules into. *)
+    device of a machine schedules into, and a one-entry register beside
+    it for the earliest armed entry (see {!arm}). *)
 
 val now : t -> Time.t
-(** Current simulated time. *)
+(** Current simulated time.  The queue keeps its clock as an int, and
+    boxes it here the first time it is read after it moved. *)
 
 val at : t -> Time.t -> (unit -> unit) -> handle
 (** [at q time f] schedules [f] to run at absolute [time].  Scheduling in
@@ -36,11 +38,14 @@ val arm : t -> tag:int -> int -> int
 (** [arm q ~tag d] schedules a call of [q]'s target with [tag] at
     [now q + d] ns and returns the entry's seq, which the call also
     receives.  Its place in the firing order is the one {!after} would
-    give it.  Arming writes three ints into the heap and allocates
-    nothing: no handle, no closure, no boxed time.  The entry cannot be
-    cancelled, so the target tells a stale firing by the seq.  A
-    negative [tag] raises [Invalid_argument]; so do a negative [d] and
-    a time beyond [max_int] ns, with the errors {!at} raises. *)
+    give it.  Arming writes three ints and allocates nothing: no handle,
+    no closure, no boxed time.  The entry goes to the register when that
+    is empty, or when it ends strictly earlier than the entry the
+    register holds, which then moves to the heap with its seq; else it
+    goes to the heap.  The entry cannot be cancelled, so the target
+    tells a stale firing by the seq.  A negative [tag] raises
+    [Invalid_argument]; so do a negative [d] and a time beyond
+    [max_int] ns, with the errors {!at} raises. *)
 
 val span_ns : Time.span -> int
 (** A span as {!arm} takes it, in int ns.  A span past [max_int] ns,
@@ -84,8 +89,12 @@ val pending_count : t -> int
 
 val heap_population : t -> int
 (** Entries physically in the heap, including cancelled ones awaiting
-    lazy deletion.  Compaction keeps this within ~2x of
-    [pending_count]; exposed for the cancel-churn tests. *)
+    lazy deletion, and not the register's.  Compaction keeps this within
+    ~2x of [pending_count]; exposed for the cancel-churn tests. *)
 
 val events_fired : t -> int
 (** Total events fired since creation (for stats and loop-bound tests). *)
+
+val register_fired : t -> int
+(** Of {!events_fired}, the armed entries fired from the register, which
+    no heap push or pop touched. *)

@@ -63,6 +63,10 @@ val create : ?capacity:int -> unit -> t
     allocated until a record needs it.
     @raise Invalid_argument if [capacity < 1]. *)
 
+val interested : t -> kind -> bool
+(** Would {!emit} keep a record of this kind?  A caller that pays to
+    stamp a record (reading a clock that boxes) asks first. *)
+
 val emit :
   t ->
   time:Time.t ->

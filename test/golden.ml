@@ -178,16 +178,20 @@ let lines k =
   @ List.map render (Kernel.trace_records k)
 
 (* How many events the engine fired, then the same events by kind
-   ([Kernel.event_counts]).  The figures in [lines] do not see the
-   engine's own cost, so a change to it shows up here; it stays out of
-   [lines] because coalescing run-ahead charges changes it by design. *)
+   ([Kernel.event_counts]), then how many of them fired from the queue's
+   register (beside the kinds, which sum to [events=]).  The figures in
+   [lines] do not see the engine's own cost, so a change to it shows up
+   here; it stays out of [lines] because coalescing run-ahead charges
+   changes it by design. *)
 let events k =
-  Printf.sprintf "events=%d\nevents by kind: %s"
-    (Eventq.events_fired (Kernel.machine k).Machine.eventq)
+  let q = (Kernel.machine k).Machine.eventq in
+  Printf.sprintf "events=%d\nevents by kind: %s\nevents from the register=%d"
+    (Eventq.events_fired q)
     (String.concat " "
        (List.map
           (fun (kind, n) -> Printf.sprintf "%s=%d" kind n)
           (Kernel.event_counts k)))
+    (Eventq.register_fired q)
 
 let check_same name a b =
   let rec go i = function

@@ -1,5 +1,6 @@
 (* Same-seed determinism: each golden configuration's run as text, the
-   events the engine fired (in all, then by kind) and then Golden.lines.
+   events the engine fired (in all, by kind, then how many from the
+   event queue's register) and then Golden.lines.
    dune diffs this output against test_determinism.expected, and
    @sanitize diffs it again with THRSAN=1, so a moved figure shows up as
    a diff line that names the record.

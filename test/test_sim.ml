@@ -467,7 +467,46 @@ let test_eventq_time_range () =
       ignore (Eventq.span_ns (Int64.succ last)));
   Alcotest.check_raises "span below min_int"
     (Invalid_argument "Eventq.at: scheduling in the past") (fun () ->
-      ignore (Eventq.span_ns (Int64.pred (Int64.of_int min_int))))
+      ignore (Eventq.span_ns (Int64.pred (Int64.of_int min_int))));
+  (* The int clock keeps that range whether the register holds an entry
+     or not: an arm or a handle past max_int raises, and a run that
+     stops on a horizon past max_int reads back that horizon, after
+     which nothing can be queued. *)
+  List.iter
+    (fun (full, horizon) ->
+      let what = if full then "register full" else "register empty" in
+      let q = Eventq.create () in
+      let calls = ref 0 in
+      Eventq.set_target q (fun _ _ -> incr calls);
+      ignore (Eventq.at q 10L ignore);
+      Eventq.run q;
+      if full then ignore (Eventq.arm q ~tag:0 5);
+      let queued = Eventq.pending_count q in
+      Alcotest.check_raises (what ^ ": arm beyond max_int")
+        (Invalid_argument "Eventq.at: time beyond max_int ns") (fun () ->
+          ignore (Eventq.arm q ~tag:1 (max_int - 9)));
+      Alcotest.check_raises (what ^ ": at beyond max_int")
+        (Invalid_argument "Eventq.at: time beyond max_int ns") (fun () ->
+          ignore (Eventq.at q (Int64.succ last) ignore));
+      Alcotest.(check int) (what ^ ": nothing more queued") queued
+        (Eventq.pending_count q);
+      Eventq.run ~until:horizon q;
+      Alcotest.(check int) (what ^ ": the held entry fired") queued !calls;
+      Alcotest.check span (what ^ ": clock at the horizon") horizon
+        (Eventq.now q);
+      Alcotest.check span (what ^ ": and there again") horizon (Eventq.now q);
+      Alcotest.check_raises (what ^ ": no arm after it")
+        (Invalid_argument "Eventq.at: time beyond max_int ns") (fun () ->
+          ignore (Eventq.arm q ~tag:0 0));
+      Alcotest.check_raises (what ^ ": no handle before it")
+        (Invalid_argument "Eventq.at: scheduling in the past") (fun () ->
+          ignore (Eventq.at q last ignore)))
+    [
+      (false, Int64.succ last);
+      (true, Int64.succ last);
+      (false, Int64.max_int);
+      (true, Int64.max_int);
+    ]
 
 (* Armed entries own no slot, so a handle's slot cannot be taken from
    the heap's size: with armed entries in the heap, slot [size] may be a
@@ -535,6 +574,166 @@ let test_eventq_armed_and_handles () =
   Alcotest.(check bool) "in time order" true
     (List.sort Int64.compare times = times);
   Alcotest.(check int) "drained" 0 (Eventq.heap_population q)
+
+(* The register against a reference list sorted by (time, seq): a
+   random mix of [at], [after], [arm] on four tags (from the target too,
+   as the kernel arms an interval's successor there), [cancel],
+   [run_one], [time_to_next] and [run ~until].  Each firing must be the
+   list's first, at its time; every seq [arm] returns, every
+   [time_to_next] (clamped to the horizon inside a run) and every
+   [pending_count] must match the list.  The model also follows which
+   entry the register holds, so [register_fired] must match it, and it
+   counts the register's edges as they come up: an arm that displaces
+   the held entry, a heap entry that fires before a held entry at the
+   same time because its seq is lower, and a run whose horizon falls
+   between the held entry and the heap's top. *)
+let test_eventq_register_order () =
+  let displaced = ref 0 and ties = ref 0 and split = ref 0 in
+  for seed = 1 to 20 do
+    let st = Random.State.make [| seed |] in
+    let rand n = Random.State.int st n in
+    let q = Eventq.create () in
+    let fail fmt = Alcotest.failf ("seed %d: " ^^ fmt) seed in
+    (* the model: (time, seq, what) for every live entry, the register's
+       (time, seq), the clock and the horizon of the run under way *)
+    let pending = ref [] and held = ref None in
+    let clock = ref 0 and horizon = ref None in
+    let next_seq = ref 0 and from_register = ref 0 in
+    let handles = ref [] and next_id = ref 0 in
+    let earliest = function
+      | e :: es -> List.fold_left min e es
+      | [] -> invalid_arg "earliest"
+    in
+    let first () = earliest !pending in
+    let expect_next cap =
+      let cap =
+        match !horizon with
+        | Some h when h - !clock < cap -> h - !clock
+        | _ -> cap
+      in
+      match !pending with
+      | [] -> cap
+      | _ ->
+          let t, _, _ = first () in
+          min (t - !clock) cap
+    in
+    let check_next () =
+      let cap = rand 50 in
+      let got = Eventq.time_to_next q ~cap and want = expect_next cap in
+      if got <> want then fail "time_to_next ~cap:%d = %d, want %d" cap got want
+    in
+    let check_counts () =
+      if Eventq.pending_count q <> List.length !pending then
+        fail "pending %d, want %d" (Eventq.pending_count q)
+          (List.length !pending);
+      if Eventq.register_fired q <> !from_register then
+        fail "from the register %d, want %d" (Eventq.register_fired q)
+          !from_register
+    in
+    let rec arm tag d =
+      let t = !clock + d and seq = !next_seq in
+      incr next_seq;
+      (match !held with
+      | None -> held := Some (t, seq)
+      | Some (ht, _) when t < ht ->
+          incr displaced;
+          held := Some (t, seq)
+      | Some _ -> ());
+      pending := (t, seq, `Armed (tag, seq)) :: !pending;
+      let got = Eventq.arm q ~tag d in
+      if got <> seq then fail "arm returned seq %d, want %d" got seq
+    and at t =
+      let id = !next_id in
+      incr next_id;
+      pending := (t, !next_seq, `Handle id) :: !pending;
+      incr next_seq;
+      let action () = fired (`Handle id) in
+      let h =
+        if rand 2 = 0 then Eventq.at q (Int64.of_int t) action
+        else Eventq.after q (Int64.of_int (t - !clock)) action
+      in
+      handles := (id, h) :: !handles
+    and fired what =
+      if !pending = [] then fail "a firing with nothing pending";
+      let t, seq, w = first () in
+      if w <> what then fail "fired out of (time, seq) order at %d" t;
+      if Eventq.now q <> Int64.of_int t then
+        fail "clock %Ld, want %d" (Eventq.now q) t;
+      (match !held with
+      | Some (_, hs) when hs = seq ->
+          incr from_register;
+          held := None
+      | Some (ht, _) when ht = t -> incr ties
+      | _ -> ());
+      clock := t;
+      pending := List.filter (fun (_, s, _) -> s <> seq) !pending;
+      check_next ();
+      if !next_seq < 3_000 && rand 3 = 0 then arm (rand 4) (rand 30)
+    in
+    Eventq.set_target q (fun tag seq -> fired (`Armed (tag, seq)));
+    for _ = 1 to 400 do
+      (match rand 10 with
+      | 0 | 1 | 2 -> arm (rand 4) (rand 30)
+      | 3 | 4 -> at (!clock + rand 30)
+      | 5 -> (
+          match !handles with
+          | [] -> ()
+          | hs ->
+              let id, h = List.nth hs (rand (List.length hs)) in
+              Eventq.cancel h;
+              pending :=
+                List.filter (fun (_, _, w) -> w <> `Handle id) !pending)
+      | 6 | 7 ->
+          let want = !pending <> [] in
+          if Eventq.run_one q <> want then fail "run_one returned %b" (not want)
+      | 8 -> check_next ()
+      | _ ->
+          let h = !clock + rand 40 in
+          (match !held with
+          | Some (ht, hs) -> (
+              match List.filter (fun (_, s, _) -> s <> hs) !pending with
+              | [] -> ()
+              | heap ->
+                  let top, _, _ = earliest heap in
+                  if (ht <= h && h < top) || (top <= h && h < ht) then
+                    incr split)
+          | None -> ());
+          horizon := Some h;
+          Eventq.run ~until:(Int64.of_int h) q;
+          horizon := None;
+          clock := h;
+          if Eventq.now q <> Int64.of_int h then
+            fail "clock %Ld after a run to %d" (Eventq.now q) h);
+      check_counts ()
+    done;
+    Eventq.run q;
+    if !pending <> [] then fail "%d entries never fired" (List.length !pending);
+    check_counts ()
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "displacements (%d), ties (%d), split horizons (%d)"
+       !displaced !ties !split)
+    true
+    (!displaced > 0 && !ties > 0 && !split > 0)
+
+(* An armed entry that fires from the register allocates nothing: it
+   makes no heap entry, and the clock it moves is an int.  10,000
+   entries are armed and fired one after another with a no-op target,
+   beside a far-off handle in the heap, and every one fires from the
+   register. *)
+let test_eventq_register_allocates_nothing () =
+  let q = Eventq.create () in
+  Eventq.set_target q (fun _ _ -> ());
+  ignore (Eventq.at q 1_000_000_000L ignore);
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    ignore (Eventq.arm q ~tag:(i land 3) 7 : int);
+    ignore (Eventq.run_one q : bool)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "all from the register" 10_000 (Eventq.register_fired q);
+  if words > 0. then
+    Alcotest.failf "10,000 armed entries allocated %.0f words" words
 
 let prop_eventq_monotonic =
   QCheck.Test.make ~name:"eventq fires in nondecreasing time order" ~count:100
@@ -1033,6 +1232,10 @@ let () =
           Alcotest.test_case "fired and cancelled actions are released" `Quick
             test_eventq_releases_actions;
           Alcotest.test_case "time range" `Quick test_eventq_time_range;
+          Alcotest.test_case "register order" `Quick
+            test_eventq_register_order;
+          Alcotest.test_case "register allocates nothing" `Quick
+            test_eventq_register_allocates_nothing;
           Alcotest.test_case "armed entries beside handles" `Quick
             test_eventq_armed_and_handles;
           Alcotest.test_case "cancel the next head from a callback" `Quick
